@@ -118,12 +118,15 @@ def load_schedule(spec: dict | None) -> TemperatureSchedule:
     _require(mode in ("constant_eta", "inverse_sqrt", "adaptive_std"),
              f"schedule.mode: unknown mode {mode!r}")
     eta = spec.get("eta")
-    return TemperatureSchedule(
-        mode=mode,
-        eta=None if eta is None else parse_lambda(eta),
-        kappa_floor=float(spec.get("kappa_floor",
-                                   1e-6 if mode == "adaptive_std" else 0.0)),
-    )
+    try:
+        return TemperatureSchedule(
+            mode=mode,
+            eta=None if eta is None else parse_lambda(eta),
+            kappa_floor=float(spec.get("kappa_floor",
+                                       1e-6 if mode == "adaptive_std" else 0.0)),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"schedule: {exc}") from exc
 
 
 def load_types(spec) -> TypeDistribution:
@@ -133,7 +136,10 @@ def load_types(spec) -> TypeDistribution:
                  f"types.preset: {spec['preset']!r} has no type distribution")
         spec = preset["lambdas"]
     _require(isinstance(spec, (list, tuple)) and spec, "types: non-empty list required")
-    return TypeDistribution.uniform([parse_lambda(l) for l in spec])
+    try:
+        return TypeDistribution.uniform([parse_lambda(l) for l in spec])
+    except ValueError as exc:
+        raise ConfigError(f"types: {exc}") from exc
 
 
 def emit_trace(trace: Trace, fmt: str, path: Path) -> None:
@@ -257,27 +263,39 @@ def run_oracle(config: dict, seed: int, out: Path) -> list[Path]:
     return [path]
 
 
-def run_rl(config: dict, seed: int, out: Path) -> list[Path]:
-    game = load_game(config["game"])
+def load_train_config(config: dict, game, seed: int) -> RL.TrainConfig:
+    """The rl section of a config as a `TrainConfig`."""
     _require(isinstance(game, G.TabularMarkovGame), "rl: needs a Markov game")
     rcfg = dict(config.get("rl", {}))
     preset = rcfg.pop("preset", None)
     if preset == "brbot":
         rcfg.setdefault("mode", "best_response")
     types_spec = rcfg.pop("types", [0.1])
-    tcfg = RL.TrainConfig(
-        search_iterations=int(rcfg.get("search_iterations", 256)),
-        types=tuple(load_types(types_spec) for _ in range(game.player_count)),
-        act_lambda=parse_lambda(rcfg.get("act_lambda", 0.0)),
-        nash_explore=float(rcfg.get("nash_explore", 0.1)),
-        episodes=int(rcfg.get("episodes", 1000)),
-        alpha=float(rcfg.get("alpha", 0.1)),
-        alpha_harmonic=bool(rcfg.get("alpha_harmonic", False)),
-        top_k=rcfg.get("top_k"),
-        mode=rcfg.get("mode", "standard"),
-        seed=seed,
-        checkpoint_every=int(rcfg.get("checkpoint_every", 100)),
-    )
+    types = tuple(load_types(types_spec) for _ in range(game.player_count))
+    fixed = sorted(set(rcfg) & {"distinguished_player", "search_mode",
+                                "policy_step"})
+    _require(not fixed, f"rl: {', '.join(fixed)}: not settable from a config")
+    try:
+        return RL.TrainConfig(
+            search_iterations=int(rcfg.get("search_iterations", 256)),
+            types=types,
+            act_lambda=parse_lambda(rcfg.get("act_lambda", 0.0)),
+            nash_explore=float(rcfg.get("nash_explore", 0.1)),
+            episodes=int(rcfg.get("episodes", 1000)),
+            alpha=float(rcfg.get("alpha", 0.1)),
+            alpha_harmonic=bool(rcfg.get("alpha_harmonic", False)),
+            top_k=rcfg.get("top_k"),
+            mode=rcfg.get("mode", "standard"),
+            seed=seed,
+            checkpoint_every=int(rcfg.get("checkpoint_every", 100)),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"rl: {exc}") from exc
+
+
+def run_rl(config: dict, seed: int, out: Path) -> list[Path]:
+    game = load_game(config["game"])
+    tcfg = load_train_config(config, game, seed)
     anchors = uniform_anchors(game)
     oracle_values = None
     oracle_profiles = None
@@ -382,9 +400,15 @@ def validate_config(config: dict) -> None:
              "seed: must be a 64-bit unsigned integer")
     if kind != "rate":
         _require("game" in config, "game: required")
-        load_game(config["game"])
+        game = load_game(config["game"])
     if "iterations" in config:
         _require(int(config["iterations"]) >= 1, "iterations: must be >= 1")
+    if kind == "solve":
+        lcfg = config.get("learner", {})
+        load_types(lcfg.get("types", [0.1]))
+        load_schedule(lcfg.get("schedule"))
+    if kind == "rl":
+        load_train_config(config, game, seed)
     if kind == "rate":
         rcfg = config.get("rate", {})
         _require("games_csv" in rcfg, "rate.games_csv: required")

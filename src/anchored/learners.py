@@ -109,11 +109,6 @@ class TemperatureSchedule:
         return self.kappa_floor
 
 
-def kappa_next(schedule: TemperatureSchedule, t: int,
-               utility_stats: "UtilityStats | None" = None) -> float:
-    return schedule.kappa(t, utility_stats)
-
-
 @dataclass
 class UtilityStats:
     """Welford accumulator for realized utilities (feeds adaptive_std)."""
@@ -160,7 +155,12 @@ def policy_for_type(q: np.ndarray, anchor: np.ndarray, lam: float, kappa: float,
 
 @dataclass
 class Learner:
-    """Per-player learner state for one self-play run."""
+    """Per-player learner state for one self-play run.
+
+    `policy` and `observe` are the scalar reference for one player's step.
+    Self-play itself runs in the array kernel behind `run_selfplay`, which
+    reads this state at the start of a call and writes it back at the end.
+    """
 
     player: int
     n_actions: int
@@ -172,7 +172,6 @@ class Learner:
     t: int = 0
     q: np.ndarray = field(init=False)
     utility_stats: UtilityStats = field(default_factory=UtilityStats)
-    last_kappa: float = field(init=False)
     _avg_sums: dict = field(init=False)
     _avg_counts: int = 0
 
@@ -183,7 +182,6 @@ class Learner:
         if self.anchor.shape != (self.n_actions,):
             raise ValueError("anchor dimension does not match action count")
         self.q = np.zeros(self.n_actions)
-        self.last_kappa = self.schedule.kappa_initial()
         self._avg_sums = {lam: np.zeros(self.n_actions) for lam in self.types.lambdas}
 
     def current_kappa(self) -> float:
@@ -193,16 +191,13 @@ class Learner:
         return self.schedule.kappa(self.t, self.utility_stats)
 
     def policy(self, lam: float, kappa: float | None = None) -> np.ndarray:
+        """The current iterate of type `lam`; `lam` may lie outside the
+        support (an acting lambda)."""
         if kappa is None:
             kappa = self.current_kappa()
         if self.t == 0 and self.uniform_first_iterate:
             return uniform_policy(self.n_actions)
         return policy_for_type(self.q, self.anchor, lam, kappa)
-
-    def act_policy(self, lam_act: float) -> np.ndarray:
-        """Policy actually played, which may use a lambda outside the
-        population support."""
-        return self.policy(lam_act)
 
     def observe(self, utility_vector: np.ndarray, realized_utility: float,
                 iteration: int | None = None) -> None:
@@ -220,24 +215,10 @@ class Learner:
         self.q += (u - self.q) / self.t
         self.utility_stats.add(float(realized_utility))
 
-    def accumulate_averages(self, policies_by_type: dict) -> None:
-        for lam, pol in policies_by_type.items():
-            self._avg_sums[lam] += pol
-        self._avg_counts += 1
-
     def average_policy(self, lam: float) -> np.ndarray:
         if self._avg_counts == 0:
             raise ValueError("no iterations completed")
         return self._avg_sums[lam] / self._avg_counts
-
-    def mixture_policy(self, kappa: float | None = None) -> np.ndarray:
-        """Belief-weighted mixture of the current per-type policies."""
-        if kappa is None:
-            kappa = self.current_kappa()
-        mix = np.zeros(self.n_actions)
-        for lam, w in zip(self.types.lambdas, self.types.weights):
-            mix += w * self.policy(lam, kappa)
-        return mix
 
     def average_mixture_policy(self) -> np.ndarray:
         mix = np.zeros(self.n_actions)
@@ -254,61 +235,79 @@ def init_learner(player: int, actions: int, anchor, types: TypeDistribution,
                    uniform_first_iterate=uniform_first_iterate)
 
 
-class Trace:
-    """Append-only per-iteration record of a self-play run."""
+def _row_starts(type_supports) -> list[int]:
+    """Index of each player's first (player, type) row, player-major."""
+    starts = [0]
+    for support in type_supports:
+        starts.append(starts[-1] + len(support))
+    return starts
 
-    def __init__(self, n_players: int, type_supports: list[tuple[float, ...]],
-                 metadata: dict | None = None):
-        self.n_players = n_players
+
+class Trace:
+    """Per-iteration record of a self-play run, one preallocated array per
+    column.
+
+    `kappas` and `realized` are [T, P]; `utilities` is [T, P, A] and
+    `policies` is [T, rows, A], with one row per (player, type) in the
+    player-major order of `type_supports` and zero padding past a player's
+    action count.  `actions` and `sampled_lambdas` are [T, P] in a
+    sampled-feedback run and None in an expected-feedback one.
+    """
+
+    def __init__(self, action_counts, type_supports, iterations: int,
+                 sampled: bool, metadata: dict | None = None):
+        self.action_counts = tuple(int(n) for n in action_counts)
+        self.n_players = len(self.action_counts)
         self.type_supports = [tuple(s) for s in type_supports]
         self.metadata = dict(metadata or {})
-        self.kappas: list[list[float]] = []
-        self.sampled_lambdas: list[list[float | None]] = []
-        self.actions: list[list[int | None]] = []
-        self.realized: list[list[float]] = []
-        self._u_vectors: list[list[np.ndarray]] = []
-        self._policies: list[list[dict]] = []
+        starts = _row_starts(self.type_supports)
+        self._row_start = starts[:-1]
+        width = max(self.action_counts)
+        shape = (iterations, self.n_players)
+        self.kappas = np.zeros(shape)
+        self.realized = np.zeros(shape)
+        self.utilities = np.zeros(shape + (width,))
+        self.policies = np.zeros((iterations, starts[-1], width))
+        self.actions = np.zeros(shape, dtype=np.int64) if sampled else None
+        self.sampled_lambdas = np.zeros(shape) if sampled else None
 
     def __len__(self) -> int:
         return len(self.kappas)
 
-    def append(self, kappas, sampled_lambdas, actions, realized, u_vectors,
-               policies_by_type) -> None:
-        self.kappas.append(list(kappas))
-        self.sampled_lambdas.append(list(sampled_lambdas))
-        self.actions.append(list(actions))
-        self.realized.append(list(realized))
-        self._u_vectors.append(list(u_vectors))
-        self._policies.append(list(policies_by_type))
-
     def utility_matrix(self, player: int) -> np.ndarray:
-        return np.stack([row[player] for row in self._u_vectors])
+        n = self.action_counts[player]
+        return np.ascontiguousarray(self.utilities[:, player, :n])
 
     def policy_matrix(self, player: int, lam: float) -> np.ndarray:
-        return np.stack([row[player][lam] for row in self._policies])
-
-    def kappa_series(self, player: int) -> np.ndarray:
-        return np.array([row[player] for row in self.kappas])
+        row = self._row_start[player] + self.type_supports[player].index(lam)
+        n = self.action_counts[player]
+        return np.ascontiguousarray(self.policies[:, row, :n])
 
     def records(self):
         """Iterate export-shaped dict records (1-based t)."""
+        kappas, realized = self.kappas.tolist(), self.realized.tolist()
+        utilities, policies = self.utilities.tolist(), self.policies.tolist()
+        unsampled = [[None] * self.n_players] * len(self)
+        actions = unsampled if self.actions is None else self.actions.tolist()
+        lams = (unsampled if self.sampled_lambdas is None
+                else self.sampled_lambdas.tolist())
         for t in range(len(self)):
             yield {
                 "t": t + 1,
-                "kappa": self.kappas[t],
+                "kappa": kappas[t],
                 "per_player": [
                     {
-                        "sampled_lambda": self.sampled_lambdas[t][i],
-                        "action": self.actions[t][i],
+                        "sampled_lambda": lams[t][i],
+                        "action": actions[t][i],
                         "policy_by_type": {
-                            repr(lam): self._policies[t][i][lam].tolist()
-                            for lam in self.type_supports[i]
+                            repr(lam): policies[t][self._row_start[i] + k][:n]
+                            for k, lam in enumerate(self.type_supports[i])
                         },
-                        "action_utilities": self._u_vectors[t][i].tolist(),
+                        "action_utilities": utilities[t][i][:n],
                     }
-                    for i in range(self.n_players)
+                    for i, n in enumerate(self.action_counts)
                 ],
-                "utilities": self.realized[t],
+                "utilities": realized[t],
             }
 
     @classmethod
@@ -316,22 +315,21 @@ class Trace:
         records = list(records)
         if not records:
             raise ValueError("empty record stream")
-        n_players = len(records[0]["per_player"])
-        trace = cls(n_players, type_supports, metadata)
-        for rec in records:
-            per = rec["per_player"]
-            trace.append(
-                kappas=rec["kappa"],
-                sampled_lambdas=[p["sampled_lambda"] for p in per],
-                actions=[p["action"] for p in per],
-                realized=rec["utilities"],
-                u_vectors=[np.array(p["action_utilities"]) for p in per],
-                policies_by_type=[
-                    {lam: np.array(p["policy_by_type"][repr(lam)])
-                     for lam in trace.type_supports[i]}
-                    for i, p in enumerate(per)
-                ],
-            )
+        first = records[0]["per_player"]
+        trace = cls([len(p["action_utilities"]) for p in first], type_supports,
+                    len(records), first[0]["action"] is not None, metadata)
+        for t, rec in enumerate(records):
+            trace.kappas[t] = rec["kappa"]
+            trace.realized[t] = rec["utilities"]
+            for i, p in enumerate(rec["per_player"]):
+                n = trace.action_counts[i]
+                trace.utilities[t, i, :n] = p["action_utilities"]
+                for k, lam in enumerate(trace.type_supports[i]):
+                    trace.policies[t, trace._row_start[i] + k, :n] = \
+                        p["policy_by_type"][repr(lam)]
+                if trace.actions is not None:
+                    trace.actions[t, i] = p["action"]
+                    trace.sampled_lambdas[t, i] = p["sampled_lambda"]
         return trace
 
     def replay_q(self, player: int, upto: int | None = None) -> np.ndarray:
@@ -353,65 +351,181 @@ def _check_learners(learners, game: NormalFormGame) -> None:
             raise ValueError(f"learner {i} action count does not match game")
 
 
-def step_sampled(learners, game: NormalFormGame, rng: np.random.Generator,
-                 trace: Trace | None = None):
-    """One iteration of sampled-feedback self-play.  Every player samples a
-    type, plays from that type's policy, and updates Q from realized
-    opponent actions.  Per-type averages are updated for all types."""
-    _check_learners(learners, game)
-    kappas, policies, lams, actions = [], [], [], []
-    for ln in learners:
-        kappa = ln.current_kappa()
-        by_type = {lam: ln.policy(lam, kappa) for lam in ln.types.lambdas}
-        lam = ln.types.sample(rng)
-        a = int(rng.choice(ln.n_actions, p=by_type[lam]))
-        kappas.append(kappa)
-        policies.append(by_type)
-        lams.append(lam)
-        actions.append(a)
-    u_vectors, realized = [], []
-    for i, ln in enumerate(learners):
-        u = game.payoffs[i]
-        idx = tuple(actions[:i]) + (slice(None),) + tuple(actions[i + 1:])
-        u_vec = np.array(u[idx], dtype=float)
-        u_vectors.append(u_vec)
-        realized.append(float(u_vec[actions[i]]))
-    iteration = learners[0].t + 1
-    for i, ln in enumerate(learners):
-        ln.accumulate_averages(policies[i])
-        ln.observe(u_vectors[i], realized[i], iteration)
-    if trace is not None:
-        trace.append(kappas, lams, actions, realized, u_vectors, policies)
-    return tuple(actions)
+def _contractions(game: NormalFormGame):
+    """Per player, the `np.dot` calls of `game.utility_vector`.
+
+    `utility_vector` contracts the opponents' axes highest-first with
+    `np.tensordot`, which moves the contracted axis last, reshapes to a
+    matrix and calls `np.dot`.  The same calls on operands in the same memory
+    layout give the same bits.  Returns, per player, the first matrix (it
+    depends only on the payoffs), its opponent, and the later steps as
+    (opponent, shape before, axis order, matrix shape).
+    """
+    plans = []
+    for i, payoff in enumerate(game.payoffs):
+        shape = list(game.action_counts)
+        steps = []
+        for j in sorted(range(game.player_count), reverse=True):
+            if j == i:
+                continue
+            keep = [k for k in range(len(shape)) if k != j]
+            out = [shape[k] for k in keep]
+            steps.append((j, shape, keep + [j], (math.prod(out), shape[j])))
+            shape = out
+        j, _, axes, matrix = steps[0]
+        plans.append((payoff.transpose(axes).reshape(matrix), j, steps[1:]))
+    return plans
 
 
-def step_expected(learners, game: NormalFormGame, trace: Trace | None = None):
-    """Deterministic full-feedback iteration: Q is updated with expected
-    utilities against the belief-weighted mixture of the opponents' per-type
-    policies; no actions are sampled."""
+def _index(rows: list[int]):
+    """`rows` as a slice when they are consecutive, else as an index array."""
+    if rows == list(range(rows[0], rows[-1] + 1)):
+        return slice(rows[0], rows[-1] + 1)
+    return np.array(rows)
+
+
+def _selfplay(game: NormalFormGame, learners, iterations: int,
+              rng: np.random.Generator | None, trace: Trace | None):
+    """The self-play kernel: `iterations` steps of all learners at once,
+    with sampled feedback when `rng` is given and expected feedback
+    otherwise.
+
+    The learners are packed into (player, type) rows once per call.  Each
+    step forms every iterate with one softmax per action-count group and
+    reproduces `policy_for_type`, `utility_vector` and `UtilityStats` bit for
+    bit; sampled mode makes the same `Generator` calls in the same order as
+    a per-player loop.  Fills `trace` if given and writes the state back to
+    the learners.
+    """
     _check_learners(learners, game)
-    kappas, policies, mixtures = [], [], []
-    for ln in learners:
-        kappa = ln.current_kappa()
-        by_type = {lam: ln.policy(lam, kappa) for lam in ln.types.lambdas}
-        mix = np.zeros(ln.n_actions)
-        for lam, w in zip(ln.types.lambdas, ln.types.weights):
-            mix += w * by_type[lam]
-        kappas.append(kappa)
-        policies.append(by_type)
-        mixtures.append(mix)
-    u_vectors, realized = [], []
+    counts = game.action_counts
+    n_players = len(learners)
+    width = max(counts)
+    supports = [ln.types.lambdas for ln in learners]
+    starts = _row_starts(supports)
+    rows = [(i, lam) for i, support in enumerate(supports) for lam in support]
+    q = np.zeros((n_players, width))
+    u = np.zeros((n_players, width))
+    pol = np.zeros((len(rows), width))
+    avg = np.zeros((len(rows), width))
+    q_rows = [q[i, :n] for i, n in enumerate(counts)]
+    u_rows = [u[i, :n] for i, n in enumerate(counts)]
     for i, ln in enumerate(learners):
-        u_vec = game.utility_vector(i, mixtures)
-        u_vectors.append(u_vec)
-        realized.append(float(u_vec @ mixtures[i]))
-    iteration = learners[0].t + 1
+        q_rows[i][...] = ln.q
+    for r, (i, lam) in enumerate(rows):
+        avg[r, :counts[i]] = learners[i]._avg_sums[lam]
+        if lam == INF:
+            pol[r, :counts[i]] = learners[i].anchor
+    t0 = learners[0].t
+    # A uniform first iterate replaces every row of its player, lambda = inf
+    # included, at t = 0 only.
+    first = [r for r, (i, _) in enumerate(rows)
+             if t0 == 0 and learners[i].uniform_first_iterate]
+    if first:
+        later_pol = pol[first]
+        first_pol = np.zeros_like(later_pol)
+        for k, r in enumerate(first):
+            n = counts[rows[r][0]]
+            first_pol[k, :n] = 1.0 / n
+
+    # One softmax per action count over its finite-lambda rows; a lambda = 0
+    # row adds 0 * log(anchor), which leaves Q unchanged.
+    groups = []
+    for n in sorted(set(counts)):
+        g = [r for r, (i, lam) in enumerate(rows) if counts[i] == n and lam != INF]
+        if g:
+            pairs = [rows[r] for r in g]
+            lams = np.array([[lam] for _, lam in pairs])
+            shift = lams * np.log([learners[i].anchor for i, _ in pairs])
+            groups.append((q[:, :n], pol[:, :n], _index(g),
+                           np.array([i for i, _ in pairs]), pairs, shift))
+
+    sampled = rng is not None
+    if sampled:
+        weights = [ln.types.weights for ln in learners]
+        pol_rows = [pol[r, :counts[i]] for r, (i, _) in enumerate(rows)]
+    else:
+        mix = np.zeros((n_players, width))
+        mix_rows = [mix[i, :n] for i, n in enumerate(counts)]
+        plans = _contractions(game)
+        # The belief-weighted mixture, one type slot at a time; a player with
+        # fewer types adds weight 0 in the missing slots.
+        slots = []
+        for k in range(max(len(s) for s in supports)):
+            idx = np.array([starts[i] + min(k, len(s) - 1)
+                            for i, s in enumerate(supports)])
+            w = np.array([[ln.types.weights[k] if k < len(s) else 0.0]
+                          for ln, s in zip(learners, supports)])
+            slots.append((idx, w))
+    schedules = [ln.schedule for ln in learners]
+    stats = [ln.utility_stats for ln in learners]
+    realized = [0.0] * n_players
+    for t in range(t0, t0 + iterations):
+        if t == 0:
+            kappas = [s.kappa_initial() for s in schedules]
+        else:
+            kappas = [s.kappa(t, st) for s, st in zip(schedules, stats)]
+        for q_n, pol_n, g, players, pairs, shift in groups:
+            z = q_n.take(players, 0)
+            z += shift
+            d = [[kappas[i] + lam] for i, lam in pairs]
+            argmax = [k for k, (x,) in enumerate(d) if x == 0.0] if 0.0 in kappas else ()
+            for k in argmax:
+                d[k][0] = 1.0
+            z /= d
+            z -= z.max(1, keepdims=True)
+            np.exp(z, out=z)
+            z /= z.sum(1, keepdims=True)
+            for k in argmax:    # kappa = lambda = 0: the argmax rule
+                i = pairs[k][0]
+                z[k] = policy_for_type(q_rows[i], learners[i].anchor, 0.0, 0.0)
+            pol_n[g] = z
+        if t == 0 and first:
+            pol[first] = first_pol
+        if sampled:
+            lams_t, joint = [], []
+            for i, r in enumerate(starts[:-1]):
+                if len(weights[i]) > 1:
+                    r += int(rng.choice(len(weights[i]), p=weights[i]))
+                lams_t.append(rows[r][1])
+                joint.append(int(rng.choice(counts[i], p=pol_rows[r])))
+            for i, payoff in enumerate(game.payoffs):
+                u_rows[i][...] = payoff[tuple(joint[:i]) + (slice(None),)
+                                        + tuple(joint[i + 1:])]
+                realized[i] = float(u_rows[i][joint[i]])
+        else:
+            idx, w = slots[0]
+            np.multiply(w, pol.take(idx, 0), out=mix)
+            for idx, w in slots[1:]:
+                mix += w * pol.take(idx, 0)
+            for i, (matrix, j, steps) in enumerate(plans):
+                x = np.dot(matrix, mix_rows[j])
+                for j, shape, axes, matrix in steps:
+                    x = np.dot(x.reshape(shape).transpose(axes).reshape(matrix),
+                               mix_rows[j])
+                u_rows[i][...] = x
+                realized[i] = float(x @ mix_rows[i])
+        avg += pol
+        q += (u - q) / (t + 1)
+        for st, x in zip(stats, realized):
+            st.add(x)
+        if trace is not None:
+            s = t - t0
+            trace.kappas[s] = kappas
+            trace.realized[s] = realized
+            trace.utilities[s] = u
+            trace.policies[s] = pol
+            if sampled:
+                trace.actions[s] = joint
+                trace.sampled_lambdas[s] = lams_t
+        if t == 0 and first:
+            pol[first] = later_pol
     for i, ln in enumerate(learners):
-        ln.accumulate_averages(policies[i])
-        ln.observe(u_vectors[i], realized[i], iteration)
-    if trace is not None:
-        trace.append(kappas, [None] * len(learners), [None] * len(learners),
-                     realized, u_vectors, policies)
+        ln.t = t0 + iterations
+        ln.q[...] = q_rows[i]
+        ln._avg_counts += iterations
+    for r, (i, lam) in enumerate(rows):
+        learners[i]._avg_sums[lam][...] = avg[r, :counts[i]]
 
 
 def run_selfplay(game: NormalFormGame, learners, iterations: int,
@@ -425,16 +539,14 @@ def run_selfplay(game: NormalFormGame, learners, iterations: int,
     trace = None
     if record:
         trace = Trace(
-            game.player_count,
+            game.action_counts,
             [ln.types.lambdas for ln in learners],
+            iterations,
+            mode == "sampled",
             metadata={
                 "mode": mode,
                 "uniform_first_iterate": [ln.uniform_first_iterate for ln in learners],
             },
         )
-    for _ in range(iterations):
-        if mode == "sampled":
-            step_sampled(learners, game, rng, trace)
-        else:
-            step_expected(learners, game, trace)
+    _selfplay(game, learners, iterations, rng if mode == "sampled" else None, trace)
     return trace

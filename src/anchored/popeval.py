@@ -65,7 +65,7 @@ def resolve_agent_policies(agent: AgentSpec, game: NormalFormGame) -> list:
     ]
     run_selfplay(game, learners, agent.search_iterations, mode="expected",
                  record=False)
-    return [ln.act_policy(agent.act_lambda) for ln in learners]
+    return [ln.policy(agent.act_lambda) for ln in learners]
 
 
 @dataclass

@@ -99,6 +99,17 @@ class TrainConfig:
             raise ValueError("search_iterations must be >= 1")
         if self.mode not in ("standard", "NPU", "best_response"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if self.search_mode not in ("expected", "sampled"):
+            raise ValueError(f"unknown search_mode {self.search_mode!r}")
+        if self.distinguished_player < 0 or (
+                self.types and self.distinguished_player >= len(self.types)):
+            raise ValueError("distinguished_player out of range")
+        if not (0.0 < self.policy_step <= 1.0):   # also rejects NaN
+            raise ValueError("policy_step must be in (0, 1]")
+        if self.episodes < 1:
+            raise ValueError("episodes must be >= 1")
+        if self.checkpoint_every < 1:
+            raise ValueError("checkpoint_every must be >= 1")
 
 
 def build_stage_game(game: TabularMarkovGame, s: int,

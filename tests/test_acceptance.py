@@ -37,7 +37,7 @@ from anchored import (
     uniform_policy,
 )
 from anchored.cli import dumps_json, run_experiment
-from anchored.learners import UtilityStats, step_sampled
+from anchored.learners import UtilityStats
 from anchored.oracle import evaluate_markov_profile
 from anchored.rating import GameRecord, RatingModel, fit_ratings, predict_shares
 from anchored.rl import evaluate_vs_oracle
@@ -166,19 +166,22 @@ def test_criterion_3_last_iterate(capsys):
         learners = [init_learner(i, 2, MP_ANCHORS[i], types[0], sched)
                     for i in range(2)]
         rng = np.random.default_rng(777 + seed)
-        for t in range(1, checkpoints[-1] + 1):
-            if t in checkpoints:
-                kappas = [ln.current_kappa() for ln in learners]
-                current = [{0.1: ln.policy(0.1)} for ln in learners]
-                distances[t].append(last_iterate_distance(
-                    current, prof, types, kappas))
-                if t == checkpoints[-1]:
-                    final_kls.append(np.mean([
-                        kl_divergence(prof.policies[i][0.1],
-                                      current[i][0.1])
-                        for i in range(2)
-                    ]))
-            step_sampled(learners, game, rng)
+        done = 0
+        for t in checkpoints:
+            # the iterate played at step t, after t - 1 sampled steps
+            run_selfplay(game, learners, t - 1 - done, mode="sampled",
+                         rng=rng, record=False)
+            done = t - 1
+            kappas = [ln.current_kappa() for ln in learners]
+            current = [{0.1: ln.policy(0.1)} for ln in learners]
+            distances[t].append(last_iterate_distance(
+                current, prof, types, kappas))
+            if t == checkpoints[-1]:
+                final_kls.append(np.mean([
+                    kl_divergence(prof.policies[i][0.1],
+                                  current[i][0.1])
+                    for i in range(2)
+                ]))
     mean_kl = float(np.mean(final_kls))
     d_means = [float(np.mean(distances[T])) for T in checkpoints]
     sampled_ok = mean_kl <= 0.01 and d_means[0] > d_means[1] > d_means[2]

@@ -206,6 +206,17 @@ def test_run_rl_smoke(tmp_path):
     assert set(ckpt) == {"values", "policy_table"}
 
 
+def rl_config(**rl):
+    return {
+        "kind": "rl",
+        "seed": 3,
+        "game": {"random_markov": {"seed": 2, "states": 3, "actions": 2,
+                                   "horizon": 2, "zero_sum": True}},
+        "rl": {"types": [0.5], "episodes": 6, "search_iterations": 16,
+               "checkpoint_every": 3, **rl},
+    }
+
+
 def test_run_rate(tmp_path):
     games_csv = tmp_path / "games.csv"
     with open(games_csv, "w") as fh:
@@ -278,6 +289,22 @@ def test_main_exit_codes(tmp_path, capsys):
     assert main(["run", str(invalid)]) == 2
     assert main(["run", str(tmp_path / "missing.json")]) == 4
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("config", [
+    {**solve_config(), "learner": {"types": [0.1, 0.1]}},     # duplicate lambdas
+    rl_config(checkpoint_every=0),
+    # Keys with a fixed value in `anchored run`.
+    rl_config(search_mode="sampled"),
+    rl_config(policy_step=1.5),
+    rl_config(preset="brbot", distinguished_player=1),
+])
+def test_main_construction_errors_exit_2(tmp_path, capsys, config):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main(["validate", str(path)]) == 2
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.count("validation error") == 2
 
 
 def test_main_list_builtins(capsys):

@@ -12,13 +12,12 @@ from anchored import (
     Trace,
     TypeDistribution,
     init_learner,
-    kappa_next,
     make_builtin_game,
     policy_for_type,
     run_selfplay,
     uniform_policy,
 )
-from anchored.learners import UtilityStats, step_expected, step_sampled
+from anchored.learners import UtilityStats
 
 
 # ---------------------------------------------------------------- types
@@ -50,13 +49,13 @@ def test_uniform_type_distribution():
 
 def test_kappa_constant_eta():
     sched = TemperatureSchedule(mode="constant_eta", eta=0.5)
-    assert kappa_next(sched, 4) == pytest.approx(0.5)
-    assert kappa_next(sched, 1) == pytest.approx(2.0)
+    assert sched.kappa(4) == pytest.approx(0.5)
+    assert sched.kappa(1) == pytest.approx(2.0)
 
 
 def test_kappa_inverse_sqrt():
     sched = TemperatureSchedule(mode="inverse_sqrt")
-    assert kappa_next(sched, 9) == pytest.approx(1.0 / 3.0)
+    assert sched.kappa(9) == pytest.approx(1.0 / 3.0)
 
 
 def test_kappa_adaptive_std():
@@ -65,7 +64,7 @@ def test_kappa_adaptive_std():
     for x in (0.0, 2.0):   # sample std = sqrt(2)
         stats.add(x)
     expected = 3.0 * math.sqrt(2.0) / (10.0 * 3.0)
-    assert kappa_next(sched, 9, stats) == pytest.approx(expected)
+    assert sched.kappa(9, stats) == pytest.approx(expected)
 
 
 def test_kappa_adaptive_examples():
@@ -83,9 +82,9 @@ def test_kappa_adaptive_floor_on_degenerate_input():
     stats = UtilityStats()
     stats.add(1.0)
     stats.add(1.0)   # zero variance
-    assert kappa_next(sched, 5, stats) == pytest.approx(1e-6)
+    assert sched.kappa(5, stats) == pytest.approx(1e-6)
     # fewer than 2 samples: schedule undefined, floor engaged
-    assert kappa_next(sched, 1, UtilityStats()) == pytest.approx(1e-6)
+    assert sched.kappa(1, UtilityStats()) == pytest.approx(1e-6)
 
 
 def test_schedule_validation():
@@ -208,8 +207,9 @@ def test_act_policy_matches_support_point():
                 for i in range(2)]
     run_selfplay(game, learners, 50, mode="expected", record=False)
     ln = learners[0]
-    np.testing.assert_allclose(ln.act_policy(1e-1), ln.policy(1e-1), atol=0.0)
-    np.testing.assert_allclose(ln.act_policy(INF), ln.anchor, atol=0.0)
+    np.testing.assert_allclose(ln.policy(1e-1), policy_for_type(
+        ln.q, ln.anchor, 1e-1, ln.current_kappa()), atol=0.0)
+    np.testing.assert_allclose(ln.policy(INF), ln.anchor, atol=0.0)
 
 
 def test_average_policy_after_one_iteration():
@@ -219,7 +219,7 @@ def test_average_policy_after_one_iteration():
     learners = [init_learner(i, 2, np.array([0.7, 0.3]), types, sched)
                 for i in range(2)]
     first = learners[0].policy(0.1)
-    step_expected(learners, game)
+    run_selfplay(game, learners, 1, mode="expected", record=False)
     np.testing.assert_allclose(learners[0].average_policy(0.1), first, atol=1e-15)
     with pytest.raises(ValueError):
         init_learner(0, 2, uniform_policy(2), types, sched).average_policy(0.1)
@@ -312,8 +312,8 @@ def test_sampled_deterministic_in_seed():
         return run_selfplay(game, learners, 100, mode="sampled", rng=rng)
 
     a, b = run(99), run(99)
-    assert a.actions == b.actions
-    assert a.sampled_lambdas == b.sampled_lambdas
+    np.testing.assert_array_equal(a.actions, b.actions)
+    np.testing.assert_array_equal(a.sampled_lambdas, b.sampled_lambdas)
 
 
 def test_expected_mode_bit_identical():
@@ -422,7 +422,7 @@ def test_mismatched_learners_rejected():
     sched = TemperatureSchedule.adaptive()
     learners = [init_learner(0, 2, uniform_policy(2), types, sched)]
     with pytest.raises(ValueError):
-        step_sampled(learners, game, np.random.default_rng(0))
+        run_selfplay(game, learners, 1, rng=np.random.default_rng(0))
     bad = [init_learner(i, 3, uniform_policy(3), types, sched) for i in range(2)]
     with pytest.raises(ValueError):
-        step_expected(bad, game)
+        run_selfplay(game, bad, 1, mode="expected")

@@ -347,3 +347,18 @@ def test_config_validation():
         singleton_config(search_iterations=0)
     with pytest.raises(ValueError):
         singleton_config(mode="offline")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("search_mode", "exact"),
+    ("distinguished_player", 2),
+    ("distinguished_player", -1),
+    ("policy_step", 0.0),
+    ("policy_step", 1.5),
+    ("policy_step", float("nan")),
+    ("episodes", 0),
+    ("checkpoint_every", 0),
+])
+def test_config_rejects_out_of_range(field, value):
+    with pytest.raises(ValueError):
+        singleton_config(**{field: value})

@@ -15,6 +15,7 @@ import hashlib
 import json
 import math
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -86,29 +87,41 @@ def _require(cond, message):
         raise ConfigError(message)
 
 
+@contextmanager
+def _config_errors(section: str):
+    """Report what building a config's objects raises as a `ConfigError`."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{section}: {exc!r}") from exc
+
+
 def load_game(spec: dict):
     _require(isinstance(spec, dict), "game: must be an object")
-    if "builtin" in spec:
-        name = spec["builtin"]
-        _require(name in BUILTIN_GAMES, f"game.builtin: unknown game {name!r}")
-        return G.make_builtin_game(name, spec.get("params", {}))
-    if "file" in spec:
-        path = Path(spec["file"])
-        _require(path.exists(), f"game.file: {path} does not exist")
-        d = json.loads(path.read_text())
-        if "states" in d:
-            return G.TabularMarkovGame.from_dict(d)
-        return G.NormalFormGame.from_dict(d)
-    if "random_markov" in spec:
-        p = spec["random_markov"]
-        return G.make_random_markov(
-            seed=int(p["seed"]), state_count=int(p["states"]),
-            player_count=int(p.get("players", 2)),
-            actions_per_player=int(p.get("actions", 2)),
-            horizon=int(p["horizon"]), gamma=float(p.get("gamma", 1.0)),
-            zero_sum=bool(p.get("zero_sum", False)),
-            payoff_bound=float(p.get("payoff_bound", 1.0)),
-        )
+    with _config_errors("game"):
+        if "builtin" in spec:
+            name = spec["builtin"]
+            _require(name in BUILTIN_GAMES, f"game.builtin: unknown game {name!r}")
+            return G.make_builtin_game(name, spec.get("params", {}))
+        if "file" in spec:
+            path = Path(spec["file"])
+            _require(path.exists(), f"game.file: {path} does not exist")
+            d = json.loads(path.read_text())
+            if "states" in d:
+                return G.TabularMarkovGame.from_dict(d)
+            return G.NormalFormGame.from_dict(d)
+        if "random_markov" in spec:
+            p = spec["random_markov"]
+            return G.make_random_markov(
+                seed=int(p["seed"]), state_count=int(p["states"]),
+                player_count=int(p.get("players", 2)),
+                actions_per_player=int(p.get("actions", 2)),
+                horizon=int(p["horizon"]), gamma=float(p.get("gamma", 1.0)),
+                zero_sum=bool(p.get("zero_sum", False)),
+                payoff_bound=float(p.get("payoff_bound", 1.0)),
+            )
     raise ConfigError("game: needs one of builtin / file / random_markov")
 
 
@@ -118,15 +131,13 @@ def load_schedule(spec: dict | None) -> TemperatureSchedule:
     _require(mode in ("constant_eta", "inverse_sqrt", "adaptive_std"),
              f"schedule.mode: unknown mode {mode!r}")
     eta = spec.get("eta")
-    try:
+    with _config_errors("schedule"):
         return TemperatureSchedule(
             mode=mode,
             eta=None if eta is None else parse_lambda(eta),
             kappa_floor=float(spec.get("kappa_floor",
                                        1e-6 if mode == "adaptive_std" else 0.0)),
         )
-    except ValueError as exc:
-        raise ConfigError(f"schedule: {exc}") from exc
 
 
 def load_types(spec) -> TypeDistribution:
@@ -136,10 +147,8 @@ def load_types(spec) -> TypeDistribution:
                  f"types.preset: {spec['preset']!r} has no type distribution")
         spec = preset["lambdas"]
     _require(isinstance(spec, (list, tuple)) and spec, "types: non-empty list required")
-    try:
+    with _config_errors("types"):
         return TypeDistribution.uniform([parse_lambda(l) for l in spec])
-    except ValueError as exc:
-        raise ConfigError(f"types: {exc}") from exc
 
 
 def emit_trace(trace: Trace, fmt: str, path: Path) -> None:
@@ -189,30 +198,33 @@ def _sub_rng(seed: int, *key) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
-def _make_learners(game, cfg, seed_unused=None):
-    types = load_types(cfg.get("types", [0.1]))
-    schedule = load_schedule(cfg.get("schedule"))
-    anchors = cfg.get("anchors")
-    learners = []
-    for i in range(game.player_count):
-        anchor = (np.array(anchors[i], dtype=float) if anchors
-                  else G.uniform_policy(game.action_counts[i]))
-        learners.append(Learner(
-            player=i, n_actions=game.action_counts[i], anchor=anchor,
-            types=types, schedule=schedule,
-            uniform_first_iterate=bool(cfg.get("uniform_first_iterate", False)),
-        ))
-    return learners, types, schedule
-
-
-def run_solve(config: dict, seed: int, out: Path) -> list[Path]:
-    game = load_game(config["game"])
+def load_solve(config: dict, game):
+    """The learner section of a solve config as (learners, types, schedule,
+    mode, iterations)."""
     _require(isinstance(game, G.NormalFormGame), "solve: needs a normal-form game")
     lcfg = config.get("learner", {})
     iterations = int(lcfg.get("iterations", config.get("iterations", 1000)))
     _require(iterations >= 1, "iterations: must be >= 1")
     mode = lcfg.get("mode", "sampled")
-    learners, types, schedule = _make_learners(game, lcfg)
+    _require(mode in ("sampled", "expected"), f"learner.mode: unknown mode {mode!r}")
+    types = load_types(lcfg.get("types", [0.1]))
+    schedule = load_schedule(lcfg.get("schedule"))
+    anchors = lcfg.get("anchors")
+    _require(not anchors or len(anchors) == game.player_count,
+             "learner.anchors: need one anchor per player")
+    with _config_errors("learner.anchors"):
+        learners = [Learner(
+            player=i, n_actions=n, types=types, schedule=schedule,
+            anchor=(np.array(anchors[i], dtype=float) if anchors
+                    else G.uniform_policy(n)),
+            uniform_first_iterate=bool(lcfg.get("uniform_first_iterate", False)),
+        ) for i, n in enumerate(game.action_counts)]
+    return learners, types, schedule, mode, iterations
+
+
+def run_solve(config: dict, seed: int, out: Path) -> list[Path]:
+    game = load_game(config["game"])
+    learners, types, schedule, mode, iterations = load_solve(config, game)
     rng = _sub_rng(seed, 0)
     trace = run_selfplay(game, learners, iterations, mode=mode,
                          rng=rng if mode == "sampled" else None)
@@ -231,25 +243,44 @@ def run_solve(config: dict, seed: int, out: Path) -> list[Path]:
     return [trace_path, report_path]
 
 
+def load_oracle(config: dict, game):
+    """The oracle section as (types, anchors): one `TypeDistribution` and one
+    anchor per player for a normal-form game, one lambda per player and
+    `uniform_anchors` for a Markov game."""
+    ocfg = config.get("oracle", {})
+    _require(game.player_count == 2 and game.zero_sum,
+             "oracle: needs a two-player zero-sum game")
+    if isinstance(game, G.TabularMarkovGame):
+        lambdas = [parse_lambda(l) for l in ocfg.get("lambdas", [0.1, 0.1])]
+        _require(len(lambdas) == 2 and all(0 < l < INF for l in lambdas),
+                 "oracle.lambdas: need two finite lambdas > 0")
+        return lambdas, uniform_anchors(game)
+    types = tuple(load_types(ocfg.get("types", [0.1])) for _ in range(2))
+    _require(all(0 < l < INF for l in types[0].lambdas),
+             "oracle.types: lambdas must be finite and > 0")
+    specs = ocfg.get("anchors", [None, None])
+    _require(len(specs) == 2, "oracle.anchors: need one anchor per player")
+    with _config_errors("oracle.anchors"):
+        anchors = [G.uniform_policy(n) if a is None else np.array(a, dtype=float)
+                   for a, n in zip(specs, game.action_counts)]
+        for a, n in zip(anchors, game.action_counts):
+            _require(G.make_anchor(a).shape == (n,),
+                     "oracle.anchors: need one entry per action")
+    return types, anchors
+
+
 def run_oracle(config: dict, seed: int, out: Path) -> list[Path]:
     game = load_game(config["game"])
     ocfg = config.get("oracle", {})
     tol = float(ocfg.get("tol", 1e-10))
+    types, anchors = load_oracle(config, game)
     if isinstance(game, G.TabularMarkovGame):
-        lambdas = [parse_lambda(l) for l in ocfg.get("lambdas", [0.1, 0.1])]
-        anchors = uniform_anchors(game)
-        values, profiles = solve_markov_backward(game, anchors, lambdas, tol=tol)
+        values, profiles = solve_markov_backward(game, anchors, types, tol=tol)
         doc = {
             "values": {str(s): v.tolist() for s, v in sorted(values.items())},
             "profiles": {str(s): p.to_dict() for s, p in sorted(profiles.items())},
         }
     else:
-        types = tuple(load_types(ocfg.get("types", [0.1])) for _ in range(2))
-        anchors = [
-            np.array(a, dtype=float) if a is not None
-            else G.uniform_policy(game.action_counts[i])
-            for i, a in enumerate(ocfg.get("anchors", [None, None]))
-        ]
         profile = solve_regularized_bne(game, anchors, types, tol=tol)
         if not profile.converged:
             raise RuntimeError(f"solver did not converge; residual {profile.residual}")
@@ -263,7 +294,7 @@ def run_oracle(config: dict, seed: int, out: Path) -> list[Path]:
     return [path]
 
 
-def load_train_config(config: dict, game, seed: int) -> RL.TrainConfig:
+def load_train_config(config: dict, game, seed: int = 0) -> RL.TrainConfig:
     """The rl section of a config as a `TrainConfig`."""
     _require(isinstance(game, G.TabularMarkovGame), "rl: needs a Markov game")
     rcfg = dict(config.get("rl", {}))
@@ -273,13 +304,12 @@ def load_train_config(config: dict, game, seed: int) -> RL.TrainConfig:
     types_spec = rcfg.pop("types", [0.1])
     types = tuple(load_types(types_spec) for _ in range(game.player_count))
     fixed = sorted(set(rcfg) & {"distinguished_player", "search_mode",
-                                "policy_step"})
+                                "policy_step", "act_lambda"})
     _require(not fixed, f"rl: {', '.join(fixed)}: not settable from a config")
-    try:
+    with _config_errors("rl"):
         return RL.TrainConfig(
             search_iterations=int(rcfg.get("search_iterations", 256)),
             types=types,
-            act_lambda=parse_lambda(rcfg.get("act_lambda", 0.0)),
             nash_explore=float(rcfg.get("nash_explore", 0.1)),
             episodes=int(rcfg.get("episodes", 1000)),
             alpha=float(rcfg.get("alpha", 0.1)),
@@ -289,8 +319,6 @@ def load_train_config(config: dict, game, seed: int) -> RL.TrainConfig:
             seed=seed,
             checkpoint_every=int(rcfg.get("checkpoint_every", 100)),
         )
-    except ValueError as exc:
-        raise ConfigError(f"rl: {exc}") from exc
 
 
 def run_rl(config: dict, seed: int, out: Path) -> list[Path]:
@@ -325,12 +353,17 @@ def run_rl(config: dict, seed: int, out: Path) -> list[Path]:
     return [metrics_path, ckpt_path]
 
 
-def run_rate(config: dict, seed: int, out: Path) -> list[Path]:
-    rcfg = config.get("rate", {})
-    path = rcfg.get("games_csv")
+def load_rate(config: dict) -> str:
+    """The rate section's games CSV, which must exist."""
+    path = config.get("rate", {}).get("games_csv")
     _require(path is not None, "rate.games_csv: required")
     _require(Path(path).exists(), f"rate.games_csv: {path} does not exist")
-    records = R.read_game_records(path)
+    return path
+
+
+def run_rate(config: dict, seed: int, out: Path) -> list[Path]:
+    rcfg = config.get("rate", {})
+    records = R.read_game_records(load_rate(config))
     model = R.fit_ratings(records,
                           sigma_prior=float(rcfg.get("sigma_prior", 350.0)),
                           c=float(rcfg.get("c", R.ELO_SCALE)))
@@ -364,15 +397,20 @@ def _load_agent(spec: dict, game) -> PE.AgentSpec:
     raise ConfigError(f"agent.kind: unknown kind {kind!r}")
 
 
-def run_popeval(config: dict, seed: int, out: Path) -> list[Path]:
-    game = load_game(config["game"])
+def load_popeval(config: dict, game):
+    """The popeval section as (candidate, baselines, games)."""
     pcfg = config.get("popeval", {})
     _require("candidate" in pcfg, "popeval.candidate: required")
     _require("baselines" in pcfg and pcfg["baselines"],
              "popeval.baselines: non-empty list required")
     candidate = _load_agent(pcfg["candidate"], game)
     baselines = [_load_agent(b, game) for b in pcfg["baselines"]]
-    n_games = int(pcfg.get("games", 1000))
+    return candidate, baselines, int(pcfg.get("games", 1000))
+
+
+def run_popeval(config: dict, seed: int, out: Path) -> list[Path]:
+    game = load_game(config["game"])
+    candidate, baselines, n_games = load_popeval(config, game)
     report = PE.run_population_eval(candidate, baselines, game, n_games,
                                     _sub_rng(seed, 1))
     json_path = out / "popeval_report.json"
@@ -381,6 +419,15 @@ def run_popeval(config: dict, seed: int, out: Path) -> list[Path]:
     report.write_game_csv(csv_path)
     return [json_path, csv_path]
 
+
+#: What each kind's runner builds from the config before it starts; validating
+#: a config builds the same.
+LOADERS = {
+    "solve": load_solve,
+    "oracle": load_oracle,
+    "rl": load_train_config,
+    "popeval": load_popeval,
+}
 
 KINDS = {
     "solve": run_solve,
@@ -398,22 +445,13 @@ def validate_config(config: dict) -> None:
     seed = config.get("seed", 0)
     _require(isinstance(seed, int) and 0 <= seed < 2 ** 64,
              "seed: must be a 64-bit unsigned integer")
-    if kind != "rate":
-        _require("game" in config, "game: required")
-        game = load_game(config["game"])
     if "iterations" in config:
         _require(int(config["iterations"]) >= 1, "iterations: must be >= 1")
-    if kind == "solve":
-        lcfg = config.get("learner", {})
-        load_types(lcfg.get("types", [0.1]))
-        load_schedule(lcfg.get("schedule"))
-    if kind == "rl":
-        load_train_config(config, game, seed)
     if kind == "rate":
-        rcfg = config.get("rate", {})
-        _require("games_csv" in rcfg, "rate.games_csv: required")
-        _require(Path(rcfg["games_csv"]).exists(),
-                 f"rate.games_csv: {rcfg['games_csv']} does not exist")
+        load_rate(config)
+        return
+    _require("game" in config, "game: required")
+    LOADERS[kind](config, load_game(config["game"]))
 
 
 def sha256_file(path: Path) -> str:

@@ -195,17 +195,21 @@ class TabularMarkovGame:
     """Finite simultaneous-move stochastic game over a layered state space.
 
     States are 0..state_count-1 plus the absorbing TERMINAL sentinel; the
-    terminal state has zero reward.  ``transitions[s][joint_action]`` is a
-    tuple of (successor, probability) pairs; ``rewards[s][joint_action]`` is a
-    per-player reward vector.  All episodes reach TERMINAL within `horizon`
-    steps by construction.
+    terminal state has zero reward.  Each state's game is stored as arrays
+    fixed at construction: ``R[s]`` of shape ``(P, *A_s)`` holds every
+    player's reward for every joint action, ``next_states[s]`` lists the ids
+    of the state's successors (TERMINAL included where reachable) and
+    ``T[s]`` of shape ``(*A_s, len(next_states[s]))`` holds the successor
+    probabilities.  All episodes reach TERMINAL within `horizon` steps by
+    construction.
     """
 
     player_count: int
     state_count: int
     action_counts: tuple[tuple[int, ...], ...]  # [state][player]
-    transitions: dict
-    rewards: dict
+    R: tuple                                    # [state] -> (P, *A_s)
+    next_states: tuple[tuple[int, ...], ...]    # [state] -> successor ids
+    T: tuple                                    # [state] -> (*A_s, K_s)
     gamma: float
     horizon: int
     initial_state: int = 0
@@ -217,28 +221,45 @@ class TabularMarkovGame:
             raise ValueError("gamma must be in [0, 1]")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
-        for s in range(self.state_count):
-            for a in self.joint_actions(s):
-                dist = self.transitions[s][a]
-                total = sum(p for _, p in dist)
-                if abs(total - 1.0) > 1e-12:
-                    raise ValueError(f"transition at state {s}, action {a} sums to {total}")
-                if any(p < 0 for _, p in dist):
-                    raise ValueError("negative transition probability")
-                r = self.rewards[s][a]
-                if len(r) != self.player_count:
-                    raise ValueError("reward vector has wrong length")
-                if self.zero_sum and abs(r[0] + r[1]) > 1e-12:
-                    raise ValueError("rewards not zero-sum")
+        n, players = self.state_count, self.player_count
+        acts = tuple(tuple(int(k) for k in row) for row in self.action_counts)
+        rewards = tuple(np.array(r, dtype=float) for r in self.R)
+        probs = tuple(np.array(t, dtype=float) for t in self.T)
+        if not len(acts) == len(rewards) == len(self.next_states) == len(probs) == n:
+            raise ValueError("need action counts, rewards and transitions per state")
+        for s, (a, r, nxt, t) in enumerate(zip(acts, rewards, self.next_states, probs)):
+            if len(a) != players or r.shape != (players, *a) or t.shape != (*a, len(nxt)):
+                raise ValueError(f"state {s}: reward shape {r.shape} or transition "
+                                 f"shape {t.shape} does not fit action counts {a}")
+            if any(s2 != TERMINAL and not 0 <= s2 < n for s2 in nxt):
+                raise ValueError(f"state {s}: successor id out of range in {nxt}")
+            if np.any(t < 0) or not np.all(np.abs(t.sum(axis=-1) - 1.0) <= 1e-12):
+                raise ValueError(f"transitions at state {s} are not distributions")
+            if self.zero_sum and np.max(np.abs(r[0] + r[1])) > 1e-12:
+                raise ValueError("rewards not zero-sum")
+            r.setflags(write=False)
+            t.setflags(write=False)
+        for name, value in (("action_counts", acts), ("R", rewards), ("T", probs)):
+            object.__setattr__(self, name, value)
 
     def joint_actions(self, s: int):
         return product(*(range(n) for n in self.action_counts[s]))
 
     def reward(self, s: int, joint_action) -> np.ndarray:
-        return np.asarray(self.rewards[s][tuple(joint_action)], dtype=float)
+        return self.R[s][(slice(None), *joint_action)]
 
     def successors(self, s: int, joint_action):
-        return self.transitions[s][tuple(joint_action)]
+        """((successor, probability), ...) for the nonzero entries."""
+        row = self.T[s][tuple(joint_action)]
+        return tuple((s2, float(p)) for s2, p in zip(self.next_states[s], row)
+                     if p != 0)
+
+    def sample_successor(self, s: int, joint_action,
+                         rng: np.random.Generator) -> int:
+        """Draw the state that follows `joint_action` at s: one
+        ``rng.choice`` over ``next_states[s]``."""
+        row = self.T[s][tuple(joint_action)]
+        return self.next_states[s][int(rng.choice(len(row), p=row / row.sum()))]
 
     def max_return(self) -> float:
         """Analytic bound on the magnitude of any state value."""
@@ -247,19 +268,18 @@ class TabularMarkovGame:
         return self.payoff_bound * (1 - self.gamma ** self.horizon) / (1 - self.gamma)
 
     def to_dict(self) -> dict:
+        states = range(self.state_count)
         return {
             "players": self.player_count,
             "states": self.state_count,
             "action_counts": [list(row) for row in self.action_counts],
             "transitions": [
-                {str(list(a)): [[s2, p] for s2, p in self.transitions[s][a]]
-                 for a in self.joint_actions(s)}
-                for s in range(self.state_count)
+                {str(list(a)): [list(pair) for pair in self.successors(s, a)]
+                 for a in self.joint_actions(s)} for s in states
             ],
             "rewards": [
-                {str(list(a)): list(map(float, self.rewards[s][a]))
-                 for a in self.joint_actions(s)}
-                for s in range(self.state_count)
+                {str(list(a)): self.reward(s, a).tolist()
+                 for a in self.joint_actions(s)} for s in states
             ],
             "gamma": self.gamma,
             "horizon": self.horizon,
@@ -270,24 +290,36 @@ class TabularMarkovGame:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TabularMarkovGame":
-        def parse_key(k):
-            return tuple(int(x) for x in k.strip("[]").split(","))
-
-        transitions = {
-            s: {parse_key(k): tuple((int(s2), float(p)) for s2, p in v)
-                for k, v in row.items()}
-            for s, row in enumerate(d["transitions"])
-        }
-        rewards = {
-            s: {parse_key(k): np.array(v, dtype=float) for k, v in row.items()}
-            for s, row in enumerate(d["rewards"])
-        }
+        """Inverse of `to_dict`.  A successor listed twice for one joint
+        action has its probabilities added."""
+        players = int(d["players"])
+        counts = [tuple(int(k) for k in row) for row in d["action_counts"]]
+        if not len(counts) == len(d["transitions"]) == len(d["rewards"]):
+            raise ValueError("need action counts, transitions and rewards per state")
+        rewards, succs, probs = [], [], []
+        for s, acts in enumerate(counts):
+            # Joint actions in product order are the C order of (*A_s).
+            joints = list(product(*(range(k) for k in acts)))
+            trans, rew = (_in_joint_order(d[key][s], joints, s)
+                          for key in ("transitions", "rewards"))
+            if any(len(r) != players for r in rew):
+                raise ValueError(f"state {s}: a reward vector does not have "
+                                 f"{players} entries")
+            nxt = tuple(dict.fromkeys(int(s2) for pairs in trans for s2, _ in pairs))
+            t = np.zeros((len(joints), len(nxt)))
+            for j, pairs in enumerate(trans):
+                for s2, p in pairs:
+                    t[j, nxt.index(int(s2))] += float(p)
+            rewards.append(np.array(rew, dtype=float).T.reshape(players, *acts))
+            succs.append(nxt)
+            probs.append(t.reshape(*acts, len(nxt)))
         return cls(
-            player_count=int(d["players"]),
+            player_count=players,
             state_count=int(d["states"]),
-            action_counts=tuple(tuple(row) for row in d["action_counts"]),
-            transitions=transitions,
-            rewards=rewards,
+            action_counts=tuple(counts),
+            R=tuple(rewards),
+            next_states=tuple(succs),
+            T=tuple(probs),
             gamma=float(d["gamma"]),
             horizon=int(d["horizon"]),
             initial_state=int(d.get("initial_state", 0)),
@@ -296,27 +328,30 @@ class TabularMarkovGame:
         )
 
 
+def _in_joint_order(row: dict, joints: list, s: int) -> list:
+    """The values of a serialized per-state row, in the order of `joints`."""
+    if not isinstance(row, dict):
+        raise ValueError(f"state {s}: a row must map joint actions to values")
+    parsed = {tuple(int(x) for x in k.strip("[]").split(",")): v
+              for k, v in row.items()}
+    if set(parsed) != set(joints):
+        raise ValueError(f"state {s}: keys are not the joint actions")
+    return [parsed[a] for a in joints]
+
+
 def make_repeated_markov(stage: NormalFormGame, horizon: int,
                          discount: float) -> TabularMarkovGame:
     """Play `stage` for `horizon` rounds; state s is the round index."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    n = stage.player_count
-    transitions = {}
-    rewards = {}
-    for s in range(horizon):
-        nxt = s + 1 if s + 1 < horizon else TERMINAL
-        transitions[s] = {}
-        rewards[s] = {}
-        for a in product(*(range(k) for k in stage.action_counts)):
-            transitions[s][a] = ((nxt, 1.0),)
-            rewards[s][a] = stage.pure_utilities(a)
+    rounds = range(horizon)
     return TabularMarkovGame(
-        player_count=n,
+        player_count=stage.player_count,
         state_count=horizon,
-        action_counts=tuple(stage.action_counts for _ in range(horizon)),
-        transitions=transitions,
-        rewards=rewards,
+        action_counts=tuple(stage.action_counts for _ in rounds),
+        R=tuple(np.array(stage.payoffs) for _ in rounds),
+        next_states=tuple((s + 1 if s + 1 < horizon else TERMINAL,) for s in rounds),
+        T=tuple(np.ones((*stage.action_counts, 1)) for _ in rounds),
         gamma=discount,
         horizon=horizon,
         zero_sum=stage.zero_sum,
@@ -353,32 +388,31 @@ def make_random_markov(seed: int, state_count: int, player_count: int,
     rng = np.random.default_rng(seed)
     layers = markov_layers(state_count, horizon)
     acts = tuple(actions_per_player for _ in range(player_count))
-    transitions = {}
-    rewards = {}
+    rewards, succs, probs = ([None] * state_count for _ in range(3))
     for li, layer in enumerate(layers):
-        nxt = layers[li + 1] if li + 1 < len(layers) else None
+        last = li + 1 == len(layers)
+        nxt = (TERMINAL,) if last else tuple(layers[li + 1])
         for s in layer:
-            transitions[s] = {}
-            rewards[s] = {}
-            for a in product(*(range(actions_per_player) for _ in range(player_count))):
-                if nxt is None:
-                    transitions[s][a] = ((TERMINAL, 1.0),)
-                else:
+            r = np.zeros((player_count, *acts))
+            t = np.ones((*acts, len(nxt)))
+            for a in product(*(range(k) for k in acts)):
+                if not last:
                     w = rng.uniform(0.05, 1.0, size=len(nxt))
-                    w = w / w.sum()
-                    transitions[s][a] = tuple(zip(nxt, w.tolist()))
+                    t[a] = w / w.sum()
                 if zero_sum:
-                    r = rng.uniform(-payoff_bound, payoff_bound)
-                    rewards[s][a] = np.array([r, -r])
+                    x = rng.uniform(-payoff_bound, payoff_bound)
+                    r[(slice(None), *a)] = (x, -x)
                 else:
-                    rewards[s][a] = rng.uniform(-payoff_bound, payoff_bound,
-                                                size=player_count)
+                    r[(slice(None), *a)] = rng.uniform(-payoff_bound, payoff_bound,
+                                                       size=player_count)
+            rewards[s], succs[s], probs[s] = r, nxt, t
     return TabularMarkovGame(
         player_count=player_count,
         state_count=state_count,
         action_counts=tuple(acts for _ in range(state_count)),
-        transitions=transitions,
-        rewards=rewards,
+        R=tuple(rewards),
+        next_states=tuple(succs),
+        T=tuple(probs),
         gamma=gamma,
         horizon=horizon,
         zero_sum=zero_sum,

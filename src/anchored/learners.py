@@ -49,6 +49,14 @@ class TypeDistribution:
         lams = tuple(sorted(float(l) for l in lambdas))
         return cls(lams, tuple(1.0 / len(lams) for _ in lams))
 
+    def mixture(self, policies) -> np.ndarray:
+        """Belief-weighted mixture of per-type policies given in support
+        order, accumulated in that order."""
+        mix = np.zeros(np.shape(policies[0]))
+        for w, pol in zip(self.weights, policies):
+            mix += w * pol
+        return mix
+
     def sample(self, rng: np.random.Generator) -> float:
         if len(self.lambdas) == 1:
             return self.lambdas[0]
@@ -76,7 +84,7 @@ class TemperatureSchedule:
     def __post_init__(self):
         if self.mode not in ("constant_eta", "inverse_sqrt", "adaptive_std"):
             raise ValueError(f"unknown schedule mode {self.mode!r}")
-        if self.mode == "constant_eta" and (self.eta is None or self.eta <= 0):
+        if self.mode == "constant_eta" and (self.eta is None or not self.eta > 0):
             raise ValueError("constant_eta requires eta > 0 (inf allowed for kappa == 0)")
         if self.kappa_floor < 0:
             raise ValueError("kappa_floor must be >= 0")
@@ -221,10 +229,8 @@ class Learner:
         return self._avg_sums[lam] / self._avg_counts
 
     def average_mixture_policy(self) -> np.ndarray:
-        mix = np.zeros(self.n_actions)
-        for lam, w in zip(self.types.lambdas, self.types.weights):
-            mix += w * self.average_policy(lam)
-        return mix
+        return self.types.mixture([self.average_policy(lam)
+                                   for lam in self.types.lambdas])
 
 
 def init_learner(player: int, actions: int, anchor, types: TypeDistribution,

@@ -70,10 +70,7 @@ class RegularizedProfile:
 
     def mixture(self, player: int) -> np.ndarray:
         td = self.types[player]
-        mix = np.zeros(next(iter(self.policies[player].values())).shape)
-        for lam, w in zip(td.lambdas, td.weights):
-            mix += w * self.policies[player][lam]
-        return mix
+        return td.mixture([self.policies[player][lam] for lam in td.lambdas])
 
     def to_dict(self) -> dict:
         return {
@@ -298,39 +295,35 @@ def _topological_order(game: TabularMarkovGame) -> list[int]:
     order: list[int] = []
     remaining = set(range(game.state_count))
     while remaining:
-        ready = [
-            s for s in remaining
-            if all(s2 in resolved
-                   for a in game.joint_actions(s)
-                   for s2, _ in game.successors(s, a))
-        ]
+        ready = sorted(s for s in remaining
+                       if resolved.issuperset(game.next_states[s]))
         if not ready:
             raise ValueError("state graph has a cycle; backward induction undefined")
-        for s in sorted(ready):
-            order.append(s)
-            resolved.add(s)
-            remaining.discard(s)
+        order += ready
+        resolved.update(ready)
+        remaining.difference_update(ready)
     return order
 
 
 def stage_game_from_values(game: TabularMarkovGame, s: int,
                            values: dict) -> NormalFormGame:
     """One-step lookahead stage game at state s:
-    u_i(a) = r_i(s, a) + gamma * E_{s'}[V_i(s')]."""
-    counts = game.action_counts[s]
-    payoffs = [np.zeros(counts) for _ in range(game.player_count)]
-    for a in game.joint_actions(s):
-        r = game.reward(s, a)
-        cont = np.zeros(game.player_count)
-        for s2, p in game.successors(s, a):
-            if s2 != TERMINAL:
-                cont += p * values[s2]
-        total = r + game.gamma * cont
-        for i in range(game.player_count):
-            payoffs[i][a] = total[i]
+    u_i(a) = r_i(s, a) + gamma * E_{s'}[V_i(s')].
+
+    `values` maps every non-terminal successor of s to its value vector.  The
+    expectation is accumulated one successor at a time in `next_states`
+    order, and player i's payoff tensor is the C-contiguous slice ``[i]`` of
+    one ``(P, *A_s)`` array."""
+    rewards, probs = game.R[s], game.T[s]
+    lift = (slice(None),) + (None,) * (rewards.ndim - 1)
+    cont = np.zeros(rewards.shape)
+    for k, s2 in enumerate(game.next_states[s]):
+        if s2 != TERMINAL:
+            cont += np.asarray(values[s2], dtype=float)[lift] * probs[..., k]
+    total = rewards + game.gamma * cont
     bound = game.payoff_bound + game.gamma * game.max_return()
     zero_sum = game.zero_sum and game.player_count == 2
-    return NormalFormGame(tuple(counts), tuple(payoffs), payoff_bound=bound,
+    return NormalFormGame(game.action_counts[s], tuple(total), payoff_bound=bound,
                           zero_sum=zero_sum)
 
 
@@ -354,12 +347,7 @@ def solve_markov_backward(game: TabularMarkovGame, anchors, lambdas,
         if not profile.converged:
             raise RuntimeError(
                 f"equilibrium solve failed at state {s}: residual {profile.residual}")
-        mixtures = [profile.mixture(0), profile.mixture(1)]
-        v = np.array([
-            float(stage.utility_vector(i, mixtures) @ mixtures[i])
-            for i in range(2)
-        ])
-        values[s] = v
+        values[s] = _profile_value(stage, [profile.mixture(0), profile.mixture(1)])
         profiles[s] = profile
     return values, profiles
 
@@ -369,14 +357,15 @@ def evaluate_markov_profile(game: TabularMarkovGame, policies) -> dict:
     values: dict = {}
     for s in _topological_order(game):
         stage = stage_game_from_values(game, s, values)
-        profile = [np.asarray(policies[(s, i)], dtype=float)
-                   for i in range(game.player_count)]
-        v = np.array([
-            float(stage.utility_vector(i, profile) @ profile[i])
-            for i in range(game.player_count)
-        ])
-        values[s] = v
+        values[s] = _profile_value(stage, [np.asarray(policies[(s, i)], dtype=float)
+                                           for i in range(game.player_count)])
     return values
+
+
+def _profile_value(stage: NormalFormGame, profile) -> np.ndarray:
+    """Each player's expected payoff when every player follows `profile`."""
+    return np.array([float(stage.utility_vector(i, profile) @ profile[i])
+                     for i in range(stage.player_count)])
 
 
 def uniform_anchors(game: TabularMarkovGame) -> dict:

@@ -127,10 +127,7 @@ def _play_markov(game: TabularMarkovGame, seat_tables,
         )
         totals += disc * game.reward(s, joint)
         disc *= game.gamma
-        succ = game.successors(s, joint)
-        states = [s2 for s2, _ in succ]
-        probs = np.array([p for _, p in succ])
-        s = states[int(rng.choice(len(states), p=probs / probs.sum()))]
+        s = game.sample_successor(s, joint, rng)
         if s == TERMINAL:
             break
     return totals

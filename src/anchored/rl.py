@@ -10,6 +10,7 @@ epsilon-explored) joint action.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -79,7 +80,6 @@ class PolicyTable:
 class TrainConfig:
     search_iterations: int = 256
     types: tuple[TypeDistribution, ...] = ()
-    act_lambda: float = 0.0
     nash_explore: float = 0.1
     episodes: int = 1000
     alpha: float = 0.1
@@ -120,24 +120,19 @@ def build_stage_game(game: TabularMarkovGame, s: int,
     return stage_game_from_values(game, s, values.values)
 
 
-def nashv_update(values: ValueTable, s: int, sigma, game: TabularMarkovGame,
+def nashv_update(values: ValueTable, s: int, sigma, stage: NormalFormGame,
                  alpha: float) -> None:
-    """V(s) <- (1 - alpha) V(s) + alpha (r + gamma * E_{sigma, f}[V(s')]),
-    expectation under the product of the per-player policies in sigma."""
+    """V(s) <- (1 - alpha) V(s) + alpha * E_sigma[u(a)], where `stage` is the
+    stage game r + gamma * E[V(s')] at s (`build_stage_game`) and the
+    expectation is under the product of the per-player policies in sigma.
+
+    The target sums p(a) u(a) over joint actions one at a time, in product
+    order."""
     if s == TERMINAL:
         raise ValueError("cannot update the terminal state")
-    target = np.zeros(game.player_count)
-    for a in game.joint_actions(s):
-        p = 1.0
-        for i, ai in enumerate(a):
-            p *= sigma[i][ai]
-        if p == 0.0:
-            continue
-        cont = np.zeros(game.player_count)
-        for s2, q in game.successors(s, a):
-            if s2 != TERMINAL:
-                cont += q * values.get(s2)
-        target += p * (game.reward(s, a) + game.gamma * cont)
+    p = reduce(np.multiply.outer, sigma).ravel()
+    u = np.array(stage.payoffs).reshape(stage.player_count, -1)
+    target = np.add.reduce((p * u).T.copy(), axis=0, initial=0.0)
     values.values[s] = (1 - alpha) * values.get(s) + alpha * target
 
 
@@ -252,7 +247,7 @@ def run_episode(game: TabularMarkovGame, values: ValueTable,
             alpha = 1.0 / visit_counts[s] if config.alpha_harmonic else config.alpha
         else:
             alpha = config.alpha
-        nashv_update(values, s, sigma, game, alpha)
+        nashv_update(values, s, sigma, stage, alpha)
         for i in range(game.player_count):
             policy_table.update(s, i, sigma[i])
         joint = []
@@ -265,10 +260,7 @@ def run_episode(game: TabularMarkovGame, values: ValueTable,
         record.states.append(s)
         record.actions.append(tuple(joint))
         record.sigmas.append([p.copy() for p in sigma])
-        succ = game.successors(s, tuple(joint))
-        states = [s2 for s2, _ in succ]
-        probs = np.array([p for _, p in succ])
-        s = states[int(rng.choice(len(states), p=probs / probs.sum()))]
+        s = game.sample_successor(s, joint, rng)
         if s == TERMINAL:
             break
     return record

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from anchored import INF, make_builtin_game
+from anchored import INF, make_builtin_game, make_random_markov
 from anchored.cli import (
     ConfigError,
     dumps_json,
@@ -298,10 +298,85 @@ def test_main_exit_codes(tmp_path, capsys):
     rl_config(search_mode="sampled"),
     rl_config(policy_step=1.5),
     rl_config(preset="brbot", distinguished_player=1),
+    rl_config(act_lambda=0.3),                                # no such field
 ])
 def test_main_construction_errors_exit_2(tmp_path, capsys, config):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
+    assert main(["validate", str(path)]) == 2
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.count("validation error") == 2
+
+
+def _markov_file(tmp_path, edit):
+    d = make_random_markov(seed=1, state_count=3, player_count=2,
+                           actions_per_player=2, horizon=2, gamma=1.0,
+                           zero_sum=True).to_dict()
+    edit(d)
+    return _game_file(tmp_path, json.dumps(d))
+
+
+def _game_file(tmp_path, text):
+    path = tmp_path / "game.json"
+    path.write_text(text)
+    return {"file": str(path)}
+
+
+BAD_GAMES = {
+    "no states": lambda tmp: {"random_markov": {"seed": 1, "states": 0,
+                                                "horizon": 2}},
+    "no horizon": lambda tmp: {"random_markov": {"seed": 1, "states": 3}},
+    "horizon 1, 5 states": lambda tmp: {"random_markov": {
+        "seed": 1, "states": 5, "horizon": 1}},
+    "file not JSON": lambda tmp: _game_file(tmp, "{not json"),
+    "builtin without seed": lambda tmp: {"builtin": "random_zero_sum"},
+    "missing joint action": lambda tmp: _markov_file(
+        tmp, lambda d: d["transitions"][0].pop("[1, 1]")),
+    "successor out of range": lambda tmp: _markov_file(
+        tmp, lambda d: d["transitions"][1].update({"[0, 0]": [[7, 1.0]]})),
+    "reward of wrong length": lambda tmp: _markov_file(
+        tmp, lambda d: d["rewards"][0]["[0, 1]"].append(0.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_GAMES))
+def test_main_game_construction_errors_exit_2(tmp_path, capsys, name):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"kind": "oracle", "seed": 1,
+                                "game": BAD_GAMES[name](tmp_path)}))
+    assert main(["validate", str(path)]) == 2
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.count("validation error: game") == 2
+
+
+def _popeval_config(candidate):
+    return {"kind": "popeval", "seed": 1,
+            "game": {"builtin": "matching_pennies"},
+            "popeval": {"candidate": candidate, "baselines": [{"id": "base"}],
+                        "games": 10}}
+
+
+# Configs `validate` accepted although `run` could not start them.
+RUN_REJECTS = {
+    "anchor with zero mass": {**solve_config(), "learner": {
+        **solve_config()["learner"], "anchors": [[0.0, 0.0], [0.5, 0.5]]}},
+    "mode typo": {**solve_config(), "learner": {
+        **solve_config()["learner"], "mode": "expectd"}},
+    "oracle duplicate lambdas": {"kind": "oracle", "seed": 1,
+                                 "game": {"builtin": "matching_pennies"},
+                                 "oracle": {"types": [0.1, 0.1]}},
+    "search agent duplicate lambdas": _popeval_config(
+        {"id": "cand", "kind": "search", "types": [0.1, 0.1]}),
+    "eta nan": {**solve_config(), "learner": {
+        **solve_config()["learner"],
+        "schedule": {"mode": "constant_eta", "eta": "nan"}}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(RUN_REJECTS))
+def test_validate_rejects_what_run_rejects(tmp_path, capsys, name):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(RUN_REJECTS[name]))
     assert main(["validate", str(path)]) == 2
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.count("validation error") == 2

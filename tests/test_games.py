@@ -1,7 +1,11 @@
 """Tests for game representations, generators, and scoring."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from anchored import (
     NormalFormGame,
@@ -264,3 +268,115 @@ def test_max_return_bounds():
     h = make_random_markov(seed=2, state_count=3, player_count=2,
                            actions_per_player=2, horizon=4, gamma=0.5)
     assert h.max_return() == pytest.approx(1.0 * (1 - 0.5 ** 4) / 0.5)
+
+
+# sha256 of json.dumps(to_dict()): any change to a generator's draw order or
+# to the serialized format changes these.
+GOLDEN_MARKOV = {
+    "zero-sum 5 states": (dict(seed=101, state_count=5, player_count=2,
+                               actions_per_player=3, horizon=4, gamma=1.0,
+                               zero_sum=True),
+                          "74167678395cb1dd477f35cbff7862d4f33b032589a5a67782be146af4293038"),
+    "zero-sum 40 states": (dict(seed=102, state_count=40, player_count=2,
+                                actions_per_player=3, horizon=4, gamma=1.0,
+                                zero_sum=True),
+                           "e2c8cf4a21b378ea3ce9c72e54f074a8b82002913ba08682896e0f3f7a114211"),
+    "general-sum 5 states": (dict(seed=103, state_count=5, player_count=2,
+                                  actions_per_player=3, horizon=4, gamma=0.9),
+                             "d1ae1f1154cee391e5f8a285f81c20583b5bd3243987d22485e52c7b727ae050"),
+    "general-sum 40 states, 3 players": (
+        dict(seed=104, state_count=40, player_count=3, actions_per_player=2,
+             horizon=4, gamma=0.9, payoff_bound=2.0),
+        "c50c3bb16569bcef89c087abe8bbcb5ff696d5f3d14409ad92cb09c6d2a4fb64"),
+}
+
+
+def _digest(game) -> str:
+    return hashlib.sha256(json.dumps(game.to_dict()).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_MARKOV))
+def test_random_markov_golden_digest(name):
+    kwargs, digest = GOLDEN_MARKOV[name]
+    assert _digest(make_random_markov(**kwargs)) == digest
+
+
+def test_repeated_markov_golden_digest():
+    stage = make_builtin_game("random_general_sum", {"seed": 3, "actions": (2, 3, 2)})
+    assert _digest(make_repeated_markov(stage, horizon=3, discount=0.5)) == (
+        "ff9f38ef3ad262e482e1bab447b585497c57b4dd32f642d88773ff54fbf7f09f")
+    rps = make_builtin_game("rock_paper_scissors")
+    assert _digest(make_repeated_markov(rps, horizon=4, discount=1.0)) == (
+        "7d111b4ece8fcf0bf015accc4926147418da01cf74b7e24668527949d379da1c")
+
+
+@st.composite
+def markov_params(draw):
+    players = draw(st.integers(2, 3))
+    return dict(seed=draw(st.integers(0, 2 ** 32 - 1)),
+                state_count=draw(st.integers(1, 12)), player_count=players,
+                actions_per_player=draw(st.integers(1, 3)),
+                horizon=draw(st.integers(2, 5)),
+                gamma=draw(st.sampled_from([0.0, 0.5, 0.9, 1.0])),
+                zero_sum=players == 2 and draw(st.booleans()),
+                payoff_bound=draw(st.sampled_from([1.0, 2.5])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(markov_params())
+def test_markov_dict_round_trip_property(params):
+    g = make_random_markov(**params)
+    h = TabularMarkovGame.from_dict(json.loads(json.dumps(g.to_dict())))
+    assert h.to_dict() == g.to_dict()
+    assert h.next_states == g.next_states
+    for s in range(g.state_count):
+        np.testing.assert_array_equal(h.R[s], g.R[s])
+        np.testing.assert_array_equal(h.T[s], g.T[s])
+
+
+def _markov_dict():
+    return make_random_markov(seed=4, state_count=3, player_count=2,
+                              actions_per_player=2, horizon=2, gamma=1.0,
+                              zero_sum=True).to_dict()
+
+
+def test_markov_from_dict_rejects_malformed():
+    d = _markov_dict()
+    del d["transitions"][0]["[1, 1]"]
+    with pytest.raises(ValueError, match="joint actions"):
+        TabularMarkovGame.from_dict(d)
+    d = _markov_dict()
+    d["transitions"][1]["[0, 0]"] = [[7, 1.0]]
+    with pytest.raises(ValueError, match="out of range"):
+        TabularMarkovGame.from_dict(d)
+    d = _markov_dict()
+    d["rewards"][2]["[0, 1]"].append(0.0)
+    with pytest.raises(ValueError, match="reward"):
+        TabularMarkovGame.from_dict(d)
+    d = _markov_dict()
+    d["transitions"][0] = [[1, 1.0]]
+    with pytest.raises(ValueError, match="row"):
+        TabularMarkovGame.from_dict(d)
+
+
+def test_markov_from_dict_successor_order_and_duplicates():
+    d = _markov_dict()
+    # State 0 moves to states 1 and 2; list one joint action's successors in
+    # the other order and one successor twice.
+    d["transitions"][0]["[0, 1]"] = [[2, 0.25], [1, 0.5], [2, 0.25]]
+    g = TabularMarkovGame.from_dict(d)
+    assert g.next_states[0] == (1, 2)
+    assert g.successors(0, (0, 1)) == ((1, 0.5), (2, 0.5))
+    assert g.next_states[1] == (TERMINAL,)
+
+
+def test_sample_successor_matches_successor_list_draw():
+    g = make_random_markov(seed=9, state_count=12, player_count=2,
+                           actions_per_player=3, horizon=3, gamma=1.0)
+    rng, ref = np.random.default_rng(0), np.random.default_rng(0)
+    for s in range(g.state_count):
+        for a in g.joint_actions(s):
+            succ = g.successors(s, a)
+            probs = np.array([p for _, p in succ])
+            expect = succ[int(ref.choice(len(succ), p=probs / probs.sum()))][0]
+            assert g.sample_successor(s, a, rng) == expect

@@ -97,6 +97,21 @@ def test_schedule_validation():
         sched.kappa(0)
 
 
+def test_schedule_rejects_nan_eta():
+    with pytest.raises(ValueError):
+        TemperatureSchedule(mode="constant_eta", eta=float("nan"))
+    TemperatureSchedule(mode="constant_eta", eta=float("inf"))   # kappa == 0
+
+
+def test_type_mixture_sums_in_support_order():
+    td = TypeDistribution((0.1, 0.5, 2.0), (0.2, 0.3, 0.5))
+    pols = [np.array([0.1, 0.9]), np.array([0.6, 0.4]), np.array([1 / 3, 2 / 3])]
+    expect = np.zeros(2)
+    for w, p in zip(td.weights, pols):
+        expect += w * p
+    np.testing.assert_array_equal(td.mixture(pols), expect)
+
+
 def test_welford_matches_numpy():
     rng = np.random.default_rng(4)
     xs = rng.normal(size=50)

@@ -427,7 +427,7 @@ def test_stage_game_from_values_substitution():
             if s2 != -1:
                 cont += p * values[s2]
         expect = game.reward(0, a) + cont
-        assert stage.payoffs[0][a] == pytest.approx(expect[0], abs=1e-12)
+        assert stage.payoffs[0][a] == expect[0]
 
 
 def test_evaluate_markov_profile_matches_backward_at_anchor_limit():

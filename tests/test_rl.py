@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from anchored import (
     INF,
@@ -91,7 +92,8 @@ def test_nashv_alpha_zero_noop():
     values = ValueTable.zeros(game)
     values.values[0] = np.array([0.3, -0.3])
     before = values.get(0).copy()
-    nashv_update(values, 0, [uniform_policy(2)] * 2, game, alpha=0.0)
+    nashv_update(values, 0, [uniform_policy(2)] * 2,
+                 build_stage_game(game, 0, values), alpha=0.0)
     np.testing.assert_array_equal(values.get(0), before)
 
 
@@ -99,7 +101,7 @@ def test_nashv_alpha_one_overwrites_with_target():
     game = small_fixture()
     values = ValueTable.zeros(game)
     sigma = [uniform_policy(2), uniform_policy(2)]
-    nashv_update(values, 0, sigma, game, alpha=1.0)
+    nashv_update(values, 0, sigma, build_stage_game(game, 0, values), alpha=1.0)
     # independent expectation over joint actions and transitions
     target = np.zeros(2)
     for a in game.joint_actions(0):
@@ -109,7 +111,7 @@ def test_nashv_alpha_one_overwrites_with_target():
             if s2 != -1:
                 cont += q * np.zeros(2)
         target += p * (game.reward(0, a) + game.gamma * cont)
-    np.testing.assert_allclose(values.get(0), target, atol=1e-12)
+    np.testing.assert_array_equal(values.get(0), target)
 
 
 def test_nashv_hand_convex_combination():
@@ -119,7 +121,7 @@ def test_nashv_hand_convex_combination():
     values.values[0] = np.array([0.2, 0.8])
     # force a deterministic joint action with expected reward (1, -1)
     sigma = [np.array([1.0, 0.0]), np.array([1.0, 0.0])]
-    nashv_update(values, 0, sigma, game, alpha=0.5)
+    nashv_update(values, 0, sigma, build_stage_game(game, 0, values), alpha=0.5)
     np.testing.assert_allclose(values.get(0), [0.6, -0.1], atol=1e-12)
 
 
@@ -132,12 +134,45 @@ def test_nashv_contraction_identity():
         sigma = [rng.dirichlet(np.ones(2)) for _ in range(2)]
         alpha = float(rng.uniform(0.0, 1.0))
         check = values.copy()
-        nashv_update(check, 0, sigma, game, alpha=1.0)
+        stage = build_stage_game(game, 0, values)
+        nashv_update(check, 0, sigma, stage, alpha=1.0)
         target = check.get(0)
         old = values.get(0).copy()
-        nashv_update(values, 0, sigma, game, alpha=alpha)
+        nashv_update(values, 0, sigma, stage, alpha=alpha)
         np.testing.assert_allclose(values.get(0) - target,
                                    (1 - alpha) * (old - target), atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 3), st.integers(1, 3))
+def test_stage_and_nashv_match_scalar_reference(seed, players, actions):
+    """Both array paths equal the per-joint-action loops exactly, sigma with
+    zero entries included."""
+    game = make_random_markov(seed=seed, state_count=9, player_count=players,
+                              actions_per_player=actions, horizon=3, gamma=0.9)
+    rng = np.random.default_rng(seed)
+    values = ValueTable({s: rng.normal(size=players) for s in range(9)})
+    for s in range(game.state_count):
+        stage = build_stage_game(game, s, values)
+        sigma = [rng.dirichlet(np.ones(actions)) for _ in range(players)]
+        sigma[0][rng.integers(actions)] = 0.0
+        target = np.zeros(players)
+        for a in game.joint_actions(s):
+            cont = np.zeros(players)
+            for s2, q in game.successors(s, a):
+                if s2 != -1:
+                    cont += q * values.get(s2)
+            total = game.reward(s, a) + game.gamma * cont
+            for i in range(players):
+                assert stage.payoffs[i][a] == total[i]
+            p = 1.0
+            for i, ai in enumerate(a):
+                p *= sigma[i][ai]
+            if p != 0.0:
+                target += p * total
+        check = values.copy()
+        nashv_update(check, s, sigma, stage, alpha=1.0)
+        np.testing.assert_array_equal(check.get(s), target)
 
 
 # ---------------------------------------------------------------- search

@@ -94,8 +94,24 @@ def _config_errors(section: str):
         yield
     except ConfigError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{section}: {exc!r}") from exc
+
+
+def _positive(name: str, value) -> float:
+    """`value` as a finite float > 0."""
+    with _config_errors(name):
+        x = float(value)
+    _require(math.isfinite(x) and x > 0, f"{name}: must be a finite number > 0")
+    return x
+
+
+def _integer(name: str, value, low: int) -> int:
+    """`value` as an int >= `low`."""
+    with _config_errors(name):
+        n = int(value)
+    _require(n >= low, f"{name}: must be >= {low}")
+    return n
 
 
 def load_game(spec: dict):
@@ -203,8 +219,8 @@ def load_solve(config: dict, game):
     mode, iterations)."""
     _require(isinstance(game, G.NormalFormGame), "solve: needs a normal-form game")
     lcfg = config.get("learner", {})
-    iterations = int(lcfg.get("iterations", config.get("iterations", 1000)))
-    _require(iterations >= 1, "iterations: must be >= 1")
+    iterations = _integer("iterations", lcfg.get("iterations",
+                                                 config.get("iterations", 1000)), 1)
     mode = lcfg.get("mode", "sampled")
     _require(mode in ("sampled", "expected"), f"learner.mode: unknown mode {mode!r}")
     types = load_types(lcfg.get("types", [0.1]))
@@ -244,17 +260,18 @@ def run_solve(config: dict, seed: int, out: Path) -> list[Path]:
 
 
 def load_oracle(config: dict, game):
-    """The oracle section as (types, anchors): one `TypeDistribution` and one
-    anchor per player for a normal-form game, one lambda per player and
+    """The oracle section as (types, anchors, tol): one `TypeDistribution` and
+    one anchor per player for a normal-form game, one lambda per player and
     `uniform_anchors` for a Markov game."""
     ocfg = config.get("oracle", {})
     _require(game.player_count == 2 and game.zero_sum,
              "oracle: needs a two-player zero-sum game")
+    tol = _positive("oracle.tol", ocfg.get("tol", 1e-10))
     if isinstance(game, G.TabularMarkovGame):
         lambdas = [parse_lambda(l) for l in ocfg.get("lambdas", [0.1, 0.1])]
         _require(len(lambdas) == 2 and all(0 < l < INF for l in lambdas),
                  "oracle.lambdas: need two finite lambdas > 0")
-        return lambdas, uniform_anchors(game)
+        return lambdas, uniform_anchors(game), tol
     types = tuple(load_types(ocfg.get("types", [0.1])) for _ in range(2))
     _require(all(0 < l < INF for l in types[0].lambdas),
              "oracle.types: lambdas must be finite and > 0")
@@ -266,14 +283,12 @@ def load_oracle(config: dict, game):
         for a, n in zip(anchors, game.action_counts):
             _require(G.make_anchor(a).shape == (n,),
                      "oracle.anchors: need one entry per action")
-    return types, anchors
+    return types, anchors, tol
 
 
 def run_oracle(config: dict, seed: int, out: Path) -> list[Path]:
     game = load_game(config["game"])
-    ocfg = config.get("oracle", {})
-    tol = float(ocfg.get("tol", 1e-10))
-    types, anchors = load_oracle(config, game)
+    types, anchors, tol = load_oracle(config, game)
     if isinstance(game, G.TabularMarkovGame):
         values, profiles = solve_markov_backward(game, anchors, types, tol=tol)
         doc = {
@@ -353,20 +368,20 @@ def run_rl(config: dict, seed: int, out: Path) -> list[Path]:
     return [metrics_path, ckpt_path]
 
 
-def load_rate(config: dict) -> str:
-    """The rate section's games CSV, which must exist."""
-    path = config.get("rate", {}).get("games_csv")
+def load_rate(config: dict):
+    """The rate section as (games CSV, which must exist, sigma_prior, c)."""
+    rcfg = config.get("rate", {})
+    path = rcfg.get("games_csv")
     _require(path is not None, "rate.games_csv: required")
     _require(Path(path).exists(), f"rate.games_csv: {path} does not exist")
-    return path
+    return (path, _positive("rate.sigma_prior", rcfg.get("sigma_prior", 350.0)),
+            _positive("rate.c", rcfg.get("c", R.ELO_SCALE)))
 
 
 def run_rate(config: dict, seed: int, out: Path) -> list[Path]:
-    rcfg = config.get("rate", {})
-    records = R.read_game_records(load_rate(config))
-    model = R.fit_ratings(records,
-                          sigma_prior=float(rcfg.get("sigma_prior", 350.0)),
-                          c=float(rcfg.get("c", R.ELO_SCALE)))
+    path, sigma_prior, c = load_rate(config)
+    model = R.fit_ratings(R.read_game_records(path), sigma_prior=sigma_prior,
+                          c=c)
     out_path = out / "ratings.json"
     out_path.write_text(dumps_json(model.to_dict(), indent=2) + "\n")
     return [out_path]
@@ -380,8 +395,12 @@ def _load_agent(spec: dict, game) -> PE.AgentSpec:
         if pols is None:
             pols = [G.uniform_policy(game.action_counts[i])
                     for i in range(game.player_count)]
-        return PE.AgentSpec(agent_id=spec["id"], kind="fixed",
-                            policies=tuple(np.array(p, float) for p in pols))
+        with _config_errors(f"agent {spec['id']!r}"):
+            agent = PE.AgentSpec(agent_id=spec["id"], kind="fixed",
+                                 policies=tuple(np.array(p, float) for p in pols))
+            if isinstance(game, G.NormalFormGame):
+                PE.resolve_agent_policies(agent, game)
+        return agent
     if kind == "search":
         anchors = spec.get("anchors")
         if anchors is None:
@@ -405,7 +424,8 @@ def load_popeval(config: dict, game):
              "popeval.baselines: non-empty list required")
     candidate = _load_agent(pcfg["candidate"], game)
     baselines = [_load_agent(b, game) for b in pcfg["baselines"]]
-    return candidate, baselines, int(pcfg.get("games", 1000))
+    return candidate, baselines, _integer("popeval.games",
+                                          pcfg.get("games", 1000), 1)
 
 
 def run_popeval(config: dict, seed: int, out: Path) -> list[Path]:
@@ -446,7 +466,7 @@ def validate_config(config: dict) -> None:
     _require(isinstance(seed, int) and 0 <= seed < 2 ** 64,
              "seed: must be a 64-bit unsigned integer")
     if "iterations" in config:
-        _require(int(config["iterations"]) >= 1, "iterations: must be >= 1")
+        _integer("iterations", config["iterations"], 1)
     if kind == "rate":
         load_rate(config)
         return

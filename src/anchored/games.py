@@ -385,6 +385,8 @@ def make_random_markov(seed: int, state_count: int, player_count: int,
         raise ValueError("all sizes must be >= 1")
     if zero_sum and player_count != 2:
         raise ValueError("zero-sum fixtures require 2 players")
+    if not (np.isfinite(payoff_bound) and payoff_bound > 0):
+        raise ValueError("payoff_bound must be finite and > 0")
     rng = np.random.default_rng(seed)
     layers = markov_layers(state_count, horizon)
     acts = tuple(actions_per_player for _ in range(player_count))

@@ -85,11 +85,6 @@ class RegularizedProfile:
         }
 
 
-def _player_utility_vectors(game: NormalFormGame, mixtures):
-    """Utility vector of each player against the other players' mixtures."""
-    return [game.utility_vector(i, mixtures) for i in range(game.player_count)]
-
-
 def solve_regularized_bne(game: NormalFormGame, anchors, types,
                           tol: float = 1e-10, max_iters: int = 100000,
                           damping: float = 0.5,
@@ -102,58 +97,99 @@ def solve_regularized_bne(game: NormalFormGame, anchors, types,
     small relative to U/lambda, so the damping is halved whenever the
     residual has not improved on its running best for 50 consecutive sweeps.
     A non-converged result is returned with ``converged=False`` and its final
-    residual rather than raised.
+    residual rather than raised; a non-finite residual (a NaN smooth best
+    response, e.g. when u/lambda overflows) ends the solve at that sweep with
+    ``converged=False``.  This is the B = 1 call of `_damped_equilibria`.
     """
     if game.player_count != 2 or not game.zero_sum:
         raise ValueError("requires a two-player zero-sum game")
-    types = tuple(types)
-    anchors = [np.asarray(a, dtype=float) for a in anchors]
+    payoffs = [u[None] for u in game.payoffs]
+    anchors = [np.asarray(a, dtype=float)[None] for a in anchors]
+    return _damped_equilibria(payoffs, anchors, tuple(types), tol, max_iters,
+                              damping, init)[0]
+
+
+def _damped_equilibria(payoffs, anchors, types, tol=1e-10, max_iters=100000,
+                       damping=0.5, init="anchor") -> list[RegularizedProfile]:
+    """`solve_regularized_bne` for B two-player zero-sum games of one shape
+    in lockstep: `payoffs[i]` is player i's ``(B, A_0, A_1)`` payoff stack,
+    `anchors[i]` its ``(B, A_i)`` anchors and `types[i]` its types, shared by
+    the batch.  Player i's policies are one ``(B, K_i, A_i)`` array; a sweep
+    takes `TypeDistribution.mixture` over the type slots, ``u_0 = P_0 @ mix_1``
+    and ``u_1 = P_1^T @ mix_0`` (one `np.matmul` over the stack: the per-game
+    `np.dot` of `utility_vector`, bit for bit) and one softmax over each
+    player's rows in `smooth_best_response`'s order of operations.  Each game
+    keeps its own damping and stall counter and leaves the batch, compacted
+    only then, at the sweep where its residual falls below `tol` or is not
+    finite, so it returns what a solve of it alone returns.
+    """
     for td in types:
         if any(l <= 0 or l == INF for l in td.lambdas):
             raise ValueError("all lambda values must be finite and > 0")
-    if init == "anchor":
-        policies = [dict((lam, anchors[i].copy()) for lam in types[i].lambdas)
-                    for i in range(2)]
-    elif init == "uniform":
-        policies = [dict((lam, uniform_policy(game.action_counts[i]))
-                         for lam in types[i].lambdas) for i in range(2)]
-    else:
+    if init not in ("anchor", "uniform"):
         raise ValueError(f"unknown init {init!r}")
-    profile = RegularizedProfile(tuple(policies), types)
-    delta = damping
-    best_residual = INF
-    stale = 0
-    residual = INF
+    lams = [np.array(td.lambdas)[:, None] for td in types]
+    log_anchors = [np.log(a)[:, None, :] for a in anchors]
+    pols = [np.repeat((a if init == "anchor" else
+                       np.broadcast_to(uniform_policy(a.shape[1]), a.shape))[:, None, :],
+                      len(td.lambdas), axis=1)
+            for a, td in zip(anchors, types)]
+    live = np.arange(len(anchors[0]))
+    delta = np.full((len(live), 1, 1), float(damping))
+    best = np.full(len(live), INF)
+    stale = np.zeros(len(live), dtype=int)
+    residual = np.full(len(live), INF)
+    results: list = [None] * len(live)
+
+    def finish(rows, iterations, converged):
+        for b in rows:
+            results[live[b]] = RegularizedProfile(
+                tuple({lam: p[b, k] for k, lam in enumerate(td.lambdas)}
+                      for td, p in zip(types, pols)),
+                types, iterations, float(residual[b]), bool(converged[b]))
+
+    # Policies change in place, so the type-slot views and the update
+    # weights change only when the batch is compacted or a damping halves.
+    slots = [[p[:, k] for k in range(p.shape[1])] for p in pols]
+    keep_weight = 1.0 - delta
     for it in range(1, max_iters + 1):
-        mixtures = [profile.mixture(0), profile.mixture(1)]
-        u_vecs = _player_utility_vectors(game, mixtures)
-        residual = 0.0
-        targets = [{}, {}]
-        for i in range(2):
-            for lam in types[i].lambdas:
-                target = smooth_best_response(u_vecs[i], anchors[i], lam)
-                targets[i][lam] = target
-                residual = max(residual, float(np.max(np.abs(target - policies[i][lam]))))
-        if residual < tol:
-            profile.iterations = it
-            profile.residual = residual
-            profile.converged = True
-            return profile
-        for i in range(2):
-            for lam in types[i].lambdas:
-                policies[i][lam] = (1 - delta) * policies[i][lam] + delta * targets[i][lam]
-        if residual < best_residual:
-            best_residual = residual
-            stale = 0
-        else:
-            stale += 1
-            if stale >= 50:
-                delta *= 0.5
-                stale = 0
-    profile.iterations = max_iters
-    profile.residual = residual
-    profile.converged = False
-    return profile
+        mix0, mix1 = (td.mixture(s)[:, :, None] for td, s in zip(types, slots))
+        targets = []
+        for i, u in enumerate((np.matmul(payoffs[0], mix1),
+                               np.matmul(payoffs[1].transpose(0, 2, 1), mix0))):
+            z = log_anchors[i] + u[:, None, :, 0] / lams[i]
+            z -= np.maximum.reduce(z, axis=-1, keepdims=True)
+            np.exp(z, out=z)
+            z /= np.add.reduce(z, axis=-1, keepdims=True)
+            targets.append(z)
+        residual = np.maximum(*(np.maximum.reduce(np.abs(t - p), axis=(1, 2))
+                                for t, p in zip(targets, pols)))
+        converged = residual < tol
+        done = converged | ~np.isfinite(residual)
+        if done.any():
+            finish(np.flatnonzero(done), it, converged)
+            keep = ~done
+            if not keep.any():
+                return results
+            live, delta, keep_weight, best, stale, residual = (
+                x[keep] for x in (live, delta, keep_weight, best, stale, residual))
+            payoffs, log_anchors, pols, targets = (
+                [x[keep] for x in xs] for xs in (payoffs, log_anchors, pols, targets))
+            slots = [[p[:, k] for k in range(p.shape[1])] for p in pols]
+        for p, t in zip(pols, targets):
+            p *= keep_weight
+            t *= delta
+            p += t
+        improved = residual < best
+        best = np.where(improved, residual, best)
+        stale = np.where(improved, 0, stale + 1)
+        halve = stale >= 50
+        if halve.any():
+            delta = np.where(halve[:, None, None], 0.5 * delta, delta)
+            keep_weight = 1.0 - delta
+            stale[halve] = 0
+    finish(range(len(live)), max_iters, np.zeros(len(live), dtype=bool))
+    return results
 
 
 def regularized_exploitability(game: NormalFormGame, anchors, types,
@@ -165,7 +201,7 @@ def regularized_exploitability(game: NormalFormGame, anchors, types,
         raise ValueError("requires a two-player game")
     anchors = [np.asarray(a, dtype=float) for a in anchors]
     mixtures = [profile.mixture(0), profile.mixture(1)]
-    u_vecs = _player_utility_vectors(game, mixtures)
+    u_vecs = [game.utility_vector(i, mixtures) for i in range(2)]
     gap = 0.0
     for i in range(2):
         td = types[i]
@@ -182,7 +218,7 @@ def unregularized_exploitability(game: NormalFormGame, profile) -> float:
     if game.player_count != 2 or not game.zero_sum:
         raise ValueError("requires a two-player zero-sum game")
     mixtures = [np.asarray(p, dtype=float) for p in profile]
-    u_vecs = _player_utility_vectors(game, mixtures)
+    u_vecs = [game.utility_vector(i, mixtures) for i in range(2)]
     return sum(float(np.max(u_vecs[i]) - u_vecs[i] @ mixtures[i]) for i in range(2))
 
 
@@ -289,20 +325,22 @@ def last_iterate_distance(current, profile: RegularizedProfile, types,
     return total
 
 
-def _topological_order(game: TabularMarkovGame) -> list[int]:
-    """States ordered so every successor appears earlier; raises on cycles."""
+def _layers(game: TabularMarkovGame) -> list[list[int]]:
+    """States in backward-induction layers: each layer, in ascending order,
+    holds the states whose successors all lie in earlier layers; raises on
+    cycles."""
     resolved = {TERMINAL}
-    order: list[int] = []
+    layers: list[list[int]] = []
     remaining = set(range(game.state_count))
     while remaining:
         ready = sorted(s for s in remaining
                        if resolved.issuperset(game.next_states[s]))
         if not ready:
             raise ValueError("state graph has a cycle; backward induction undefined")
-        order += ready
+        layers.append(ready)
         resolved.update(ready)
         remaining.difference_update(ready)
-    return order
+    return layers
 
 
 def stage_game_from_values(game: TabularMarkovGame, s: int,
@@ -334,28 +372,41 @@ def solve_markov_backward(game: TabularMarkovGame, anchors, lambdas,
     `anchors` maps (state, player) to an anchor policy; `lambdas` is one
     positive lambda per player.  Returns (values, per-state profiles), where
     values[s] is the per-player expected value of equilibrium play from s.
+    The states of one layer are independent: their stage games are solved
+    with one `_damped_equilibria` call per action-count shape.
     """
     if game.player_count != 2 or not game.zero_sum:
         raise ValueError("requires a two-player zero-sum Markov game")
     types = tuple(TypeDistribution.singleton(l) for l in lambdas)
     values: dict = {}
     profiles: dict = {}
-    for s in _topological_order(game):
-        stage = stage_game_from_values(game, s, values)
-        st_anchors = [anchors[(s, 0)], anchors[(s, 1)]]
-        profile = solve_regularized_bne(stage, st_anchors, types, tol=tol)
-        if not profile.converged:
-            raise RuntimeError(
-                f"equilibrium solve failed at state {s}: residual {profile.residual}")
-        values[s] = _profile_value(stage, [profile.mixture(0), profile.mixture(1)])
-        profiles[s] = profile
+    for layer in _layers(game):
+        stages = {s: stage_game_from_values(game, s, values) for s in layer}
+        groups: dict = {}
+        for s in layer:
+            groups.setdefault(game.action_counts[s], []).append(s)
+        solved: dict = {}
+        for group in groups.values():
+            solved.update(zip(group, _damped_equilibria(
+                [np.stack([stages[s].payoffs[i] for s in group]) for i in range(2)],
+                [np.stack([anchors[(s, i)] for s in group], dtype=float)
+                 for i in range(2)],
+                types, tol)))
+        for s in layer:
+            profile = solved[s]
+            if not profile.converged:
+                raise RuntimeError(f"equilibrium solve failed at state {s}: "
+                                   f"residual {profile.residual}")
+            values[s] = _profile_value(stages[s], [profile.mixture(0),
+                                                   profile.mixture(1)])
+            profiles[s] = profile
     return values, profiles
 
 
 def evaluate_markov_profile(game: TabularMarkovGame, policies) -> dict:
     """Policy evaluation of a fixed per-(state, player) product profile."""
     values: dict = {}
-    for s in _topological_order(game):
+    for s in (s for layer in _layers(game) for s in layer):
         stage = stage_game_from_values(game, s, values)
         values[s] = _profile_value(stage, [np.asarray(policies[(s, i)], dtype=float)
                                            for i in range(game.player_count)])

@@ -356,7 +356,8 @@ def _popeval_config(candidate):
                         "games": 10}}
 
 
-# Configs `validate` accepted although `run` could not start them.
+# Configs `validate` accepted although `run` could not start them, or
+# numbers parsed outside the typed loaders (a traceback, exit 1).
 RUN_REJECTS = {
     "anchor with zero mass": {**solve_config(), "learner": {
         **solve_config()["learner"], "anchors": [[0.0, 0.0], [0.5, 0.5]]}},
@@ -370,6 +371,20 @@ RUN_REJECTS = {
     "eta nan": {**solve_config(), "learner": {
         **solve_config()["learner"],
         "schedule": {"mode": "constant_eta", "eta": "nan"}}},
+    "top-level iterations": {**solve_config(), "iterations": "abc"},
+    "learner iterations": {**solve_config(), "learner": {
+        **solve_config()["learner"], "iterations": "abc"}},
+    "popeval games": {**_popeval_config({"id": "cand"}), "popeval": {
+        **_popeval_config({"id": "cand"})["popeval"], "games": "abc"}},
+    # Any existing file: the prior is rejected before the CSV is read.
+    "rate sigma_prior": {"kind": "rate", "rate": {"games_csv": __file__,
+                                                  "sigma_prior": "abc"}},
+    "fixed agent policy of wrong length": _popeval_config(
+        {"id": "cand", "kind": "fixed", "policies": [[0.5, 0.5], [1.0]]}),
+    "random_markov payoff_bound nan": {
+        "kind": "oracle", "seed": 1,
+        "game": {"random_markov": {"seed": 1, "states": 3, "horizon": 2,
+                                   "zero_sum": True, "payoff_bound": "nan"}}},
 }
 
 
@@ -394,3 +409,28 @@ def test_list_builtins_contents():
     text = list_builtins()
     assert "rock_paper_scissors" in text
     assert "diplodocus_high" in text
+
+
+@pytest.mark.parametrize("tol", ["abc", -1, 0, "nan", "inf"])
+def test_oracle_tol_must_be_finite_and_positive(tmp_path, capsys, tol):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"kind": "oracle", "seed": 1,
+                                "game": {"builtin": "matching_pennies"},
+                                "oracle": {"tol": tol}}))
+    assert main(["validate", str(path)]) == 2
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.count("validation error: oracle.tol") == 2
+
+
+def _rate_config(tmp_path, **rate):
+    games_csv = tmp_path / "games.csv"
+    games_csv.write_text("game_id,seat_index,player_id,score_share\n"
+                         "g0,0,alice,1.0\ng0,1,bob,0.0\n")
+    return {"kind": "rate", "rate": {"games_csv": str(games_csv), **rate}}
+
+
+def test_rate_sigma_prior_is_honoured(tmp_path):
+    a = run_experiment(_rate_config(tmp_path, sigma_prior=100.0), out=tmp_path / "a")
+    b = run_experiment(_rate_config(tmp_path, sigma_prior="100"), out=tmp_path / "b")
+    c = run_experiment(_rate_config(tmp_path), out=tmp_path / "c")
+    assert a["artifacts"] == b["artifacts"] != c["artifacts"]

@@ -380,3 +380,11 @@ def test_sample_successor_matches_successor_list_draw():
             probs = np.array([p for _, p in succ])
             expect = succ[int(ref.choice(len(succ), p=probs / probs.sum()))][0]
             assert g.sample_successor(s, a, rng) == expect
+
+
+@pytest.mark.parametrize("bound", [float("nan"), float("inf"), 0.0, -1.0])
+def test_random_markov_rejects_bad_payoff_bound(bound):
+    with pytest.raises(ValueError, match="payoff_bound"):
+        make_random_markov(seed=1, state_count=3, player_count=2,
+                           actions_per_player=2, horizon=2, gamma=1.0,
+                           zero_sum=True, payoff_bound=bound)

@@ -1,0 +1,386 @@
+"""The batched regularized-equilibrium kernel against the scalar reference,
+bit for bit.
+
+`reference_bne` is the per-(player, type) loop that `solve_regularized_bne`
+ran before the kernel, and `reference_backward` is backward induction with
+one reference solve per state in the old topological order; both are kept
+verbatim apart from their names.  Every comparison is exact equality.
+"""
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from anchored import (INF, NormalFormGame, RegularizedProfile, TabularMarkovGame,
+                      TypeDistribution, make_builtin_game, make_random_markov,
+                      smooth_best_response, solve_markov_backward,
+                      solve_regularized_bne, uniform_policy)
+from anchored import oracle
+from anchored.cli import main
+from anchored.games import TERMINAL
+from anchored.oracle import stage_game_from_values, uniform_anchors
+
+
+def _player_utility_vectors(game: NormalFormGame, mixtures):
+    """Utility vector of each player against the other players' mixtures."""
+    return [game.utility_vector(i, mixtures) for i in range(game.player_count)]
+
+
+def reference_bne(game: NormalFormGame, anchors, types,
+                  tol: float = 1e-10, max_iters: int = 100000,
+                  damping: float = 0.5,
+                  init: str = "anchor") -> RegularizedProfile:
+    if game.player_count != 2 or not game.zero_sum:
+        raise ValueError("requires a two-player zero-sum game")
+    types = tuple(types)
+    anchors = [np.asarray(a, dtype=float) for a in anchors]
+    for td in types:
+        if any(l <= 0 or l == INF for l in td.lambdas):
+            raise ValueError("all lambda values must be finite and > 0")
+    if init == "anchor":
+        policies = [dict((lam, anchors[i].copy()) for lam in types[i].lambdas)
+                    for i in range(2)]
+    elif init == "uniform":
+        policies = [dict((lam, uniform_policy(game.action_counts[i]))
+                         for lam in types[i].lambdas) for i in range(2)]
+    else:
+        raise ValueError(f"unknown init {init!r}")
+    profile = RegularizedProfile(tuple(policies), types)
+    delta = damping
+    best_residual = INF
+    stale = 0
+    residual = INF
+    for it in range(1, max_iters + 1):
+        mixtures = [profile.mixture(0), profile.mixture(1)]
+        u_vecs = _player_utility_vectors(game, mixtures)
+        residual = 0.0
+        targets = [{}, {}]
+        for i in range(2):
+            for lam in types[i].lambdas:
+                target = smooth_best_response(u_vecs[i], anchors[i], lam)
+                targets[i][lam] = target
+                residual = max(residual, float(np.max(np.abs(target - policies[i][lam]))))
+        if residual < tol:
+            profile.iterations = it
+            profile.residual = residual
+            profile.converged = True
+            return profile
+        for i in range(2):
+            for lam in types[i].lambdas:
+                policies[i][lam] = (1 - delta) * policies[i][lam] + delta * targets[i][lam]
+        if residual < best_residual:
+            best_residual = residual
+            stale = 0
+        else:
+            stale += 1
+            if stale >= 50:
+                delta *= 0.5
+                stale = 0
+    profile.iterations = max_iters
+    profile.residual = residual
+    profile.converged = False
+    return profile
+
+
+def reference_order(game: TabularMarkovGame) -> list[int]:
+    """States ordered so every successor appears earlier; raises on cycles."""
+    resolved = {TERMINAL}
+    order: list[int] = []
+    remaining = set(range(game.state_count))
+    while remaining:
+        ready = sorted(s for s in remaining
+                       if resolved.issuperset(game.next_states[s]))
+        if not ready:
+            raise ValueError("state graph has a cycle; backward induction undefined")
+        order += ready
+        resolved.update(ready)
+        remaining.difference_update(ready)
+    return order
+
+
+def reference_backward(game: TabularMarkovGame, anchors, lambdas,
+                       tol: float = 1e-10):
+    if game.player_count != 2 or not game.zero_sum:
+        raise ValueError("requires a two-player zero-sum Markov game")
+    types = tuple(TypeDistribution.singleton(l) for l in lambdas)
+    values: dict = {}
+    profiles: dict = {}
+    for s in reference_order(game):
+        stage = stage_game_from_values(game, s, values)
+        st_anchors = [anchors[(s, 0)], anchors[(s, 1)]]
+        profile = reference_bne(stage, st_anchors, types, tol=tol)
+        if not profile.converged:
+            raise RuntimeError(
+                f"equilibrium solve failed at state {s}: residual {profile.residual}")
+        values[s] = oracle._profile_value(stage, [profile.mixture(0),
+                                                  profile.mixture(1)])
+        profiles[s] = profile
+    return values, profiles
+
+
+def assert_same_profile(a, b):
+    assert (a.iterations, a.residual, a.converged) == \
+        (b.iterations, b.residual, b.converged)
+    assert a.types == b.types
+    for x, y in zip(a.policies, b.policies):
+        assert list(x) == list(y)
+        for lam in x:
+            assert np.array_equal(x[lam], y[lam])
+
+
+# Lambdas small enough to need damping halvings at damping 1, large enough
+# that a few hundred sweeps usually converge.
+LAMBDAS = (0.01, 0.05, 0.1, 0.3, 0.5, 2.0)
+
+
+@st.composite
+def stage_batches(draw, max_batch=1):
+    counts = (draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    types = []
+    for _ in range(2):
+        lams = sorted(draw(st.sets(st.sampled_from(LAMBDAS), min_size=1,
+                                   max_size=3)))
+        mass = [draw(st.integers(1, 5)) for _ in lams]
+        types.append(TypeDistribution(tuple(lams),
+                                      tuple(m / sum(mass) for m in mass)))
+    games = []
+    for _ in range(draw(st.integers(1, max_batch))):
+        a = rng.uniform(-1.0, 1.0, size=counts)
+        games.append((NormalFormGame(counts, (a, -a), payoff_bound=1.0,
+                                     zero_sum=True),
+                       [rng.dirichlet(np.ones(n)) for n in counts]))
+    return {
+        "games": games,
+        "types": tuple(types),
+        "tol": draw(st.sampled_from([1e-10, 1e-6])),
+        "max_iters": draw(st.sampled_from([1, 2, 7, 60, 400, 2000])),
+        "damping": draw(st.sampled_from([0.5, 0.8, 1.0])),
+        "init": draw(st.sampled_from(["anchor", "uniform"])),
+    }
+
+
+def solver_args(case):
+    return {k: case[k] for k in ("tol", "max_iters", "damping", "init")}
+
+
+@settings(max_examples=150, deadline=None)
+@given(stage_batches())
+def test_solve_regularized_bne_matches_reference(case):
+    (game, anchors), = case["games"]
+    got = solve_regularized_bne(game, anchors, case["types"], **solver_args(case))
+    ref = reference_bne(game, anchors, case["types"], **solver_args(case))
+    assert_same_profile(got, ref)
+
+
+@settings(max_examples=60, deadline=None)
+@given(stage_batches(max_batch=5))
+def test_batched_kernel_matches_per_game_reference(case):
+    """Games of one batch converge, halve their damping and hit the cut-off
+    at different sweeps; each returns what it returns when solved alone."""
+    games = case["games"]
+    got = oracle._damped_equilibria(
+        [np.stack([g.payoffs[i] for g, _ in games]) for i in range(2)],
+        [np.stack([a[i] for _, a in games]) for i in range(2)],
+        case["types"], **solver_args(case))
+    assert len(got) == len(games)
+    for profile, (game, anchors) in zip(got, games):
+        assert_same_profile(profile, reference_bne(game, anchors, case["types"],
+                                                   **solver_args(case)))
+
+
+HALVING_GAME = make_builtin_game("random_zero_sum",
+                                 {"seed": 3, "actions": (3, 3)})
+HALVING_ANCHORS = [np.linspace(1, 2, 3) / np.linspace(1, 2, 3).sum()] * 2
+HALVING_TYPES = (TypeDistribution.singleton(0.05),) * 2
+
+
+@pytest.mark.parametrize("max_iters", [53, 54, 55, 139, 140, 141, 100000])
+def test_damping_halvings_match_reference(max_iters):
+    """This fixture halves its damping after sweeps 54 and 140 and converges
+    at sweep 527; cut-offs on both sides of each halving agree too."""
+    args = (HALVING_GAME, HALVING_ANCHORS, HALVING_TYPES)
+    got = solve_regularized_bne(*args, max_iters=max_iters)
+    assert_same_profile(got, reference_bne(*args, max_iters=max_iters))
+    assert got.converged == (max_iters == 100000)
+    if got.converged:
+        assert got.iterations == 527
+
+
+def test_batch_with_different_halving_schedules():
+    """Three games whose damping halves at different sweeps, batched."""
+    games = [make_builtin_game("random_zero_sum", {"seed": s, "actions": (3, 3)})
+             for s in (3, 4, 5)]
+    got = oracle._damped_equilibria(
+        [np.stack([g.payoffs[i] for g in games]) for i in range(2)],
+        [np.stack([HALVING_ANCHORS[i]] * 3) for i in range(2)], HALVING_TYPES)
+    for profile, game in zip(got, games):
+        assert profile.converged
+        assert_same_profile(profile, reference_bne(game, HALVING_ANCHORS,
+                                                   HALVING_TYPES))
+    assert len({p.iterations for p in got}) == 3
+
+
+# --------------------------------------------------------- backward induction
+
+def ragged_markov(seed, layer_sizes=(1, 4, 5)):
+    """A layered zero-sum Markov game in `from_dict` form whose states draw
+    their action counts from a few shapes, so one layer holds several shape
+    groups."""
+    rng = np.random.default_rng(seed)
+    shapes = [(2, 2), (3, 2), (2, 3), (1, 3)]
+    starts = np.cumsum((0,) + layer_sizes)
+    n = int(starts[-1])
+    counts = [shapes[int(rng.integers(len(shapes)))] for _ in range(n)]
+    transitions, rewards = [], []
+    for li, size in enumerate(layer_sizes):
+        nxt = list(range(starts[li + 1], starts[li + 2])) \
+            if li + 1 < len(layer_sizes) else [TERMINAL]
+        for s in range(starts[li], starts[li] + size):
+            trans, rew = {}, {}
+            for a in np.ndindex(*counts[s]):
+                key = str(list(a))
+                w = rng.uniform(0.05, 1.0, size=len(nxt))
+                trans[key] = [[s2, float(p)] for s2, p in zip(nxt, w / w.sum())]
+                x = float(rng.uniform(-1.0, 1.0))
+                rew[key] = [x, -x]
+            transitions.append(trans)
+            rewards.append(rew)
+    return TabularMarkovGame.from_dict({
+        "players": 2, "states": n, "action_counts": [list(c) for c in counts],
+        "transitions": transitions, "rewards": rewards,
+        "gamma": float(rng.uniform(0.8, 1.0)), "horizon": len(layer_sizes),
+        "zero_sum": True, "payoff_bound": 1.0,
+    })
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_layer_batched_backward_matches_per_state_reference(seed):
+    game = ragged_markov(seed)
+    rng = np.random.default_rng(100 + seed)
+    anchors = {(s, i): rng.dirichlet(np.ones(game.action_counts[s][i]))
+               for s in range(game.state_count) for i in range(2)}
+    lambdas = (float(rng.choice([0.1, 0.5, 1.0])), float(rng.choice([0.1, 0.5])))
+    values, profiles = solve_markov_backward(game, anchors, lambdas)
+    ref_values, ref_profiles = reference_backward(game, anchors, lambdas)
+    assert list(values) == list(ref_values) == reference_order(game)
+    assert list(profiles) == list(ref_profiles)
+    for s in values:
+        assert np.array_equal(values[s], ref_values[s])
+        assert_same_profile(profiles[s], ref_profiles[s])
+
+
+def test_backward_induction_calls_kernel_once_per_layer_and_shape(monkeypatch):
+    game = make_random_markov(seed=5, state_count=40, player_count=2,
+                              actions_per_player=3, horizon=4, gamma=1.0,
+                              zero_sum=True)
+    calls = []
+    kernel = oracle._damped_equilibria
+
+    def counting(payoffs, *args, **kwargs):
+        calls.append(len(payoffs[0]))
+        return kernel(payoffs, *args, **kwargs)
+
+    monkeypatch.setattr(oracle, "_damped_equilibria", counting)
+    values, _ = solve_markov_backward(game, uniform_anchors(game), (0.5, 0.5))
+    layers = oracle._layers(game)
+    assert len(values) == 40
+    assert calls == [len(layer) for layer in layers]      # one shape per layer
+    assert len(calls) == 4
+
+
+def test_backward_induction_calls_kernel_once_per_shape_group(monkeypatch):
+    game = ragged_markov(0)
+    calls = []
+    kernel = oracle._damped_equilibria
+
+    def counting(payoffs, *args, **kwargs):
+        calls.append(payoffs[0].shape)
+        return kernel(payoffs, *args, **kwargs)
+
+    monkeypatch.setattr(oracle, "_damped_equilibria", counting)
+    solve_markov_backward(game, uniform_anchors(game), (0.5, 0.5))
+    layers = oracle._layers(game)
+    expected = []
+    for layer in layers:
+        shapes = list(dict.fromkeys(game.action_counts[s] for s in layer))
+        expected += [(sum(game.action_counts[s] == a for s in layer), *a)
+                     for a in shapes]
+    assert calls == expected
+    assert len(calls) > len(layers)          # some layer holds several shapes
+
+
+# ---------------------------------------------------------- non-finite targets
+
+NAN_WARNINGS = pytest.mark.filterwarnings(
+    "ignore:overflow encountered:RuntimeWarning",
+    "ignore:invalid value encountered:RuntimeWarning")
+
+
+@NAN_WARNINGS
+def test_nan_target_is_not_convergence():
+    """u / lambda overflows at lambda = 1e-320, so every smooth best response
+    is NaN: the solve stops at that sweep, unconverged."""
+    game = make_builtin_game("random_zero_sum", {"seed": 3})
+    types = (TypeDistribution.singleton(1e-320),) * 2
+    profile = solve_regularized_bne(game, [uniform_policy(3)] * 2, types)
+    assert not profile.converged
+    assert profile.iterations == 1
+    assert np.isnan(profile.residual)
+
+
+def test_nan_state_leaves_batch_alone():
+    """A NaN game in a batch stops unconverged; the others are unaffected."""
+    games = [make_builtin_game("random_zero_sum", {"seed": s}) for s in (3, 4)]
+    anchors = [np.stack([uniform_policy(3)] * 2) for _ in range(2)]
+    payoffs = [np.stack([g.payoffs[i] for g in games]) for i in range(2)]
+    payoffs[0][1, 0, 0] = np.nan
+    types = (TypeDistribution.singleton(0.5),) * 2
+    first, second = oracle._damped_equilibria(payoffs, anchors, types)
+    assert_same_profile(first, reference_bne(games[0], [uniform_policy(3)] * 2,
+                                             types))
+    assert not second.converged and second.iterations == 1
+    assert np.isnan(second.residual)
+
+
+@NAN_WARNINGS
+def test_run_oracle_nan_target_exits_3(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "kind": "oracle",
+        "game": {"builtin": "random_zero_sum", "params": {"seed": 3}},
+        "oracle": {"types": [1e-320]}}))
+    assert main(["validate", str(path)]) == 0
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+    assert "residual nan" in capsys.readouterr().err
+
+
+# -------------------------------------------------------------- golden digests
+
+# sha256 of oracle.json, taken from the per-state loop the kernel replaced.
+ORACLE_GOLDEN = {
+    "markov-40": (
+        {"random_markov": {"seed": 11, "states": 40, "actions": 3,
+                           "horizon": 4, "zero_sum": True}},
+        {"lambdas": [0.5, 0.5]},
+        "4edc689ce6d9663489f19f5f57f01575abf7793639cdd9eff71c6464b75ceffe"),
+    "random-zero-sum-3-types": (
+        {"builtin": "random_zero_sum", "params": {"seed": 5, "actions": [3, 4]}},
+        {"types": [0.05, 0.2, 1.0], "anchors": [[0.5, 0.3, 0.2], None]},
+        "dde906779b92fc10585c121fd199f803b006adbc8f3152c3fb4148a9f8961ae2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_GOLDEN))
+def test_run_oracle_golden_digest(tmp_path, capsys, name):
+    game, ocfg, digest = ORACLE_GOLDEN[name]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"kind": "oracle", "seed": 1, "game": game,
+                                "oracle": ocfg}))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    data = (tmp_path / "out" / "oracle.json").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest

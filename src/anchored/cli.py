@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 validation error, 3 numerical failure, 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -238,9 +239,8 @@ def load_solve(config: dict, game):
     return learners, types, schedule, mode, iterations
 
 
-def run_solve(config: dict, seed: int, out: Path) -> list[Path]:
-    game = load_game(config["game"])
-    learners, types, schedule, mode, iterations = load_solve(config, game)
+def run_solve(game, loaded, seed: int, out: Path) -> list[Path]:
+    learners, types, schedule, mode, iterations = loaded
     rng = _sub_rng(seed, 0)
     trace = run_selfplay(game, learners, iterations, mode=mode,
                          rng=rng if mode == "sampled" else None)
@@ -286,9 +286,8 @@ def load_oracle(config: dict, game):
     return types, anchors, tol
 
 
-def run_oracle(config: dict, seed: int, out: Path) -> list[Path]:
-    game = load_game(config["game"])
-    types, anchors, tol = load_oracle(config, game)
+def run_oracle(game, loaded, seed: int, out: Path) -> list[Path]:
+    types, anchors, tol = loaded
     if isinstance(game, G.TabularMarkovGame):
         values, profiles = solve_markov_backward(game, anchors, types, tol=tol)
         doc = {
@@ -309,8 +308,8 @@ def run_oracle(config: dict, seed: int, out: Path) -> list[Path]:
     return [path]
 
 
-def load_train_config(config: dict, game, seed: int = 0) -> RL.TrainConfig:
-    """The rl section of a config as a `TrainConfig`."""
+def load_train_config(config: dict, game) -> RL.TrainConfig:
+    """The rl section of a config as a `TrainConfig` with seed 0."""
     _require(isinstance(game, G.TabularMarkovGame), "rl: needs a Markov game")
     rcfg = dict(config.get("rl", {}))
     preset = rcfg.pop("preset", None)
@@ -331,14 +330,12 @@ def load_train_config(config: dict, game, seed: int = 0) -> RL.TrainConfig:
             alpha_harmonic=bool(rcfg.get("alpha_harmonic", False)),
             top_k=rcfg.get("top_k"),
             mode=rcfg.get("mode", "standard"),
-            seed=seed,
             checkpoint_every=int(rcfg.get("checkpoint_every", 100)),
         )
 
 
-def run_rl(config: dict, seed: int, out: Path) -> list[Path]:
-    game = load_game(config["game"])
-    tcfg = load_train_config(config, game, seed)
+def run_rl(game, loaded, seed: int, out: Path) -> list[Path]:
+    tcfg = dataclasses.replace(loaded, seed=seed)
     anchors = uniform_anchors(game)
     oracle_values = None
     oracle_profiles = None
@@ -369,19 +366,22 @@ def run_rl(config: dict, seed: int, out: Path) -> list[Path]:
 
 
 def load_rate(config: dict):
-    """The rate section as (games CSV, which must exist, sigma_prior, c)."""
+    """The rate section as (games read from the CSV, sigma_prior, c)."""
     rcfg = config.get("rate", {})
     path = rcfg.get("games_csv")
     _require(path is not None, "rate.games_csv: required")
     _require(Path(path).exists(), f"rate.games_csv: {path} does not exist")
-    return (path, _positive("rate.sigma_prior", rcfg.get("sigma_prior", 350.0)),
-            _positive("rate.c", rcfg.get("c", R.ELO_SCALE)))
+    sigma_prior = _positive("rate.sigma_prior", rcfg.get("sigma_prior", 350.0))
+    c = _positive("rate.c", rcfg.get("c", R.ELO_SCALE))
+    with _config_errors(f"rate.games_csv: {path}"):
+        games = R.read_game_records(path)
+        R.seat_count(games)
+    return games, sigma_prior, c
 
 
-def run_rate(config: dict, seed: int, out: Path) -> list[Path]:
-    path, sigma_prior, c = load_rate(config)
-    model = R.fit_ratings(R.read_game_records(path), sigma_prior=sigma_prior,
-                          c=c)
+def run_rate(game, loaded, seed: int, out: Path) -> list[Path]:
+    games, sigma_prior, c = loaded
+    model = R.fit_ratings(games, sigma_prior=sigma_prior, c=c)
     out_path = out / "ratings.json"
     out_path.write_text(dumps_json(model.to_dict(), indent=2) + "\n")
     return [out_path]
@@ -390,6 +390,10 @@ def run_rate(config: dict, seed: int, out: Path) -> list[Path]:
 def _load_agent(spec: dict, game) -> PE.AgentSpec:
     _require("id" in spec, "agent: id required")
     kind = spec.get("kind", "fixed")
+    _require(isinstance(game, G.NormalFormGame)
+             or (kind == "fixed" and "policies" in spec),
+             f"agent {spec['id']!r}: a Markov game needs a fixed agent with "
+             "explicit policies")
     if kind == "fixed":
         pols = spec.get("policies")
         if pols is None:
@@ -424,13 +428,15 @@ def load_popeval(config: dict, game):
              "popeval.baselines: non-empty list required")
     candidate = _load_agent(pcfg["candidate"], game)
     baselines = [_load_agent(b, game) for b in pcfg["baselines"]]
-    return candidate, baselines, _integer("popeval.games",
-                                          pcfg.get("games", 1000), 1)
+    n_games = _integer("popeval.games", pcfg.get("games", 1000), 1)
+    _require(not isinstance(game, G.NormalFormGame)
+             or all(u.min() >= 0 for u in game.payoffs),
+             "popeval: sum-of-squares scoring needs nonnegative payoffs")
+    return candidate, baselines, n_games
 
 
-def run_popeval(config: dict, seed: int, out: Path) -> list[Path]:
-    game = load_game(config["game"])
-    candidate, baselines, n_games = load_popeval(config, game)
+def run_popeval(game, loaded, seed: int, out: Path) -> list[Path]:
+    candidate, baselines, n_games = loaded
     report = PE.run_population_eval(candidate, baselines, game, n_games,
                                     _sub_rng(seed, 1))
     json_path = out / "popeval_report.json"
@@ -440,8 +446,8 @@ def run_popeval(config: dict, seed: int, out: Path) -> list[Path]:
     return [json_path, csv_path]
 
 
-#: What each kind's runner builds from the config before it starts; validating
-#: a config builds the same.
+#: What each kind's runner starts from besides the game, built from the
+#: config by `validate_config`.
 LOADERS = {
     "solve": load_solve,
     "oracle": load_oracle,
@@ -458,7 +464,9 @@ KINDS = {
 }
 
 
-def validate_config(config: dict) -> None:
+def validate_config(config: dict) -> tuple:
+    """Check a config and build what its kind's runner starts from: the game
+    (None for `rate`) and what the kind's loader returns."""
     _require(isinstance(config, dict), "config: must be a JSON object")
     kind = config.get("kind")
     _require(kind in KINDS, f"kind: must be one of {sorted(KINDS)}, got {kind!r}")
@@ -468,10 +476,10 @@ def validate_config(config: dict) -> None:
     if "iterations" in config:
         _integer("iterations", config["iterations"], 1)
     if kind == "rate":
-        load_rate(config)
-        return
+        return None, load_rate(config)
     _require("game" in config, "game: required")
-    LOADERS[kind](config, load_game(config["game"]))
+    game = load_game(config["game"])
+    return game, LOADERS[kind](config, game)
 
 
 def sha256_file(path: Path) -> str:
@@ -483,11 +491,11 @@ def sha256_file(path: Path) -> str:
 def run_experiment(config: dict, seed: int | None = None,
                    out: Path | str | None = None) -> dict:
     """Execute a validated config and return the artifact manifest."""
-    validate_config(config)
+    game, loaded = validate_config(config)
     seed = config.get("seed", 0) if seed is None else seed
     out = Path(out if out is not None else config.get("out", "out"))
     out.mkdir(parents=True, exist_ok=True)
-    files = KINDS[config["kind"]](config, seed, out)
+    files = KINDS[config["kind"]](game, loaded, seed, out)
     manifest = {
         "kind": config["kind"],
         "seed": seed,
@@ -537,15 +545,11 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as exc:
         print(f"validation error: config is not valid JSON: {exc}", file=sys.stderr)
         return 2
-    if args.command == "validate":
-        try:
-            validate_config(config)
-        except ConfigError as exc:
-            print(f"validation error: {exc}", file=sys.stderr)
-            return 2
-        print("ok")
-        return 0
     try:
+        if args.command == "validate":
+            validate_config(config)
+            print("ok")
+            return 0
         manifest = run_experiment(config, seed=args.seed, out=args.out)
     except ConfigError as exc:
         print(f"validation error: {exc}", file=sys.stderr)

@@ -28,10 +28,14 @@ class GameRecord:
     def __post_init__(self):
         if len(self.seats) != len(self.shares) or not self.seats:
             raise ValueError("seats and shares must be non-empty and equal length")
-        sh = np.asarray(self.shares, dtype=float)
-        if np.any(sh < 0) or abs(sh.sum() - 1.0) > 1e-9:
+        shares = tuple(float(x) for x in self.shares)
+        total = 0.0
+        for x in shares:    # in order, as numpy sums up to 7 seats
+            total += x
+        # False for a NaN or infinite share.
+        if not (min(shares) >= 0 and abs(total - 1.0) <= 1e-9):
             raise ValueError("shares must be nonnegative and sum to 1")
-        object.__setattr__(self, "shares", tuple(float(x) for x in sh))
+        object.__setattr__(self, "shares", shares)
 
 
 @dataclass
@@ -87,7 +91,17 @@ def log_posterior(model: RatingModel, games) -> float:
     return total
 
 
-def _pack(games, n_seats: int):
+def seat_count(games) -> int:
+    """The seat count that every game in `games` shares."""
+    if not games:
+        raise ValueError("no games")
+    n_seats = len(games[0].seats)
+    if any(len(g.seats) != n_seats for g in games):
+        raise ValueError("all games must have the same seat count")
+    return n_seats
+
+
+def _pack(games):
     players = sorted({p for g in games for p in g.seats})
     index = {p: i for i, p in enumerate(players)}
     seat_idx = np.array([[index[p] for p in g.seats] for g in games])
@@ -105,19 +119,14 @@ def fit_ratings(games, sigma_prior: float = 350.0, c: float = ELO_SCALE,
     Deterministic: zero initialization and a deterministic line search.
     """
     games = list(games)
-    if not games:
-        raise ValueError("no games")
-    n_seats = len(games[0].seats)
-    if any(len(g.seats) != n_seats for g in games):
-        raise ValueError("all games must have the same seat count")
-    players, seat_idx, obs = _pack(games, n_seats)
+    n_seats = seat_count(games)
+    players, seat_idx, obs = _pack(games)
     n_players = len(players)
     prior_precision = (c / sigma_prior) ** 2
     n_params = n_players + n_seats   # x = (rho, beta): ratings / c, biases / c
-
-    # Column index of each (game, seat) cell within x, for scatter-adds.
-    rho_cols = seat_idx
-    beta_cols = np.arange(n_seats)[None, :] + n_players
+    # Flat rating-block cell of each (game, seat, seat) entry.
+    cells = (seat_idx[:, :, None] * n_players + seat_idx[:, None, :]).ravel()
+    diag = np.arange(n_seats)
 
     def evaluate(x):
         rho, beta = x[:n_players], x[n_players:]
@@ -128,30 +137,43 @@ def fit_ratings(games, sigma_prior: float = 350.0, c: float = ELO_SCALE,
         obj = float(np.sum(obs * np.log(p))) - 0.5 * prior_precision * float(rho @ rho)
         resid = obs - p
         grad = np.zeros(n_params)
-        np.add.at(grad, rho_cols, resid)
+        np.add.at(grad, seat_idx, resid)
         grad[n_players:] += resid.sum(axis=0)
         grad[:n_players] -= prior_precision * rho
         grad[n_players:] -= grad[n_players:].mean()  # sum-zero constraint
-        # Negated Hessian of the log-posterior: per game diag(p) - p p^T on
-        # the seat cells, scattered to parameters, plus the prior block.
+        return obj, p, grad
+
+    def hessian(p):
+        """Negated Hessian of the log-posterior: per game diag(p) - p p^T on
+        the seat cells, scattered to parameters, plus the prior block.  The
+        scatters add the games in order, as a per-game loop does; a matmul or
+        a pairwise sum over games would round differently."""
+        m = p[:, :, None] * p[:, None, :]
+        np.negative(m, out=m)
+        m[:, diag, diag] += p
         hess = np.zeros((n_params, n_params))
-        for g in range(p.shape[0]):
-            cols = np.concatenate([rho_cols[g], beta_cols[0]])
-            m = np.diag(p[g]) - np.outer(p[g], p[g])
-            np.add.at(hess, (cols[:, None], cols[None, :]), np.tile(m, (2, 2)))
+        hess[:n_players, :n_players] = np.bincount(
+            cells, m.ravel(), minlength=n_players * n_players
+        ).reshape(n_players, n_players)
+        for t in range(n_seats):
+            hess[:n_players, n_players + t] = np.bincount(
+                seat_idx.ravel(), m[:, :, t].ravel(), minlength=n_players)
+        hess[n_players:, :n_players] = hess[:n_players, n_players:].T
+        hess[n_players:, n_players:] = np.add.reduce(m, axis=0)
         hess[:n_players, :n_players] += prior_precision * np.eye(n_players)
-        return obj, p, grad, hess
+        return hess
 
     def max_norm(grad):
         return float(np.max(np.abs(grad)))
 
     x = np.zeros(n_params)
-    obj, p, grad, hess = evaluate(x)
+    obj, p, grad = evaluate(x)
     history = [obj]
     for _ in range(max_iters):
         gnorm = max_norm(grad)
         if gnorm < tol:
             break
+        hess = hessian(p)
         # Newton direction; the tiny ridge covers the bias-sum nullspace.
         ridge = 1e-10 * (1.0 + np.trace(hess) / n_params)
         direction = np.linalg.solve(hess + ridge * np.eye(n_params), grad)
@@ -160,7 +182,7 @@ def fit_ratings(games, sigma_prior: float = 350.0, c: float = ELO_SCALE,
         while True:
             x_new = x + step * direction
             x_new[n_players:] -= x_new[n_players:].mean()
-            obj_new, p_new, grad_new, hess_new = evaluate(x_new)
+            obj_new, p_new, grad_new = evaluate(x_new)
             # Accept a strict ascent step; once the objective saturates in
             # float precision, accept non-worsening steps that still shrink
             # the gradient so the iterate keeps contracting to stationarity.
@@ -170,7 +192,7 @@ def fit_ratings(games, sigma_prior: float = 350.0, c: float = ELO_SCALE,
             step *= 0.5
             if step < 1e-18:
                 raise RuntimeError(f"line search failed; gradient norm {gnorm}")
-        x, obj, p, grad, hess = x_new, obj_new, p_new, grad_new, hess_new
+        x, obj, p, grad = x_new, obj_new, p_new, grad_new
         history.append(obj)
     else:
         raise RuntimeError(f"no convergence after {max_iters} iterations; "
@@ -187,17 +209,24 @@ def fit_ratings(games, sigma_prior: float = 350.0, c: float = ELO_SCALE,
 
 
 def read_game_records(path) -> list[GameRecord]:
-    """Ingest games from CSV columns: game_id, seat_index, player_id, score_share."""
+    """Ingest games from CSV columns game_id, seat_index, player_id and
+    score_share, found by header name; blank lines are skipped.  Games come
+    sorted by id, each game's seats by (seat_index, player_id, share)."""
     rows: dict = {}
     with open(path, newline="") as fh:
-        for rec in csv.DictReader(fh):
-            rows.setdefault(rec["game_id"], []).append(
-                (int(rec["seat_index"]), rec["player_id"], float(rec["score_share"])))
+        reader = csv.reader(fh)
+        try:
+            header = {name: i for i, name in enumerate(next(reader, []))}
+            gi, si, pi, ci = (header[name] for name in ("game_id", "seat_index",
+                                                        "player_id", "score_share"))
+            for row in reader:
+                if row:
+                    rows.setdefault(row[gi], []).append(
+                        (int(row[si]), row[pi], float(row[ci])))
+        except (csv.Error, IndexError) as exc:    # IndexError: a short row
+            raise ValueError(f"line {reader.line_num}: {exc}") from exc
     games = []
-    for gid in sorted(rows):
-        entries = sorted(rows[gid])
-        games.append(GameRecord(
-            seats=tuple(p for _, p, _ in entries),
-            shares=tuple(s for _, _, s in entries),
-        ))
+    for game_id in sorted(rows):
+        _, seats, shares = zip(*sorted(rows[game_id]))
+        games.append(GameRecord(seats=seats, shares=shares))
     return games

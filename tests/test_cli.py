@@ -385,6 +385,8 @@ RUN_REJECTS = {
         "kind": "oracle", "seed": 1,
         "game": {"random_markov": {"seed": 1, "states": 3, "horizon": 2,
                                    "zero_sum": True, "payoff_bound": "nan"}}},
+    # matching_pennies: sum-of-squares scoring needs nonnegative payoffs.
+    "popeval negative payoffs": _popeval_config({"id": "cand"}),
 }
 
 
@@ -434,3 +436,79 @@ def test_rate_sigma_prior_is_honoured(tmp_path):
     b = run_experiment(_rate_config(tmp_path, sigma_prior="100"), out=tmp_path / "b")
     c = run_experiment(_rate_config(tmp_path), out=tmp_path / "c")
     assert a["artifacts"] == b["artifacts"] != c["artifacts"]
+
+
+def test_rl_seed_reaches_training(tmp_path):
+    a = run_experiment(rl_config(), seed=4, out=tmp_path / "a")
+    b = run_experiment({**rl_config(), "seed": 4}, out=tmp_path / "b")
+    c = run_experiment(rl_config(), out=tmp_path / "c")
+    assert a["artifacts"] == b["artifacts"] != c["artifacts"]
+
+
+def test_run_builds_the_game_and_reads_the_games_once(tmp_path, monkeypatch):
+    import anchored.cli as cli
+    from anchored import rating
+
+    calls = []
+    for module, name in ((cli, "load_game"), (rating, "read_game_records")):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
+    run_experiment(rl_config(), out=tmp_path / "rl")
+    run_experiment(_rate_config(tmp_path), out=tmp_path / "rate")
+    assert calls == ["load_game", "read_game_records"]
+
+
+GAMES_CSV_HEADER = "game_id,seat_index,player_id,score_share\n"
+
+# Games CSVs that `validate` accepted and `run` failed on with a traceback
+# (exit 1) or a failed line search (exit 3).
+MALFORMED_GAMES_CSV = {
+    "short row": GAMES_CSV_HEADER + "g0,0,a,0.5\ng0,1,b\n",
+    "shares sum to 1.4": GAMES_CSV_HEADER + "g0,0,a,0.7\ng0,1,b,0.7\n",
+    "no game_id column": "seat_index,player_id,score_share\n0,a,0.5\n1,b,0.5\n",
+    "mixed seat counts": GAMES_CSV_HEADER + "g0,0,a,0.5\ng0,1,b,0.5\n"
+                         "g1,0,a,0.4\ng1,1,b,0.3\ng1,2,c,0.3\n",
+    "header only": GAMES_CSV_HEADER,
+    "nan share": GAMES_CSV_HEADER + "g0,0,a,nan\ng0,1,b,0.5\n",
+    "unclosed quote": GAMES_CSV_HEADER + 'g0,0,"a' + "x" * 200000 + "\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_GAMES_CSV))
+def test_malformed_games_csv_exits_2(tmp_path, capsys, name):
+    games_csv = tmp_path / "games.csv"
+    games_csv.write_text(MALFORMED_GAMES_CSV[name])
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"kind": "rate",
+                                "rate": {"games_csv": str(games_csv)}}))
+    assert main(["validate", str(path)]) == 2
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.count(
+        "validation error: rate.games_csv") == 2
+
+
+def test_unreadable_games_csv_exits_4(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"kind": "rate",
+                                "rate": {"games_csv": str(tmp_path)}}))
+    assert main(["validate", str(path)]) == 4
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 4
+    assert capsys.readouterr().err.count("I/O error") == 2
+
+
+@pytest.mark.parametrize("agent", [{"id": "cand"}, {"id": "cand", "kind": "fixed"},
+                                   {"id": "cand", "kind": "search",
+                                    "anchors": [[0.5, 0.5], [0.5, 0.5]]}])
+def test_popeval_markov_needs_fixed_policies(tmp_path, capsys, agent):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "kind": "popeval", "seed": 1,
+        "game": {"random_markov": {"seed": 1, "states": 3, "horizon": 2}},
+        "popeval": {"candidate": agent, "baselines": [{"id": "base"}],
+                    "games": 10}}))
+    assert main(["validate", str(path)]) == 2
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.count(
+        "validation error: agent 'cand': a Markov game needs a fixed agent") == 2
+

@@ -56,7 +56,8 @@ def format_float(x: float) -> str:
 
 
 def dumps_json(obj, indent: int | None = None, _level: int = 0) -> str:
-    """JSON with floats at 17 significant digits and stable field order."""
+    """JSON with floats at 17 significant digits and stable field order.
+    A NaN raises `FloatingPointError`: no artifact carries one."""
     pad = "" if indent is None else "\n" + " " * indent * (_level + 1)
     end = "" if indent is None else "\n" + " " * indent * _level
     if isinstance(obj, dict):
@@ -71,16 +72,10 @@ def dumps_json(obj, indent: int | None = None, _level: int = 0) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
+        if math.isnan(obj):
+            raise FloatingPointError("NaN in an artifact")
         return format_float(float(obj))
     return json.dumps(obj)
-
-
-def parse_lambda(x) -> float:
-    if isinstance(x, str):
-        if x in ("inf", "Infinity", "+inf"):
-            return INF
-        return float(x)
-    return float(x)
 
 
 def _require(cond, message):
@@ -99,115 +94,148 @@ def _config_errors(section: str):
         raise ConfigError(f"{section}: {exc!r}") from exc
 
 
-def _positive(name: str, value) -> float:
-    """`value` as a finite float > 0."""
-    with _config_errors(name):
-        x = float(value)
-    _require(math.isfinite(x) and x > 0, f"{name}: must be a finite number > 0")
-    return x
+def _nested(value):
+    """A nested object or list, read by its loader."""
+    return value
 
 
-def _integer(name: str, value, low: int) -> int:
-    """`value` as an int >= `low`."""
-    with _config_errors(name):
-        n = int(value)
-    _require(n >= low, f"{name}: must be >= {low}")
-    return n
+def _parser(convert, ok, must: str):
+    """Parse with `convert`, then reject unless `ok`; a bool is never a number."""
+    def parse(value):
+        if convert is float and isinstance(value, bool):
+            raise TypeError(f"must be a number, got {value!r}")
+        x = convert(value)
+        if not ok(x):
+            raise ValueError(f"{must}, got {value!r}")
+        return x
+    return parse
 
 
-def load_game(spec: dict):
-    _require(isinstance(spec, dict), "game: must be an object")
-    with _config_errors("game"):
-        if "builtin" in spec:
-            name = spec["builtin"]
-            _require(name in BUILTIN_GAMES, f"game.builtin: unknown game {name!r}")
-            return G.make_builtin_game(name, spec.get("params", {}))
-        if "file" in spec:
-            path = Path(spec["file"])
-            _require(path.exists(), f"game.file: {path} does not exist")
-            d = json.loads(path.read_text())
-            if "states" in d:
-                return G.TabularMarkovGame.from_dict(d)
-            return G.NormalFormGame.from_dict(d)
-        if "random_markov" in spec:
-            p = spec["random_markov"]
-            return G.make_random_markov(
-                seed=int(p["seed"]), state_count=int(p["states"]),
-                player_count=int(p.get("players", 2)),
-                actions_per_player=int(p.get("actions", 2)),
-                horizon=int(p["horizon"]), gamma=float(p.get("gamma", 1.0)),
-                zero_sum=bool(p.get("zero_sum", False)),
-                payoff_bound=float(p.get("payoff_bound", 1.0)),
-            )
-    raise ConfigError("game: needs one of builtin / file / random_markov")
+_number = _parser(float, math.isfinite, "must be a finite number")
+_positive = _parser(float, lambda x: math.isfinite(x) and x > 0, "must be finite and > 0")
+#: A regularization strength: a number >= 0, "inf" for lambda = inf.
+parse_lambda = _parser(float, lambda x: x >= 0, "must be a number >= 0")
+_flag = _parser(_nested, lambda x: isinstance(x, bool), "must be true or false")
+_text = _parser(_nested, lambda x: isinstance(x, str), "must be a string")
 
 
-def load_schedule(spec: dict | None) -> TemperatureSchedule:
-    spec = spec or {"mode": "adaptive_std", "kappa_floor": 1e-6}
-    mode = spec.get("mode", "adaptive_std")
-    _require(mode in ("constant_eta", "inverse_sqrt", "adaptive_std"),
-             f"schedule.mode: unknown mode {mode!r}")
-    eta = spec.get("eta")
-    with _config_errors("schedule"):
-        return TemperatureSchedule(
-            mode=mode,
-            eta=None if eta is None else parse_lambda(eta),
-            kappa_floor=float(spec.get("kappa_floor",
-                                       1e-6 if mode == "adaptive_std" else 0.0)),
-        )
+def _integer(low: int, high: float = math.inf):
+    """An exact integer in [low, high]; an integer string is read as one."""
+    return _parser(lambda x: int(x) if isinstance(x, str) else x,
+                   lambda n: type(n) is int and low <= n <= high,
+                   f"must be an integer in [{low}, {high}]")
+
+
+def _one_of(options):
+    return _parser(_nested, lambda x: x in options, f"must be one of {list(options)}")
+
+
+def _list_of(parse):
+    return _parser(lambda x: [parse(v) for v in x] if isinstance(x, list) else None,
+                   lambda x: x is not None, "must be a list")
+
+
+def _section(spec, name: str, required=(), table: dict | None = None) -> dict:
+    """The keys `spec` gives, each parsed by its parser in `table` (by
+    default `SCHEMA[name]`).  A key not in the table, a value its parser
+    rejects, or a missing `required` key is a `ConfigError` naming `name.key`."""
+    table = SCHEMA[name] if table is None else table
+    prefix = f"{name}." if name else ""
+    _require(isinstance(spec, dict), f"{name or 'config'}: must be a JSON object")
+    given = {}
+    for key, value in spec.items():
+        _require(key in table, f"{prefix}{key}: unknown key")
+        with _config_errors(prefix + key):
+            given[key] = table[key](value)
+    for key in required:
+        _require(key in given, f"{prefix}{key}: required")
+    return given
 
 
 def load_types(spec) -> TypeDistribution:
-    if isinstance(spec, dict) and "preset" in spec:
-        preset = AGENT_PRESETS.get(spec["preset"])
-        _require(preset is not None and "lambdas" in preset,
-                 f"types.preset: {spec['preset']!r} has no type distribution")
-        spec = preset["lambdas"]
-    _require(isinstance(spec, (list, tuple)) and spec, "types: non-empty list required")
-    with _config_errors("types"):
-        return TypeDistribution.uniform([parse_lambda(l) for l in spec])
+    """A list of lambdas, or `{"preset": name}` of an agent preset with one."""
+    if isinstance(spec, dict):
+        spec = AGENT_PRESETS[_section(spec, "types", ("preset",))["preset"]]["lambdas"]
+    lambdas = _list_of(parse_lambda)(spec)
+    _require(lambdas, "types: non-empty list required")
+    return TypeDistribution.uniform(lambdas)
 
 
-def emit_trace(trace: Trace, fmt: str, path: Path) -> None:
-    """Write a trace as JSON-lines or CSV with identical numeric content."""
-    if fmt == "jsonl":
-        with open(path, "w") as fh:
-            for rec in trace.records():
-                fh.write(dumps_json(rec) + "\n")
-        return
-    if fmt == "csv":
-        import csv as _csv
-        with open(path, "w", newline="") as fh:
-            w = _csv.writer(fh)
-            header = ["t"]
-            for i in range(trace.n_players):
-                header += [f"kappa_{i}", f"sampled_lambda_{i}", f"action_{i}",
-                           f"utility_{i}"]
-            w.writerow(header)
-            for rec in trace.records():
-                row = [rec["t"]]
-                for i, p in enumerate(rec["per_player"]):
-                    lam = p["sampled_lambda"]
-                    row += [
-                        format(rec["kappa"][i], ".17g"),
-                        "" if lam is None else ("inf" if lam == INF
-                                                else format(lam, ".17g")),
-                        "" if p["action"] is None else p["action"],
-                        format(rec["utilities"][i], ".17g"),
-                    ]
-                w.writerow(row)
-        return
-    raise ConfigError(f"unknown trace format {fmt!r}")
+def _schedule(spec) -> TemperatureSchedule:
+    given = _section(spec, "learner.schedule")
+    mode = given.setdefault("mode", "adaptive_std")
+    _require("eta" not in given or mode == "constant_eta",
+             "learner.schedule.eta: only the constant_eta mode takes eta")
+    given.setdefault("kappa_floor", 1e-6 if mode == "adaptive_std" else 0.0)
+    return TemperatureSchedule(**given)
+
+
+def _game_file(path) -> G.NormalFormGame | G.TabularMarkovGame:
+    _require(Path(_text(path)).exists(), f"game.file: {path} does not exist")
+    d = json.loads(Path(path).read_text())
+    return (G.TabularMarkovGame if "states" in d else G.NormalFormGame).from_dict(d)
+
+
+def _random_markov(spec) -> G.TabularMarkovGame:
+    p = _section(spec, "game.random_markov", ("seed", "states", "horizon"))
+    return G.make_random_markov(
+        seed=p["seed"], state_count=p["states"], player_count=p.get("players", 2),
+        actions_per_player=p.get("actions", 2), horizon=p["horizon"],
+        gamma=p.get("gamma", 1.0), zero_sum=p.get("zero_sum", False),
+        payoff_bound=p.get("payoff_bound", 1.0))
+
+
+def _games_csv(path) -> list:
+    _require(Path(_text(path)).exists(), f"rate.games_csv: {path} does not exist")
+    games = R.read_game_records(path)
+    R.seat_count(games)
+    return games
+
+
+def _seat_vectors(spec, name: str, game, policy: bool) -> tuple:
+    """`spec` as one float vector per seat, as long as the seat's action count
+    in every state; a null vector, or a null `spec`, is uniform.  A `policy`
+    must be a probability vector; an anchor needs only positive mass."""
+    states = ([game.action_counts] if isinstance(game, G.NormalFormGame)
+              else game.action_counts)
+    spec = [None] * game.player_count if spec is None else spec
+    with _config_errors(name):
+        _require(isinstance(spec, list) and len(spec) == game.player_count,
+                 f"{name}: need one vector per seat")
+        vectors = tuple(G.uniform_policy(states[0][i]) if v is None
+                        else np.array(v, dtype=float) for i, v in enumerate(spec))
+        for i, v in enumerate(vectors):
+            _require(all(v.shape == (counts[i],) for counts in states),
+                     f"{name}[{i}]: need one entry per action")
+            G.make_anchor(v)
+            _require(not policy or abs(v.sum() - 1.0) <= 1e-8,
+                     f"{name}[{i}]: must be a probability vector")
+    return vectors
+
+
+def load_game(spec: dict):
+    given = _section(spec, "game")
+    sources = given.keys() & {"builtin", "file", "random_markov"}
+    _require(len(sources) == 1,
+             "game: needs exactly one of builtin / file / random_markov")
+    _require("params" not in given or given.get("builtin", "").startswith("random_"),
+             "game.params: only a random builtin game takes params")
+    if "builtin" not in given:
+        return given[sources.pop()]
+    with _config_errors("game"):
+        return G.make_builtin_game(given["builtin"], given.get("params"))
+
+
+def emit_trace(trace: Trace, path: Path) -> None:
+    """Write a trace as JSON lines, one record per step."""
+    with open(path, "w") as fh:
+        for rec in trace.records():
+            fh.write(dumps_json(rec) + "\n")
 
 
 def read_trace_jsonl(path: Path, type_supports) -> Trace:
-    def fix(rec):
-        for p in rec["per_player"]:
-            if p["sampled_lambda"] == "inf":
-                p["sampled_lambda"] = INF
-        return rec
-
-    records = [fix(json.loads(line)) for line in path.read_text().splitlines() if line]
+    """A trace `emit_trace` wrote; its float columns read "inf" as inf."""
+    records = [json.loads(line) for line in path.read_text().splitlines() if line]
     return Trace.from_records(records, type_supports)
 
 
@@ -215,28 +243,19 @@ def _sub_rng(seed: int, *key) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
-def load_solve(config: dict, game):
-    """The learner section of a solve config as (learners, types, schedule,
-    mode, iterations)."""
+def load_solve(spec: dict, game):
+    """The learner section as (learners, types, schedule, mode, iterations)."""
     _require(isinstance(game, G.NormalFormGame), "solve: needs a normal-form game")
-    lcfg = config.get("learner", {})
-    iterations = _integer("iterations", lcfg.get("iterations",
-                                                 config.get("iterations", 1000)), 1)
-    mode = lcfg.get("mode", "sampled")
-    _require(mode in ("sampled", "expected"), f"learner.mode: unknown mode {mode!r}")
-    types = load_types(lcfg.get("types", [0.1]))
-    schedule = load_schedule(lcfg.get("schedule"))
-    anchors = lcfg.get("anchors")
-    _require(not anchors or len(anchors) == game.player_count,
-             "learner.anchors: need one anchor per player")
-    with _config_errors("learner.anchors"):
-        learners = [Learner(
-            player=i, n_actions=n, types=types, schedule=schedule,
-            anchor=(np.array(anchors[i], dtype=float) if anchors
-                    else G.uniform_policy(n)),
-            uniform_first_iterate=bool(lcfg.get("uniform_first_iterate", False)),
-        ) for i, n in enumerate(game.action_counts)]
-    return learners, types, schedule, mode, iterations
+    given = _section(spec, "learner")
+    types = given.get("types", TypeDistribution.singleton(0.1))
+    schedule = given.get("schedule", TemperatureSchedule.adaptive())
+    anchors = _seat_vectors(given.get("anchors"), "learner.anchors", game, policy=False)
+    learners = [Learner(
+        player=i, n_actions=n, types=types, schedule=schedule, anchor=anchors[i],
+        uniform_first_iterate=given.get("uniform_first_iterate", False),
+    ) for i, n in enumerate(game.action_counts)]
+    return (learners, types, schedule, given.get("mode", "sampled"),
+            given.get("iterations", 1000))
 
 
 def run_solve(game, loaded, seed: int, out: Path) -> list[Path]:
@@ -245,7 +264,7 @@ def run_solve(game, loaded, seed: int, out: Path) -> list[Path]:
     trace = run_selfplay(game, learners, iterations, mode=mode,
                          rng=rng if mode == "sampled" else None)
     trace_path = out / "trace.jsonl"
-    emit_trace(trace, "jsonl", trace_path)
+    emit_trace(trace, trace_path)
     eta = schedule.eta if schedule.mode == "constant_eta" else None
     reports = []
     for i, ln in enumerate(learners):
@@ -259,31 +278,28 @@ def run_solve(game, loaded, seed: int, out: Path) -> list[Path]:
     return [trace_path, report_path]
 
 
-def load_oracle(config: dict, game):
+def load_oracle(spec: dict, game):
     """The oracle section as (types, anchors, tol): one `TypeDistribution` and
     one anchor per player for a normal-form game, one lambda per player and
     `uniform_anchors` for a Markov game."""
-    ocfg = config.get("oracle", {})
     _require(game.player_count == 2 and game.zero_sum,
              "oracle: needs a two-player zero-sum game")
-    tol = _positive("oracle.tol", ocfg.get("tol", 1e-10))
-    if isinstance(game, G.TabularMarkovGame):
-        lambdas = [parse_lambda(l) for l in ocfg.get("lambdas", [0.1, 0.1])]
+    given = _section(spec, "oracle")
+    tol = given.get("tol", 1e-10)
+    markov = isinstance(game, G.TabularMarkovGame)
+    stray = given.keys() & ({"types", "anchors"} if markov else {"lambdas"})
+    _require(not stray, f"oracle: a {'Markov' if markov else 'normal-form'} game "
+             f"takes no {', '.join(sorted(stray))}")
+    if markov:
+        lambdas = given.get("lambdas", [0.1, 0.1])
         _require(len(lambdas) == 2 and all(0 < l < INF for l in lambdas),
                  "oracle.lambdas: need two finite lambdas > 0")
         return lambdas, uniform_anchors(game), tol
-    types = tuple(load_types(ocfg.get("types", [0.1])) for _ in range(2))
+    types = (given.get("types", TypeDistribution.singleton(0.1)),) * 2
     _require(all(0 < l < INF for l in types[0].lambdas),
              "oracle.types: lambdas must be finite and > 0")
-    specs = ocfg.get("anchors", [None, None])
-    _require(len(specs) == 2, "oracle.anchors: need one anchor per player")
-    with _config_errors("oracle.anchors"):
-        anchors = [G.uniform_policy(n) if a is None else np.array(a, dtype=float)
-                   for a, n in zip(specs, game.action_counts)]
-        for a, n in zip(anchors, game.action_counts):
-            _require(G.make_anchor(a).shape == (n,),
-                     "oracle.anchors: need one entry per action")
-    return types, anchors, tol
+    anchors = _seat_vectors(given.get("anchors"), "oracle.anchors", game, policy=False)
+    return types, list(anchors), tol
 
 
 def run_oracle(game, loaded, seed: int, out: Path) -> list[Path]:
@@ -308,30 +324,15 @@ def run_oracle(game, loaded, seed: int, out: Path) -> list[Path]:
     return [path]
 
 
-def load_train_config(config: dict, game) -> RL.TrainConfig:
+def load_train_config(spec: dict, game) -> RL.TrainConfig:
     """The rl section of a config as a `TrainConfig` with seed 0."""
     _require(isinstance(game, G.TabularMarkovGame), "rl: needs a Markov game")
-    rcfg = dict(config.get("rl", {}))
-    preset = rcfg.pop("preset", None)
-    if preset == "brbot":
-        rcfg.setdefault("mode", "best_response")
-    types_spec = rcfg.pop("types", [0.1])
-    types = tuple(load_types(types_spec) for _ in range(game.player_count))
-    fixed = sorted(set(rcfg) & {"distinguished_player", "search_mode",
-                                "policy_step", "act_lambda"})
-    _require(not fixed, f"rl: {', '.join(fixed)}: not settable from a config")
+    given = _section(spec, "rl")
+    if "preset" in given:
+        given.setdefault("mode", AGENT_PRESETS[given.pop("preset")]["mode"])
+    types = given.pop("types", TypeDistribution.singleton(0.1))
     with _config_errors("rl"):
-        return RL.TrainConfig(
-            search_iterations=int(rcfg.get("search_iterations", 256)),
-            types=types,
-            nash_explore=float(rcfg.get("nash_explore", 0.1)),
-            episodes=int(rcfg.get("episodes", 1000)),
-            alpha=float(rcfg.get("alpha", 0.1)),
-            alpha_harmonic=bool(rcfg.get("alpha_harmonic", False)),
-            top_k=rcfg.get("top_k"),
-            mode=rcfg.get("mode", "standard"),
-            checkpoint_every=int(rcfg.get("checkpoint_every", 100)),
-        )
+        return RL.TrainConfig(types=(types,) * game.player_count, **given)
 
 
 def run_rl(game, loaded, seed: int, out: Path) -> list[Path]:
@@ -365,74 +366,47 @@ def run_rl(game, loaded, seed: int, out: Path) -> list[Path]:
     return [metrics_path, ckpt_path]
 
 
-def load_rate(config: dict):
-    """The rate section as (games read from the CSV, sigma_prior, c)."""
-    rcfg = config.get("rate", {})
-    path = rcfg.get("games_csv")
-    _require(path is not None, "rate.games_csv: required")
-    _require(Path(path).exists(), f"rate.games_csv: {path} does not exist")
-    sigma_prior = _positive("rate.sigma_prior", rcfg.get("sigma_prior", 350.0))
-    c = _positive("rate.c", rcfg.get("c", R.ELO_SCALE))
-    with _config_errors(f"rate.games_csv: {path}"):
-        games = R.read_game_records(path)
-        R.seat_count(games)
-    return games, sigma_prior, c
-
-
 def run_rate(game, loaded, seed: int, out: Path) -> list[Path]:
-    games, sigma_prior, c = loaded
-    model = R.fit_ratings(games, sigma_prior=sigma_prior, c=c)
+    options = dict(loaded)
+    model = R.fit_ratings(options.pop("games_csv"), **options)
     out_path = out / "ratings.json"
     out_path.write_text(dumps_json(model.to_dict(), indent=2) + "\n")
     return [out_path]
 
 
-def _load_agent(spec: dict, game) -> PE.AgentSpec:
-    _require("id" in spec, "agent: id required")
-    kind = spec.get("kind", "fixed")
-    _require(isinstance(game, G.NormalFormGame)
-             or (kind == "fixed" and "policies" in spec),
-             f"agent {spec['id']!r}: a Markov game needs a fixed agent with "
-             "explicit policies")
+def _load_agent(spec: dict, game, where: str) -> PE.AgentSpec:
+    given = _section(spec, where, ("id",), SCHEMA["agent"])
+    name = f"agent {given['id']!r}"
+    kind = given.get("kind", "fixed")
+    stray = given.keys() & ({"types", "act_lambda", "anchors", "search_iterations"}
+                            if kind == "fixed" else {"policies"})
+    _require(not stray, f"{name}: a {kind} agent takes no {', '.join(sorted(stray))}")
+    _require(isinstance(game, G.NormalFormGame) or "policies" in given,
+             f"{name}: a Markov game needs a fixed agent with explicit policies")
     if kind == "fixed":
-        pols = spec.get("policies")
-        if pols is None:
-            pols = [G.uniform_policy(game.action_counts[i])
-                    for i in range(game.player_count)]
-        with _config_errors(f"agent {spec['id']!r}"):
-            agent = PE.AgentSpec(agent_id=spec["id"], kind="fixed",
-                                 policies=tuple(np.array(p, float) for p in pols))
-            if isinstance(game, G.NormalFormGame):
-                PE.resolve_agent_policies(agent, game)
-        return agent
-    if kind == "search":
-        anchors = spec.get("anchors")
-        if anchors is None:
-            anchors = [G.uniform_policy(game.action_counts[i])
-                       for i in range(game.player_count)]
-        return PE.AgentSpec(
-            agent_id=spec["id"], kind="search",
-            types=load_types(spec.get("types", [0.1])),
-            act_lambda=parse_lambda(spec.get("act_lambda", 0.0)),
-            anchor_policies=tuple(np.array(a, float) for a in anchors),
-            search_iterations=int(spec.get("search_iterations", 256)),
-        )
-    raise ConfigError(f"agent.kind: unknown kind {kind!r}")
+        return PE.AgentSpec(agent_id=given["id"], policies=_seat_vectors(
+            given.get("policies"), f"{name}: policies", game, policy=True))
+    return PE.AgentSpec(
+        agent_id=given["id"], kind="search",
+        types=given.get("types", TypeDistribution.singleton(0.1)),
+        act_lambda=given.get("act_lambda", 0.0),
+        anchor_policies=_seat_vectors(given.get("anchors"), f"{name}: anchors", game,
+                                      policy=False),
+        search_iterations=given.get("search_iterations", 256))
 
 
-def load_popeval(config: dict, game):
+def load_popeval(spec: dict, game):
     """The popeval section as (candidate, baselines, games)."""
-    pcfg = config.get("popeval", {})
-    _require("candidate" in pcfg, "popeval.candidate: required")
-    _require("baselines" in pcfg and pcfg["baselines"],
-             "popeval.baselines: non-empty list required")
-    candidate = _load_agent(pcfg["candidate"], game)
-    baselines = [_load_agent(b, game) for b in pcfg["baselines"]]
-    n_games = _integer("popeval.games", pcfg.get("games", 1000), 1)
-    _require(not isinstance(game, G.NormalFormGame)
-             or all(u.min() >= 0 for u in game.payoffs),
-             "popeval: sum-of-squares scoring needs nonnegative payoffs")
-    return candidate, baselines, n_games
+    given = _section(spec, "popeval", ("candidate", "baselines"))
+    _require(given["baselines"], "popeval.baselines: non-empty list required")
+    candidate = _load_agent(given["candidate"], game, "popeval.candidate")
+    baselines = [_load_agent(b, game, f"popeval.baselines[{k}]")
+                 for k, b in enumerate(given["baselines"])]
+    ids = [a.agent_id for a in baselines + [candidate]]
+    _require(len(set(ids)) == len(ids), "popeval: agent ids must be unique")
+    _require(PE.scorable(game), "popeval: sum-of-squares scoring needs outcomes "
+             "that are nonnegative and never all zero")
+    return candidate, baselines, given.get("games", 1000)
 
 
 def run_popeval(game, loaded, seed: int, out: Path) -> list[Path]:
@@ -446,40 +420,67 @@ def run_popeval(game, loaded, seed: int, out: Path) -> list[Path]:
     return [json_path, csv_path]
 
 
-#: What each kind's runner starts from besides the game, built from the
-#: config by `validate_config`.
-LOADERS = {
-    "solve": load_solve,
-    "oracle": load_oracle,
-    "rl": load_train_config,
-    "popeval": load_popeval,
+#: Per kind: its config section, the loader that builds what the runner
+#: starts from besides the game, and the runner.
+KINDS = {
+    "solve": ("learner", load_solve, run_solve),
+    "oracle": ("oracle", load_oracle, run_oracle),
+    "rl": ("rl", load_train_config, run_rl),
+    "rate": ("rate", lambda spec, game: _section(spec, "rate", ("games_csv",)), run_rate),
+    "popeval": ("popeval", load_popeval, run_popeval),
 }
 
-KINDS = {
-    "solve": run_solve,
-    "oracle": run_oracle,
-    "rl": run_rl,
-    "rate": run_rate,
-    "popeval": run_popeval,
+#: Each config section's keys and their parsers.  A parser returns what the
+#: loaders use, or raises `TypeError` / `ValueError`.  Besides the top-level
+#: keys here, a config takes its kind's section and, but for `rate`, a `game`.
+SCHEMA = {
+    "": {"kind": _one_of(tuple(KINDS)), "seed": _integer(0, 2 ** 64 - 1),
+         "out": _text},
+    "game": {"builtin": _one_of(BUILTIN_GAMES),
+             "params": lambda spec: _section(spec, "game.params"),
+             "file": _game_file, "random_markov": _random_markov},
+    "game.params": {"seed": _integer(0), "actions": _list_of(_integer(1)),
+                    "payoff_bound": _positive},
+    "game.random_markov": {
+        "seed": _integer(0), "states": _integer(1), "players": _integer(1),
+        "actions": _integer(1), "horizon": _integer(1), "gamma": _number,
+        "zero_sum": _flag, "payoff_bound": _positive},
+    "learner": {"iterations": _integer(1), "mode": _one_of(("sampled", "expected")),
+                "types": load_types, "schedule": _schedule, "anchors": _nested,
+                "uniform_first_iterate": _flag},
+    "learner.schedule": {
+        "mode": _one_of(("constant_eta", "inverse_sqrt", "adaptive_std")),
+        "eta": parse_lambda, "kappa_floor": _number},
+    "types": {"preset": _one_of([n for n, p in AGENT_PRESETS.items() if "lambdas" in p])},
+    "oracle": {"tol": _positive, "types": load_types, "anchors": _nested,
+               "lambdas": _list_of(parse_lambda)},
+    "rl": {"search_iterations": _integer(1), "types": load_types,
+           "nash_explore": _number, "episodes": _integer(1), "alpha": _number,
+           "alpha_harmonic": _flag, "top_k": _integer(1),
+           "mode": _one_of(("standard", "NPU", "best_response")),
+           "checkpoint_every": _integer(1),
+           "preset": _one_of([n for n, p in AGENT_PRESETS.items() if "mode" in p])},
+    "rate": {"games_csv": _games_csv, "sigma_prior": _positive, "c": _positive},
+    "popeval": {"candidate": _nested, "baselines": _list_of(_nested),
+                "games": _integer(1)},
+    "agent": {"id": _text, "kind": _one_of(("fixed", "search")), "policies": _nested,
+              "types": load_types, "act_lambda": parse_lambda, "anchors": _nested,
+              "search_iterations": _integer(1)},
 }
 
 
 def validate_config(config: dict) -> tuple:
-    """Check a config and build what its kind's runner starts from: the game
-    (None for `rate`) and what the kind's loader returns."""
+    """Check a config and build what its kind's runner starts from: the
+    top-level keys, the game (None for `rate`) and what the kind's loader
+    returns."""
     _require(isinstance(config, dict), "config: must be a JSON object")
     kind = config.get("kind")
-    _require(kind in KINDS, f"kind: must be one of {sorted(KINDS)}, got {kind!r}")
-    seed = config.get("seed", 0)
-    _require(isinstance(seed, int) and 0 <= seed < 2 ** 64,
-             "seed: must be a 64-bit unsigned integer")
-    if "iterations" in config:
-        _integer("iterations", config["iterations"], 1)
-    if kind == "rate":
-        return None, load_rate(config)
-    _require("game" in config, "game: required")
-    game = load_game(config["game"])
-    return game, LOADERS[kind](config, game)
+    _require(kind in tuple(KINDS), f"kind: must be one of {sorted(KINDS)}, got {kind!r}")
+    section, loader, _ = KINDS[kind]
+    needs = () if kind == "rate" else ("game",)
+    top = _section(config, "", needs, {**SCHEMA[""], section: _nested,
+                                       **dict.fromkeys(needs, load_game)})
+    return top, top.get("game"), loader(top.get(section, {}), top.get("game"))
 
 
 def sha256_file(path: Path) -> str:
@@ -490,14 +491,16 @@ def sha256_file(path: Path) -> str:
 
 def run_experiment(config: dict, seed: int | None = None,
                    out: Path | str | None = None) -> dict:
-    """Execute a validated config and return the artifact manifest."""
-    game, loaded = validate_config(config)
-    seed = config.get("seed", 0) if seed is None else seed
-    out = Path(out if out is not None else config.get("out", "out"))
+    """Execute a validated config and return the artifact manifest.  A given
+    `seed` or `out` replaces the config's."""
+    top, game, loaded = validate_config(config)
+    with _config_errors("seed"):
+        seed = top.get("seed", 0) if seed is None else SCHEMA[""]["seed"](seed)
+    out = Path(top.get("out", "out") if out is None else out)
     out.mkdir(parents=True, exist_ok=True)
-    files = KINDS[config["kind"]](game, loaded, seed, out)
+    files = KINDS[top["kind"]][2](game, loaded, seed, out)
     manifest = {
-        "kind": config["kind"],
+        "kind": top["kind"],
         "seed": seed,
         "artifacts": [
             {"path": f.name, "sha256": sha256_file(f)} for f in sorted(files)
@@ -527,8 +530,8 @@ def main(argv=None) -> int:
     p_run.add_argument("config", type=Path)
     p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--out", type=Path, default=None)
-    p_val = sub.add_parser("validate", help="validate an experiment config")
-    p_val.add_argument("config", type=Path)
+    sub.add_parser("validate", help="validate an experiment config").add_argument(
+        "config", type=Path)
     args = parser.parse_args(argv)
 
     if args.list_builtins:
@@ -539,18 +542,14 @@ def main(argv=None) -> int:
         return 2
     try:
         config = json.loads(args.config.read_text())
-    except OSError as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return 4
-    except json.JSONDecodeError as exc:
-        print(f"validation error: config is not valid JSON: {exc}", file=sys.stderr)
-        return 2
-    try:
         if args.command == "validate":
             validate_config(config)
             print("ok")
             return 0
         manifest = run_experiment(config, seed=args.seed, out=args.out)
+    except json.JSONDecodeError as exc:
+        print(f"validation error: config is not valid JSON: {exc}", file=sys.stderr)
+        return 2
     except ConfigError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2

@@ -113,17 +113,19 @@ def _play_normal_form(game: NormalFormGame, seat_policies,
     return game.pure_utilities(joint)
 
 
-def _play_markov(game: TabularMarkovGame, seat_tables,
+def _play_markov(game: TabularMarkovGame, seat_policies,
                  rng: np.random.Generator) -> np.ndarray:
-    """Roll out one episode with fixed per-(state, player) policies; returns
-    accumulated discounted rewards."""
+    """Roll out one episode with fixed policies, each one vector for every
+    state or a {(state, player): vector} table; returns accumulated
+    discounted rewards."""
     totals = np.zeros(game.player_count)
     s = game.initial_state
     disc = 1.0
     for _ in range(game.horizon):
         joint = tuple(
-            int(rng.choice(game.action_counts[s][i], p=seat_tables[i][(s, i)]))
-            for i in range(game.player_count)
+            int(rng.choice(game.action_counts[s][i],
+                           p=p[(s, i)] if isinstance(p, dict) else p))
+            for i, p in enumerate(seat_policies)
         )
         totals += disc * game.reward(s, joint)
         disc *= game.gamma
@@ -133,15 +135,34 @@ def _play_markov(game: TabularMarkovGame, seat_tables,
     return totals
 
 
+def scorable(game) -> bool:
+    """Whether sum-of-squares scoring can score every game played on `game`:
+    its outcomes are nonnegative and never all zero."""
+    if isinstance(game, NormalFormGame):
+        u = np.stack(game.payoffs)
+        return u.min() >= 0 and (u > 0).any(axis=0).all()
+    # zero[s]: an episode from s can end with every return zero; zero[TERMINAL]
+    # is the last entry.  With gamma = 0 only the first reward counts.
+    zero = np.ones(game.state_count + 1, dtype=bool)
+    for _ in range(game.horizon if game.gamma > 0 else 1):
+        zero[:-1] = [
+            ((r == 0).all(axis=0) & (t[..., zero[list(nxt)]] > 0).any(axis=-1)).any()
+            for r, t, nxt in zip(game.R, game.T, game.next_states)]
+    return all(r.min() >= 0 for r in game.R) and not zero[game.initial_state]
+
+
 def run_population_eval(candidate: AgentSpec, baselines, game, n_games: int,
                         rng: np.random.Generator) -> PopEvalReport:
     """Score the candidate over `n_games` games with roster seats sampled
     uniformly with replacement; games without the candidate are rejected and
     redrawn.  Outcomes are converted to score shares with sum-of-squares
-    scoring, so game payoffs must be nonnegative and not all zero."""
+    scoring, so the game must be `scorable`."""
     baselines = list(baselines)
     if not baselines:
         raise ValueError("empty baseline pool")
+    if not scorable(game):
+        raise ValueError("sum-of-squares scoring needs outcomes that are "
+                         "nonnegative and never all zero")
     if n_games < 1:
         raise ValueError("need at least one game")
     roster = baselines + [candidate]
@@ -150,22 +171,11 @@ def run_population_eval(candidate: AgentSpec, baselines, game, n_games: int,
         raise ValueError("agent ids in the roster must be unique")
     is_markov = isinstance(game, TabularMarkovGame)
     n_seats = game.player_count
-    if is_markov:
-        resolved = {
-            a.agent_id: [
-                {(s, i): a.policies[i][(s, i)] if isinstance(a.policies[i], dict)
-                 else a.policies[i]
-                 for s in range(game.state_count)}
-                for i in range(n_seats)
-            ] if a.kind == "fixed" else None
-            for a in roster
-        }
-        for a in roster:
-            if resolved[a.agent_id] is None:
-                raise ValueError("search agents are not supported on Markov games; "
-                                 "resolve them to a fixed policy table first")
-    else:
-        resolved = {a.agent_id: resolve_agent_policies(a, game) for a in roster}
+    if is_markov and any(a.kind != "fixed" for a in roster):
+        raise ValueError("search agents are not supported on Markov games; "
+                         "resolve them to a fixed policy table first")
+    resolved = {a.agent_id: a.policies if is_markov else resolve_agent_policies(a, game)
+                for a in roster}
     report = PopEvalReport(candidate.agent_id, n_games)
     for _ in range(n_games):
         while True:
@@ -173,14 +183,8 @@ def run_population_eval(candidate: AgentSpec, baselines, game, n_games: int,
             if np.any(picks == len(roster) - 1):
                 break
         seating = [roster[k].agent_id for k in picks]
-        if is_markov:
-            tables = [resolved[seating[i]][i] for i in range(n_seats)]
-            outcome = _play_markov(game, tables, rng)
-        else:
-            policies = [resolved[seating[i]][i] for i in range(n_seats)]
-            outcome = _play_normal_form(game, policies, rng)
-        if np.any(outcome < 0):
-            raise ValueError("sum-of-squares scoring needs nonnegative outcomes")
+        policies = [resolved[seating[i]][i] for i in range(n_seats)]
+        outcome = (_play_markov if is_markov else _play_normal_form)(game, policies, rng)
         scores = sos_score(outcome)
         report.seatings.append(seating)
         report.scores.append(scores.tolist())

@@ -87,7 +87,6 @@ class TrainConfig:
     top_k: int | None = None        # None: no action restriction
     mode: str = "standard"          # standard | NPU | best_response
     distinguished_player: int = 0   # only used in best_response mode
-    search_mode: str = "expected"   # feedback mode inside the per-state search
     policy_step: float = 0.1
     seed: int = 0
     checkpoint_every: int = 100
@@ -95,12 +94,12 @@ class TrainConfig:
     def __post_init__(self):
         if not (0.0 <= self.nash_explore <= 1.0):
             raise ValueError("nash_explore must be in [0, 1]")
+        if not (0.0 <= self.alpha <= 1.0):      # also rejects NaN
+            raise ValueError("alpha must be in [0, 1]")
         if self.search_iterations < 1:
             raise ValueError("search_iterations must be >= 1")
         if self.mode not in ("standard", "NPU", "best_response"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.search_mode not in ("expected", "sampled"):
-            raise ValueError(f"unknown search_mode {self.search_mode!r}")
         if self.distinguished_player < 0 or (
                 self.types and self.distinguished_player >= len(self.types)):
             raise ValueError("distinguished_player out of range")
@@ -148,12 +147,10 @@ def _search_types(config: TrainConfig, n_players: int):
     return config.types
 
 
-def search_state(stage: NormalFormGame, anchors, types, iterations: int,
-                 mode: str = "expected",
-                 rng: np.random.Generator | None = None):
-    """Run the anchored-learning search on a stage game and return each
-    player's belief-weighted average policy.  Players whose only type is
-    lambda = inf play their anchor and are excluded from learning."""
+def search_state(stage: NormalFormGame, anchors, types, iterations: int):
+    """Run the deterministic (expected-feedback) anchored-learning search on a
+    stage game and return each player's belief-weighted average policy.
+    Players whose only type is lambda = inf play their anchor and sit out."""
     n = stage.player_count
     sigma = [None] * n
     anchored_only = [td.lambdas == (INF,) for td in types]
@@ -165,7 +162,7 @@ def search_state(stage: NormalFormGame, anchors, types, iterations: int,
         learners.append(Learner(player=i, n_actions=stage.action_counts[i],
                                 anchor=np.asarray(anchors[i], float),
                                 types=types[i], schedule=schedule))
-    run_selfplay(stage, learners, iterations, mode=mode, rng=rng, record=False)
+    run_selfplay(stage, learners, iterations, mode="expected", record=False)
     for i in range(n):
         if anchored_only[i]:
             sigma[i] = np.array(anchors[i], dtype=float)
@@ -229,16 +226,14 @@ def run_episode(game: TabularMarkovGame, values: ValueTable,
                 for i in range(game.player_count)
             ]
             sigma_sub = search_state(sub, sub_anchors, types,
-                                     config.search_iterations,
-                                     mode=config.search_mode, rng=rng)
+                                     config.search_iterations)
             sigma = [
                 _expand(sigma_sub[i], keep[i], stage.action_counts[i])
                 for i in range(game.player_count)
             ]
         else:
             sigma = search_state(stage, st_anchors, types,
-                                 config.search_iterations,
-                                 mode=config.search_mode, rng=rng)
+                                 config.search_iterations)
         for i in range(game.player_count):
             if not np.isfinite(sigma[i]).all():
                 raise RuntimeError(f"non-finite search policy at state {s}")

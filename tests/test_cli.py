@@ -1,11 +1,16 @@
 """Tests for the config-driven experiment runner and artifact formats."""
 
+import contextlib
+import copy
 import csv
+import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from anchored import INF, make_builtin_game, make_random_markov
 from anchored.cli import (
@@ -144,22 +149,6 @@ def test_trace_round_trip_replay(tmp_path):
         np.testing.assert_allclose(q, u.mean(axis=0), atol=1e-12)
 
 
-def test_trace_csv_matches_jsonl(tmp_path):
-    from anchored.cli import emit_trace
-
-    run_experiment(solve_config(), out=tmp_path)
-    trace = read_trace_jsonl(tmp_path / "trace.jsonl", [(0.1,), (0.1,)])
-    emit_trace(trace, "csv", tmp_path / "trace.csv")
-    with open(tmp_path / "trace.csv") as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == 50
-    for t, row in enumerate(rows):
-        assert int(row["t"]) == t + 1
-        for i in range(2):
-            assert float(row[f"utility_{i}"]) == trace.realized[t][i]
-            assert float(row[f"kappa_{i}"]) == trace.kappas[t][i]
-
-
 def test_run_oracle_normal_form(tmp_path):
     config = {
         "kind": "oracle",
@@ -294,7 +283,7 @@ def test_main_exit_codes(tmp_path, capsys):
 @pytest.mark.parametrize("config", [
     {**solve_config(), "learner": {"types": [0.1, 0.1]}},     # duplicate lambdas
     rl_config(checkpoint_every=0),
-    # Keys with a fixed value in `anchored run`.
+    # Keys that are not config keys.
     rl_config(search_mode="sampled"),
     rl_config(policy_step=1.5),
     rl_config(preset="brbot", distinguished_player=1),
@@ -356,6 +345,15 @@ def _popeval_config(candidate):
                         "games": 10}}
 
 
+def _markov_popeval_config(policies):
+    fixed = {"id": "cand", "kind": "fixed", "policies": policies}
+    return {"kind": "popeval", "seed": 1,
+            "game": {"random_markov": {"seed": 1, "states": 3, "horizon": 2,
+                                       "zero_sum": True}},
+            "popeval": {"candidate": fixed,
+                        "baselines": [{**fixed, "id": "base"}], "games": 10}}
+
+
 # Configs `validate` accepted although `run` could not start them, or
 # numbers parsed outside the typed loaders (a traceback, exit 1).
 RUN_REJECTS = {
@@ -387,13 +385,31 @@ RUN_REJECTS = {
                                    "zero_sum": True, "payoff_bound": "nan"}}},
     # matching_pennies: sum-of-squares scoring needs nonnegative payoffs.
     "popeval negative payoffs": _popeval_config({"id": "cand"}),
+    # A zero-sum Markov game pays one player a negative reward.
+    "popeval markov negative rewards": _markov_popeval_config([[0.5, 0.5]] * 2),
+    "popeval markov policy of wrong length": _markov_popeval_config(
+        [[0.5, 0.5], [0.2, 0.3, 0.5]]),
+    # The joint action (0, 0) pays nobody: its game has no score shares.
+    "popeval joint action paying nobody": lambda tmp: {
+        **_popeval_config({"id": "cand"}), "game": _game_file(tmp, json.dumps(
+            {"players": 2, "action_counts": [2, 2], "payoff_bound": 1.0,
+             "payoffs": [[[0, 1], [1, 1]], [[0, 1], [1, 1]]]}))},
+    "search agent negative act_lambda": lambda tmp: {
+        **_popeval_config({"id": "cand", "kind": "search", "act_lambda": -1,
+                           "search_iterations": 8}),
+        "game": _game_file(tmp, json.dumps(
+            {"players": 2, "action_counts": [2, 2], "payoff_bound": 1.0,
+             "payoffs": [[[1, 1], [1, 1]], [[1, 1], [1, 1]]]}))},
+    # alpha outside [0, 1] drives the values past the game's payoff bound.
+    "rl alpha 1.5": rl_config(alpha=1.5),
 }
 
 
 @pytest.mark.parametrize("name", sorted(RUN_REJECTS))
 def test_validate_rejects_what_run_rejects(tmp_path, capsys, name):
+    config = RUN_REJECTS[name]
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(RUN_REJECTS[name]))
+    path.write_text(json.dumps(config(tmp_path) if callable(config) else config))
     assert main(["validate", str(path)]) == 2
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.count("validation error") == 2
@@ -512,3 +528,222 @@ def test_popeval_markov_needs_fixed_policies(tmp_path, capsys, agent):
     assert capsys.readouterr().err.count(
         "validation error: agent 'cand': a Markov game needs a fixed agent") == 2
 
+
+def test_dumps_json_rejects_nan():
+    assert dumps_json({"a": [1.0, math.inf]}) == '{"a": [1,"inf"]}'
+    for doc in (math.nan, [0.5, np.float64("nan")], {"x": {"y": -math.nan}}):
+        with pytest.raises(FloatingPointError):
+            dumps_json(doc)
+
+
+def test_nan_regret_exits_3(tmp_path, capsys):
+    # A subnormal lambda overflows u / lambda, and the regret comes out NaN.
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "kind": "solve", "game": {"builtin": "matching_pennies"},
+        "learner": {"iterations": 5, "mode": "sampled", "types": [1e-320]}}))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+    assert "numerical failure: NaN in an artifact" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+def test_trace_round_trip_with_infinite_lambda(tmp_path):
+    from anchored import TemperatureSchedule, TypeDistribution, init_learner, \
+        run_selfplay, uniform_policy
+    from anchored.cli import emit_trace
+
+    types = TypeDistribution.uniform([0.1, INF])
+    sched = TemperatureSchedule(mode="constant_eta", eta=0.5)
+    learners = [init_learner(i, 2, uniform_policy(2), types, sched) for i in range(2)]
+    trace = run_selfplay(make_builtin_game("matching_pennies"), learners, 40,
+                         mode="sampled", rng=np.random.default_rng(3))
+    emit_trace(trace, tmp_path / "trace.jsonl")
+    back = read_trace_jsonl(tmp_path / "trace.jsonl", [types.lambdas] * 2)
+    assert np.isinf(trace.sampled_lambdas).any()
+    for column in ("kappas", "realized", "utilities", "policies", "actions",
+                   "sampled_lambdas"):
+        np.testing.assert_array_equal(getattr(back, column), getattr(trace, column))
+
+
+def _solve(**learner):
+    return {**solve_config(), "learner": {**solve_config()["learner"], **learner}}
+
+
+# Each config key that was ignored or misread: an unknown key, a string read
+# as a true flag, a float truncated to an integer, a bool read as a number.
+MISREAD_KEYS = {
+    "learner.itertions": _solve(itertions=5),
+    "bogus": {**solve_config(), "bogus": 1},
+    "iterations": {**solve_config(), "iterations": 5},
+    "game.params.foo": {**solve_config(), "game": {
+        "builtin": "random_zero_sum", "params": {"seed": 1, "foo": 2}}},
+    "game.params": {**solve_config(), "game": {"builtin": "matching_pennies",
+                                               "params": {"seed": 1}}},
+    "oracle.typez": {"kind": "oracle", "game": {"builtin": "matching_pennies"},
+                     "oracle": {"typez": [0.1]}},
+    "learner.schedule.kapa_floor": _solve(schedule={"mode": "adaptive_std",
+                                                    "kapa_floor": 0.1}),
+    "learner.schedule.eta": _solve(schedule={"mode": "inverse_sqrt", "eta": 0.5}),
+    "rl.preset": rl_config(preset="bogus"),
+    "game.random_markov.zero_sum": {**rl_config(), "game": {"random_markov": {
+        "seed": 2, "states": 3, "horizon": 2, "zero_sum": "false"}}},
+    "rl.alpha_harmonic": rl_config(alpha_harmonic="false"),
+    "learner.uniform_first_iterate": _solve(uniform_first_iterate="no"),
+    "game.random_markov.seed": {**rl_config(), "game": {"random_markov": {
+        "seed": 1.7, "states": 3, "horizon": 2, "zero_sum": True}}},
+    "seed": {**solve_config(), "seed": True},
+    "rl.alpha": rl_config(alpha="nan"),
+    "popeval.candidate.search_iterations": _popeval_config(
+        {"id": "cand", "kind": "search", "search_iterations": "x"}),
+    "rl.episodes": rl_config(episodes=True),
+    "agent 'cand'": _popeval_config({"id": "cand", "kind": "fixed",
+                                     "search_iterations": 8}),
+    "oracle": {"kind": "oracle", "game": {"random_markov": {
+        "seed": 2, "states": 3, "horizon": 2, "zero_sum": True}},
+        "oracle": {"types": [0.1]}},
+    "rate": {**rl_config(), "rate": {"games_csv": "games.csv"}},
+    "game": {"kind": "rate", "game": {"builtin": "matching_pennies"},
+             "rate": {"games_csv": __file__}},
+}
+
+
+@pytest.mark.parametrize("key", sorted(MISREAD_KEYS))
+def test_misread_key_exits_2_naming_it(tmp_path, capsys, key):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(MISREAD_KEYS[key]))
+    assert main(["validate", str(path)]) == 2
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.count(f"validation error: {key}") == 2
+
+
+def test_rl_top_k_string_is_read_as_integer(tmp_path):
+    a = run_experiment(rl_config(top_k=1), out=tmp_path / "a")
+    b = run_experiment(rl_config(top_k="1"), out=tmp_path / "b")
+    c = run_experiment(rl_config(), out=tmp_path / "c")
+    assert a["artifacts"] == b["artifacts"] != c["artifacts"]
+
+
+def test_large_seed_reaches_manifest_exactly(tmp_path, capsys):
+    seed = 2 ** 60 + 1
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**solve_config(), "seed": seed}))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    text = (tmp_path / "out" / "manifest.json").read_text()
+    assert f'"seed": {seed},' in text
+    assert main(["run", str(path), "--out", str(tmp_path / "out"), "--seed", "-1"]) == 2
+    assert "validation error: seed" in capsys.readouterr().err
+
+
+def test_readme_config_table_lists_every_schema_key():
+    from pathlib import Path
+
+    from anchored.cli import KINDS, SCHEMA
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| ([\w. ]+) \| `(\w+)` \|", readme, re.M)
+    documented = {("" if section == "top level" else section, key)
+                  for section, key in rows}
+    top = {*SCHEMA[""], "game", *(section for section, _, _ in KINDS.values())}
+    schema = {("", key) for key in top} | {
+        (section, key) for section, table in SCHEMA.items() if section
+        for key in table}
+    assert documented == schema
+
+
+# ------------------------------------------------------------ fuzz
+
+def _fuzz_bases(work):
+    """Small valid configs of every kind."""
+    games_csv = work / "games.csv"
+    games_csv.write_text("game_id,seat_index,player_id,score_share\n"
+                         "g0,0,a,0.7\ng0,1,b,0.3\ng1,0,b,0.6\ng1,1,a,0.4\n")
+    game_file = work / "game.json"
+    game_file.write_text(json.dumps({
+        "players": 2, "action_counts": [2, 2], "payoff_bound": 2.0,
+        "payoffs": [[[1, 2], [0.5, 1]], [[1, 0.5], [2, 1]]]}))
+    markov = {"random_markov": {"seed": 2, "states": 3, "actions": 2,
+                                "horizon": 2, "zero_sum": True}}
+    return [
+        {"kind": "solve", "seed": 1, "game": {"builtin": "matching_pennies"},
+         "learner": {"iterations": 20, "mode": "sampled", "types": [0.1, 1.0],
+                     "schedule": {"mode": "constant_eta", "eta": 0.5},
+                     "anchors": [[0.7, 0.3], [0.5, 0.5]],
+                     "uniform_first_iterate": True}},
+        {"kind": "oracle", "seed": 1, "game": {"builtin": "rock_paper_scissors"},
+         "oracle": {"types": [1.0], "anchors": [[0.5, 0.3, 0.2], None],
+                    "tol": 1e-9}},
+        {"kind": "oracle", "game": markov, "oracle": {"lambdas": [0.5, 0.5]}},
+        {"kind": "rl", "seed": 3, "game": markov,
+         "rl": {"types": [0.5], "episodes": 2, "search_iterations": 4,
+                "checkpoint_every": 1, "alpha_harmonic": True, "top_k": 1}},
+        {"kind": "rl", "seed": 3, "game": markov,
+         "rl": {"preset": "brbot", "episodes": 2, "search_iterations": 4}},
+        {"kind": "rate", "seed": 1,
+         "rate": {"games_csv": str(games_csv), "sigma_prior": 100.0}},
+        {"kind": "popeval", "seed": 4, "game": {"file": str(game_file)},
+         "popeval": {"candidate": {"id": "s", "kind": "search",
+                                   "types": {"preset": "diplodocus_low"},
+                                   "act_lambda": 1e-4, "search_iterations": 8},
+                     "baselines": [{"id": "f", "kind": "fixed",
+                                    "policies": [[0.5, 0.5], [0.2, 0.8]]},
+                                   {"id": "u"}],
+                     "games": 12}},
+    ]
+
+
+def _paths(obj, prefix=()):
+    """The path of every dict value and list item inside `obj`."""
+    items = obj.items() if isinstance(obj, dict) else (
+        enumerate(obj) if isinstance(obj, list) else ())
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+def _at(obj, path):
+    for key in path:
+        obj = obj[key]
+    return obj
+
+
+FUZZ_VALUES = ["x", "1", True, False, math.nan, 1.7, [], [1], None]
+
+
+@pytest.fixture(scope="module")
+def fuzz_work(tmp_path_factory):
+    work = tmp_path_factory.mktemp("fuzz")
+    return work, _fuzz_bases(work)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_fuzzed_configs_validate_as_they_run(fuzz_work, data):
+    """`validate` and `run` give the same exit code on a mutated config; an
+    exception escaping `main` (a traceback on the command line) fails."""
+    work, bases = fuzz_work
+    config = copy.deepcopy(data.draw(st.sampled_from(bases)))
+    path = data.draw(st.sampled_from(list(_paths(config))))
+    parent, key = _at(config, path[:-1]), path[-1]
+    # Dropping a whole section would run its kind at full default size.
+    droppable = isinstance(parent, dict) and not isinstance(parent[key], dict)
+    op = data.draw(st.sampled_from(["swap", "add"] + ["drop"] * droppable))
+    if op == "drop":
+        del parent[key]
+    elif op == "add":
+        target = parent if isinstance(parent, dict) else config
+        target["unknown_key"] = 1
+    else:
+        parent[key] = data.draw(st.sampled_from(FUZZ_VALUES))
+    cfg = work / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    codes = []
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        for argv in (["validate", str(cfg)],
+                     ["run", str(cfg), "--out", str(work / "out")]):
+            codes.append(main(argv))
+    assert codes[0] == codes[1] and codes[0] in (0, 2, 3, 4), (config, codes,
+                                                               err.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 
 from anchored import (
+    TERMINAL,
     AgentSpec,
     NormalFormGame,
+    TabularMarkovGame,
     TypeDistribution,
     make_builtin_game,
     mean_and_se,
     run_population_eval,
     uniform_policy,
 )
-from anchored.popeval import resolve_agent_policies
+from anchored.popeval import resolve_agent_policies, scorable
 
 
 def seven_seat_game():
@@ -212,3 +214,37 @@ def test_search_agent_anchor_limit_plays_anchor():
     )
     pols = resolve_agent_policies(agent, game)
     np.testing.assert_allclose(pols[0], tau[0], atol=1e-6)
+
+
+def chain_game(r0, r1, gamma=1.0):
+    """State 0 (one action each) leads to state 1 (two actions for player 0),
+    then to TERMINAL; r0 and r1 hold each player's rewards there."""
+    return TabularMarkovGame(
+        player_count=2, state_count=2, action_counts=((1, 1), (2, 1)),
+        R=(np.array(r0, float).reshape(2, 1, 1), np.array(r1, float).reshape(2, 2, 1)),
+        next_states=((1,), (TERMINAL,)), T=(np.ones((1, 1, 1)), np.ones((2, 1, 1))),
+        gamma=gamma, horizon=2)
+
+
+@pytest.mark.parametrize("r0, r1, gamma, ok", [
+    ((0, 0), ((1, 2), (0, 1)), 1.0, True),     # pays only at the end
+    ((0, 0), ((1, 0), (0, 0)), 1.0, False),    # action 1 at state 1 pays nobody
+    ((1, 0), ((1, 0), (0, 0)), 1.0, True),     # state 0 already pays
+    ((0, 0), ((1, 2), (1, 1)), 0.0, False),    # gamma 0: only state 0 counts
+    ((0, -1), ((1, 2), (1, 1)), 1.0, False),   # a negative reward
+])
+def test_scorable_markov(r0, r1, gamma, ok):
+    assert scorable(chain_game(r0, r1, gamma)) is ok
+
+
+def test_markov_fixed_agents_play_per_state_tables():
+    game = chain_game((0, 0), ((1, 2), (0, 1)))
+    # Seat 0 picks player 0's action at state 1; seat 1 has one action.
+    cand = AgentSpec(agent_id="cand", policies=(
+        {(0, 0): np.ones(1), (1, 0): np.array([0.0, 1.0])}, np.ones(1)))
+    base = AgentSpec(agent_id="base", policies=(
+        {(0, 0): np.ones(1), (1, 0): np.array([1.0, 0.0])}, np.ones(1)))
+    report = run_population_eval(cand, [base], game, 40, np.random.default_rng(6))
+    for seating, scores in zip(report.seatings, report.scores):
+        # outcome (2, 1) scores (4/5, 1/5); outcome (1, 0) scores (1, 0)
+        assert scores == ([0.8, 0.2] if seating[0] == "cand" else [1.0, 0.0])

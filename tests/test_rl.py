@@ -385,7 +385,6 @@ def test_config_validation():
 
 
 @pytest.mark.parametrize("field, value", [
-    ("search_mode", "exact"),
     ("distinguished_player", 2),
     ("distinguished_player", -1),
     ("policy_step", 0.0),
@@ -393,6 +392,9 @@ def test_config_validation():
     ("policy_step", float("nan")),
     ("episodes", 0),
     ("checkpoint_every", 0),
+    ("alpha", -0.5),
+    ("alpha", 1.5),
+    ("alpha", float("nan")),
 ])
 def test_config_rejects_out_of_range(field, value):
     with pytest.raises(ValueError):

@@ -17,8 +17,7 @@ from .oracle import (RegretReport, RegularizedProfile, kl_divergence,
 from .popeval import AgentSpec, PopEvalReport, mean_and_se, run_population_eval
 from .rating import (ELO_SCALE, GameRecord, RatingModel, fit_ratings,
                      log_posterior, predict_shares)
-from .rl import (PolicyTable, TrainConfig, ValueTable, build_stage_game,
-                 evaluate_vs_oracle, nashv_update, run_episode, search_state,
-                 train)
+from .rl import (TrainConfig, evaluate_vs_oracle, nashv_update, run_episode,
+                 search_state, train)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -360,8 +360,9 @@ def run_rl(game, loaded, seed: int, out: Path) -> list[Path]:
                 for f in fields) + "\n")
     ckpt_path = out / "checkpoint.json"
     ckpt_path.write_text(dumps_json({
-        "values": values.to_dict(),
-        "policy_table": policy_table.to_dict(),
+        "values": {str(s): v.tolist() for s, v in values.items()},
+        "policy_table": {f"{s},{i}": p.tolist()
+                         for (s, i), p in policy_table.items()},
     }, indent=2) + "\n")
     return [metrics_path, ckpt_path]
 

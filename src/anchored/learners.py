@@ -71,14 +71,12 @@ class TemperatureSchedule:
     Modes:
       constant_eta : kappa_t = 1/(eta * t)
       inverse_sqrt : kappa_t = 1/sqrt(t)
-      adaptive_std : kappa_t = max(num/den * S_t/sqrt(t), kappa_floor), where
+      adaptive_std : kappa_t = max(3 * S_t / (10 * sqrt(t)), kappa_floor), where
                      S_t is the sample std of realized utilities so far
     """
 
     mode: str = "constant_eta"
     eta: float | None = None
-    scale_num: float = 3.0
-    scale_den: float = 10.0
     kappa_floor: float = 0.0
 
     def __post_init__(self):
@@ -104,7 +102,7 @@ class TemperatureSchedule:
         else:
             if utility_stats is None or utility_stats.count < 2:
                 return self.kappa_floor
-            k = self.scale_num * utility_stats.std() / (self.scale_den * math.sqrt(t))
+            k = 3.0 * utility_stats.std() / (10.0 * math.sqrt(t))
         return max(k, self.kappa_floor)
 
     def kappa_initial(self) -> float:
@@ -261,11 +259,10 @@ class Trace:
     """
 
     def __init__(self, action_counts, type_supports, iterations: int,
-                 sampled: bool, metadata: dict | None = None):
+                 sampled: bool):
         self.action_counts = tuple(int(n) for n in action_counts)
         self.n_players = len(self.action_counts)
         self.type_supports = [tuple(s) for s in type_supports]
-        self.metadata = dict(metadata or {})
         starts = _row_starts(self.type_supports)
         self._row_start = starts[:-1]
         width = max(self.action_counts)
@@ -317,13 +314,13 @@ class Trace:
             }
 
     @classmethod
-    def from_records(cls, records, type_supports, metadata=None) -> "Trace":
+    def from_records(cls, records, type_supports) -> "Trace":
         records = list(records)
         if not records:
             raise ValueError("empty record stream")
         first = records[0]["per_player"]
         trace = cls([len(p["action_utilities"]) for p in first], type_supports,
-                    len(records), first[0]["action"] is not None, metadata)
+                    len(records), first[0]["action"] is not None)
         for t, rec in enumerate(records):
             trace.kappas[t] = rec["kappa"]
             trace.realized[t] = rec["utilities"]
@@ -544,15 +541,7 @@ def run_selfplay(game: NormalFormGame, learners, iterations: int,
         raise ValueError("sampled mode requires an rng")
     trace = None
     if record:
-        trace = Trace(
-            game.action_counts,
-            [ln.types.lambdas for ln in learners],
-            iterations,
-            mode == "sampled",
-            metadata={
-                "mode": mode,
-                "uniform_first_iterate": [ln.uniform_first_iterate for ln in learners],
-            },
-        )
+        trace = Trace(game.action_counts, [ln.types.lambdas for ln in learners],
+                      iterations, mode == "sampled")
     _selfplay(game, learners, iterations, rng if mode == "sampled" else None, trace)
     return trace

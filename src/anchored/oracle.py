@@ -352,6 +352,8 @@ def stage_game_from_values(game: TabularMarkovGame, s: int,
     expectation is accumulated one successor at a time in `next_states`
     order, and player i's payoff tensor is the C-contiguous slice ``[i]`` of
     one ``(P, *A_s)`` array."""
+    if s == TERMINAL:
+        raise ValueError("terminal state has no stage game")
     rewards, probs = game.R[s], game.T[s]
     lift = (slice(None),) + (None,) * (rewards.ndim - 1)
     cont = np.zeros(rewards.shape)

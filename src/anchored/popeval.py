@@ -30,7 +30,6 @@ class AgentSpec:
     types: TypeDistribution | None = None
     act_lambda: float = 0.0
     anchor_policies: tuple = ()          # search: anchors per seat
-    schedule: TemperatureSchedule | None = None
     search_iterations: int = 256
 
     def __post_init__(self):
@@ -56,11 +55,10 @@ def resolve_agent_policies(agent: AgentSpec, game: NormalFormGame) -> list:
     anchors = agent.anchor_policies
     if len(anchors) != n:
         raise ValueError(f"agent {agent.agent_id}: need one anchor per seat")
-    schedule = agent.schedule or TemperatureSchedule.adaptive()
     learners = [
         Learner(player=i, n_actions=game.action_counts[i],
                 anchor=np.asarray(anchors[i], float), types=agent.types,
-                schedule=schedule)
+                schedule=TemperatureSchedule.adaptive())
         for i in range(n)
     ]
     run_selfplay(game, learners, agent.search_iterations, mode="expected",

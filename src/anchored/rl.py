@@ -9,71 +9,16 @@ epsilon-explored) joint action.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 
-from .games import TERMINAL, NormalFormGame, TabularMarkovGame, uniform_policy
+from .games import TERMINAL, NormalFormGame, TabularMarkovGame
 from .learners import (INF, Learner, TemperatureSchedule, TypeDistribution,
                        run_selfplay)
 from .oracle import (kl_divergence, regularized_exploitability,
                      stage_game_from_values)
-
-
-@dataclass
-class ValueTable:
-    """Per-state per-player value estimates.  Terminal value is identically 0."""
-
-    values: dict = field(default_factory=dict)
-
-    @classmethod
-    def zeros(cls, game: TabularMarkovGame) -> "ValueTable":
-        return cls({s: np.zeros(game.player_count) for s in range(game.state_count)})
-
-    def get(self, s: int) -> np.ndarray:
-        return self.values[s]
-
-    def copy(self) -> "ValueTable":
-        return ValueTable({s: v.copy() for s, v in self.values.items()})
-
-    def to_dict(self) -> dict:
-        return {str(s): v.tolist() for s, v in self.values.items()}
-
-
-@dataclass
-class PolicyTable:
-    """Stored per-(state, player) policies, updated as a moving average
-    toward each search result."""
-
-    policies: dict = field(default_factory=dict)
-    step: float = 0.1
-
-    @classmethod
-    def uniform(cls, game: TabularMarkovGame, step: float = 0.1) -> "PolicyTable":
-        pols = {
-            (s, i): np.array(uniform_policy(game.action_counts[s][i]))
-            for s in range(game.state_count)
-            for i in range(game.player_count)
-        }
-        return cls(pols, step)
-
-    @classmethod
-    def from_anchors(cls, anchors: dict, step: float = 0.1) -> "PolicyTable":
-        return cls({k: np.array(v, dtype=float) for k, v in anchors.items()}, step)
-
-    def get(self, s: int, player: int) -> np.ndarray:
-        return self.policies[(s, player)]
-
-    def update(self, s: int, player: int, sigma: np.ndarray) -> None:
-        old = self.policies[(s, player)]
-        self.policies[(s, player)] = (1 - self.step) * old + self.step * sigma
-
-    def copy(self) -> "PolicyTable":
-        return PolicyTable({k: v.copy() for k, v in self.policies.items()}, self.step)
-
-    def to_dict(self) -> dict:
-        return {f"{s},{i}": p.tolist() for (s, i), p in self.policies.items()}
 
 
 @dataclass(frozen=True)
@@ -111,19 +56,12 @@ class TrainConfig:
             raise ValueError("checkpoint_every must be >= 1")
 
 
-def build_stage_game(game: TabularMarkovGame, s: int,
-                     values: ValueTable) -> NormalFormGame:
-    """Stage game at s: immediate reward plus discounted expected value."""
-    if s == TERMINAL:
-        raise ValueError("terminal state has no stage game")
-    return stage_game_from_values(game, s, values.values)
-
-
-def nashv_update(values: ValueTable, s: int, sigma, stage: NormalFormGame,
+def nashv_update(values: dict, s: int, sigma, stage: NormalFormGame,
                  alpha: float) -> None:
-    """V(s) <- (1 - alpha) V(s) + alpha * E_sigma[u(a)], where `stage` is the
-    stage game r + gamma * E[V(s')] at s (`build_stage_game`) and the
-    expectation is under the product of the per-player policies in sigma.
+    """V(s) <- (1 - alpha) V(s) + alpha * E_sigma[u(a)] in the `{s: vector}`
+    dict `values`.  `stage` is the stage game r + gamma * E[V(s')] at s
+    (`stage_game_from_values`), and the expectation is under the product of
+    the per-player policies in sigma.
 
     The target sums p(a) u(a) over joint actions one at a time, in product
     order."""
@@ -132,7 +70,7 @@ def nashv_update(values: ValueTable, s: int, sigma, stage: NormalFormGame,
     p = reduce(np.multiply.outer, sigma).ravel()
     u = np.array(stage.payoffs).reshape(stage.player_count, -1)
     target = np.add.reduce((p * u).T.copy(), axis=0, initial=0.0)
-    values.values[s] = (1 - alpha) * values.get(s) + alpha * target
+    values[s] = (1 - alpha) * values[s] + alpha * target
 
 
 def _search_types(config: TrainConfig, n_players: int):
@@ -193,13 +131,14 @@ class EpisodeRecord:
     sigmas: list
 
 
-def run_episode(game: TabularMarkovGame, values: ValueTable,
-                policy_table: PolicyTable, anchors: dict, config: TrainConfig,
-                rng: np.random.Generator,
+def run_episode(game: TabularMarkovGame, values: dict, policy_table: dict,
+                anchors: dict, config: TrainConfig, rng: np.random.Generator,
                 visit_counts: dict | None = None,
-                proposal_table: PolicyTable | None = None) -> EpisodeRecord:
-    """Play one self-play episode from the initial state, updating the value
-    and policy tables at every visited state.
+                proposal_table: dict | None = None) -> EpisodeRecord:
+    """Play one self-play episode from the initial state, updating the
+    `{s: vector}` values and the `{(s, i): vector}` policy table at every
+    visited state.  A policy entry is replaced by
+    `(1 - policy_step) * old + policy_step * sigma`, never changed in place.
 
     `proposal_table` is the table consulted for the top-k action restriction;
     in NPU mode the caller passes a frozen copy so the restriction never moves
@@ -210,14 +149,14 @@ def run_episode(game: TabularMarkovGame, values: ValueTable,
     record = EpisodeRecord([], [], [])
     s = game.initial_state
     for _ in range(game.horizon):
-        stage = build_stage_game(game, s, values)
+        stage = stage_game_from_values(game, s, values)
         st_anchors = [anchors[(s, i)] for i in range(game.player_count)]
         keep = None
         if config.top_k is not None:
             keep = []
             for i in range(game.player_count):
                 k = min(config.top_k, stage.action_counts[i])
-                probs = proposals.get(s, i)
+                probs = proposals[(s, i)]
                 keep.append(np.sort(np.argsort(-probs, kind="stable")[:k]))
             sub = _restrict_stage(stage, keep)
             sub_anchors = [
@@ -243,8 +182,9 @@ def run_episode(game: TabularMarkovGame, values: ValueTable,
         else:
             alpha = config.alpha
         nashv_update(values, s, sigma, stage, alpha)
+        step = config.policy_step
         for i in range(game.player_count):
-            policy_table.update(s, i, sigma[i])
+            policy_table[(s, i)] = (1 - step) * policy_table[(s, i)] + step * sigma[i]
         joint = []
         for i in range(game.player_count):
             if rng.random() < config.nash_explore:
@@ -265,11 +205,12 @@ def train(game: TabularMarkovGame, anchors: dict, config: TrainConfig,
           oracle_values: dict | None = None,
           oracle_profiles: dict | None = None):
     """Run the configured number of self-play episodes and return the trained
-    tables plus a per-checkpoint metrics series."""
+    `{s: vector}` values, the `{(s, i): vector}` policy table (started at
+    `anchors`) and a per-checkpoint metrics series."""
     rng = np.random.default_rng(config.seed)
-    values = ValueTable.zeros(game)
-    policy_table = PolicyTable.from_anchors(anchors, step=config.policy_step)
-    proposal_table = policy_table.copy() if config.mode == "NPU" else None
+    values = {s: np.zeros(game.player_count) for s in range(game.state_count)}
+    policy_table = dict(anchors)
+    proposal_table = dict(policy_table) if config.mode == "NPU" else None
     visit_counts: dict = {}
     metrics: list[dict] = []
     for ep in range(1, config.episodes + 1):
@@ -286,8 +227,8 @@ def train(game: TabularMarkovGame, anchors: dict, config: TrainConfig,
     return values, policy_table, metrics
 
 
-def evaluate_vs_oracle(game: TabularMarkovGame, values: ValueTable,
-                       policy_table: PolicyTable, anchors: dict,
+def evaluate_vs_oracle(game: TabularMarkovGame, values: dict,
+                       policy_table: dict, anchors: dict,
                        oracle_values: dict,
                        oracle_profiles: dict | None = None) -> dict:
     """Error of the learned tables against exact backward induction."""
@@ -295,7 +236,7 @@ def evaluate_vs_oracle(game: TabularMarkovGame, values: ValueTable,
     for s in range(game.state_count):
         if s not in oracle_values:
             raise ValueError(f"oracle has no value for state {s}")
-        errs.append(float(np.max(np.abs(values.get(s) - oracle_values[s]))))
+        errs.append(float(np.max(np.abs(values[s] - oracle_values[s]))))
     out = {
         "max_value_error": max(errs),
         "mean_value_error": float(np.mean(errs)),
@@ -307,7 +248,7 @@ def evaluate_vs_oracle(game: TabularMarkovGame, values: ValueTable,
             st_anchors = [anchors[(s, i)] for i in range(game.player_count)]
             learned = type(profile)(
                 policies=tuple(
-                    {lam: policy_table.get(s, i) for lam in profile.types[i].lambdas}
+                    {lam: policy_table[(s, i)] for lam in profile.types[i].lambdas}
                     for i in range(game.player_count)
                 ),
                 types=profile.types,
@@ -317,7 +258,7 @@ def evaluate_vs_oracle(game: TabularMarkovGame, values: ValueTable,
             for i in range(game.player_count):
                 for lam in profile.types[i].lambdas:
                     kls.append(kl_divergence(profile.policies[i][lam],
-                                             policy_table.get(s, i)))
+                                             policy_table[(s, i)]))
         out["mean_policy_kl"] = float(np.mean(kls))
         out["mean_exploitability"] = float(np.mean(gaps))
     return out

@@ -15,11 +15,9 @@ from anchored import (
     INF,
     AgentSpec,
     NormalFormGame,
-    PolicyTable,
     TemperatureSchedule,
     TrainConfig,
     TypeDistribution,
-    ValueTable,
     init_learner,
     kl_divergence,
     last_iterate_distance,
@@ -271,8 +269,8 @@ def test_criterion_6_value_learning(capsys):
         alpha_harmonic=True,
         seed=7,
     )
-    values = ValueTable.zeros(game)
-    table = PolicyTable.from_anchors(anchors)
+    values = {s: np.zeros(2) for s in range(game.state_count)}
+    table = dict(anchors)
     rng = np.random.default_rng(cfg.seed)
     visit_counts = {}
     worst_asym = 0.0
@@ -280,7 +278,7 @@ def test_criterion_6_value_learning(capsys):
         run_episode(game, values, table, anchors, cfg, rng,
                     visit_counts=visit_counts)
         worst_asym = max(worst_asym, max(
-            abs(float(values.get(s)[0] + values.get(s)[1]))
+            abs(float(values[s][0] + values[s][1]))
             for s in range(game.state_count)))
     out = evaluate_vs_oracle(game, values, table, anchors, oracle_values,
                              oracle_profiles)
@@ -306,15 +304,15 @@ def test_criterion_7_best_response_mode(capsys):
         distinguished_player=0,
         seed=11,
     )
-    values = ValueTable.zeros(game)
-    table = PolicyTable.from_anchors(anchors)
+    values = {s: np.zeros(2) for s in range(game.state_count)}
+    table = dict(anchors)
     rng = np.random.default_rng(cfg.seed)
     visit_counts = {}
     for _ in range(cfg.episodes):
         run_episode(game, values, table, anchors, cfg, rng,
                     visit_counts=visit_counts)
     trained = {
-        (s, i): (table.get(s, 0) if i == 0 else anchors[(s, 1)])
+        (s, i): (table[(s, 0)] if i == 0 else anchors[(s, 1)])
         for s in range(game.state_count) for i in range(2)
     }
     v_trained = evaluate_markov_profile(game, trained)

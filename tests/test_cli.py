@@ -7,6 +7,7 @@ import io
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -635,12 +636,32 @@ def test_large_seed_reaches_manifest_exactly(tmp_path, capsys):
     assert "validation error: seed" in capsys.readouterr().err
 
 
-def test_readme_config_table_lists_every_schema_key():
-    from pathlib import Path
+README = Path(__file__).resolve().parents[1] / "README.md"
 
+
+def _readme_block(lang: str) -> str:
+    """The README's one fenced code block in `lang`."""
+    (block,) = re.findall(rf"^```{lang}\n(.*?)^```", README.read_text(),
+                          re.M | re.S)
+    return block
+
+
+def test_readme_quick_start_runs(capsys):
+    exec(compile(_readme_block("python"), str(README), "exec"), {})
+    regret, bound = capsys.readouterr().out.split("\n")[0].split(" <= ")
+    assert float(regret) <= float(bound)
+
+
+def test_readme_config_example_validates(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(_readme_block("json"))
+    assert main(["validate", str(path)]) == 0
+
+
+def test_readme_config_table_lists_every_schema_key():
     from anchored.cli import KINDS, SCHEMA
 
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = README.read_text()
     rows = re.findall(r"^\| ([\w. ]+) \| `(\w+)` \|", readme, re.M)
     documented = {("" if section == "top level" else section, key)
                   for section, key in rows}

@@ -6,11 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from anchored import (
     INF,
-    PolicyTable,
     TrainConfig,
     TypeDistribution,
-    ValueTable,
-    build_stage_game,
     make_builtin_game,
     make_random_markov,
     make_repeated_markov,
@@ -23,7 +20,7 @@ from anchored import (
     evaluate_vs_oracle,
     uniform_policy,
 )
-from anchored.oracle import uniform_anchors
+from anchored.oracle import stage_game_from_values, uniform_anchors
 from anchored.rl import _search_types
 
 
@@ -31,6 +28,10 @@ def small_fixture():
     return make_random_markov(seed=11, state_count=3, player_count=2,
                               actions_per_player=2, horizon=2, gamma=1.0,
                               zero_sum=True)
+
+
+def zero_values(game):
+    return {s: np.zeros(game.player_count) for s in range(game.state_count)}
 
 
 def singleton_config(**kw):
@@ -48,8 +49,8 @@ def singleton_config(**kw):
 
 def test_stage_game_zero_values_equal_rewards():
     game = small_fixture()
-    values = ValueTable.zeros(game)
-    stage = build_stage_game(game, 0, values)
+    values = zero_values(game)
+    stage = stage_game_from_values(game, 0, values)
     for a in game.joint_actions(0):
         assert stage.payoffs[0][a] == pytest.approx(game.reward(0, a)[0],
                                                     abs=1e-12)
@@ -59,9 +60,9 @@ def test_stage_game_gamma_zero_ignores_values():
     game = make_random_markov(seed=12, state_count=3, player_count=2,
                               actions_per_player=2, horizon=2, gamma=0.0,
                               zero_sum=True)
-    values = ValueTable.zeros(game)
-    values.values[1] = np.array([5.0, -5.0])
-    stage = build_stage_game(game, 0, values)
+    values = zero_values(game)
+    values[1] = np.array([5.0, -5.0])
+    stage = stage_game_from_values(game, 0, values)
     for a in game.joint_actions(0):
         assert stage.payoffs[0][a] == pytest.approx(game.reward(0, a)[0],
                                                     abs=1e-12)
@@ -70,38 +71,38 @@ def test_stage_game_gamma_zero_ignores_values():
 def test_stage_game_value_substitution():
     mp = make_builtin_game("matching_pennies")
     game = make_repeated_markov(mp, horizon=2, discount=1.0)
-    values = ValueTable.zeros(game)
-    values.values[1] = np.array([0.6, -0.6])
-    stage = build_stage_game(game, 0, values)
+    values = zero_values(game)
+    values[1] = np.array([0.6, -0.6])
+    stage = stage_game_from_values(game, 0, values)
     # every joint action moves to state 1 deterministically
     for a in game.joint_actions(0):
-        expect = game.reward(0, a) + values.values[1]
+        expect = game.reward(0, a) + values[1]
         assert stage.payoffs[0][a] == pytest.approx(expect[0], abs=1e-12)
 
 
 def test_stage_game_rejects_terminal():
     game = small_fixture()
     with pytest.raises(ValueError):
-        build_stage_game(game, -1, ValueTable.zeros(game))
+        stage_game_from_values(game, -1, zero_values(game))
 
 
 # ----------------------------------------------------------- NashV update
 
 def test_nashv_alpha_zero_noop():
     game = small_fixture()
-    values = ValueTable.zeros(game)
-    values.values[0] = np.array([0.3, -0.3])
-    before = values.get(0).copy()
+    values = zero_values(game)
+    values[0] = np.array([0.3, -0.3])
+    before = values[0].copy()
     nashv_update(values, 0, [uniform_policy(2)] * 2,
-                 build_stage_game(game, 0, values), alpha=0.0)
-    np.testing.assert_array_equal(values.get(0), before)
+                 stage_game_from_values(game, 0, values), alpha=0.0)
+    np.testing.assert_array_equal(values[0], before)
 
 
 def test_nashv_alpha_one_overwrites_with_target():
     game = small_fixture()
-    values = ValueTable.zeros(game)
+    values = zero_values(game)
     sigma = [uniform_policy(2), uniform_policy(2)]
-    nashv_update(values, 0, sigma, build_stage_game(game, 0, values), alpha=1.0)
+    nashv_update(values, 0, sigma, stage_game_from_values(game, 0, values), alpha=1.0)
     # independent expectation over joint actions and transitions
     target = np.zeros(2)
     for a in game.joint_actions(0):
@@ -111,35 +112,35 @@ def test_nashv_alpha_one_overwrites_with_target():
             if s2 != -1:
                 cont += q * np.zeros(2)
         target += p * (game.reward(0, a) + game.gamma * cont)
-    np.testing.assert_array_equal(values.get(0), target)
+    np.testing.assert_array_equal(values[0], target)
 
 
 def test_nashv_hand_convex_combination():
     mp = make_builtin_game("matching_pennies")
     game = make_repeated_markov(mp, horizon=1, discount=1.0)
-    values = ValueTable.zeros(game)
-    values.values[0] = np.array([0.2, 0.8])
+    values = zero_values(game)
+    values[0] = np.array([0.2, 0.8])
     # force a deterministic joint action with expected reward (1, -1)
     sigma = [np.array([1.0, 0.0]), np.array([1.0, 0.0])]
-    nashv_update(values, 0, sigma, build_stage_game(game, 0, values), alpha=0.5)
-    np.testing.assert_allclose(values.get(0), [0.6, -0.1], atol=1e-12)
+    nashv_update(values, 0, sigma, stage_game_from_values(game, 0, values), alpha=0.5)
+    np.testing.assert_allclose(values[0], [0.6, -0.1], atol=1e-12)
 
 
 def test_nashv_contraction_identity():
     game = small_fixture()
     rng = np.random.default_rng(5)
     for _ in range(10):
-        values = ValueTable.zeros(game)
-        values.values[0] = rng.normal(size=2)
+        values = zero_values(game)
+        values[0] = rng.normal(size=2)
         sigma = [rng.dirichlet(np.ones(2)) for _ in range(2)]
         alpha = float(rng.uniform(0.0, 1.0))
-        check = values.copy()
-        stage = build_stage_game(game, 0, values)
+        check = dict(values)
+        stage = stage_game_from_values(game, 0, values)
         nashv_update(check, 0, sigma, stage, alpha=1.0)
-        target = check.get(0)
-        old = values.get(0).copy()
+        target = check[0]
+        old = values[0].copy()
         nashv_update(values, 0, sigma, stage, alpha=alpha)
-        np.testing.assert_allclose(values.get(0) - target,
+        np.testing.assert_allclose(values[0] - target,
                                    (1 - alpha) * (old - target), atol=1e-12)
 
 
@@ -151,9 +152,9 @@ def test_stage_and_nashv_match_scalar_reference(seed, players, actions):
     game = make_random_markov(seed=seed, state_count=9, player_count=players,
                               actions_per_player=actions, horizon=3, gamma=0.9)
     rng = np.random.default_rng(seed)
-    values = ValueTable({s: rng.normal(size=players) for s in range(9)})
+    values = {s: rng.normal(size=players) for s in range(9)}
     for s in range(game.state_count):
-        stage = build_stage_game(game, s, values)
+        stage = stage_game_from_values(game, s, values)
         sigma = [rng.dirichlet(np.ones(actions)) for _ in range(players)]
         sigma[0][rng.integers(actions)] = 0.0
         target = np.zeros(players)
@@ -161,7 +162,7 @@ def test_stage_and_nashv_match_scalar_reference(seed, players, actions):
             cont = np.zeros(players)
             for s2, q in game.successors(s, a):
                 if s2 != -1:
-                    cont += q * values.get(s2)
+                    cont += q * values[s2]
             total = game.reward(s, a) + game.gamma * cont
             for i in range(players):
                 assert stage.payoffs[i][a] == total[i]
@@ -170,16 +171,16 @@ def test_stage_and_nashv_match_scalar_reference(seed, players, actions):
                 p *= sigma[i][ai]
             if p != 0.0:
                 target += p * total
-        check = values.copy()
+        check = dict(values)
         nashv_update(check, s, sigma, stage, alpha=1.0)
-        np.testing.assert_array_equal(check.get(s), target)
+        np.testing.assert_array_equal(check[s], target)
 
 
 # ---------------------------------------------------------------- search
 
 def test_search_state_all_anchored_bypasses_learning():
     game = small_fixture()
-    stage = build_stage_game(game, 0, ValueTable.zeros(game))
+    stage = stage_game_from_values(game, 0, zero_values(game))
     anchors = [np.array([0.7, 0.3]), np.array([0.4, 0.6])]
     types = (TypeDistribution.singleton(INF), TypeDistribution.singleton(INF))
     sigma = search_state(stage, anchors, types, iterations=16)
@@ -189,7 +190,7 @@ def test_search_state_all_anchored_bypasses_learning():
 
 def test_search_state_approximates_stage_equilibrium():
     game = small_fixture()
-    stage = build_stage_game(game, 0, ValueTable.zeros(game))
+    stage = stage_game_from_values(game, 0, zero_values(game))
     anchors = [uniform_policy(2), uniform_policy(2)]
     types = (TypeDistribution.singleton(0.5),) * 2
     sigma = search_state(stage, anchors, types, iterations=512)
@@ -210,23 +211,23 @@ def test_best_response_mode_type_assignment():
 
 def test_run_episode_visits_initial_state_and_updates():
     game = small_fixture()
-    values = ValueTable.zeros(game)
+    values = zero_values(game)
     anchors = uniform_anchors(game)
-    table = PolicyTable.from_anchors(anchors)
+    table = dict(anchors)
     cfg = singleton_config()
     rec = run_episode(game, values, table, anchors, cfg,
                       np.random.default_rng(0))
     assert rec.states[0] == game.initial_state
     assert len(rec.states) <= game.horizon
-    assert np.any(values.get(0) != 0.0)
+    assert np.any(values[0] != 0.0)
 
 
 def test_full_exploration_uniform_frequencies():
     game = small_fixture()
     anchors = uniform_anchors(game)
     cfg = singleton_config(nash_explore=1.0, search_iterations=4)
-    values = ValueTable.zeros(game)
-    table = PolicyTable.from_anchors(anchors)
+    values = zero_values(game)
+    table = dict(anchors)
     rng = np.random.default_rng(1)
     counts = np.zeros(2)
     n = 0
@@ -248,8 +249,8 @@ def test_best_response_mode_opponents_play_anchor():
     }
     cfg = singleton_config(mode="best_response", distinguished_player=0,
                            types=())
-    values = ValueTable.zeros(game)
-    table = PolicyTable.from_anchors(anchors)
+    values = zero_values(game)
+    table = dict(anchors)
     rec = run_episode(game, values, table, anchors, cfg,
                       np.random.default_rng(2))
     for s, sigmas in zip(rec.states, rec.sigmas):
@@ -262,8 +263,8 @@ def test_episode_determinism():
 
     def run():
         cfg = singleton_config(search_iterations=32)
-        values = ValueTable.zeros(game)
-        table = PolicyTable.from_anchors(anchors)
+        values = zero_values(game)
+        table = dict(anchors)
         rng = np.random.default_rng(7)
         recs = [run_episode(game, values, table, anchors, cfg, rng)
                 for _ in range(5)]
@@ -273,7 +274,7 @@ def test_episode_determinism():
     b, vb = run()
     assert a == b
     for s in range(game.state_count):
-        np.testing.assert_array_equal(va.get(s), vb.get(s))
+        np.testing.assert_array_equal(va[s], vb[s])
 
 
 def test_npu_keeps_proposal_frozen():
@@ -283,18 +284,18 @@ def test_npu_keeps_proposal_frozen():
     anchors = uniform_anchors(game)
     cfg = singleton_config(mode="NPU", top_k=2, episodes=15,
                            search_iterations=32)
-    values = ValueTable.zeros(game)
-    table = PolicyTable.from_anchors(anchors)
-    proposal = table.copy()
-    frozen = {k: v.copy() for k, v in proposal.policies.items()}
+    values = zero_values(game)
+    table = dict(anchors)
+    proposal = dict(table)
+    frozen = {k: v.copy() for k, v in proposal.items()}
     rng = np.random.default_rng(3)
     for _ in range(15):
         run_episode(game, values, table, anchors, cfg, rng,
                     proposal_table=proposal)
     for k in frozen:
-        np.testing.assert_array_equal(proposal.policies[k], frozen[k])
+        np.testing.assert_array_equal(proposal[k], frozen[k])
     # the trained table did move
-    assert any(np.max(np.abs(table.policies[k] - frozen[k])) > 1e-12
+    assert any(np.max(np.abs(table[k] - frozen[k])) > 1e-12
                for k in frozen)
 
 
@@ -305,7 +306,7 @@ def test_train_zero_sum_value_symmetry():
     cfg = singleton_config(episodes=30)
     values, table, metrics = train(game, uniform_anchors(game), cfg)
     for s in range(game.state_count):
-        v = values.get(s)
+        v = values[s]
         assert abs(v[0] + v[1]) <= 1e-9
 
 
@@ -328,7 +329,7 @@ def test_train_values_within_analytic_bound():
     values, _, _ = train(game, uniform_anchors(game), cfg)
     bound = game.max_return() + 1e-9
     for s in range(game.state_count):
-        assert np.max(np.abs(values.get(s))) <= bound
+        assert np.max(np.abs(values[s])) <= bound
 
 
 def test_train_horizon_one_converges_to_stage_equilibrium_value():
@@ -342,7 +343,7 @@ def test_train_horizon_one_converges_to_stage_equilibrium_value():
     prof = solve_regularized_bne(mp, [uniform_policy(2)] * 2, types)
     mix = [prof.mixture(0), prof.mixture(1)]
     v_star = float(mp.utility_vector(0, mix) @ mix[0])
-    assert values.get(0)[0] == pytest.approx(v_star, abs=0.01)
+    assert values[0][0] == pytest.approx(v_star, abs=0.01)
 
 
 # -------------------------------------------------------------- evaluation
@@ -352,11 +353,11 @@ def test_evaluate_vs_oracle_zero_errors_at_oracle():
     anchors = uniform_anchors(game)
     oracle_values, oracle_profiles = solve_markov_backward(
         game, anchors, (0.5, 0.5))
-    values = ValueTable({s: v.copy() for s, v in oracle_values.items()})
-    table = PolicyTable.from_anchors(anchors)
+    values = {s: v.copy() for s, v in oracle_values.items()}
+    table = dict(anchors)
     for s, prof in oracle_profiles.items():
         for i in range(2):
-            table.policies[(s, i)] = prof.policies[i][0.5].copy()
+            table[(s, i)] = prof.policies[i][0.5].copy()
     out = evaluate_vs_oracle(game, values, table, anchors, oracle_values,
                              oracle_profiles)
     assert out["max_value_error"] == pytest.approx(0.0, abs=1e-12)
@@ -368,8 +369,7 @@ def test_evaluate_vs_oracle_zero_table_error_magnitude():
     game = small_fixture()
     anchors = uniform_anchors(game)
     oracle_values, _ = solve_markov_backward(game, anchors, (0.5, 0.5))
-    out = evaluate_vs_oracle(game, ValueTable.zeros(game),
-                             PolicyTable.from_anchors(anchors), anchors,
+    out = evaluate_vs_oracle(game, zero_values(game), dict(anchors), anchors,
                              oracle_values)
     expect = max(float(np.max(np.abs(v))) for v in oracle_values.values())
     assert out["max_value_error"] == pytest.approx(expect, abs=1e-12)

@@ -44,18 +44,17 @@ def smooth_best_response(u, anchor, lam: float) -> np.ndarray:
 
 def sbr_value(u, anchor, lam: float) -> float:
     """Optimal value of the smooth best response, in log-partition form:
-    lam * log sum_a anchor(a) * exp(u(a)/lam)."""
+    lam * log sum_a anchor(a) * exp(u(a)/lam); its limit <u, anchor> at
+    lam = inf."""
     if lam <= 0:
         raise ValueError("lam must be > 0")
     u = np.asarray(u, dtype=float)
     anchor = np.asarray(anchor, dtype=float)
+    if lam == INF:
+        return float(u @ anchor)
     z = np.log(anchor) + u / lam
     m = z.max()
     return float(lam * (m + math.log(np.sum(np.exp(z - m)))))
-
-
-def best_response_value(u) -> float:
-    return float(np.max(u))
 
 
 @dataclass
@@ -85,111 +84,108 @@ class RegularizedProfile:
         }
 
 
-def solve_regularized_bne(game: NormalFormGame, anchors, types,
-                          tol: float = 1e-10, max_iters: int = 100000,
-                          damping: float = 0.5,
-                          init: str = "anchor") -> RegularizedProfile:
-    """Damped fixed-point iteration for the regularized equilibrium of a
-    two-player zero-sum game: each type's policy moves toward the smooth best
-    response to the opponent's belief-averaged policy.
+#: Newton steps before a solve returns ``converged=False``.
+NEWTON_STEPS = 100
 
-    The best-response map is only contractive once the damping factor is
-    small relative to U/lambda, so the damping is halved whenever the
-    residual has not improved on its running best for 50 consecutive sweeps.
-    A non-converged result is returned with ``converged=False`` and its final
-    residual rather than raised; a non-finite residual (a NaN smooth best
-    response, e.g. when u/lambda overflows) ends the solve at that sweep with
-    ``converged=False``.  This is the B = 1 call of `_damped_equilibria`.
-    """
+
+def solve_regularized_bne(game: NormalFormGame, anchors, types,
+                          tol: float = 1e-10) -> RegularizedProfile:
+    """Regularized equilibrium of a two-player zero-sum game: converged once
+    no type's policy is more than `tol` from its smooth best response to the
+    opponent's mixture.  A solve that has not converged after `NEWTON_STEPS`
+    steps or reaches a non-finite residual (e.g. u/lambda overflows) returns
+    ``converged=False``.  The B = 1 call of `_newton_equilibria`."""
     if game.player_count != 2 or not game.zero_sum:
         raise ValueError("requires a two-player zero-sum game")
     payoffs = [u[None] for u in game.payoffs]
     anchors = [np.asarray(a, dtype=float)[None] for a in anchors]
-    return _damped_equilibria(payoffs, anchors, tuple(types), tol, max_iters,
-                              damping, init)[0]
+    return _newton_equilibria(payoffs, anchors, tuple(types), tol)[0]
 
 
-def _damped_equilibria(payoffs, anchors, types, tol=1e-10, max_iters=100000,
-                       damping=0.5, init="anchor") -> list[RegularizedProfile]:
-    """`solve_regularized_bne` for B two-player zero-sum games of one shape
-    in lockstep: `payoffs[i]` is player i's ``(B, A_0, A_1)`` payoff stack,
-    `anchors[i]` its ``(B, A_i)`` anchors and `types[i]` its types, shared by
-    the batch.  Player i's policies are one ``(B, K_i, A_i)`` array; a sweep
-    takes `TypeDistribution.mixture` over the type slots, ``u_0 = P_0 @ mix_1``
-    and ``u_1 = P_1^T @ mix_0`` (one `np.matmul` over the stack: the per-game
-    `np.dot` of `utility_vector`, bit for bit) and one softmax over each
-    player's rows in `smooth_best_response`'s order of operations.  Each game
-    keeps its own damping and stall counter and leaves the batch, compacted
-    only then, at the sweep where its residual falls below `tol` or is not
-    finite, so it returns what a solve of it alone returns.
+def _newton_equilibria(payoffs, anchors, types,
+                       tol: float = 1e-10) -> list[RegularizedProfile]:
+    """`solve_regularized_bne` for B games of one shape: `payoffs[i]` is
+    player i's ``(B, A_0, A_1)`` payoff stack, `anchors[i]` its ``(B, A_i)``
+    anchors and `types[i]` its types, shared by the batch.
+
+    Type k of player i plays ``softmax(log tau_i + u_i / lambda_k)``, so the
+    equilibrium is the root x = (g, h) of ``F = (P_0 mix_1(h) - g,
+    P_1^T mix_0(g) - h)``.  Its Jacobian ``[[-I, P_0 S_1], [P_1^T S_0, -I]]``,
+    ``S_i = sum_k w_k (diag p_k - p_k p_k^T) / lambda_k``, is never singular
+    in a zero-sum game, so Newton steps from anchor play (x = 0), each halved
+    until |F|^2 falls by the Armijo fraction, converge.  One `np.linalg.solve`
+    takes every game's step; each game keeps its own step size and freezes on
+    its own (see below), so it returns what a solve of it alone returns.
     """
     for td in types:
         if any(l <= 0 or l == INF for l in td.lambdas):
             raise ValueError("all lambda values must be finite and > 0")
-    if init not in ("anchor", "uniform"):
-        raise ValueError(f"unknown init {init!r}")
     lams = [np.array(td.lambdas)[:, None] for td in types]
+    weights = [np.array(td.weights)[:, None] for td in types]
     log_anchors = [np.log(a)[:, None, :] for a in anchors]
-    pols = [np.repeat((a if init == "anchor" else
-                       np.broadcast_to(uniform_policy(a.shape[1]), a.shape))[:, None, :],
-                      len(td.lambdas), axis=1)
-            for a, td in zip(anchors, types)]
-    live = np.arange(len(anchors[0]))
-    delta = np.full((len(live), 1, 1), float(damping))
-    best = np.full(len(live), INF)
-    stale = np.zeros(len(live), dtype=int)
-    residual = np.full(len(live), INF)
-    results: list = [None] * len(live)
+    to_u = (payoffs[0], payoffs[1].transpose(0, 2, 1))
+    batch, n0 = anchors[0].shape
+    eye = np.eye(n0 + anchors[1].shape[1])
 
-    def finish(rows, iterations, converged):
-        for b in rows:
-            results[live[b]] = RegularizedProfile(
-                tuple({lam: p[b, k] for k, lam in enumerate(td.lambdas)}
-                      for td, p in zip(types, pols)),
-                types, iterations, float(residual[b]), bool(converged[b]))
-
-    # Policies change in place, so the type-slot views and the update
-    # weights change only when the batch is compacted or a damping halves.
-    slots = [[p[:, k] for k in range(p.shape[1])] for p in pols]
-    keep_weight = 1.0 - delta
-    for it in range(1, max_iters + 1):
-        mix0, mix1 = (td.mixture(s)[:, :, None] for td, s in zip(types, slots))
-        targets = []
-        for i, u in enumerate((np.matmul(payoffs[0], mix1),
-                               np.matmul(payoffs[1].transpose(0, 2, 1), mix0))):
-            z = log_anchors[i] + u[:, None, :, 0] / lams[i]
-            z -= np.maximum.reduce(z, axis=-1, keepdims=True)
+    def respond(x):
+        """Each player's ``(B, K_i, A_i)`` policies at utility vectors x."""
+        pols = []
+        for i, u in enumerate((x[:, :n0], x[:, n0:])):
+            z = log_anchors[i] + u[:, None, :] / lams[i]
+            z -= z.max(axis=-1, keepdims=True)
             np.exp(z, out=z)
-            z /= np.add.reduce(z, axis=-1, keepdims=True)
-            targets.append(z)
-        residual = np.maximum(*(np.maximum.reduce(np.abs(t - p), axis=(1, 2))
-                                for t, p in zip(targets, pols)))
-        converged = residual < tol
-        done = converged | ~np.isfinite(residual)
-        if done.any():
-            finish(np.flatnonzero(done), it, converged)
-            keep = ~done
-            if not keep.any():
-                return results
-            live, delta, keep_weight, best, stale, residual = (
-                x[keep] for x in (live, delta, keep_weight, best, stale, residual))
-            payoffs, log_anchors, pols, targets = (
-                [x[keep] for x in xs] for xs in (payoffs, log_anchors, pols, targets))
-            slots = [[p[:, k] for k in range(p.shape[1])] for p in pols]
-        for p, t in zip(pols, targets):
-            p *= keep_weight
-            t *= delta
-            p += t
-        improved = residual < best
-        best = np.where(improved, residual, best)
-        stale = np.where(improved, 0, stale + 1)
-        halve = stale >= 50
-        if halve.any():
-            delta = np.where(halve[:, None, None], 0.5 * delta, delta)
-            keep_weight = 1.0 - delta
-            stale[halve] = 0
-    finish(range(len(live)), max_iters, np.zeros(len(live), dtype=bool))
-    return results
+            z /= z.sum(axis=-1, keepdims=True)
+            pols.append(z)
+        return pols
+
+    def utilities(pols):
+        """(u_0, u_1) against the belief mixtures of `pols`."""
+        mix0, mix1 = ((w * p).sum(axis=1)[..., None] for w, p in zip(weights, pols))
+        return np.concatenate([to_u[0] @ mix1, to_u[1] @ mix0], axis=1)[..., 0]
+
+    x = np.zeros((batch, len(eye)))
+    steps = np.zeros(batch, dtype=int)
+    live = np.ones(batch, dtype=bool)
+    below = np.zeros(batch, dtype=bool)
+    for step in range(NEWTON_STEPS + 1):
+        pols = respond(x)
+        u = utilities(pols)
+        residual = np.maximum(*(np.abs(t - p).max(axis=(1, 2))
+                                for t, p in zip(respond(u), pols)))
+        # The residual sees a utility only through its action's probability,
+        # so a game freezes at its second residual below tol in a row (the
+        # step between settles near-zero actions too) or at a non-finite one.
+        live &= ~(below & (residual < tol)) & np.isfinite(residual)
+        below = residual < tol
+        if step == NEWTON_STEPS or not live.any():
+            break
+        jac = np.repeat(-eye[None], batch, axis=0)
+        for i, block in ((0, np.s_[:, n0:, :n0]), (1, np.s_[:, :n0, n0:])):
+            wp = weights[i] / lams[i] * pols[i]
+            s_i = (np.eye(wp.shape[2]) * wp.sum(axis=1)[:, None]
+                   - wp.transpose(0, 2, 1) @ pols[i])
+            jac[block] = to_u[1 - i] @ s_i
+        f = u - x
+        dx = np.linalg.solve(jac, -f[..., None])[..., 0]
+        merit = (f * f).sum(axis=1)
+        t = np.ones(batch)
+        pending = live.copy()
+        for _ in range(40):                  # halvings before giving up a step
+            trial = x + t[:, None] * dx
+            r = utilities(respond(trial)) - trial
+            # Armijo: |F|^2 falls by 1e-4 * t of its slope -2|F|^2 along dx.
+            ok = pending & ((r * r).sum(axis=1) <= (1.0 - 2e-4 * t) * merit)
+            x[ok] = trial[ok]
+            pending &= ~ok
+            if not pending.any():
+                break
+            t[pending] *= 0.5
+        steps += live
+    return [RegularizedProfile(
+        tuple({lam: p[b, k] for k, lam in enumerate(td.lambdas)}
+              for td, p in zip(types, pols)),
+        types, int(steps[b]), float(residual[b]), bool(residual[b] < tol))
+        for b in range(batch)]
 
 
 def regularized_exploitability(game: NormalFormGame, anchors, types,
@@ -231,14 +227,18 @@ def regret_bound(payoff_bound: float, iterations: int, eta: float, lam: float,
         raise ValueError("invalid bound parameters")
     anchor = np.asarray(anchor, dtype=float)
     kl_u = kl_divergence(uniform_policy(n_actions), anchor)
+    rho = 0.0 if lam == 0 or kl_u == 0.0 else lam * kl_u
+    return (_min_term(payoff_bound, iterations, eta, lam)
+            + math.log(n_actions) / eta + rho)
+
+
+def _min_term(payoff_bound: float, iterations: int, eta: float,
+              lam: float) -> float:
+    """(U^2/4) * min{2 log T / lam, T eta}; (U^2/4) * T eta at lam = 0."""
     if lam == 0:
-        min_term = (payoff_bound ** 2 / 4.0) * iterations * eta
-        rho = 0.0
-    else:
-        log_term = 2.0 * math.log(iterations) / lam if lam != INF else 0.0
-        min_term = (payoff_bound ** 2 / 4.0) * min(log_term, iterations * eta)
-        rho = 0.0 if kl_u == 0.0 else lam * kl_u
-    return min_term + math.log(n_actions) / eta + rho
+        return (payoff_bound ** 2 / 4.0) * iterations * eta
+    return (payoff_bound ** 2 / 4.0) * min(2.0 * math.log(iterations) / lam,
+                                           iterations * eta)
 
 
 @dataclass
@@ -283,28 +283,27 @@ def regularized_regret(trace: Trace, player: int, lam: float, anchor,
     pols = trace.policy_matrix(player, lam)[:T]
     q_final = u.mean(axis=0)
     if lam == 0:
-        comparator = T * best_response_value(q_final)
+        comparator = T * float(np.max(q_final))
         kl_total = 0.0
     else:
         comparator = T * sbr_value(q_final, anchor, lam)
         with np.errstate(divide="ignore", invalid="ignore"):
             terms = np.where(pols > 0, pols * np.log(pols / anchor), 0.0)
         kl_total = float(terms.sum())
-    achieved = float(np.sum(u * pols)) - lam * kl_total
+    # A lambda = inf type plays its anchor, so its zero KL costs nothing.
+    achieved = float(np.sum(u * pols)) - (lam * kl_total if kl_total else 0.0)
     regret = comparator - achieved
     report = RegretReport(player=player, lam=lam, iterations=T, regret=regret)
     n = u.shape[1]
     kl_u = kl_divergence(uniform_policy(n), anchor)
     log_tau_mean = float(np.mean(np.log(anchor)))
-    report.rho_kl = lam * kl_u if lam > 0 else 0.0
-    report.rho_signed = lam * (math.log(n) + log_tau_mean) if lam > 0 else 0.0
+    # As in `regret_bound`, lambda = inf times a zero KL(uniform || anchor) is 0.
+    no_rho = lam == 0 or (lam == INF and kl_u == 0.0)
+    report.rho_kl = 0.0 if no_rho else lam * kl_u
+    report.rho_signed = 0.0 if no_rho else lam * (math.log(n) + log_tau_mean)
     if payoff_bound is not None and eta is not None:
         report.bound = regret_bound(payoff_bound, T, eta, lam, n, anchor)
-        if lam == 0:
-            report.min_term = (payoff_bound ** 2 / 4.0) * T * eta
-        else:
-            report.min_term = (payoff_bound ** 2 / 4.0) * min(
-                2.0 * math.log(T) / lam, T * eta)
+        report.min_term = _min_term(payoff_bound, T, eta, lam)
         report.log_n_term = math.log(n) / eta
     return report
 
@@ -375,7 +374,7 @@ def solve_markov_backward(game: TabularMarkovGame, anchors, lambdas,
     positive lambda per player.  Returns (values, per-state profiles), where
     values[s] is the per-player expected value of equilibrium play from s.
     The states of one layer are independent: their stage games are solved
-    with one `_damped_equilibria` call per action-count shape.
+    with one `_newton_equilibria` call per action-count shape.
     """
     if game.player_count != 2 or not game.zero_sum:
         raise ValueError("requires a two-player zero-sum Markov game")
@@ -389,7 +388,7 @@ def solve_markov_backward(game: TabularMarkovGame, anchors, lambdas,
             groups.setdefault(game.action_counts[s], []).append(s)
         solved: dict = {}
         for group in groups.values():
-            solved.update(zip(group, _damped_equilibria(
+            solved.update(zip(group, _newton_equilibria(
                 [np.stack([stages[s].payoffs[i] for s in group]) for i in range(2)],
                 [np.stack([anchors[(s, i)] for s in group], dtype=float)
                  for i in range(2)],

@@ -217,8 +217,7 @@ def train(game: TabularMarkovGame, anchors: dict, config: TrainConfig,
         run_episode(game, values, policy_table, anchors, config, rng,
                     visit_counts=visit_counts, proposal_table=proposal_table)
         if ep % config.checkpoint_every == 0 or ep == config.episodes:
-            row = {"episode": ep,
-                   "visited_states": len(visit_counts)}
+            row = {"episode": ep}
             if oracle_values is not None:
                 evals = evaluate_vs_oracle(game, values, policy_table, anchors,
                                            oracle_values, oracle_profiles)

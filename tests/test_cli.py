@@ -566,6 +566,42 @@ def test_trace_round_trip_with_infinite_lambda(tmp_path):
         np.testing.assert_array_equal(getattr(back, column), getattr(trace, column))
 
 
+INF_ANCHORS = {"matching_pennies": None,
+               "rock_paper_scissors": [[0.5, 0.3, 0.2], [0.2, 0.3, 0.5]]}
+
+
+@pytest.mark.parametrize("builtin", sorted(INF_ANCHORS))
+def test_run_solve_with_infinite_lambda(tmp_path, capsys, builtin):
+    """A lambda = inf type plays its anchor: its regret is 0 up to rounding,
+    and its rho terms and bound follow `regret_bound`: 0 where
+    KL(uniform || anchor) is 0, infinite where it is not."""
+    learner = {"types": [0.1, "inf"], "iterations": 50,
+               "schedule": {"mode": "constant_eta", "eta": 0.5}}
+    if INF_ANCHORS[builtin]:
+        learner["anchors"] = INF_ANCHORS[builtin]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"kind": "solve", "game": {"builtin": builtin},
+                                "learner": learner}))
+    assert main(["validate", str(path)]) == 0
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    reports = json.loads((tmp_path / "out" / "regret_report.json").read_text())
+    skewed = INF_ANCHORS[builtin] is not None
+    for rep in reports["reports"]:
+        if rep["lambda"] != "inf":
+            assert all(isinstance(rep[k], (int, float)) for k in
+                       ("regret", "bound", "min_term", "rho_kl", "rho_signed"))
+            continue
+        assert abs(rep["regret"]) <= 1e-12
+        assert rep["min_term"] == 0
+        if skewed:
+            assert (rep["rho_kl"], rep["rho_signed"], rep["bound"]) == \
+                ("inf", "-inf", "inf")
+        else:
+            assert rep["rho_kl"] == rep["rho_signed"] == 0
+            assert rep["bound"] == pytest.approx(math.log(2) / 0.5)
+
+
 def _solve(**learner):
     return {**solve_config(), "learner": {**solve_config()["learner"], **learner}}
 

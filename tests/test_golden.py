@@ -30,7 +30,7 @@ GOLDEN = {
     "rl-standard-5": (
         {"kind": "rl", "seed": 4, "game": MARKOV_5, "rl": RL},
         {"metrics.csv":
-             "6983e600e52e4dde4fd81205157f0f20bdfd8e0f193a8475b601aecd9f105837",
+             "bc65bc580c08ece7afea38f201b2c35f8c978f7585fb7a009de0b4fb9e252551",
          "checkpoint.json":
              "9ee3f6e7203f6210cc9238cd82041802d4f49b2ba48eb4fe13a2bf7abdaacebb"}),
     "rl-npu-top-k": (

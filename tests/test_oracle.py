@@ -30,6 +30,8 @@ from anchored import (
 from anchored.oracle import (evaluate_markov_profile, stage_game_from_values,
                              uniform_anchors)
 
+from test_oracle_kernel import reference_bne
+
 
 # ------------------------------------------------------------------- KL
 
@@ -160,11 +162,13 @@ def test_bne_anchor_limit():
 
 
 def test_bne_init_invariance():
+    """The Newton solve, started at anchor play, lands where the damped
+    reference iteration started at uniform play does."""
     game = make_builtin_game("random_zero_sum", {"seed": 2, "actions": (3, 3)})
     anchors = [np.array([0.5, 0.3, 0.2]), uniform_policy(3)]
     types = (TypeDistribution.uniform([0.1, 1.0]),) * 2
-    a = solve_regularized_bne(game, anchors, types, tol=1e-10, init="anchor")
-    b = solve_regularized_bne(game, anchors, types, tol=1e-10, init="uniform")
+    a = solve_regularized_bne(game, anchors, types, tol=1e-10)
+    b = reference_bne(game, anchors, types, tol=1e-10, init="uniform")
     assert a.converged and b.converged
     for i in range(2):
         for lam in (0.1, 1.0):

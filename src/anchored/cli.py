@@ -31,8 +31,7 @@ from .oracle import (regularized_exploitability, regularized_regret,
                      solve_markov_backward, solve_regularized_bne,
                      uniform_anchors)
 
-BUILTIN_GAMES = ("matching_pennies", "rock_paper_scissors", "random_zero_sum",
-                 "random_general_sum")
+BUILTIN_GAMES = (*G.MATRIX_GAMES, "random_zero_sum", "random_general_sum")
 
 #: Agent presets: population type supports and the lambda actually played.
 AGENT_PRESETS = {
@@ -229,8 +228,7 @@ def load_game(spec: dict):
 def emit_trace(trace: Trace, path: Path) -> None:
     """Write a trace as JSON lines, one record per step."""
     with open(path, "w") as fh:
-        for rec in trace.records():
-            fh.write(dumps_json(rec) + "\n")
+        fh.writelines(dumps_json(rec) + "\n" for rec in trace.records())
 
 
 def read_trace_jsonl(path: Path, type_supports) -> Trace:
@@ -485,9 +483,7 @@ def validate_config(config: dict) -> tuple:
 
 
 def sha256_file(path: Path) -> str:
-    h = hashlib.sha256()
-    h.update(path.read_bytes())
-    return h.hexdigest()
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def run_experiment(config: dict, seed: int | None = None,
@@ -512,12 +508,9 @@ def run_experiment(config: dict, seed: int | None = None,
 
 
 def list_builtins() -> str:
-    lines = ["builtin games:"]
-    lines += [f"  {name}" for name in BUILTIN_GAMES]
-    lines.append("agent presets:")
-    for name, spec in AGENT_PRESETS.items():
-        lines.append(f"  {name}: {json.dumps(spec)}")
-    return "\n".join(lines)
+    return "\n".join(["builtin games:", *(f"  {name}" for name in BUILTIN_GAMES),
+                      "agent presets:", *(f"  {name}: {json.dumps(spec)}"
+                                          for name, spec in AGENT_PRESETS.items())])
 
 
 def main(argv=None) -> int:

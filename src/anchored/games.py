@@ -6,12 +6,18 @@ their seed, so serialized output is reproducible bit-for-bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import product
+from bisect import bisect_right
+from dataclasses import dataclass, field
+from itertools import accumulate, product
 
 import numpy as np
 
 ANCHOR_FLOOR = 1e-12
+
+#: `Generator.choice`'s tolerance on |sum(p) - 1|: sqrt(eps) of float64, and of
+#: the dtype for a float16 or float32 array (`LOOSE_ATOL`).
+SUM_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
+LOOSE_ATOL = {np.dtype(t): np.sqrt(np.finfo(t).eps) for t in (np.float16, np.float32)}
 
 #: Sentinel id of the absorbing terminal state of a Markov game.
 TERMINAL = -1
@@ -40,6 +46,37 @@ def uniform_policy(n: int) -> np.ndarray:
     p = np.full(n, 1.0 / n)
     p.setflags(write=False)
     return p
+
+
+def cdf(p) -> list:
+    """The cdf ``Generator.choice(len(p), p=p)`` draws from, as a list, after
+    its checks, each raising its ``ValueError``: p not 1-D, a NaN or negative
+    entry, or a Kahan sum off 1 by more than its tolerance (`SUM_ATOL`)."""
+    atol = LOOSE_ATOL.get(getattr(p, "dtype", None), SUM_ATOL)
+    p = np.asarray(p, dtype=float)
+    if p.ndim != 1:
+        raise ValueError("p must be 1-dimensional")
+    x = p.tolist()
+    total, err = x[0], 0.0
+    for v in x[1:]:
+        y = v - err
+        t = total + y
+        err, total = (t - total) - y, t
+    if total != total:
+        raise ValueError("Probabilities contain NaN")
+    if min(x) < 0:
+        raise ValueError("Probabilities are not non-negative")
+    if abs(total - 1.0) > atol:
+        raise ValueError("Probabilities do not sum to 1. See Notes section of "
+                         "docstring for more information.")
+    c = list(accumulate(x))     # the sums of p.cumsum(), divided as choice does
+    return [v / c[-1] for v in c]
+
+
+def draw(c, u: float) -> int:
+    """The index ``Generator.choice`` returns from cdf `c` (a list or a 1-D
+    array) for its one uniform double `u`: ``c.searchsorted(u, "right")``."""
+    return bisect_right(c, u)
 
 
 @dataclass(frozen=True)
@@ -140,35 +177,31 @@ def expected_utility(game: NormalFormGame, profile, player: int) -> float:
 
 
 def sos_score(counts) -> np.ndarray:
-    """Sum-of-squares score shares: score_i = C_i^2 / sum_j C_j^2."""
+    """Sum-of-squares score shares: score_i = C_i^2 / sum_j C_j^2, for the
+    counts along the last axis (one game per row)."""
     c = np.asarray(counts, dtype=float)
     if np.any(c < 0):
         raise ValueError("counts must be nonnegative")
     sq = c * c
-    total = sq.sum()
-    if total <= 0:
+    total = sq.sum(-1, keepdims=True)
+    if np.any(total <= 0):
         raise ValueError("counts must not be all zero")
     return sq / total
 
 
-def _matching_pennies() -> NormalFormGame:
-    a = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    return NormalFormGame((2, 2), (a, -a), payoff_bound=1.0, zero_sum=True)
-
-
-def _rock_paper_scissors() -> NormalFormGame:
-    a = np.array([[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]])
-    return NormalFormGame((3, 3), (a, -a), payoff_bound=1.0, zero_sum=True)
+#: The named two-player zero-sum games, by the first player's payoffs.
+MATRIX_GAMES = {"matching_pennies": [[1.0, -1.0], [-1.0, 1.0]],
+                "rock_paper_scissors": [[0.0, -1.0, 1.0], [1.0, 0.0, -1.0],
+                                        [-1.0, 1.0, 0.0]]}
 
 
 def make_builtin_game(name: str, params: dict | None = None) -> NormalFormGame:
     """Construct a named test game.  Random variants are deterministic in
     (name, params, seed)."""
     params = dict(params or {})
-    if name == "matching_pennies":
-        return _matching_pennies()
-    if name == "rock_paper_scissors":
-        return _rock_paper_scissors()
+    if name in MATRIX_GAMES:
+        a = np.array(MATRIX_GAMES[name])
+        return NormalFormGame(a.shape, (a, -a), payoff_bound=1.0, zero_sum=True)
     if name in ("random_zero_sum", "random_general_sum"):
         if "seed" not in params:
             raise ValueError(f"{name} requires a seed")
@@ -200,8 +233,8 @@ class TabularMarkovGame:
     player's reward for every joint action, ``next_states[s]`` lists the ids
     of the state's successors (TERMINAL included where reachable) and
     ``T[s]`` of shape ``(*A_s, len(next_states[s]))`` holds the successor
-    probabilities.  All episodes reach TERMINAL within `horizon` steps by
-    construction.
+    probabilities, and ``C[s]`` their cdfs.  All episodes reach TERMINAL
+    within `horizon` steps by construction.
     """
 
     player_count: int
@@ -215,6 +248,7 @@ class TabularMarkovGame:
     initial_state: int = 0
     zero_sum: bool = False
     payoff_bound: float = 1.0
+    C: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (0.0 <= self.gamma <= 1.0):
@@ -239,7 +273,12 @@ class TabularMarkovGame:
                 raise ValueError("rewards not zero-sum")
             r.setflags(write=False)
             t.setflags(write=False)
-        for name, value in (("action_counts", acts), ("R", rewards), ("T", probs)):
+        # `cdf(row / row.sum())` of every row of T[s] in one pass, with the
+        # same bits; the checks above are stricter than cdf's.
+        sums = ((t / t.sum(-1, keepdims=True)).cumsum(-1) for t in probs)
+        cdfs = tuple(c / c[..., -1:] for c in sums)
+        for name, value in (("action_counts", acts), ("R", rewards), ("T", probs),
+                            ("C", cdfs)):
             object.__setattr__(self, name, value)
 
     def joint_actions(self, s: int):
@@ -256,10 +295,10 @@ class TabularMarkovGame:
 
     def sample_successor(self, s: int, joint_action,
                          rng: np.random.Generator) -> int:
-        """Draw the state that follows `joint_action` at s: one
-        ``rng.choice`` over ``next_states[s]``."""
-        row = self.T[s][tuple(joint_action)]
-        return self.next_states[s][int(rng.choice(len(row), p=row / row.sum()))]
+        """Draw the state that follows `joint_action` at s from one
+        ``rng.random()`` double, as ``rng.choice`` over ``next_states[s]``
+        with the probabilities ``T[s][joint_action]`` would."""
+        return self.next_states[s][draw(self.C[s][tuple(joint_action)], rng.random())]
 
     def max_return(self) -> float:
         """Analytic bound on the magnitude of any state value."""

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
-from .games import NormalFormGame, make_anchor, uniform_policy
+from .games import NormalFormGame, cdf, draw, make_anchor, uniform_policy
 
 INF = math.inf
 
@@ -25,6 +26,7 @@ class TypeDistribution:
 
     lambdas: tuple[float, ...]
     weights: tuple[float, ...]
+    weight_cdf: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lams = tuple(float(l) for l in self.lambdas)
@@ -39,6 +41,7 @@ class TypeDistribution:
             raise ValueError("weights must be a probability vector")
         object.__setattr__(self, "lambdas", lams)
         object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "weight_cdf", cdf(w))
 
     @classmethod
     def singleton(cls, lam: float) -> "TypeDistribution":
@@ -60,8 +63,7 @@ class TypeDistribution:
     def sample(self, rng: np.random.Generator) -> float:
         if len(self.lambdas) == 1:
             return self.lambdas[0]
-        i = rng.choice(len(self.lambdas), p=self.weights)
-        return self.lambdas[i]
+        return self.lambdas[draw(self.weight_cdf, rng.random())]
 
 
 @dataclass(frozen=True)
@@ -231,20 +233,14 @@ class Learner:
                                    for lam in self.types.lambdas])
 
 
-def init_learner(player: int, actions: int, anchor, types: TypeDistribution,
-                 schedule: TemperatureSchedule,
-                 uniform_first_iterate: bool = False) -> Learner:
-    return Learner(player=player, n_actions=actions, anchor=np.asarray(anchor, float),
-                   types=types, schedule=schedule,
-                   uniform_first_iterate=uniform_first_iterate)
+#: `Learner` called positionally: (player, actions, anchor, types, schedule,
+#: uniform_first_iterate).
+init_learner = Learner
 
 
 def _row_starts(type_supports) -> list[int]:
     """Index of each player's first (player, type) row, player-major."""
-    starts = [0]
-    for support in type_supports:
-        starts.append(starts[-1] + len(support))
-    return starts
+    return [0, *accumulate(len(support) for support in type_supports)]
 
 
 class Trace:
@@ -396,9 +392,10 @@ def _selfplay(game: NormalFormGame, learners, iterations: int,
     The learners are packed into (player, type) rows once per call.  Each
     step forms every iterate with one softmax per action-count group and
     reproduces `policy_for_type`, `utility_vector` and `UtilityStats` bit for
-    bit; sampled mode makes the same `Generator` calls in the same order as
-    a per-player loop.  Fills `trace` if given and writes the state back to
-    the learners.
+    bit.  Sampled mode draws each step's types and actions from one row of a
+    block of uniforms, one double per draw: the doubles and indices of a
+    per-player `Generator.choice` loop.  Fills `trace` if given and writes
+    the state back to the learners.
     """
     _check_learners(learners, game)
     counts = game.action_counts
@@ -445,7 +442,10 @@ def _selfplay(game: NormalFormGame, learners, iterations: int,
 
     sampled = rng is not None
     if sampled:
-        weights = [ln.types.weights for ln in learners]
+        type_cdfs = [ln.types.weight_cdf if len(s) > 1 else None
+                     for ln, s in zip(learners, supports)]
+        draws = n_players + sum(c is not None for c in type_cdfs)
+        uniforms = rng.random((iterations, draws))
         pol_rows = [pol[r, :counts[i]] for r, (i, _) in enumerate(rows)]
     else:
         mix = np.zeros((n_players, width))
@@ -487,11 +487,12 @@ def _selfplay(game: NormalFormGame, learners, iterations: int,
             pol[first] = first_pol
         if sampled:
             lams_t, joint = [], []
+            u_t = iter(uniforms[t - t0].tolist())
             for i, r in enumerate(starts[:-1]):
-                if len(weights[i]) > 1:
-                    r += int(rng.choice(len(weights[i]), p=weights[i]))
+                if type_cdfs[i] is not None:
+                    r += draw(type_cdfs[i], next(u_t))
                 lams_t.append(rows[r][1])
-                joint.append(int(rng.choice(counts[i], p=pol_rows[r])))
+                joint.append(draw(cdf(pol_rows[r]), next(u_t)))
             for i, payoff in enumerate(game.payoffs):
                 u_rows[i][...] = payoff[tuple(joint[:i]) + (slice(None),)
                                         + tuple(joint[i + 1:])]

@@ -9,7 +9,7 @@ always subtracted from expected reward.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -254,17 +254,7 @@ class RegretReport:
     rho_signed: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "player": self.player,
-            "lambda": self.lam,
-            "iterations": self.iterations,
-            "regret": self.regret,
-            "bound": self.bound,
-            "min_term": self.min_term,
-            "log_n_term": self.log_n_term,
-            "rho_kl": self.rho_kl,
-            "rho_signed": self.rho_signed,
-        }
+        return {("lambda" if k == "lam" else k): v for k, v in asdict(self).items()}
 
 
 def regularized_regret(trace: Trace, player: int, lam: float, anchor,
@@ -421,8 +411,5 @@ def _profile_value(stage: NormalFormGame, profile) -> np.ndarray:
 
 
 def uniform_anchors(game: TabularMarkovGame) -> dict:
-    return {
-        (s, i): uniform_policy(game.action_counts[s][i])
-        for s in range(game.state_count)
-        for i in range(game.player_count)
-    }
+    return {(s, i): uniform_policy(n) for s, counts in enumerate(game.action_counts)
+            for i, n in enumerate(counts)}

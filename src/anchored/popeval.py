@@ -7,11 +7,11 @@ all of its seats.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .games import NormalFormGame, TabularMarkovGame, TERMINAL, sos_score
+from .games import NormalFormGame, TabularMarkovGame, TERMINAL, cdf, draw, sos_score
 from .learners import Learner, TemperatureSchedule, TypeDistribution, run_selfplay
 
 
@@ -45,22 +45,17 @@ def resolve_agent_policies(agent: AgentSpec, game: NormalFormGame) -> list:
     if agent.kind == "fixed":
         if len(agent.policies) != n:
             raise ValueError(f"agent {agent.agent_id}: need one policy per seat")
-        out = []
-        for seat in range(n):
-            p = np.asarray(agent.policies[seat], dtype=float)
+        out = [np.asarray(p, dtype=float) for p in agent.policies]
+        for seat, p in enumerate(out):
             if p.shape != (game.action_counts[seat],):
                 raise ValueError(f"agent {agent.agent_id}: bad policy at seat {seat}")
-            out.append(p)
         return out
     anchors = agent.anchor_policies
     if len(anchors) != n:
         raise ValueError(f"agent {agent.agent_id}: need one anchor per seat")
-    learners = [
-        Learner(player=i, n_actions=game.action_counts[i],
-                anchor=np.asarray(anchors[i], float), types=agent.types,
-                schedule=TemperatureSchedule.adaptive())
-        for i in range(n)
-    ]
+    learners = [Learner(player=i, n_actions=k, anchor=np.asarray(anchors[i], float),
+                        types=agent.types, schedule=TemperatureSchedule.adaptive())
+                for i, k in enumerate(game.action_counts)]
     run_selfplay(game, learners, agent.search_iterations, mode="expected",
                  record=False)
     return [ln.policy(agent.act_lambda) for ln in learners]
@@ -68,13 +63,17 @@ def resolve_agent_policies(agent: AgentSpec, game: NormalFormGame) -> list:
 
 @dataclass
 class PopEvalReport:
+    """`seatings` is the (games, seats) array of agent ids, `scores` the
+    score shares of those seats and `candidate_scores` the candidate's
+    shares in game-then-seat order."""
+
     candidate_id: str
     games_played: int
-    seatings: list = field(default_factory=list)       # per game: agent id per seat
-    scores: list = field(default_factory=list)         # per game: score per seat
-    candidate_scores: list = field(default_factory=list)
-    mean: float = 0.0
-    standard_error: float = 0.0
+    seatings: np.ndarray
+    scores: np.ndarray
+    candidate_scores: np.ndarray
+    mean: float
+    standard_error: float
 
     def to_dict(self) -> dict:
         return {
@@ -86,12 +85,12 @@ class PopEvalReport:
         }
 
     def write_game_csv(self, path) -> None:
+        game_ids, seats = np.indices(self.scores.shape).reshape(2, -1).tolist()
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["game_id", "seat", "agent_id", "score"])
-            for g, (seating, scores) in enumerate(zip(self.seatings, self.scores)):
-                for seat, (aid, sc) in enumerate(zip(seating, scores)):
-                    w.writerow([g, seat, aid, f"{sc:.17g}"])
+            w.writerows(zip(game_ids, seats, self.seatings.ravel().tolist(),
+                            [f"{sc:.17g}" for sc in self.scores.ravel().tolist()]))
 
 
 def mean_and_se(scores) -> tuple[float, float]:
@@ -102,29 +101,28 @@ def mean_and_se(scores) -> tuple[float, float]:
     return float(x.mean()), float(x.std(ddof=1) / np.sqrt(x.size))
 
 
-def _play_normal_form(game: NormalFormGame, seat_policies,
+def _play_normal_form(game: NormalFormGame, seat_cdfs,
                       rng: np.random.Generator) -> np.ndarray:
-    joint = tuple(
-        int(rng.choice(game.action_counts[i], p=seat_policies[i]))
-        for i in range(game.player_count)
-    )
-    return game.pure_utilities(joint)
+    u = rng.random(game.player_count).tolist()
+    return game.pure_utilities(tuple(map(draw, seat_cdfs, u)))
 
 
-def _play_markov(game: TabularMarkovGame, seat_policies,
+def _play_markov(game: TabularMarkovGame, seat_cdfs,
                  rng: np.random.Generator) -> np.ndarray:
-    """Roll out one episode with fixed policies, each one vector for every
-    state or a {(state, player): vector} table; returns accumulated
-    discounted rewards."""
+    """Roll out one episode with fixed policies, given as the `cdf` of one
+    vector for every state or a {(state, player): cdf} table; returns
+    accumulated discounted rewards."""
     totals = np.zeros(game.player_count)
     s = game.initial_state
     disc = 1.0
     for _ in range(game.horizon):
-        joint = tuple(
-            int(rng.choice(game.action_counts[s][i],
-                           p=p[(s, i)] if isinstance(p, dict) else p))
-            for i, p in enumerate(seat_policies)
-        )
+        u = rng.random(game.player_count).tolist()
+        joint = []
+        for i, c in enumerate(seat_cdfs):
+            c = c[(s, i)] if isinstance(c, dict) else c
+            if len(c) != game.action_counts[s][i]:
+                raise ValueError("a and p must have same size")
+            joint.append(draw(c, u[i]))
         totals += disc * game.reward(s, joint)
         disc *= game.gamma
         s = game.sample_successor(s, joint, rng)
@@ -172,22 +170,21 @@ def run_population_eval(candidate: AgentSpec, baselines, game, n_games: int,
     if is_markov and any(a.kind != "fixed" for a in roster):
         raise ValueError("search agents are not supported on Markov games; "
                          "resolve them to a fixed policy table first")
-    resolved = {a.agent_id: a.policies if is_markov else resolve_agent_policies(a, game)
-                for a in roster}
-    report = PopEvalReport(candidate.agent_id, n_games)
-    for _ in range(n_games):
-        while True:
-            picks = rng.integers(len(roster), size=n_seats)
-            if np.any(picks == len(roster) - 1):
-                break
-        seating = [roster[k].agent_id for k in picks]
-        policies = [resolved[seating[i]][i] for i in range(n_seats)]
-        outcome = (_play_markov if is_markov else _play_normal_form)(game, policies, rng)
-        scores = sos_score(outcome)
-        report.seatings.append(seating)
-        report.scores.append(scores.tolist())
-        for seat, aid in enumerate(seating):
-            if aid == candidate.agent_id:
-                report.candidate_scores.append(float(scores[seat]))
-    report.mean, report.standard_error = mean_and_se(report.candidate_scores)
-    return report
+    resolved = [a.policies if is_markov else resolve_agent_policies(a, game)
+                for a in roster]
+    cdfs = [[{k: cdf(v) for k, v in p.items()} if isinstance(p, dict) else cdf(p)
+             for p in policies] for policies in resolved]
+    play = _play_markov if is_markov else _play_normal_form
+    cand = len(roster) - 1
+    seats = np.empty((n_games, n_seats), dtype=int)
+    outcomes = np.empty((n_games, n_seats))
+    for g in range(n_games):
+        picks = ()
+        while cand not in picks:
+            picks = rng.integers(len(roster), size=n_seats).tolist()
+        seats[g] = picks
+        outcomes[g] = play(game, [cdfs[k][i] for i, k in enumerate(picks)], rng)
+    scores = sos_score(outcomes)
+    candidate_scores = scores[seats == cand]
+    return PopEvalReport(candidate.agent_id, n_games, np.array(ids)[seats], scores,
+                         candidate_scores, *mean_and_se(candidate_scores))

@@ -14,7 +14,7 @@ from functools import reduce
 
 import numpy as np
 
-from .games import TERMINAL, NormalFormGame, TabularMarkovGame
+from .games import TERMINAL, NormalFormGame, TabularMarkovGame, cdf, draw
 from .learners import (INF, Learner, TemperatureSchedule, TypeDistribution,
                        run_selfplay)
 from .oracle import (kl_divergence, regularized_exploitability,
@@ -89,39 +89,22 @@ def search_state(stage: NormalFormGame, anchors, types, iterations: int):
     """Run the deterministic (expected-feedback) anchored-learning search on a
     stage game and return each player's belief-weighted average policy.
     Players whose only type is lambda = inf play their anchor and sit out."""
-    n = stage.player_count
-    sigma = [None] * n
     anchored_only = [td.lambdas == (INF,) for td in types]
     if all(anchored_only):
-        return [np.array(anchors[i], dtype=float) for i in range(n)]
-    learners = []
-    for i in range(n):
-        schedule = TemperatureSchedule.adaptive()
-        learners.append(Learner(player=i, n_actions=stage.action_counts[i],
-                                anchor=np.asarray(anchors[i], float),
-                                types=types[i], schedule=schedule))
+        return [np.array(a, dtype=float) for a in anchors]
+    learners = [Learner(player=i, n_actions=n, anchor=np.asarray(anchors[i], float),
+                        types=types[i], schedule=TemperatureSchedule.adaptive())
+                for i, n in enumerate(stage.action_counts)]
     run_selfplay(stage, learners, iterations, mode="expected", record=False)
-    for i in range(n):
-        if anchored_only[i]:
-            sigma[i] = np.array(anchors[i], dtype=float)
-        else:
-            sigma[i] = learners[i].average_mixture_policy()
-    return sigma
+    return [np.array(a, dtype=float) if only else ln.average_mixture_policy()
+            for a, only, ln in zip(anchors, anchored_only, learners)]
 
 
 def _restrict_stage(stage: NormalFormGame, keep):
     """Restrict a stage game to per-player action subsets."""
-    idx = np.ix_(*keep)
-    counts = tuple(len(k) for k in keep)
-    payoffs = tuple(u[idx] for u in stage.payoffs)
-    return NormalFormGame(counts, payoffs, payoff_bound=stage.payoff_bound,
-                          zero_sum=stage.zero_sum)
-
-
-def _expand(policy: np.ndarray, keep, n: int) -> np.ndarray:
-    full = np.zeros(n)
-    full[np.asarray(keep)] = policy
-    return full
+    return NormalFormGame(tuple(map(len, keep)),
+                          tuple(u[np.ix_(*keep)] for u in stage.payoffs),
+                          payoff_bound=stage.payoff_bound, zero_sum=stage.zero_sum)
 
 
 @dataclass
@@ -153,23 +136,15 @@ def run_episode(game: TabularMarkovGame, values: dict, policy_table: dict,
         st_anchors = [anchors[(s, i)] for i in range(game.player_count)]
         keep = None
         if config.top_k is not None:
-            keep = []
-            for i in range(game.player_count):
-                k = min(config.top_k, stage.action_counts[i])
-                probs = proposals[(s, i)]
-                keep.append(np.sort(np.argsort(-probs, kind="stable")[:k]))
-            sub = _restrict_stage(stage, keep)
-            sub_anchors = [
-                np.asarray(st_anchors[i], float)[keep[i]]
-                / np.asarray(st_anchors[i], float)[keep[i]].sum()
-                for i in range(game.player_count)
-            ]
-            sigma_sub = search_state(sub, sub_anchors, types,
+            keep = [np.sort(np.argsort(-proposals[(s, i)], kind="stable")[:config.top_k])
+                    for i in range(game.player_count)]
+            kept = [np.asarray(a, float)[k] for a, k in zip(st_anchors, keep)]
+            sigma_sub = search_state(_restrict_stage(stage, keep),
+                                     [a / a.sum() for a in kept], types,
                                      config.search_iterations)
-            sigma = [
-                _expand(sigma_sub[i], keep[i], stage.action_counts[i])
-                for i in range(game.player_count)
-            ]
+            sigma = [np.zeros(n) for n in stage.action_counts]
+            for full, k, p in zip(sigma, keep, sigma_sub):
+                full[k] = p
         else:
             sigma = search_state(stage, st_anchors, types,
                                  config.search_iterations)
@@ -190,7 +165,7 @@ def run_episode(game: TabularMarkovGame, values: dict, policy_table: dict,
             if rng.random() < config.nash_explore:
                 a = int(rng.integers(game.action_counts[s][i]))
             else:
-                a = int(rng.choice(game.action_counts[s][i], p=sigma[i] / sigma[i].sum()))
+                a = draw(cdf(sigma[i] / sigma[i].sum()), rng.random())
             joint.append(a)
         record.states.append(s)
         record.actions.append(tuple(joint))
@@ -213,6 +188,8 @@ def train(game: TabularMarkovGame, anchors: dict, config: TrainConfig,
     proposal_table = dict(policy_table) if config.mode == "NPU" else None
     visit_counts: dict = {}
     metrics: list[dict] = []
+    stages = None if oracle_profiles is None else {
+        s: stage_game_from_values(game, s, oracle_values) for s in oracle_profiles}
     for ep in range(1, config.episodes + 1):
         run_episode(game, values, policy_table, anchors, config, rng,
                     visit_counts=visit_counts, proposal_table=proposal_table)
@@ -220,7 +197,7 @@ def train(game: TabularMarkovGame, anchors: dict, config: TrainConfig,
             row = {"episode": ep}
             if oracle_values is not None:
                 evals = evaluate_vs_oracle(game, values, policy_table, anchors,
-                                           oracle_values, oracle_profiles)
+                                           oracle_values, oracle_profiles, stages)
                 row.update(evals)
             metrics.append(row)
     return values, policy_table, metrics
@@ -229,8 +206,11 @@ def train(game: TabularMarkovGame, anchors: dict, config: TrainConfig,
 def evaluate_vs_oracle(game: TabularMarkovGame, values: dict,
                        policy_table: dict, anchors: dict,
                        oracle_values: dict,
-                       oracle_profiles: dict | None = None) -> dict:
-    """Error of the learned tables against exact backward induction."""
+                       oracle_profiles: dict | None = None,
+                       stages: dict | None = None) -> dict:
+    """Error of the learned tables against exact backward induction.
+    `stages` maps each state of `oracle_profiles` to its stage game under
+    `oracle_values`; it is built here when not given."""
     errs = []
     for s in range(game.state_count):
         if s not in oracle_values:
@@ -243,7 +223,8 @@ def evaluate_vs_oracle(game: TabularMarkovGame, values: dict,
     if oracle_profiles is not None:
         kls, gaps = [], []
         for s, profile in oracle_profiles.items():
-            stage = stage_game_from_values(game, s, oracle_values)
+            stage = (stages[s] if stages
+                     else stage_game_from_values(game, s, oracle_values))
             st_anchors = [anchors[(s, i)] for i in range(game.player_count)]
             learned = type(profile)(
                 policies=tuple(

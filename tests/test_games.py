@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from anchored import (
     sos_score,
     uniform_policy,
 )
+from anchored.games import cdf, draw
 from anchored.oracle import evaluate_markov_profile, uniform_anchors
 
 
@@ -175,6 +177,58 @@ def test_sos_score_rejects_degenerate():
         sos_score([0, 0, 0])
     with pytest.raises(ValueError):
         sos_score([-1, 2])
+
+
+@pytest.mark.parametrize("seats", [1, 2, 7, 8, 9, 16, 17, 40])
+def test_sos_score_rows_match_one_game_at_a_time(seats):
+    # Past 8 entries numpy sums pairwise: the rows must sum as 1-D calls do.
+    c = np.random.default_rng(seats).uniform(0.0, 10.0, size=(200, seats))
+    c[::7, 1:] = 0.0
+    assert np.array_equal(sos_score(c), np.stack([sos_score(row) for row in c]))
+
+
+SUM_SLACK = 1e-9        # well inside choice's sqrt(eps) = 1.49e-8
+
+
+@st.composite
+def probability_vectors(draw_):
+    """Probability vectors as callers pass them: entries that may be zero,
+    length 1 included, and a sum off 1 by less than sqrt(eps)."""
+    n = draw_(st.integers(1, 12))
+    w = np.array(draw_(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+    w[draw_(st.integers(0, n - 1))] += 0.5
+    p = w / w.sum() * (1.0 + draw_(st.floats(-SUM_SLACK, SUM_SLACK)))
+    return p.astype(draw_(st.sampled_from([np.float64, np.float32])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(probability_vectors(), st.integers(0, 2 ** 32 - 1))
+def test_draw_matches_generator_choice(p, seed):
+    rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    c = cdf(p)
+    for _ in range(5):
+        assert draw(c, rng.random()) == twin.choice(len(p), p=p)
+    assert rng.random() == twin.random()        # the same stream after the draws
+    # choice's cdf, and its "right" side at a uniform equal to a cdf value
+    expect = np.asarray(p, dtype=float).cumsum()
+    expect /= expect[-1]
+    assert c == expect.tolist()
+    assert [draw(c, u) for u in c] == expect.searchsorted(c, "right").tolist()
+
+
+@pytest.mark.parametrize("p", [
+    [np.nan, 1.0],                  # NaN
+    [-0.5, 1.5],                    # a negative entry
+    [0.5, 0.5 + 1e-6],              # sum off 1 by more than sqrt(eps)
+    [np.inf, 0.0],                  # inf: the sum is off 1
+    [0.5, np.inf, 0.2],             # inf mid-vector: Kahan's sum turns NaN
+    [[0.5, 0.5]],                   # not 1-D
+])
+def test_cdf_raises_what_choice_raises(p):
+    with pytest.raises(ValueError) as expected:
+        np.random.default_rng(0).choice(len(p), p=p)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
+        cdf(p)
 
 
 def test_normal_form_round_trip():
@@ -380,6 +434,17 @@ def test_sample_successor_matches_successor_list_draw():
             probs = np.array([p for _, p in succ])
             expect = succ[int(ref.choice(len(succ), p=probs / probs.sum()))][0]
             assert g.sample_successor(s, a, rng) == expect
+
+
+@pytest.mark.parametrize("states, horizon", [(12, 3), (60, 3)])
+def test_successor_cdfs_match_cdf_row_by_row(states, horizon):
+    # (60, 3) gives states with about 30 successors: numpy sums them pairwise.
+    g = make_random_markov(seed=4, state_count=states, player_count=2,
+                           actions_per_player=3, horizon=horizon, gamma=1.0)
+    for s in range(g.state_count):
+        for a in g.joint_actions(s):
+            row = g.T[s][a]
+            assert g.C[s][a].tolist() == cdf(row / row.sum())
 
 
 @pytest.mark.parametrize("bound", [float("nan"), float("inf"), 0.0, -1.0])

@@ -69,7 +69,8 @@ def reference_selfplay(game, learners, iterations, rng=None):
         if rng is not None:
             lams, joint = [], []
             for ln, pols in zip(learners, by_type):
-                lam = ln.types.sample(rng)
+                w = ln.types.weights
+                lam = ln.types.lambdas[rng.choice(len(w), p=w) if len(w) > 1 else 0]
                 lams.append(lam)
                 joint.append(int(rng.choice(ln.n_actions, p=pols[lam])))
             u = [np.array(game.payoffs[i][tuple(joint[:i]) + (slice(None),)

@@ -33,6 +33,21 @@ def test_type_distribution_validation():
         TypeDistribution((-1.0,), (1.0,))
 
 
+def test_type_weights_raise_what_choice_raised():
+    # A NaN weight passes the sum check (NaN > 1e-12 is false); the weights'
+    # cdf raises the error `Generator.choice` raised at the first sample.
+    with pytest.raises(ValueError, match="^Probabilities contain NaN$"):
+        TypeDistribution((0.1, 0.5), (float("nan"), 0.5))
+
+
+def test_sample_matches_generator_choice():
+    td = TypeDistribution((0.1, 0.5, 2.0), (0.2, 0.0, 0.8))
+    rng, twin = np.random.default_rng(8), np.random.default_rng(8)
+    for _ in range(200):
+        assert td.sample(rng) == td.lambdas[twin.choice(3, p=td.weights)]
+    assert rng.random() == twin.random()
+
+
 def test_singleton_sample_is_constant():
     td = TypeDistribution.singleton(0.1)
     rng = np.random.default_rng(0)

@@ -1,5 +1,7 @@
 """Tests for the population evaluation harness."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from anchored import (
     make_builtin_game,
     mean_and_se,
     run_population_eval,
+    sos_score,
     uniform_policy,
 )
 from anchored.popeval import resolve_agent_policies, scorable
@@ -116,7 +119,7 @@ def test_candidate_multi_seat_contributes_multiple_samples():
     report = run_population_eval(cand, [base], game, 300,
                                  np.random.default_rng(3))
     both = sum(1 for seating in report.seatings
-               if seating == ["cand", "cand"])
+               if np.array_equal(seating, ["cand", "cand"]))
     assert len(report.candidate_scores) == 300 + both
 
 
@@ -131,8 +134,8 @@ def test_report_deterministic_in_seed():
 
     a, b = run(), run()
     assert a.to_dict() == b.to_dict()
-    assert a.seatings == b.seatings
-    assert a.scores == b.scores
+    assert np.array_equal(a.seatings, b.seatings)
+    assert np.array_equal(a.scores, b.scores)
 
 
 def test_seat_marginal_uniform_conditioned_on_inclusion():
@@ -164,6 +167,115 @@ def test_duplicate_ids_and_empty_pool_rejected():
         run_population_eval(cand, [base], game, 10, np.random.default_rng(6))
     with pytest.raises(ValueError):
         run_population_eval(cand, [], game, 10, np.random.default_rng(6))
+
+
+def reference_population_eval(candidate, baselines, game, n_games, rng):
+    """The seating loop with one `Generator.choice` per action and one
+    `sos_score` per game that `run_population_eval` replaced; returns
+    (seatings, scores, candidate scores, mean, standard error)."""
+    roster = list(baselines) + [candidate]
+    markov = isinstance(game, TabularMarkovGame)
+    resolved = {a.agent_id: a.policies if markov else resolve_agent_policies(a, game)
+                for a in roster}
+    seatings, scores, cand = [], [], []
+    for _ in range(n_games):
+        while True:
+            picks = rng.integers(len(roster), size=game.player_count)
+            if np.any(picks == len(roster) - 1):
+                break
+        seating = [roster[k].agent_id for k in picks]
+        pols = [resolved[aid][i] for i, aid in enumerate(seating)]
+        if markov:
+            outcome, s, disc = np.zeros(game.player_count), game.initial_state, 1.0
+            for _ in range(game.horizon):
+                joint = tuple(int(rng.choice(game.action_counts[s][i],
+                                             p=p[(s, i)] if isinstance(p, dict) else p))
+                              for i, p in enumerate(pols))
+                outcome += disc * game.reward(s, joint)
+                disc *= game.gamma
+                row = game.T[s][joint]
+                s = game.next_states[s][int(rng.choice(len(row), p=row / row.sum()))]
+                if s == TERMINAL:
+                    break
+        else:
+            outcome = game.pure_utilities(tuple(
+                int(rng.choice(game.action_counts[i], p=p)) for i, p in enumerate(pols)))
+        sc = sos_score(outcome)
+        seatings.append(seating)
+        scores.append(sc.tolist())
+        cand += [float(sc[i]) for i, aid in enumerate(seating) if aid == candidate.agent_id]
+    return (seatings, scores, cand, *mean_and_se(cand))
+
+
+def two_state_markov_game():
+    """Three seats, two actions each; state 0 moves to state 1 or TERMINAL,
+    with nonnegative rewards that differ by joint action."""
+    rng = np.random.default_rng(3)
+    shape = (2, 2, 2)
+    return TabularMarkovGame(
+        player_count=3, state_count=2, action_counts=(shape, shape),
+        R=(rng.uniform(0.1, 1.0, size=(3, *shape)), rng.uniform(0.0, 1.0, size=(3, *shape))),
+        next_states=((1, TERMINAL), (TERMINAL,)),
+        T=(rng.dirichlet([1.0, 1.0], size=shape), np.ones((*shape, 1))),
+        gamma=0.9, horizon=2)
+
+
+@pytest.mark.parametrize("markov", [False, True])
+def test_population_eval_matches_choice_reference(markov):
+    if markov:
+        game = two_state_markov_game()
+        # a per-state table with a zero entry and one vector for every state
+        cand = AgentSpec(agent_id="cand", policies=(
+            {(0, 0): np.array([0.0, 1.0]), (1, 0): np.array([0.3, 0.7])},
+            np.array([0.6, 0.4]), [0.5, 0.5]))
+        base = [AgentSpec(agent_id=f"b{k}", policies=(
+            np.array([0.2, 0.8]), {(0, 1): [1.0, 0.0], (1, 1): [0.5, 0.5]},
+            np.array([0.9, 0.1]))) for k in range(2)]
+    else:
+        game = seven_seat_game()
+        cand = AgentSpec(agent_id="cand", kind="search",
+                         types=TypeDistribution.uniform([0.1, 1.0]), act_lambda=0.1,
+                         anchor_policies=(np.array([0.3, 0.7]),) * 7,
+                         search_iterations=16)
+        base = [fixed_agent("b0", [0.5, 0.5], 7), fixed_agent("b1", [0.0, 1.0], 7),
+                fixed_agent("b2", [0.8, 0.2], 7)]
+    rng, twin = np.random.default_rng(21), np.random.default_rng(21)
+    report = run_population_eval(cand, base, game, 300, rng)
+    seatings, scores, cand_scores, mean, se = reference_population_eval(
+        cand, base, game, 300, twin)
+    assert report.seatings.tolist() == seatings
+    assert report.scores.tolist() == scores
+    assert report.candidate_scores.tolist() == cand_scores
+    assert (report.mean, report.standard_error) == (mean, se)
+    assert rng.random() == twin.random()
+
+
+BAD_POLICIES = [
+    [np.nan, 1.0],                  # NaN
+    [-0.5, 1.5],                    # a negative entry
+    [0.5, 0.5 + 1e-6],              # sum off 1 by more than sqrt(eps)
+    [np.inf, 0.0],                  # inf
+]
+
+
+@pytest.mark.parametrize("markov", [False, True])
+@pytest.mark.parametrize("bad", BAD_POLICIES)
+def test_fixed_agent_bad_policy_raises_what_choice_raised(bad, markov):
+    game = two_state_markov_game() if markov else seven_seat_game()
+    with pytest.raises(ValueError) as expected:
+        np.random.default_rng(0).choice(2, p=bad)
+    cand = AgentSpec(agent_id="cand", policies=(np.array(bad),) * game.player_count)
+    base = fixed_agent("base", [0.5, 0.5], game.player_count)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
+        run_population_eval(cand, [base], game, 10, np.random.default_rng(1))
+
+
+def test_markov_policy_of_wrong_length_raises_what_choice_raised():
+    game = two_state_markov_game()
+    cand = AgentSpec(agent_id="cand", policies=([1 / 3] * 3, [0.5, 0.5], [0.5, 0.5]))
+    base = fixed_agent("base", [0.5, 0.5], 3)
+    with pytest.raises(ValueError, match="^a and p must have same size$"):
+        run_population_eval(cand, [base], game, 10, np.random.default_rng(1))
 
 
 # ----------------------------------------------------------- agent specs
@@ -247,4 +359,4 @@ def test_markov_fixed_agents_play_per_state_tables():
     report = run_population_eval(cand, [base], game, 40, np.random.default_rng(6))
     for seating, scores in zip(report.seatings, report.scores):
         # outcome (2, 1) scores (4/5, 1/5); outcome (1, 0) scores (1, 0)
-        assert scores == ([0.8, 0.2] if seating[0] == "cand" else [1.0, 0.0])
+        assert np.array_equal(scores, [0.8, 0.2] if seating[0] == "cand" else [1.0, 0.0])

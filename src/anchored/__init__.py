@@ -5,9 +5,8 @@ evaluation."""
 from .games import (NormalFormGame, TabularMarkovGame, TERMINAL, expected_utility,
                     make_anchor, make_builtin_game, make_random_markov,
                     make_repeated_markov, sos_score, uniform_policy)
-from .learners import (INF, Learner, TemperatureSchedule, Trace,
-                       TypeDistribution, init_learner,
-                       policy_for_type, run_selfplay)
+from .learners import (INF, Learners, TemperatureSchedule, Trace,
+                       TypeDistribution, policy_for_type, run_selfplay)
 from .oracle import (RegretReport, RegularizedProfile, kl_divergence,
                      last_iterate_distance, regret_bound, regularized_exploitability,
                      regularized_regret, sbr_value, smooth_best_response,

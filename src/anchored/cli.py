@@ -25,7 +25,7 @@ from . import games as G
 from . import popeval as PE
 from . import rating as R
 from . import rl as RL
-from .learners import (INF, Learner, TemperatureSchedule, Trace,
+from .learners import (INF, Learners, TemperatureSchedule, Trace,
                        TypeDistribution, run_selfplay)
 from .oracle import (regularized_exploitability, regularized_regret,
                      solve_markov_backward, solve_regularized_bne,
@@ -242,32 +242,30 @@ def _sub_rng(seed: int, *key) -> np.random.Generator:
 
 
 def load_solve(spec: dict, game):
-    """The learner section as (learners, types, schedule, mode, iterations)."""
+    """The learner section as (learners, mode, iterations)."""
     _require(isinstance(game, G.NormalFormGame), "solve: needs a normal-form game")
     given = _section(spec, "learner")
     types = given.get("types", TypeDistribution.singleton(0.1))
-    schedule = given.get("schedule", TemperatureSchedule.adaptive())
     anchors = _seat_vectors(given.get("anchors"), "learner.anchors", game, policy=False)
-    learners = [Learner(
-        player=i, n_actions=n, types=types, schedule=schedule, anchor=anchors[i],
-        uniform_first_iterate=given.get("uniform_first_iterate", False),
-    ) for i, n in enumerate(game.action_counts)]
-    return (learners, types, schedule, given.get("mode", "sampled"),
-            given.get("iterations", 1000))
+    learners = Learners(anchors, [types] * game.player_count,
+                        given.get("schedule", TemperatureSchedule.adaptive()),
+                        given.get("uniform_first_iterate", False))
+    return learners, given.get("mode", "sampled"), given.get("iterations", 1000)
 
 
 def run_solve(game, loaded, seed: int, out: Path) -> list[Path]:
-    learners, types, schedule, mode, iterations = loaded
+    learners, mode, iterations = loaded
     rng = _sub_rng(seed, 0)
     trace = run_selfplay(game, learners, iterations, mode=mode,
                          rng=rng if mode == "sampled" else None)
     trace_path = out / "trace.jsonl"
     emit_trace(trace, trace_path)
+    schedule = learners.schedule
     eta = schedule.eta if schedule.mode == "constant_eta" else None
     reports = []
-    for i, ln in enumerate(learners):
+    for i, (anchor, types) in enumerate(zip(learners.anchors, learners.types)):
         for lam in types.lambdas:
-            rep = regularized_regret(trace, i, lam, ln.anchor,
+            rep = regularized_regret(trace, i, lam, anchor,
                                      payoff_bound=game.payoff_bound,
                                      eta=eta if eta not in (None, INF) else None)
             reports.append(rep.to_dict())

@@ -111,9 +111,11 @@ class NormalFormGame:
             u.setflags(write=False)
             tensors.append(u)
         object.__setattr__(self, "payoffs", tuple(tensors))
-        if self.payoff_bound < 0:
-            raise ValueError("payoff_bound must be >= 0")
+        if not 0 <= self.payoff_bound < np.inf:
+            raise ValueError("payoff_bound must be finite and >= 0")
         for u in self.payoffs:
+            if not np.isfinite(u).all():
+                raise ValueError("payoffs must be finite")
             if np.max(np.abs(u)) > self.payoff_bound + 1e-12:
                 raise ValueError("payoff magnitude exceeds payoff_bound")
         if self.zero_sum:
@@ -255,6 +257,8 @@ class TabularMarkovGame:
             raise ValueError("gamma must be in [0, 1]")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
+        if not 0 <= self.payoff_bound < np.inf:
+            raise ValueError("payoff_bound must be finite and >= 0")
         n, players = self.state_count, self.player_count
         acts = tuple(tuple(int(k) for k in row) for row in self.action_counts)
         rewards = tuple(np.array(r, dtype=float) for r in self.R)
@@ -265,6 +269,8 @@ class TabularMarkovGame:
             if len(a) != players or r.shape != (players, *a) or t.shape != (*a, len(nxt)):
                 raise ValueError(f"state {s}: reward shape {r.shape} or transition "
                                  f"shape {t.shape} does not fit action counts {a}")
+            if not np.isfinite(r).all():
+                raise ValueError(f"state {s}: rewards must be finite")
             if any(s2 != TERMINAL and not 0 <= s2 < n for s2 in nxt):
                 raise ValueError(f"state {s}: successor id out of range in {nxt}")
             if np.any(t < 0) or not np.all(np.abs(t.sum(axis=-1) - 1.0) <= 1e-12):

@@ -60,11 +60,6 @@ class TypeDistribution:
             mix += w * pol
         return mix
 
-    def sample(self, rng: np.random.Generator) -> float:
-        if len(self.lambdas) == 1:
-            return self.lambdas[0]
-        return self.lambdas[draw(self.weight_cdf, rng.random())]
-
 
 @dataclass(frozen=True)
 class TemperatureSchedule:
@@ -161,86 +156,63 @@ def policy_for_type(q: np.ndarray, anchor: np.ndarray, lam: float, kappa: float,
     return p / p.sum()
 
 
-@dataclass
-class Learner:
-    """Per-player learner state for one self-play run.
-
-    `policy` and `observe` are the scalar reference for one player's step.
-    Self-play itself runs in the array kernel behind `run_selfplay`, which
-    reads this state at the start of a call and writes it back at the end.
-    """
-
-    player: int
-    n_actions: int
-    anchor: np.ndarray
-    types: TypeDistribution
-    schedule: TemperatureSchedule
-    uniform_first_iterate: bool = False
-
-    t: int = 0
-    q: np.ndarray = field(init=False)
-    utility_stats: UtilityStats = field(default_factory=UtilityStats)
-    _avg_sums: dict = field(init=False)
-    _avg_counts: int = 0
-
-    def __post_init__(self):
-        if self.n_actions < 1:
-            raise ValueError("need at least one action")
-        self.anchor = make_anchor(self.anchor)
-        if self.anchor.shape != (self.n_actions,):
-            raise ValueError("anchor dimension does not match action count")
-        self.q = np.zeros(self.n_actions)
-        self._avg_sums = {lam: np.zeros(self.n_actions) for lam in self.types.lambdas}
-
-    def current_kappa(self) -> float:
-        """kappa_{t-1}, the temperature used to form the iteration-(t+1) policy."""
-        if self.t == 0:
-            return self.schedule.kappa_initial()
-        return self.schedule.kappa(self.t, self.utility_stats)
-
-    def policy(self, lam: float, kappa: float | None = None) -> np.ndarray:
-        """The current iterate of type `lam`; `lam` may lie outside the
-        support (an acting lambda)."""
-        if kappa is None:
-            kappa = self.current_kappa()
-        if self.t == 0 and self.uniform_first_iterate:
-            return uniform_policy(self.n_actions)
-        return policy_for_type(self.q, self.anchor, lam, kappa)
-
-    def observe(self, utility_vector: np.ndarray, realized_utility: float,
-                iteration: int | None = None) -> None:
-        """Fold iteration-t utilities into the running averages.
-
-        `utility_vector[a]` is the utility of own action a against the
-        opponents' realized (or expected) play this iteration.
-        """
-        if iteration is not None and iteration != self.t + 1:
-            raise ValueError(f"observe() expected iteration {self.t + 1}, got {iteration}")
-        u = np.asarray(utility_vector, dtype=float)
-        if u.shape != (self.n_actions,):
-            raise ValueError("utility vector has wrong length")
-        self.t += 1
-        self.q += (u - self.q) / self.t
-        self.utility_stats.add(float(realized_utility))
-
-    def average_policy(self, lam: float) -> np.ndarray:
-        if self._avg_counts == 0:
-            raise ValueError("no iterations completed")
-        return self._avg_sums[lam] / self._avg_counts
-
-    def average_mixture_policy(self) -> np.ndarray:
-        return self.types.mixture([self.average_policy(lam)
-                                   for lam in self.types.lambdas])
-
-
-#: `Learner` called positionally: (player, actions, anchor, types, schedule,
-#: uniform_first_iterate).
-init_learner = Learner
-
-
 def _row_starts(type_supports) -> list[int]:
     """Index of each player's first (player, type) row, player-major."""
     return [0, *accumulate(len(support) for support in type_supports)]
+
+
+class Learners:
+    """The state of one self-play run, one array per quantity.
+
+    Player i has an anchor, a `TypeDistribution` and one running average Q
+    shared across its types; each (player, type) row sums that type's
+    iterates.  `q` is [P, W] and `avg` is [rows, W], rows player-major in
+    support order and zero past a player's action count; `t` counts the
+    completed steps, and `utility_stats` holds one `UtilityStats` per player.
+    All players share one schedule; with `uniform_first_iterate` every row
+    plays uniform at t = 0.  `run_selfplay` updates the arrays in place.
+    """
+
+    def __init__(self, anchors, types, schedule: TemperatureSchedule,
+                 uniform_first_iterate: bool = False):
+        if len(anchors) != len(types):
+            raise ValueError("need one type distribution per anchor")
+        self.anchors = tuple(make_anchor(a) for a in anchors)
+        self.types = tuple(types)
+        self.schedule = schedule
+        self.uniform_first_iterate = uniform_first_iterate
+        self.action_counts = tuple(len(a) for a in self.anchors)
+        self.row_start = _row_starts([td.lambdas for td in self.types])
+        width = max(self.action_counts)
+        self.t = 0
+        self.q = np.zeros((len(self.anchors), width))
+        self.avg = np.zeros((self.row_start[-1], width))
+        self.utility_stats = [UtilityStats() for _ in self.anchors]
+
+    def kappas(self) -> list[float]:
+        """Each player's kappa_{t-1}, the temperature of the iteration-(t+1)
+        iterate."""
+        if self.t == 0:
+            return [self.schedule.kappa_initial()] * len(self.anchors)
+        return [self.schedule.kappa(self.t, st) for st in self.utility_stats]
+
+    def policy(self, i: int, lam: float) -> np.ndarray:
+        """Player i's current iterate of type `lam`; `lam` may lie outside
+        the support (an acting lambda)."""
+        n = self.action_counts[i]
+        if self.t == 0 and self.uniform_first_iterate:
+            return uniform_policy(n)
+        return policy_for_type(self.q[i, :n], self.anchors[i], lam, self.kappas()[i])
+
+    def average_policy(self, i: int, lam: float) -> np.ndarray:
+        if self.t == 0:
+            raise ValueError("no iterations completed")
+        row = self.row_start[i] + self.types[i].lambdas.index(lam)
+        return self.avg[row, :self.action_counts[i]] / self.t
+
+    def average_mixture(self, i: int) -> np.ndarray:
+        return self.types[i].mixture([self.average_policy(i, lam)
+                                      for lam in self.types[i].lambdas])
 
 
 class Trace:
@@ -339,17 +311,6 @@ class Trace:
         return u.mean(axis=0)
 
 
-def _check_learners(learners, game: NormalFormGame) -> None:
-    if len(learners) != game.player_count:
-        raise ValueError("one learner per player required")
-    ts = {ln.t for ln in learners}
-    if len(ts) != 1:
-        raise ValueError("learners are out of step")
-    for i, ln in enumerate(learners):
-        if ln.n_actions != game.action_counts[i]:
-            raise ValueError(f"learner {i} action count does not match game")
-
-
 def _contractions(game: NormalFormGame):
     """Per player, the `np.dot` calls of `game.utility_vector`.
 
@@ -383,50 +344,42 @@ def _index(rows: list[int]):
     return np.array(rows)
 
 
-def _selfplay(game: NormalFormGame, learners, iterations: int,
+def _selfplay(game: NormalFormGame, learners: Learners, iterations: int,
               rng: np.random.Generator | None, trace: Trace | None):
     """The self-play kernel: `iterations` steps of all learners at once,
     with sampled feedback when `rng` is given and expected feedback
     otherwise.
 
-    The learners are packed into (player, type) rows once per call.  Each
-    step forms every iterate with one softmax per action-count group and
-    reproduces `policy_for_type`, `utility_vector` and `UtilityStats` bit for
-    bit.  Sampled mode draws each step's types and actions from one row of a
-    block of uniforms, one double per draw: the doubles and indices of a
-    per-player `Generator.choice` loop.  Fills `trace` if given and writes
-    the state back to the learners.
+    Each step forms every (player, type) iterate with one softmax per
+    action-count group and reproduces `policy_for_type`, `utility_vector`
+    and `UtilityStats` bit for bit.  Sampled mode draws each step's types
+    and actions from one row of a block of uniforms, one double per draw:
+    the doubles and indices of a per-player `Generator.choice` loop.  Updates
+    the learners' arrays in place and fills `trace` if given.
     """
-    _check_learners(learners, game)
-    counts = game.action_counts
-    n_players = len(learners)
+    counts = learners.action_counts
+    n_players = len(counts)
     width = max(counts)
-    supports = [ln.types.lambdas for ln in learners]
-    starts = _row_starts(supports)
+    supports = [td.lambdas for td in learners.types]
+    starts = learners.row_start
     rows = [(i, lam) for i, support in enumerate(supports) for lam in support]
-    q = np.zeros((n_players, width))
+    q, avg, stats = learners.q, learners.avg, learners.utility_stats
     u = np.zeros((n_players, width))
     pol = np.zeros((len(rows), width))
-    avg = np.zeros((len(rows), width))
     q_rows = [q[i, :n] for i, n in enumerate(counts)]
     u_rows = [u[i, :n] for i, n in enumerate(counts)]
-    for i, ln in enumerate(learners):
-        q_rows[i][...] = ln.q
     for r, (i, lam) in enumerate(rows):
-        avg[r, :counts[i]] = learners[i]._avg_sums[lam]
         if lam == INF:
-            pol[r, :counts[i]] = learners[i].anchor
-    t0 = learners[0].t
-    # A uniform first iterate replaces every row of its player, lambda = inf
-    # included, at t = 0 only.
-    first = [r for r, (i, _) in enumerate(rows)
-             if t0 == 0 and learners[i].uniform_first_iterate]
+            pol[r, :counts[i]] = learners.anchors[i]
+    t0 = learners.t
+    # A uniform first iterate replaces every row, lambda = inf included, at
+    # t = 0 only.
+    first = t0 == 0 and learners.uniform_first_iterate
     if first:
-        later_pol = pol[first]
-        first_pol = np.zeros_like(later_pol)
-        for k, r in enumerate(first):
-            n = counts[rows[r][0]]
-            first_pol[k, :n] = 1.0 / n
+        later_pol = pol.copy()
+        first_pol = np.zeros_like(pol)
+        for r, (i, _) in enumerate(rows):
+            first_pol[r, :counts[i]] = 1.0 / counts[i]
 
     # One softmax per action count over its finite-lambda rows; a lambda = 0
     # row adds 0 * log(anchor), which leaves Q unchanged.
@@ -436,14 +389,14 @@ def _selfplay(game: NormalFormGame, learners, iterations: int,
         if g:
             pairs = [rows[r] for r in g]
             lams = np.array([[lam] for _, lam in pairs])
-            shift = lams * np.log([learners[i].anchor for i, _ in pairs])
+            shift = lams * np.log([learners.anchors[i] for i, _ in pairs])
             groups.append((q[:, :n], pol[:, :n], _index(g),
                            np.array([i for i, _ in pairs]), pairs, shift))
 
     sampled = rng is not None
     if sampled:
-        type_cdfs = [ln.types.weight_cdf if len(s) > 1 else None
-                     for ln, s in zip(learners, supports)]
+        type_cdfs = [td.weight_cdf if len(td.lambdas) > 1 else None
+                     for td in learners.types]
         draws = n_players + sum(c is not None for c in type_cdfs)
         uniforms = rng.random((iterations, draws))
         pol_rows = [pol[r, :counts[i]] for r, (i, _) in enumerate(rows)]
@@ -457,17 +410,12 @@ def _selfplay(game: NormalFormGame, learners, iterations: int,
         for k in range(max(len(s) for s in supports)):
             idx = np.array([starts[i] + min(k, len(s) - 1)
                             for i, s in enumerate(supports)])
-            w = np.array([[ln.types.weights[k] if k < len(s) else 0.0]
-                          for ln, s in zip(learners, supports)])
+            w = np.array([[td.weights[k] if k < len(td.weights) else 0.0]
+                          for td in learners.types])
             slots.append((idx, w))
-    schedules = [ln.schedule for ln in learners]
-    stats = [ln.utility_stats for ln in learners]
     realized = [0.0] * n_players
     for t in range(t0, t0 + iterations):
-        if t == 0:
-            kappas = [s.kappa_initial() for s in schedules]
-        else:
-            kappas = [s.kappa(t, st) for s, st in zip(schedules, stats)]
+        kappas = learners.kappas()
         for q_n, pol_n, g, players, pairs, shift in groups:
             z = q_n.take(players, 0)
             z += shift
@@ -481,10 +429,10 @@ def _selfplay(game: NormalFormGame, learners, iterations: int,
             z /= z.sum(1, keepdims=True)
             for k in argmax:    # kappa = lambda = 0: the argmax rule
                 i = pairs[k][0]
-                z[k] = policy_for_type(q_rows[i], learners[i].anchor, 0.0, 0.0)
+                z[k] = policy_for_type(q_rows[i], learners.anchors[i], 0.0, 0.0)
             pol_n[g] = z
         if t == 0 and first:
-            pol[first] = first_pol
+            pol[...] = first_pol
         if sampled:
             lams_t, joint = [], []
             u_t = iter(uniforms[t - t0].tolist())
@@ -513,6 +461,7 @@ def _selfplay(game: NormalFormGame, learners, iterations: int,
         q += (u - q) / (t + 1)
         for st, x in zip(stats, realized):
             st.add(x)
+        learners.t = t + 1
         if trace is not None:
             s = t - t0
             trace.kappas[s] = kappas
@@ -523,26 +472,23 @@ def _selfplay(game: NormalFormGame, learners, iterations: int,
                 trace.actions[s] = joint
                 trace.sampled_lambdas[s] = lams_t
         if t == 0 and first:
-            pol[first] = later_pol
-    for i, ln in enumerate(learners):
-        ln.t = t0 + iterations
-        ln.q[...] = q_rows[i]
-        ln._avg_counts += iterations
-    for r, (i, lam) in enumerate(rows):
-        learners[i]._avg_sums[lam][...] = avg[r, :counts[i]]
+            pol[...] = later_pol
 
 
-def run_selfplay(game: NormalFormGame, learners, iterations: int,
+def run_selfplay(game: NormalFormGame, learners: Learners, iterations: int,
                  mode: str = "sampled", rng: np.random.Generator | None = None,
                  record: bool = True) -> Trace | None:
-    """Drive `iterations` steps of self-play, optionally recording a trace."""
+    """Drive `iterations` steps of self-play from the state in `learners`,
+    which it advances, optionally recording a trace."""
     if mode not in ("sampled", "expected"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "sampled" and rng is None:
         raise ValueError("sampled mode requires an rng")
+    if learners.action_counts != game.action_counts:
+        raise ValueError("learner action counts do not match the game")
     trace = None
     if record:
-        trace = Trace(game.action_counts, [ln.types.lambdas for ln in learners],
+        trace = Trace(game.action_counts, [td.lambdas for td in learners.types],
                       iterations, mode == "sampled")
     _selfplay(game, learners, iterations, rng if mode == "sampled" else None, trace)
     return trace

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .games import NormalFormGame, TabularMarkovGame, TERMINAL, cdf, draw, sos_score
-from .learners import Learner, TemperatureSchedule, TypeDistribution, run_selfplay
+from .learners import Learners, TemperatureSchedule, TypeDistribution, run_selfplay
 
 
 @dataclass(frozen=True)
@@ -53,12 +53,10 @@ def resolve_agent_policies(agent: AgentSpec, game: NormalFormGame) -> list:
     anchors = agent.anchor_policies
     if len(anchors) != n:
         raise ValueError(f"agent {agent.agent_id}: need one anchor per seat")
-    learners = [Learner(player=i, n_actions=k, anchor=np.asarray(anchors[i], float),
-                        types=agent.types, schedule=TemperatureSchedule.adaptive())
-                for i, k in enumerate(game.action_counts)]
+    learners = Learners(anchors, [agent.types] * n, TemperatureSchedule.adaptive())
     run_selfplay(game, learners, agent.search_iterations, mode="expected",
                  record=False)
-    return [ln.policy(agent.act_lambda) for ln in learners]
+    return [learners.policy(i, agent.act_lambda) for i in range(n)]
 
 
 @dataclass

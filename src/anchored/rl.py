@@ -15,7 +15,7 @@ from functools import reduce
 import numpy as np
 
 from .games import TERMINAL, NormalFormGame, TabularMarkovGame, cdf, draw
-from .learners import (INF, Learner, TemperatureSchedule, TypeDistribution,
+from .learners import (INF, Learners, TemperatureSchedule, TypeDistribution,
                        run_selfplay)
 from .oracle import (kl_divergence, regularized_exploitability,
                      stage_game_from_values)
@@ -92,12 +92,10 @@ def search_state(stage: NormalFormGame, anchors, types, iterations: int):
     anchored_only = [td.lambdas == (INF,) for td in types]
     if all(anchored_only):
         return [np.array(a, dtype=float) for a in anchors]
-    learners = [Learner(player=i, n_actions=n, anchor=np.asarray(anchors[i], float),
-                        types=types[i], schedule=TemperatureSchedule.adaptive())
-                for i, n in enumerate(stage.action_counts)]
+    learners = Learners(anchors, types, TemperatureSchedule.adaptive())
     run_selfplay(stage, learners, iterations, mode="expected", record=False)
-    return [np.array(a, dtype=float) if only else ln.average_mixture_policy()
-            for a, only, ln in zip(anchors, anchored_only, learners)]
+    return [np.array(a, dtype=float) if only else learners.average_mixture(i)
+            for i, (a, only) in enumerate(zip(anchors, anchored_only))]
 
 
 def _restrict_stage(stage: NormalFormGame, keep):

@@ -14,11 +14,11 @@ import pytest
 from anchored import (
     INF,
     AgentSpec,
+    Learners,
     NormalFormGame,
     TemperatureSchedule,
     TrainConfig,
     TypeDistribution,
-    init_learner,
     kl_divergence,
     last_iterate_distance,
     make_builtin_game,
@@ -77,12 +77,12 @@ def test_criterion_1_reduction_identities(capsys):
     ]
     worst = 0.0
     for lam, sched in cases:
-        learners = [init_learner(i, 3, anchor, TypeDistribution.singleton(lam),
-                                 sched) for i in range(2)]
+        learners = Learners([anchor] * 2, [TypeDistribution.singleton(lam)] * 2,
+                            sched)
         rng = np.random.default_rng(1)
         trace = run_selfplay(game, learners, 300, mode="sampled", rng=rng)
         for i in range(2):
-            manual = _manual_replay(trace, i, learners[i].anchor, lam, sched)
+            manual = _manual_replay(trace, i, learners.anchors[i], lam, sched)
             worst = max(worst, float(np.max(np.abs(
                 trace.policy_matrix(i, lam) - manual))))
     _verdict(capsys, 1, f"reduction identities (max dev {worst:.2e})",
@@ -103,21 +103,20 @@ def test_criterion_2_regret_bound(capsys):
         game = make_builtin_game("random_zero_sum",
                                  {"seed": seed, "actions": (3, 3),
                                   "payoff_bound": 1.0})
-        learners = [init_learner(i, 3, uniform_policy(3), types, sched)
-                    for i in range(2)]
+        learners = Learners([uniform_policy(3)] * 2, [types] * 2, sched)
         rng = np.random.default_rng(10_000 + seed)
         trace = run_selfplay(game, learners, 10_000, mode="sampled", rng=rng)
         for i in range(2):
             for lam in lams:
-                rep = regularized_regret(trace, i, lam, learners[i].anchor,
+                rep = regularized_regret(trace, i, lam, learners.anchors[i],
                                          payoff_bound=1.0, eta=0.5)
                 if rep.regret > rep.bound:
                     violations += 1
             ratio_lo.append(
-                regularized_regret(trace, i, 1.0, learners[i].anchor,
+                regularized_regret(trace, i, 1.0, learners.anchors[i],
                                    iterations=1_000).regret / math.log(1_000))
             ratio_hi.append(
-                regularized_regret(trace, i, 1.0, learners[i].anchor,
+                regularized_regret(trace, i, 1.0, learners.anchors[i],
                                    iterations=10_000).regret / math.log(10_000))
     monotone = float(np.mean(ratio_hi)) <= float(np.mean(ratio_lo))
     ok = violations == 0 and monotone
@@ -147,11 +146,10 @@ def test_criterion_3_last_iterate(capsys):
     sched = TemperatureSchedule(mode="constant_eta", eta=0.5)
 
     # expected feedback: deterministic convergence of the last iterate
-    learners = [init_learner(i, 2, MP_ANCHORS[i], types[0], sched)
-                for i in range(2)]
+    learners = Learners(MP_ANCHORS, [types[0]] * 2, sched)
     run_selfplay(game, learners, 100_000, mode="expected", record=False)
     expected_kls = [
-        kl_divergence(prof.policies[i][0.1], learners[i].policy(0.1))
+        kl_divergence(prof.policies[i][0.1], learners.policy(i, 0.1))
         for i in range(2)
     ]
     expected_ok = max(expected_kls) <= 1e-6
@@ -161,8 +159,7 @@ def test_criterion_3_last_iterate(capsys):
     final_kls = []
     distances = {T: [] for T in checkpoints}
     for seed in range(20):
-        learners = [init_learner(i, 2, MP_ANCHORS[i], types[0], sched)
-                    for i in range(2)]
+        learners = Learners(MP_ANCHORS, [types[0]] * 2, sched)
         rng = np.random.default_rng(777 + seed)
         done = 0
         for t in checkpoints:
@@ -170,8 +167,8 @@ def test_criterion_3_last_iterate(capsys):
             run_selfplay(game, learners, t - 1 - done, mode="sampled",
                          rng=rng, record=False)
             done = t - 1
-            kappas = [ln.current_kappa() for ln in learners]
-            current = [{0.1: ln.policy(0.1)} for ln in learners]
+            kappas = learners.kappas()
+            current = [{0.1: learners.policy(i, 0.1)} for i in range(2)]
             distances[t].append(last_iterate_distance(
                 current, prof, types, kappas))
             if t == checkpoints[-1]:
@@ -239,11 +236,10 @@ def test_criterion_5_hedge_average(capsys):
     game = make_builtin_game("matching_pennies")
     types = TypeDistribution.singleton(0.0)
     sched = TemperatureSchedule(mode="inverse_sqrt")
-    learners = [init_learner(i, 2, uniform_policy(2), types, sched)
-                for i in range(2)]
+    learners = Learners([uniform_policy(2)] * 2, [types] * 2, sched)
     rng = np.random.default_rng(0)
     run_selfplay(game, learners, 10_000, mode="sampled", rng=rng, record=False)
-    avg = [ln.average_policy(0.0) for ln in learners]
+    avg = [learners.average_policy(i, 0.0) for i in range(2)]
     gap = unregularized_exploitability(game, avg)
     _verdict(capsys, 5, f"hedge average-policy exploitability ({gap:.4f})",
              gap <= 0.05)

@@ -326,7 +326,42 @@ BAD_GAMES = {
         tmp, lambda d: d["transitions"][1].update({"[0, 0]": [[7, 1.0]]})),
     "reward of wrong length": lambda tmp: _markov_file(
         tmp, lambda d: d["rewards"][0]["[0, 1]"].append(0.0)),
+    "negative payoff_bound": lambda tmp: _markov_file(
+        tmp, lambda d: d.update(payoff_bound=-1.0)),
 }
+
+
+def _nan_reward(d):
+    d["rewards"][0]["[0, 1]"][0] = math.nan
+
+
+# Game files with a number that is not finite: each loaded, and `run` then
+# raised from its first draw or wrote NaN.
+NON_FINITE_GAMES = {
+    "normal-form NaN payoff": ("solve", lambda tmp: _game_file(tmp, json.dumps({
+        "players": 2, "action_counts": [2, 2], "payoff_bound": 1,
+        "payoffs": [[[math.nan, 0], [0, 1]], [[math.nan, 0], [0, -1]]]}))),
+    "normal-form inf payoff_bound": ("solve", lambda tmp: _game_file(
+        tmp, json.dumps({**make_builtin_game("matching_pennies").to_dict(),
+                         "payoff_bound": math.inf}))),
+    "Markov NaN reward": ("rl", lambda tmp: _markov_file(tmp, _nan_reward)),
+    "Markov NaN reward and payoff_bound": ("rl", lambda tmp: _markov_file(
+        tmp, lambda d: _nan_reward(d) or d.update(payoff_bound=math.nan))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_FINITE_GAMES))
+def test_main_non_finite_game_exits_2(tmp_path, capsys, name):
+    kind, game = NON_FINITE_GAMES[name]
+    config = {**(solve_config() if kind == "solve" else rl_config()),
+              "game": game(tmp_path)}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main(["validate", str(path)]) == 2
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("validation error: game.file") == 2
+    assert "must be finite" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("name", sorted(BAD_GAMES))
@@ -549,13 +584,13 @@ def test_nan_regret_exits_3(tmp_path, capsys):
 
 
 def test_trace_round_trip_with_infinite_lambda(tmp_path):
-    from anchored import TemperatureSchedule, TypeDistribution, init_learner, \
+    from anchored import Learners, TemperatureSchedule, TypeDistribution, \
         run_selfplay, uniform_policy
     from anchored.cli import emit_trace
 
     types = TypeDistribution.uniform([0.1, INF])
     sched = TemperatureSchedule(mode="constant_eta", eta=0.5)
-    learners = [init_learner(i, 2, uniform_policy(2), types, sched) for i in range(2)]
+    learners = Learners([uniform_policy(2)] * 2, [types] * 2, sched)
     trace = run_selfplay(make_builtin_game("matching_pennies"), learners, 40,
                          mode="sampled", rng=np.random.default_rng(3))
     emit_trace(trace, tmp_path / "trace.jsonl")

@@ -86,6 +86,16 @@ def test_payoff_bound_enforced():
                        payoff_bound=1.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_normal_form_rejects_non_finite_numbers(bad):
+    u = np.zeros((2, 2))
+    u[0, 0] = bad
+    with pytest.raises(ValueError, match="payoffs must be finite"):
+        NormalFormGame((2, 2), (u, np.zeros((2, 2))), payoff_bound=1.0)
+    with pytest.raises(ValueError, match="payoff_bound must be finite"):
+        NormalFormGame((2, 2), (np.zeros((2, 2)),) * 2, payoff_bound=bad)
+
+
 def test_zero_sum_flag_validated():
     with pytest.raises(ValueError):
         NormalFormGame((2, 2), (np.ones((2, 2)), np.ones((2, 2))),
@@ -410,6 +420,25 @@ def test_markov_from_dict_rejects_malformed():
     d = _markov_dict()
     d["transitions"][0] = [[1, 1.0]]
     with pytest.raises(ValueError, match="row"):
+        TabularMarkovGame.from_dict(d)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_markov_rejects_non_finite_numbers(bad):
+    d = _markov_dict()
+    d["rewards"][1]["[0, 1]"][0] = bad
+    with pytest.raises(ValueError, match="state 1: rewards must be finite"):
+        TabularMarkovGame.from_dict(d)
+    d = _markov_dict()
+    d["payoff_bound"] = bad
+    with pytest.raises(ValueError, match="payoff_bound must be finite"):
+        TabularMarkovGame.from_dict(d)
+
+
+def test_markov_rejects_negative_payoff_bound():
+    d = _markov_dict()
+    d["payoff_bound"] = -1.0
+    with pytest.raises(ValueError, match="payoff_bound must be finite and >= 0"):
         TabularMarkovGame.from_dict(d)
 
 

@@ -1,15 +1,18 @@
 """The array self-play kernel against the scalar reference, bit for bit.
 
 The reference is the per-player loop the kernel replaced, built from
-`Learner.policy` (`policy_for_type`), `Learner.observe` (`UtilityStats`) and
-`NormalFormGame.utility_vector`.  Every comparison is exact equality.
+`policy_for_type`, `UtilityStats`, `TemperatureSchedule.kappa` and
+`NormalFormGame.utility_vector`, with its own per-player state.  Every
+comparison is exact equality.
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from anchored import (INF, NormalFormGame, TemperatureSchedule, Trace,
-                      TypeDistribution, init_learner, run_selfplay)
+from anchored import (INF, Learners, NormalFormGame, TemperatureSchedule, Trace,
+                      TypeDistribution, make_anchor, policy_for_type, run_selfplay,
+                      uniform_policy)
+from anchored.learners import UtilityStats
 
 LAMBDAS = (0.0, 1e-3, 0.1, 0.5, 2.0, INF)
 SCHEDULES = (
@@ -51,9 +54,44 @@ def selfplay_cases(draw):
 
 
 def make_learners(case):
-    return [init_learner(i, n, anchor, types, case["schedule"],
-                         uniform_first_iterate=case["uniform_first"])
-            for i, (n, anchor, types) in enumerate(case["specs"])]
+    anchors = [anchor for _, anchor, _ in case["specs"]]
+    types = [td for _, _, td in case["specs"]]
+    return Learners(anchors, types, case["schedule"], case["uniform_first"])
+
+
+class ScalarLearner:
+    """One player's state in the reference: Q, the utility statistics and a
+    running sum of iterates per type."""
+
+    def __init__(self, n, anchor, types, schedule, uniform_first):
+        self.n, self.anchor, self.types = n, make_anchor(anchor), types
+        self.schedule, self.uniform_first = schedule, uniform_first
+        self.t = 0
+        self.q = np.zeros(n)
+        self.stats = UtilityStats()
+        self.sums = {lam: np.zeros(n) for lam in types.lambdas}
+
+    def kappa(self):
+        if self.t == 0:
+            return self.schedule.kappa_initial()
+        return self.schedule.kappa(self.t, self.stats)
+
+    def policy(self, lam, kappa):
+        if self.t == 0 and self.uniform_first:
+            return uniform_policy(self.n)
+        return policy_for_type(self.q, self.anchor, lam, kappa)
+
+    def observe(self, policies, utility_vector, realized):
+        for lam, p in policies.items():
+            self.sums[lam] += p
+        self.t += 1
+        self.q += (utility_vector - self.q) / self.t
+        self.stats.add(realized)
+
+
+def make_scalar(case):
+    return [ScalarLearner(n, anchor, types, case["schedule"], case["uniform_first"])
+            for n, anchor, types in case["specs"]]
 
 
 def reference_selfplay(game, learners, iterations, rng=None):
@@ -63,7 +101,7 @@ def reference_selfplay(game, learners, iterations, rng=None):
     cols = {k: [] for k in ("kappas", "policies", "utilities", "realized",
                             "actions", "sampled_lambdas")}
     for _ in range(iterations):
-        kappas = [ln.current_kappa() for ln in learners]
+        kappas = [ln.kappa() for ln in learners]
         by_type = [{lam: ln.policy(lam, kappa) for lam in ln.types.lambdas}
                    for ln, kappa in zip(learners, kappas)]
         if rng is not None:
@@ -72,7 +110,7 @@ def reference_selfplay(game, learners, iterations, rng=None):
                 w = ln.types.weights
                 lam = ln.types.lambdas[rng.choice(len(w), p=w) if len(w) > 1 else 0]
                 lams.append(lam)
-                joint.append(int(rng.choice(ln.n_actions, p=pols[lam])))
+                joint.append(int(rng.choice(ln.n, p=pols[lam])))
             u = [np.array(game.payoffs[i][tuple(joint[:i]) + (slice(None),)
                                           + tuple(joint[i + 1:])])
                  for i in range(n)]
@@ -82,17 +120,14 @@ def reference_selfplay(game, learners, iterations, rng=None):
         else:
             mixtures = []
             for ln, pols in zip(learners, by_type):
-                mix = np.zeros(ln.n_actions)
+                mix = np.zeros(ln.n)
                 for lam, w in zip(ln.types.lambdas, ln.types.weights):
                     mix += w * pols[lam]
                 mixtures.append(mix)
             u = [game.utility_vector(i, mixtures) for i in range(n)]
             realized = [float(u[i] @ mixtures[i]) for i in range(n)]
         for ln, pols, u_i, x in zip(learners, by_type, u, realized):
-            for lam, p in pols.items():
-                ln._avg_sums[lam] += p
-            ln._avg_counts += 1
-            ln.observe(u_i, x)
+            ln.observe(pols, u_i, x)
         cols["kappas"].append(kappas)
         cols["policies"].append(by_type)
         cols["utilities"].append(u)
@@ -100,15 +135,21 @@ def reference_selfplay(game, learners, iterations, rng=None):
     return cols
 
 
-def assert_same_state(a, b):
-    for x, y in zip(a, b):
-        assert x.t == y.t
-        assert np.array_equal(x.q, y.q)
-        assert (x.utility_stats.count, x.utility_stats.mean, x.utility_stats.m2) \
-            == (y.utility_stats.count, y.utility_stats.mean, y.utility_stats.m2)
-        assert x._avg_counts == y._avg_counts
-        for lam in x.types.lambdas:
-            assert np.array_equal(x._avg_sums[lam], y._avg_sums[lam])
+def assert_same_state(learners, scalar):
+    assert learners.kappas() == [ln.kappa() for ln in scalar]
+    for i, ln in enumerate(scalar):
+        assert learners.t == ln.t
+        assert np.array_equal(learners.q[i, :ln.n], ln.q)
+        assert not learners.q[i, ln.n:].any()
+        st = learners.utility_stats[i]
+        assert (st.count, st.mean, st.m2) == (ln.stats.count, ln.stats.mean,
+                                               ln.stats.m2)
+        for k, lam in enumerate(ln.types.lambdas):
+            row = learners.avg[learners.row_start[i] + k]
+            assert np.array_equal(row[:ln.n], ln.sums[lam])
+            assert not row[ln.n:].any()
+            assert np.array_equal(learners.policy(i, lam),
+                                  ln.policy(lam, ln.kappa()))
 
 
 def assert_trace_matches(trace, ref):
@@ -132,14 +173,14 @@ def assert_trace_matches(trace, ref):
 @given(selfplay_cases(), st.booleans())
 def test_kernel_matches_scalar_reference(case, record):
     game, mode, T = case["game"], case["mode"], case["iterations"]
-    kernel, scalar = make_learners(case), make_learners(case)
+    kernel, scalar = make_learners(case), make_scalar(case)
     rng_k = np.random.default_rng(case["seed"])
     rng_s = np.random.default_rng(case["seed"])
     trace = run_selfplay(game, kernel, T, mode=mode, rng=rng_k, record=record)
     ref = reference_selfplay(game, scalar, T,
                              rng_s if mode == "sampled" else None)
     assert_same_state(kernel, scalar)
-    # A second call resumes from the written-back state.
+    # A second call resumes from the state the first call left.
     run_selfplay(game, kernel, 3, mode=mode, rng=rng_k, record=False)
     reference_selfplay(game, scalar, 3, rng_s if mode == "sampled" else None)
     assert_same_state(kernel, scalar)
@@ -161,7 +202,7 @@ def test_kernel_matches_scalar_reference(case, record):
 @given(selfplay_cases())
 def test_single_steps_match_scalar_reference(case):
     game = case["game"]
-    kernel, scalar = make_learners(case), make_learners(case)
+    kernel, scalar = make_learners(case), make_scalar(case)
     rng_k = np.random.default_rng(case["seed"])
     rng_s = np.random.default_rng(case["seed"])
     for _ in range(case["iterations"]):

@@ -7,11 +7,11 @@ import pytest
 
 from anchored import (
     INF,
-    Learner,
+    Learners,
+    NormalFormGame,
     TemperatureSchedule,
     Trace,
     TypeDistribution,
-    init_learner,
     make_builtin_game,
     policy_for_type,
     run_selfplay,
@@ -38,20 +38,6 @@ def test_type_weights_raise_what_choice_raised():
     # cdf raises the error `Generator.choice` raised at the first sample.
     with pytest.raises(ValueError, match="^Probabilities contain NaN$"):
         TypeDistribution((0.1, 0.5), (float("nan"), 0.5))
-
-
-def test_sample_matches_generator_choice():
-    td = TypeDistribution((0.1, 0.5, 2.0), (0.2, 0.0, 0.8))
-    rng, twin = np.random.default_rng(8), np.random.default_rng(8)
-    for _ in range(200):
-        assert td.sample(rng) == td.lambdas[twin.choice(3, p=td.weights)]
-    assert rng.random() == twin.random()
-
-
-def test_singleton_sample_is_constant():
-    td = TypeDistribution.singleton(0.1)
-    rng = np.random.default_rng(0)
-    assert all(td.sample(rng) == 0.1 for _ in range(10))
 
 
 def test_uniform_type_distribution():
@@ -195,64 +181,74 @@ def test_policy_numerical_stability_extreme_q():
     np.testing.assert_allclose(p, [1.0, 0.0], atol=1e-12)
 
 
-# -------------------------------------------------------------- learner
+# ------------------------------------------------------------- learners
 
-def test_init_learner_state():
-    ln = init_learner(0, 2, uniform_policy(2), TypeDistribution.singleton(0.1),
-                      TemperatureSchedule(mode="inverse_sqrt"))
-    assert ln.t == 0
-    np.testing.assert_array_equal(ln.q, [0.0, 0.0])
+def test_learners_initial_state():
+    types = (TypeDistribution.singleton(0.1), TypeDistribution.uniform([0.1, INF]))
+    ln = Learners([uniform_policy(2), uniform_policy(3)], types,
+                  TemperatureSchedule(mode="inverse_sqrt"))
+    assert ln.t == 0 and ln.action_counts == (2, 3) and ln.row_start == [0, 1, 3]
+    np.testing.assert_array_equal(ln.q, np.zeros((2, 3)))
+    np.testing.assert_array_equal(ln.avg, np.zeros((3, 3)))
+    assert ln.kappas() == [1.0, 1.0]
+
+
+def test_learners_reject_mismatched_lengths():
+    types = TypeDistribution.singleton(0.1)
+    sched = TemperatureSchedule.adaptive()
+    with pytest.raises(ValueError, match="one type distribution per anchor"):
+        Learners([uniform_policy(2)] * 2, [types], sched)
+    with pytest.raises(ValueError, match="one type distribution per anchor"):
+        Learners([uniform_policy(2)], [types] * 2, sched)
 
 
 def test_observe_running_average():
-    ln = init_learner(0, 2, uniform_policy(2), TypeDistribution.singleton(0.1),
-                      TemperatureSchedule(mode="inverse_sqrt"))
-    ln.observe(np.array([0.5, -0.5]), 0.5)
-    np.testing.assert_allclose(ln.q, [0.5, -0.5], atol=1e-15)
-    ln.observe(np.array([1.5, 0.5]), 1.5)
-    np.testing.assert_allclose(ln.q, [1.0, 0.0], atol=1e-15)
+    # Player 0's utility vector is the column of player 1's sampled action.
+    game = NormalFormGame((2, 2), (np.array([[0.5, 1.5], [-0.5, 0.5]]),
+                                   np.zeros((2, 2))), payoff_bound=1.5)
+    learners = Learners([uniform_policy(2)] * 2,
+                        [TypeDistribution.singleton(0.1)] * 2,
+                        TemperatureSchedule(mode="inverse_sqrt"))
+    rng = np.random.default_rng(0)
+    seen = []
+    for _ in range(6):
+        trace = run_selfplay(game, learners, 1, rng=rng)
+        seen.append(game.payoffs[0][:, trace.actions[0, 1]])
+        np.testing.assert_allclose(learners.q[0], np.mean(seen, axis=0), atol=1e-15)
+    assert {tuple(u) for u in seen} == {(0.5, -0.5), (1.5, 0.5)}
 
 
 def test_observe_constant_utilities():
-    ln = init_learner(0, 2, uniform_policy(2), TypeDistribution.singleton(0.1),
-                      TemperatureSchedule(mode="inverse_sqrt"))
-    for _ in range(10):
-        ln.observe(np.array([0.25, 0.25]), 0.25)
-    np.testing.assert_allclose(ln.q, [0.25, 0.25], atol=1e-14)
-
-
-def test_observe_monotonic_iteration_check():
-    ln = init_learner(0, 2, uniform_policy(2), TypeDistribution.singleton(0.1),
-                      TemperatureSchedule(mode="inverse_sqrt"))
-    ln.observe(np.zeros(2), 0.0, iteration=1)
-    with pytest.raises(ValueError):
-        ln.observe(np.zeros(2), 0.0, iteration=1)
+    game = NormalFormGame((2, 1), (np.full((2, 1), 0.25), np.zeros((2, 1))),
+                          payoff_bound=1.0)
+    learners = Learners([uniform_policy(2), uniform_policy(1)],
+                        [TypeDistribution.singleton(0.1)] * 2,
+                        TemperatureSchedule(mode="inverse_sqrt"))
+    run_selfplay(game, learners, 10, mode="expected", record=False)
+    np.testing.assert_allclose(learners.q[0], [0.25, 0.25], atol=1e-14)
 
 
 def test_act_policy_matches_support_point():
     game = make_builtin_game("matching_pennies")
     types = TypeDistribution.uniform([1e-4, 1e-1])
     sched = TemperatureSchedule.adaptive()
-    learners = [init_learner(i, 2, np.array([0.6, 0.4]), types, sched)
-                for i in range(2)]
+    learners = Learners([np.array([0.6, 0.4])] * 2, [types] * 2, sched)
     run_selfplay(game, learners, 50, mode="expected", record=False)
-    ln = learners[0]
-    np.testing.assert_allclose(ln.policy(1e-1), policy_for_type(
-        ln.q, ln.anchor, 1e-1, ln.current_kappa()), atol=0.0)
-    np.testing.assert_allclose(ln.policy(INF), ln.anchor, atol=0.0)
+    np.testing.assert_allclose(learners.policy(0, 1e-1), policy_for_type(
+        learners.q[0], learners.anchors[0], 1e-1, learners.kappas()[0]), atol=0.0)
+    np.testing.assert_allclose(learners.policy(0, INF), learners.anchors[0], atol=0.0)
 
 
 def test_average_policy_after_one_iteration():
     game = make_builtin_game("matching_pennies")
     types = TypeDistribution.singleton(0.1)
     sched = TemperatureSchedule(mode="constant_eta", eta=0.5)
-    learners = [init_learner(i, 2, np.array([0.7, 0.3]), types, sched)
-                for i in range(2)]
-    first = learners[0].policy(0.1)
+    learners = Learners([np.array([0.7, 0.3])] * 2, [types] * 2, sched)
+    first = learners.policy(0, 0.1)
+    with pytest.raises(ValueError, match="no iterations completed"):
+        learners.average_policy(0, 0.1)
     run_selfplay(game, learners, 1, mode="expected", record=False)
-    np.testing.assert_allclose(learners[0].average_policy(0.1), first, atol=1e-15)
-    with pytest.raises(ValueError):
-        init_learner(0, 2, uniform_policy(2), types, sched).average_policy(0.1)
+    np.testing.assert_allclose(learners.average_policy(0, 0.1), first, atol=1e-15)
 
 
 # ------------------------------------------------------------ reductions
@@ -279,11 +275,11 @@ def test_singleton_reduces_to_anchored_hedge(mode):
     anchor = np.array([0.5, 0.3, 0.2])
     types = TypeDistribution.singleton(0.5)
     sched = TemperatureSchedule(mode="constant_eta", eta=0.5)
-    learners = [init_learner(i, 3, anchor, types, sched) for i in range(2)]
+    learners = Learners([anchor] * 2, [types] * 2, sched)
     rng = np.random.default_rng(12)
     trace = run_selfplay(game, learners, 200, mode=mode, rng=rng)
     for i in range(2):
-        manual = _manual_pikl_replay(trace, i, learners[i].anchor, 0.5, sched)
+        manual = _manual_pikl_replay(trace, i, learners.anchors[i], 0.5, sched)
         np.testing.assert_allclose(trace.policy_matrix(i, 0.5), manual,
                                    atol=1e-12)
 
@@ -292,8 +288,7 @@ def test_lambda_zero_reduces_to_hedge():
     game = make_builtin_game("random_zero_sum", {"seed": 4, "actions": (3, 3)})
     types = TypeDistribution.singleton(0.0)
     sched = TemperatureSchedule(mode="constant_eta", eta=0.5)
-    learners = [init_learner(i, 3, uniform_policy(3), types, sched)
-                for i in range(2)]
+    learners = Learners([uniform_policy(3)] * 2, [types] * 2, sched)
     rng = np.random.default_rng(13)
     trace = run_selfplay(game, learners, 200, mode="sampled", rng=rng)
     for i in range(2):
@@ -313,8 +308,7 @@ def test_zero_kappa_lambda_reduces_to_fictitious_play():
     game = make_builtin_game("random_zero_sum", {"seed": 5, "actions": (3, 3)})
     types = TypeDistribution.singleton(0.0)
     sched = TemperatureSchedule(mode="constant_eta", eta=INF)   # kappa == 0
-    learners = [init_learner(i, 3, uniform_policy(3), types, sched)
-                for i in range(2)]
+    learners = Learners([uniform_policy(3)] * 2, [types] * 2, sched)
     rng = np.random.default_rng(14)
     trace = run_selfplay(game, learners, 100, mode="sampled", rng=rng)
     for i in range(2):
@@ -336,8 +330,7 @@ def test_sampled_deterministic_in_seed():
 
     def run(seed):
         sched = TemperatureSchedule.adaptive()
-        learners = [init_learner(i, 3, uniform_policy(3), types, sched)
-                    for i in range(2)]
+        learners = Learners([uniform_policy(3)] * 2, [types] * 2, sched)
         rng = np.random.default_rng(seed)
         return run_selfplay(game, learners, 100, mode="sampled", rng=rng)
 
@@ -352,8 +345,7 @@ def test_expected_mode_bit_identical():
 
     def run():
         sched = TemperatureSchedule(mode="constant_eta", eta=0.5)
-        learners = [init_learner(i, 3, np.array([0.5, 0.25, 0.25]), types, sched)
-                    for i in range(2)]
+        learners = Learners([np.array([0.5, 0.25, 0.25])] * 2, [types] * 2, sched)
         return run_selfplay(game, learners, 50, mode="expected")
 
     a, b = run(), run()
@@ -366,11 +358,10 @@ def test_expected_symmetric_fixed_point_stays_uniform():
     game = make_builtin_game("matching_pennies")
     types = TypeDistribution.singleton(0.1)
     sched = TemperatureSchedule(mode="constant_eta", eta=0.5)
-    learners = [init_learner(i, 2, uniform_policy(2), types, sched)
-                for i in range(2)]
+    learners = Learners([uniform_policy(2)] * 2, [types] * 2, sched)
     run_selfplay(game, learners, 200, mode="expected", record=False)
-    for ln in learners:
-        np.testing.assert_allclose(ln.policy(0.1), [0.5, 0.5], atol=1e-12)
+    for i in range(2):
+        np.testing.assert_allclose(learners.policy(i, 0.1), [0.5, 0.5], atol=1e-12)
 
 
 def test_all_infinite_types_play_anchor_frequencies():
@@ -378,7 +369,7 @@ def test_all_infinite_types_play_anchor_frequencies():
     tau = np.array([0.7, 0.3])
     types = TypeDistribution.singleton(INF)
     sched = TemperatureSchedule.adaptive()
-    learners = [init_learner(i, 2, tau, types, sched) for i in range(2)]
+    learners = Learners([tau] * 2, [types] * 2, sched)
     rng = np.random.default_rng(17)
     n = 10000
     trace = run_selfplay(game, learners, n, mode="sampled", rng=rng)
@@ -392,8 +383,7 @@ def test_emitted_policies_are_distributions():
     game = make_builtin_game("random_zero_sum", {"seed": 6, "actions": (3, 3)})
     types = TypeDistribution.uniform([1e-1, 1.0])
     sched = TemperatureSchedule.adaptive()
-    learners = [init_learner(i, 3, np.array([0.6, 0.3, 0.1]), types, sched)
-                for i in range(2)]
+    learners = Learners([np.array([0.6, 0.3, 0.1])] * 2, [types] * 2, sched)
     rng = np.random.default_rng(18)
     trace = run_selfplay(game, learners, 200, mode="sampled", rng=rng)
     for i in range(2):
@@ -402,7 +392,7 @@ def test_emitted_policies_are_distributions():
             assert np.all(mat >= 0)
             np.testing.assert_allclose(mat.sum(axis=1), 1.0, atol=1e-12)
             assert np.all(mat > 0)     # anchor-supported actions, lam > 0
-        avg = learners[i].average_policy(lam)
+        avg = learners.average_policy(i, lam)
         assert abs(avg.sum() - 1.0) <= 1e-12
 
 
@@ -410,20 +400,18 @@ def test_replay_q_oracle():
     game = make_builtin_game("random_zero_sum", {"seed": 7, "actions": (3, 3)})
     types = TypeDistribution.singleton(0.1)
     sched = TemperatureSchedule.adaptive()
-    learners = [init_learner(i, 3, uniform_policy(3), types, sched)
-                for i in range(2)]
+    learners = Learners([uniform_policy(3)] * 2, [types] * 2, sched)
     rng = np.random.default_rng(19)
     trace = run_selfplay(game, learners, 500, mode="sampled", rng=rng)
     for i in range(2):
-        np.testing.assert_allclose(trace.replay_q(i), learners[i].q, atol=1e-10)
+        np.testing.assert_allclose(trace.replay_q(i), learners.q[i], atol=1e-10)
 
 
 def test_trace_records_round_trip():
     game = make_builtin_game("matching_pennies")
     types = TypeDistribution.uniform([1e-2, 1e-1])
     sched = TemperatureSchedule.adaptive()
-    learners = [init_learner(i, 2, uniform_policy(2), types, sched)
-                for i in range(2)]
+    learners = Learners([uniform_policy(2)] * 2, [types] * 2, sched)
     rng = np.random.default_rng(20)
     trace = run_selfplay(game, learners, 30, mode="sampled", rng=rng)
     rebuilt = Trace.from_records(trace.records(), trace.type_supports)
@@ -440,19 +428,19 @@ def test_uniform_first_iterate_switch():
     tau = np.array([0.9, 0.1])
     types = TypeDistribution.singleton(0.5)
     sched = TemperatureSchedule(mode="constant_eta", eta=0.5)
-    ln = init_learner(0, 2, tau, types, sched, uniform_first_iterate=True)
-    np.testing.assert_allclose(ln.policy(0.5), [0.5, 0.5], atol=0.0)
-    ln2 = init_learner(0, 2, tau, types, sched)
-    assert ln2.policy(0.5)[0] > 0.5    # anchored first iterate leans to tau
+    ln = Learners([tau], [types], sched, uniform_first_iterate=True)
+    np.testing.assert_allclose(ln.policy(0, 0.5), [0.5, 0.5], atol=0.0)
+    ln2 = Learners([tau], [types], sched)
+    assert ln2.policy(0, 0.5)[0] > 0.5    # anchored first iterate leans to tau
 
 
 def test_mismatched_learners_rejected():
     game = make_builtin_game("matching_pennies")
     types = TypeDistribution.singleton(0.1)
     sched = TemperatureSchedule.adaptive()
-    learners = [init_learner(0, 2, uniform_policy(2), types, sched)]
-    with pytest.raises(ValueError):
-        run_selfplay(game, learners, 1, rng=np.random.default_rng(0))
-    bad = [init_learner(i, 3, uniform_policy(3), types, sched) for i in range(2)]
-    with pytest.raises(ValueError):
+    one = Learners([uniform_policy(2)], [types], sched)
+    with pytest.raises(ValueError, match="action counts do not match"):
+        run_selfplay(game, one, 1, rng=np.random.default_rng(0))
+    bad = Learners([uniform_policy(3)] * 2, [types] * 2, sched)
+    with pytest.raises(ValueError, match="action counts do not match"):
         run_selfplay(game, bad, 1, mode="expected")

@@ -7,10 +7,10 @@ import pytest
 
 from anchored import (
     INF,
+    Learners,
     RegularizedProfile,
     TemperatureSchedule,
     TypeDistribution,
-    init_learner,
     kl_divergence,
     last_iterate_distance,
     make_builtin_game,
@@ -295,8 +295,7 @@ def _selfplay_trace(seed, iterations=500, lam=0.1):
     game = make_builtin_game("random_zero_sum", {"seed": seed, "actions": (3, 3)})
     types = TypeDistribution.singleton(lam)
     sched = TemperatureSchedule(mode="constant_eta", eta=0.5)
-    learners = [init_learner(i, 3, uniform_policy(3), types, sched)
-                for i in range(2)]
+    learners = Learners([uniform_policy(3)] * 2, [types] * 2, sched)
     rng = np.random.default_rng(seed + 100)
     trace = run_selfplay(game, learners, iterations, mode="sampled", rng=rng)
     return game, learners, trace
@@ -306,7 +305,7 @@ def test_regret_below_bound_on_sampled_runs():
     for seed in range(3):
         game, learners, trace = _selfplay_trace(seed)
         for i in range(2):
-            rep = regularized_regret(trace, i, 0.1, learners[i].anchor,
+            rep = regularized_regret(trace, i, 0.1, learners.anchors[i],
                                      payoff_bound=1.0, eta=0.5)
             assert rep.regret <= rep.bound
             assert rep.rho_kl == pytest.approx(0.0, abs=1e-15)
@@ -325,8 +324,7 @@ def test_regret_symmetric_single_step_zero():
     game = make_builtin_game("matching_pennies")
     types = TypeDistribution.singleton(0.1)
     sched = TemperatureSchedule(mode="constant_eta", eta=0.5)
-    learners = [init_learner(i, 2, uniform_policy(2), types, sched)
-                for i in range(2)]
+    learners = Learners([uniform_policy(2)] * 2, [types] * 2, sched)
     trace = run_selfplay(game, learners, 1, mode="expected")
     rep = regularized_regret(trace, 0, 0.1, uniform_policy(2))
     assert rep.regret == pytest.approx(0.0, abs=1e-12)
@@ -335,7 +333,7 @@ def test_regret_symmetric_single_step_zero():
 def test_regret_empty_trace_rejected():
     game, learners, trace = _selfplay_trace(5, iterations=10)
     with pytest.raises(ValueError):
-        regularized_regret(trace, 0, 0.1, learners[0].anchor, iterations=0)
+        regularized_regret(trace, 0, 0.1, learners.anchors[0], iterations=0)
 
 
 # ------------------------------------------------ last-iterate distance

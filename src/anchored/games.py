@@ -271,6 +271,8 @@ class TabularMarkovGame:
                                  f"shape {t.shape} does not fit action counts {a}")
             if not np.isfinite(r).all():
                 raise ValueError(f"state {s}: rewards must be finite")
+            if np.max(np.abs(r)) > self.payoff_bound + 1e-12:
+                raise ValueError(f"state {s}: reward magnitude exceeds payoff_bound")
             if any(s2 != TERMINAL and not 0 <= s2 < n for s2 in nxt):
                 raise ValueError(f"state {s}: successor id out of range in {nxt}")
             if np.any(t < 0) or not np.all(np.abs(t.sum(axis=-1) - 1.0) <= 1e-12):

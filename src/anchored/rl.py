@@ -98,11 +98,20 @@ def search_state(stage: NormalFormGame, anchors, types, iterations: int):
             for i, (a, only) in enumerate(zip(anchors, anchored_only))]
 
 
-def _restrict_stage(stage: NormalFormGame, keep):
-    """Restrict a stage game to per-player action subsets."""
-    return NormalFormGame(tuple(map(len, keep)),
-                          tuple(u[np.ix_(*keep)] for u in stage.payoffs),
-                          payoff_bound=stage.payoff_bound, zero_sum=stage.zero_sum)
+def _search(stage: NormalFormGame, anchors, types, keep, iterations: int):
+    """`search_state` on the stage game, or on its restriction to the action
+    subsets `keep` (renormalized anchors) with sigma zero off the subsets."""
+    if keep is None:
+        return search_state(stage, anchors, types, iterations)
+    sub = NormalFormGame(tuple(map(len, keep)),
+                         tuple(u[np.ix_(*keep)] for u in stage.payoffs),
+                         payoff_bound=stage.payoff_bound, zero_sum=stage.zero_sum)
+    kept = [np.asarray(a, float)[k] for a, k in zip(anchors, keep)]
+    sub_sigma = search_state(sub, [a / a.sum() for a in kept], types, iterations)
+    sigma = [np.zeros(n) for n in stage.action_counts]
+    for full, k, p in zip(sigma, keep, sub_sigma):
+        full[k] = p
+    return sigma
 
 
 @dataclass
@@ -115,7 +124,8 @@ class EpisodeRecord:
 def run_episode(game: TabularMarkovGame, values: dict, policy_table: dict,
                 anchors: dict, config: TrainConfig, rng: np.random.Generator,
                 visit_counts: dict | None = None,
-                proposal_table: dict | None = None) -> EpisodeRecord:
+                proposal_table: dict | None = None,
+                searches: dict | None = None) -> EpisodeRecord:
     """Play one self-play episode from the initial state, updating the
     `{s: vector}` values and the `{(s, i): vector}` policy table at every
     visited state.  A policy entry is replaced by
@@ -124,6 +134,12 @@ def run_episode(game: TabularMarkovGame, values: dict, policy_table: dict,
     `proposal_table` is the table consulted for the top-k action restriction;
     in NPU mode the caller passes a frozen copy so the restriction never moves
     while the trained table still tracks sigma.
+
+    `searches`, when given, maps each state to the key and the read-only
+    sigma of its last search, and is updated here.  The search is
+    deterministic, so when a state's stage payoffs and top-k action subsets
+    (the key) are those of its last search, that sigma is reused.  The caller
+    keeps one dict per game, anchors and config, as `train` does.
     """
     types = _search_types(config, game.player_count)
     proposals = proposal_table if proposal_table is not None else policy_table
@@ -131,24 +147,22 @@ def run_episode(game: TabularMarkovGame, values: dict, policy_table: dict,
     s = game.initial_state
     for _ in range(game.horizon):
         stage = stage_game_from_values(game, s, values)
-        st_anchors = [anchors[(s, i)] for i in range(game.player_count)]
-        keep = None
-        if config.top_k is not None:
-            keep = [np.sort(np.argsort(-proposals[(s, i)], kind="stable")[:config.top_k])
-                    for i in range(game.player_count)]
-            kept = [np.asarray(a, float)[k] for a, k in zip(st_anchors, keep)]
-            sigma_sub = search_state(_restrict_stage(stage, keep),
-                                     [a / a.sum() for a in kept], types,
-                                     config.search_iterations)
-            sigma = [np.zeros(n) for n in stage.action_counts]
-            for full, k, p in zip(sigma, keep, sigma_sub):
-                full[k] = p
+        keep = None if config.top_k is None else [
+            np.sort(np.argsort(-proposals[(s, i)], kind="stable")[:config.top_k])
+            for i in range(game.player_count)]
+        key = b"".join(x.tobytes() for x in (*stage.payoffs, *(keep or ())))
+        last = searches.get(s) if searches is not None else None
+        if last is not None and last[0] == key:
+            sigma = last[1]
         else:
-            sigma = search_state(stage, st_anchors, types,
-                                 config.search_iterations)
-        for i in range(game.player_count):
-            if not np.isfinite(sigma[i]).all():
+            sigma = _search(stage, [anchors[(s, i)] for i in range(game.player_count)],
+                            types, keep, config.search_iterations)
+            if not all(np.isfinite(p).all() for p in sigma):
                 raise RuntimeError(f"non-finite search policy at state {s}")
+            if searches is not None:
+                for p in sigma:
+                    p.setflags(write=False)
+                searches[s] = (key, sigma)
         if visit_counts is not None:
             visit_counts[s] = visit_counts.get(s, 0) + 1
             alpha = 1.0 / visit_counts[s] if config.alpha_harmonic else config.alpha
@@ -185,12 +199,14 @@ def train(game: TabularMarkovGame, anchors: dict, config: TrainConfig,
     policy_table = dict(anchors)
     proposal_table = dict(policy_table) if config.mode == "NPU" else None
     visit_counts: dict = {}
+    searches: dict = {}
     metrics: list[dict] = []
     stages = None if oracle_profiles is None else {
         s: stage_game_from_values(game, s, oracle_values) for s in oracle_profiles}
     for ep in range(1, config.episodes + 1):
         run_episode(game, values, policy_table, anchors, config, rng,
-                    visit_counts=visit_counts, proposal_table=proposal_table)
+                    visit_counts=visit_counts, proposal_table=proposal_table,
+                    searches=searches)
         if ep % config.checkpoint_every == 0 or ep == config.episodes:
             row = {"episode": ep}
             if oracle_values is not None:

@@ -268,11 +268,11 @@ def test_criterion_6_value_learning(capsys):
     values = {s: np.zeros(2) for s in range(game.state_count)}
     table = dict(anchors)
     rng = np.random.default_rng(cfg.seed)
-    visit_counts = {}
+    visit_counts, searches = {}, {}
     worst_asym = 0.0
     for _ in range(cfg.episodes):
         run_episode(game, values, table, anchors, cfg, rng,
-                    visit_counts=visit_counts)
+                    visit_counts=visit_counts, searches=searches)
         worst_asym = max(worst_asym, max(
             abs(float(values[s][0] + values[s][1]))
             for s in range(game.state_count)))
@@ -303,10 +303,10 @@ def test_criterion_7_best_response_mode(capsys):
     values = {s: np.zeros(2) for s in range(game.state_count)}
     table = dict(anchors)
     rng = np.random.default_rng(cfg.seed)
-    visit_counts = {}
+    visit_counts, searches = {}, {}
     for _ in range(cfg.episodes):
         run_episode(game, values, table, anchors, cfg, rng,
-                    visit_counts=visit_counts)
+                    visit_counts=visit_counts, searches=searches)
     trained = {
         (s, i): (table[(s, 0)] if i == 0 else anchors[(s, 1)])
         for s in range(game.state_count) for i in range(2)

@@ -364,6 +364,28 @@ def test_main_non_finite_game_exits_2(tmp_path, capsys, name):
     assert "must be finite" in err and "Traceback" not in err
 
 
+def _scale_rewards(d, factor):
+    for row in d["rewards"]:
+        for joint in row:
+            row[joint] = [factor * x for x in row[joint]]
+
+
+@pytest.mark.parametrize("kind", ["oracle", "rl"])
+def test_main_rewards_above_payoff_bound_exit_2(tmp_path, capsys, kind):
+    """Rewards five times the bound: `validate` printed ok and `run` raised
+    from the first stage game it built."""
+    game = _markov_file(tmp_path, lambda d: _scale_rewards(d, 5.0))
+    config = ({"kind": "oracle", "seed": 1, "game": game} if kind == "oracle"
+              else {**rl_config(), "game": game})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main(["validate", str(path)]) == 2
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("reward magnitude exceeds payoff_bound") == 2
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("name", sorted(BAD_GAMES))
 def test_main_game_construction_errors_exit_2(tmp_path, capsys, name):
     path = tmp_path / "cfg.json"
@@ -837,5 +859,47 @@ def test_fuzzed_configs_validate_as_they_run(fuzz_work, data):
                      ["run", str(cfg), "--out", str(work / "out")]):
             codes.append(main(argv))
     assert codes[0] == codes[1] and codes[0] in (0, 2, 3, 4), (config, codes,
+                                                               err.getvalue())
+    assert "Traceback" not in err.getvalue()
+
+
+MARKOV_BOUNDS = [None, 0.0, 0.5, 2.0, -1.0, math.nan, math.inf, -math.inf]
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(kind=st.sampled_from(["oracle", "rl"]),
+       scale=st.one_of(st.sampled_from([0.0, 1.0, 5.0, -3.0]),
+                       st.floats(-10.0, 10.0)),
+       bound=st.sampled_from(MARKOV_BOUNDS),
+       bad=st.sampled_from([None, math.nan, math.inf, -math.inf]),
+       where=st.tuples(st.integers(0, 2), st.integers(0, 3), st.integers(0, 1)))
+def test_fuzzed_markov_files_validate_as_they_run(fuzz_work, kind, scale, bound,
+                                                  bad, where):
+    """A Markov game file with scaled or non-finite rewards or a bad bound:
+    `validate` and `run` give the same exit code and never a traceback."""
+    work, _ = fuzz_work
+    d = make_random_markov(seed=1, state_count=3, player_count=2,
+                           actions_per_player=2, horizon=2, gamma=1.0,
+                           zero_sum=True).to_dict()
+    _scale_rewards(d, scale)
+    if bound is not None:
+        d["payoff_bound"] = bound
+    if bad is not None:
+        s, joint, player = where
+        row = d["rewards"][s]
+        row[sorted(row)[joint]][player] = bad
+    game_file = work / "markov_game.json"
+    game_file.write_text(json.dumps(d))
+    game = {"file": str(game_file)}
+    config = ({"kind": "oracle", "seed": 1, "game": game} if kind == "oracle"
+              else {**rl_config(), "game": game})
+    cfg = work / "markov_cfg.json"
+    cfg.write_text(json.dumps(config))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        codes = [main(["validate", str(cfg)]),
+                 main(["run", str(cfg), "--out", str(work / "markov_out")])]
+    assert codes[0] == codes[1] and codes[0] in (0, 2, 3, 4), (d, codes,
                                                                err.getvalue())
     assert "Traceback" not in err.getvalue()

@@ -442,6 +442,21 @@ def test_markov_rejects_negative_payoff_bound():
         TabularMarkovGame.from_dict(d)
 
 
+def test_markov_rejects_rewards_above_payoff_bound():
+    d = _markov_dict()
+    for row in d["rewards"]:
+        for joint in row:
+            row[joint] = [5.0 * x for x in row[joint]]
+    with pytest.raises(ValueError, match="reward magnitude exceeds payoff_bound"):
+        TabularMarkovGame.from_dict(d)
+    d = _markov_dict()
+    d["rewards"][1]["[0, 1]"] = [1.0, -1.0]          # at the bound
+    assert TabularMarkovGame.from_dict(d).R[1][0, 0, 1] == 1.0
+    d["rewards"][1]["[0, 1]"] = [1.0 + 1e-9, -1.0 - 1e-9]
+    with pytest.raises(ValueError, match="state 1: reward magnitude exceeds"):
+        TabularMarkovGame.from_dict(d)
+
+
 def test_markov_from_dict_successor_order_and_duplicates():
     d = _markov_dict()
     # State 0 moves to states 1 and 2; list one joint action's successors in

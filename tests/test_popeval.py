@@ -335,7 +335,7 @@ def chain_game(r0, r1, gamma=1.0):
         player_count=2, state_count=2, action_counts=((1, 1), (2, 1)),
         R=(np.array(r0, float).reshape(2, 1, 1), np.array(r1, float).reshape(2, 2, 1)),
         next_states=((1,), (TERMINAL,)), T=(np.ones((1, 1, 1)), np.ones((2, 1, 1))),
-        gamma=gamma, horizon=2)
+        gamma=gamma, horizon=2, payoff_bound=2.0)
 
 
 @pytest.mark.parametrize("r0, r1, gamma, ok", [

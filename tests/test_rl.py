@@ -1,5 +1,7 @@
 """Tests for tabular self-play value iteration with per-state search."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +22,8 @@ from anchored import (
     evaluate_vs_oracle,
     uniform_policy,
 )
+from anchored import rl
+from anchored.games import TERMINAL
 from anchored.oracle import stage_game_from_values, uniform_anchors
 from anchored.rl import _search_types
 
@@ -297,6 +301,177 @@ def test_npu_keeps_proposal_frozen():
     # the trained table did move
     assert any(np.max(np.abs(table[k] - frozen[k])) > 1e-12
                for k in frozen)
+
+
+# ------------------------------------------------------------ search cache
+
+def _episodes(game, anchors, cfg, searches, proposals=None):
+    """cfg.episodes episodes as `train` plays them, with the given cache and,
+    when given, proposal table k for episode k."""
+    values, table, visits = zero_values(game), dict(anchors), {}
+    rng = np.random.default_rng(cfg.seed)
+    records = [run_episode(game, values, table, anchors, cfg, rng,
+                           visit_counts=visits, searches=searches,
+                           proposal_table=proposals and proposals[k])
+               for k in range(cfg.episodes)]
+    return values, table, visits, records
+
+
+def _assert_same_runs(a, b):
+    (va, ta, ca, ra), (vb, tb, cb, rb) = a, b
+    assert va.keys() == vb.keys() and ta.keys() == tb.keys() and ca == cb
+    for s in va:
+        assert np.array_equal(va[s], vb[s])
+    for k in ta:
+        assert np.array_equal(ta[k], tb[k])
+    assert len(ra) == len(rb)
+    for x, y in zip(ra, rb):
+        assert x.states == y.states and x.actions == y.actions
+        for sx, sy in zip(x.sigmas, y.sigmas):
+            assert len(sx) == len(sy)
+            assert all(np.array_equal(p, q) for p, q in zip(sx, sy))
+
+
+# A proposal table of "frozen" is the anchors in every episode, as NPU mode
+# uses it; one of "redrawn" is random in every episode, so that the top-k
+# subsets change.  The trained table alone never changes them: its update
+# scales every entry by 1 - policy_step and adds only to kept actions.
+CACHE_CASES = {
+    "constant alpha": (dict(), None),
+    "harmonic alpha": (dict(alpha_harmonic=True), None),
+    "top_k": (dict(top_k=2, policy_step=0.5), None),
+    "top_k, redrawn proposals": (dict(top_k=2), "redrawn"),
+    "NPU": (dict(mode="NPU", top_k=2), "frozen"),
+    "best_response": (dict(mode="best_response", types=()), None),
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(sorted(CACHE_CASES)),
+       st.sampled_from([(0.5,), (0.1, 1.0)]))
+def test_search_cache_matches_uncached(seed, case, lambdas):
+    """Episodes that share a search cache equal episodes that search at every
+    visit: values, policy table, visit counts and every record."""
+    game = make_random_markov(seed=seed, state_count=4, player_count=2,
+                              actions_per_player=3, horizon=2, gamma=1.0,
+                              zero_sum=True)
+    anchors = uniform_anchors(game)
+    kw, proposal = CACHE_CASES[case]
+    cfg = singleton_config(search_iterations=8, episodes=12, seed=seed,
+                           **{"types": (TypeDistribution.uniform(lambdas),) * 2,
+                              **kw})
+    rng = np.random.default_rng(seed)
+    proposals = proposal and [
+        dict(anchors) if proposal == "frozen"
+        else {k: rng.dirichlet(np.ones(3)) for k in anchors}
+        for _ in range(cfg.episodes)]
+    uncached = _episodes(game, anchors, cfg, None, proposals)
+    with mock.patch.object(rl, "search_state", wraps=rl.search_state) as spy:
+        cached = _episodes(game, anchors, cfg, {}, proposals)
+    _assert_same_runs(uncached, cached)
+    if proposal != "redrawn":       # redrawn subsets seldom repeat
+        visits = sum(len(r.states) for r in cached[3])
+        assert spy.call_count < visits  # last-layer stages never change
+
+
+def test_train_with_cache_matches_uncached_loop():
+    """`train`, which caches, equals the uncached episode loop with the
+    oracle metrics taken at the same checkpoints."""
+    game = small_fixture()
+    anchors = uniform_anchors(game)
+    oracle_values, oracle_profiles = solve_markov_backward(
+        game, anchors, (0.5, 0.5))
+    cfg = singleton_config(episodes=20, checkpoint_every=5, alpha_harmonic=True)
+    values, table, metrics = train(game, anchors, cfg, oracle_values,
+                                   oracle_profiles)
+    ref_values, ref_table = zero_values(game), dict(anchors)
+    rng, visits, ref_metrics = np.random.default_rng(cfg.seed), {}, []
+    for ep in range(1, cfg.episodes + 1):
+        run_episode(game, ref_values, ref_table, anchors, cfg, rng,
+                    visit_counts=visits)
+        if ep % cfg.checkpoint_every == 0:
+            ref_metrics.append({"episode": ep, **evaluate_vs_oracle(
+                game, ref_values, ref_table, anchors, oracle_values,
+                oracle_profiles)})
+    assert metrics == ref_metrics
+    for s in values:
+        assert np.array_equal(values[s], ref_values[s])
+    for k in table:
+        assert np.array_equal(table[k], ref_table[k])
+
+
+# The game of acceptance criterion 6, with a cheaper search.
+CRITERION_6_GAME = dict(seed=42, state_count=5, player_count=2,
+                        actions_per_player=3, horizon=4, gamma=1.0,
+                        zero_sum=True)
+
+
+@pytest.mark.parametrize("top_k", [None, 2])
+def test_search_runs_once_per_key_change(top_k):
+    """Each state is searched on its first visit and whenever its stage
+    payoffs or top-k subsets differ from its last visit's; each last-layer
+    state once per `train` call."""
+    game = make_random_markov(**CRITERION_6_GAME)
+    anchors = uniform_anchors(game)
+    cfg = singleton_config(search_iterations=16, episodes=40, seed=7,
+                           alpha_harmonic=True, top_k=top_k)
+    search, search_state = rl._search, rl.search_state
+    visited = []      # the state of every visit
+
+    def record_stage(game, s, values):
+        visited.append(s)
+        return stage_game_from_values(game, s, values)
+
+    def record_key(stage, anchors, types, keep, iterations):
+        key = [u.tobytes() for u in stage.payoffs]
+        key += [] if keep is None else [k.tobytes() for k in keep]
+        visited[-1] = (visited[-1], key)
+        return search(stage, anchors, types, keep, iterations)
+
+    with mock.patch.object(rl, "_search", record_key), \
+            mock.patch.object(rl, "stage_game_from_values", record_stage):
+        _episodes(game, anchors, cfg, None)
+    last, changes = {}, []    # the state of every visit whose key changed
+    for s, key in visited:
+        if last.get(s) != key:
+            changes.append(s)
+        last[s] = key
+    assert len(visited) > len(changes)
+
+    searched = []     # the state of every search in `train`
+
+    def count_search(*args):
+        searched.append(visited[-1])
+        return search_state(*args)
+
+    last_layer = [s for s in range(game.state_count)
+                  if game.next_states[s] == (TERMINAL,)]
+    with mock.patch.object(rl, "search_state", count_search), \
+            mock.patch.object(rl, "stage_game_from_values", record_stage):
+        for _ in range(2):
+            visited.clear()
+            searched.clear()
+            train(game, anchors, cfg)
+            assert searched == changes
+            seen = [s for s in last_layer if s in visited]
+            assert seen and all(searched.count(s) == 1 for s in seen)
+
+
+def test_cached_sigma_is_read_only():
+    game = make_random_markov(**CRITERION_6_GAME)
+    anchors = uniform_anchors(game)
+    cfg = singleton_config(search_iterations=8, episodes=3, top_k=2)
+    searches = {}
+    records = _episodes(game, anchors, cfg, searches)[3]
+    assert searches
+    for s, (key, sigma) in searches.items():
+        assert isinstance(key, bytes)
+        for p in sigma:
+            assert not p.flags.writeable
+            with pytest.raises(ValueError):
+                p[0] = 0.5
+    # episode records hold copies the caller may change
+    assert all(p.flags.writeable for r in records for ps in r.sigmas for p in ps)
 
 
 # ---------------------------------------------------------------- training

@@ -321,26 +321,33 @@ def run_oracle(game, loaded, seed: int, out: Path) -> list[Path]:
 
 
 def load_train_config(spec: dict, game) -> RL.TrainConfig:
-    """The rl section of a config as a `TrainConfig` with seed 0."""
+    """The rl section of a config as a `TrainConfig` with seed 0.  Best
+    response, the `brbot` preset's mode, gives player 0 the preset's
+    `distinguished_lambda` and every other player its `population_lambda`."""
     _require(isinstance(game, G.TabularMarkovGame), "rl: needs a Markov game")
     given = _section(spec, "rl")
-    if "preset" in given:
-        given.setdefault("mode", AGENT_PRESETS[given.pop("preset")]["mode"])
-    types = given.pop("types", TypeDistribution.singleton(0.1))
+    preset = AGENT_PRESETS.get(given.pop("preset", None), {"mode": "standard"})
+    types = (given.pop("types", TypeDistribution.singleton(0.1)),) * game.player_count
+    if given.pop("mode", preset["mode"]) == "best_response":
+        brbot = AGENT_PRESETS["brbot"]
+        best, population = (TypeDistribution.singleton(parse_lambda(brbot[k]))
+                            for k in ("distinguished_lambda", "population_lambda"))
+        types = (best,) + (population,) * (game.player_count - 1)
     with _config_errors("rl"):
-        return RL.TrainConfig(types=(types,) * game.player_count, **given)
+        return RL.TrainConfig(types=types, **given)
 
 
 def run_rl(game, loaded, seed: int, out: Path) -> list[Path]:
+    """Train, with the exact oracle's metrics when the game is zero-sum and
+    every player has the same single finite lambda > 0."""
     tcfg = dataclasses.replace(loaded, seed=seed)
     anchors = uniform_anchors(game)
     oracle_values = None
     oracle_profiles = None
-    if game.zero_sum and tcfg.mode == "standard":
-        lams = tcfg.types[0].lambdas
-        if len(lams) == 1 and 0 < lams[0] < INF:
-            oracle_values, oracle_profiles = solve_markov_backward(
-                game, anchors, [lams[0], lams[0]])
+    lam = tcfg.types[0].lambdas[0]
+    if (game.zero_sum and 0 < lam < INF
+            and all(td.lambdas == (lam,) for td in tcfg.types)):
+        oracle_values, oracle_profiles = solve_markov_backward(game, anchors, [lam, lam])
     values, policy_table, metrics = RL.train(game, anchors, tcfg,
                                              oracle_values=oracle_values,
                                              oracle_profiles=oracle_profiles)
@@ -383,10 +390,12 @@ def _load_agent(spec: dict, game, where: str) -> PE.AgentSpec:
     if kind == "fixed":
         return PE.AgentSpec(agent_id=given["id"], policies=_seat_vectors(
             given.get("policies"), f"{name}: policies", game, policy=True))
+    types = spec.get("types")       # a preset's types act at its act_lambda
+    act = AGENT_PRESETS[types["preset"]]["act_lambda"] if isinstance(types, dict) else 0.0
     return PE.AgentSpec(
         agent_id=given["id"], kind="search",
         types=given.get("types", TypeDistribution.singleton(0.1)),
-        act_lambda=given.get("act_lambda", 0.0),
+        act_lambda=given.get("act_lambda", act),
         anchor_policies=_seat_vectors(given.get("anchors"), f"{name}: anchors", game,
                                       policy=False),
         search_iterations=given.get("search_iterations", 256))
@@ -454,7 +463,7 @@ SCHEMA = {
     "rl": {"search_iterations": _integer(1), "types": load_types,
            "nash_explore": _number, "episodes": _integer(1), "alpha": _number,
            "alpha_harmonic": _flag, "top_k": _integer(1),
-           "mode": _one_of(("standard", "NPU", "best_response")),
+           "mode": _one_of(("standard", "best_response")),
            "checkpoint_every": _integer(1),
            "preset": _one_of([n for n, p in AGENT_PRESETS.items() if "mode" in p])},
     "rate": {"games_csv": _games_csv, "sigma_prior": _positive, "c": _positive},

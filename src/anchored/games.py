@@ -235,8 +235,9 @@ class TabularMarkovGame:
     player's reward for every joint action, ``next_states[s]`` lists the ids
     of the state's successors (TERMINAL included where reachable) and
     ``T[s]`` of shape ``(*A_s, len(next_states[s]))`` holds the successor
-    probabilities, and ``C[s]`` their cdfs.  All episodes reach TERMINAL
-    within `horizon` steps by construction.
+    probabilities, and ``C[s]`` their cdfs.  ``stage_bound``, payoff_bound +
+    gamma * max_return(), bounds every stage-game payoff r + gamma * V.  All
+    episodes reach TERMINAL within `horizon` steps by construction.
     """
 
     player_count: int
@@ -251,6 +252,7 @@ class TabularMarkovGame:
     zero_sum: bool = False
     payoff_bound: float = 1.0
     C: tuple = field(init=False, repr=False, compare=False)
+    stage_bound: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (0.0 <= self.gamma <= 1.0):
@@ -259,6 +261,9 @@ class TabularMarkovGame:
             raise ValueError("horizon must be >= 1")
         if not 0 <= self.payoff_bound < np.inf:
             raise ValueError("payoff_bound must be finite and >= 0")
+        bound = self.payoff_bound + self.gamma * self.max_return()
+        if not np.isfinite(bound):
+            raise ValueError("payoff_bound too large: the stage bound overflows")
         n, players = self.state_count, self.player_count
         acts = tuple(tuple(int(k) for k in row) for row in self.action_counts)
         rewards = tuple(np.array(r, dtype=float) for r in self.R)
@@ -286,7 +291,7 @@ class TabularMarkovGame:
         sums = ((t / t.sum(-1, keepdims=True)).cumsum(-1) for t in probs)
         cdfs = tuple(c / c[..., -1:] for c in sums)
         for name, value in (("action_counts", acts), ("R", rewards), ("T", probs),
-                            ("C", cdfs)):
+                            ("C", cdfs), ("stage_bound", bound)):
             object.__setattr__(self, name, value)
 
     def joint_actions(self, s: int):

@@ -440,7 +440,10 @@ def _selfplay(game: NormalFormGame, learners: Learners, iterations: int,
                 if type_cdfs[i] is not None:
                     r += draw(type_cdfs[i], next(u_t))
                 lams_t.append(rows[r][1])
-                joint.append(draw(cdf(pol_rows[r]), next(u_t)))
+                try:
+                    joint.append(draw(cdf(pol_rows[r]), next(u_t)))
+                except ValueError as exc:   # only a non-finite iterate fails cdf
+                    raise FloatingPointError(f"non-finite iterate at step {t}") from exc
             for i, payoff in enumerate(game.payoffs):
                 u_rows[i][...] = payoff[tuple(joint[:i]) + (slice(None),)
                                         + tuple(joint[i + 1:])]

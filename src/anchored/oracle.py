@@ -93,8 +93,9 @@ def solve_regularized_bne(game: NormalFormGame, anchors, types,
     """Regularized equilibrium of a two-player zero-sum game: converged once
     no type's policy is more than `tol` from its smooth best response to the
     opponent's mixture.  A solve that has not converged after `NEWTON_STEPS`
-    steps or reaches a non-finite residual (e.g. u/lambda overflows) returns
-    ``converged=False``.  The B = 1 call of `_newton_equilibria`."""
+    steps or reaches a non-finite residual or a singular Newton system (e.g.
+    u/lambda overflows) returns ``converged=False``.  The B = 1 call of
+    `_newton_equilibria`."""
     if game.player_count != 2 or not game.zero_sum:
         raise ValueError("requires a two-player zero-sum game")
     payoffs = [u[None] for u in game.payoffs]
@@ -166,7 +167,16 @@ def _newton_equilibria(payoffs, anchors, types,
                    - wp.transpose(0, 2, 1) @ pols[i])
             jac[block] = to_u[1 - i] @ s_i
         f = u - x
-        dx = np.linalg.solve(jac, -f[..., None])[..., 0]
+        # A singular system (say, u / lambda overflows) stops its game, unconverged.
+        try:
+            dx = np.linalg.solve(jac, -f[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            dx = np.zeros_like(f)
+            for b in np.flatnonzero(live):
+                try:
+                    dx[b] = np.linalg.solve(jac[b], -f[b])
+                except np.linalg.LinAlgError:
+                    live[b] = False
         merit = (f * f).sum(axis=1)
         t = np.ones(batch)
         pending = live.copy()
@@ -350,10 +360,9 @@ def stage_game_from_values(game: TabularMarkovGame, s: int,
         if s2 != TERMINAL:
             cont += np.asarray(values[s2], dtype=float)[lift] * probs[..., k]
     total = rewards + game.gamma * cont
-    bound = game.payoff_bound + game.gamma * game.max_return()
     zero_sum = game.zero_sum and game.player_count == 2
-    return NormalFormGame(game.action_counts[s], tuple(total), payoff_bound=bound,
-                          zero_sum=zero_sum)
+    return NormalFormGame(game.action_counts[s], tuple(total),
+                          payoff_bound=game.stage_bound, zero_sum=zero_sum)
 
 
 def solve_markov_backward(game: TabularMarkovGame, anchors, lambdas,

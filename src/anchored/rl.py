@@ -24,14 +24,12 @@ from .oracle import (kl_divergence, regularized_exploitability,
 @dataclass(frozen=True)
 class TrainConfig:
     search_iterations: int = 256
-    types: tuple[TypeDistribution, ...] = ()
+    types: tuple[TypeDistribution, ...] = ()    # one per player
     nash_explore: float = 0.1
     episodes: int = 1000
     alpha: float = 0.1
     alpha_harmonic: bool = False    # alpha = 1 / visit count when set
     top_k: int | None = None        # None: no action restriction
-    mode: str = "standard"          # standard | NPU | best_response
-    distinguished_player: int = 0   # only used in best_response mode
     policy_step: float = 0.1
     seed: int = 0
     checkpoint_every: int = 100
@@ -43,11 +41,6 @@ class TrainConfig:
             raise ValueError("alpha must be in [0, 1]")
         if self.search_iterations < 1:
             raise ValueError("search_iterations must be >= 1")
-        if self.mode not in ("standard", "NPU", "best_response"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.distinguished_player < 0 or (
-                self.types and self.distinguished_player >= len(self.types)):
-            raise ValueError("distinguished_player out of range")
         if not (0.0 < self.policy_step <= 1.0):   # also rejects NaN
             raise ValueError("policy_step must be in (0, 1]")
         if self.episodes < 1:
@@ -73,18 +66,6 @@ def nashv_update(values: dict, s: int, sigma, stage: NormalFormGame,
     values[s] = (1 - alpha) * values[s] + alpha * target
 
 
-def _search_types(config: TrainConfig, n_players: int):
-    if config.mode == "best_response":
-        return tuple(
-            TypeDistribution.singleton(0.0) if i == config.distinguished_player
-            else TypeDistribution.singleton(INF)
-            for i in range(n_players)
-        )
-    if len(config.types) != n_players:
-        raise ValueError("need one type distribution per player")
-    return config.types
-
-
 def search_state(stage: NormalFormGame, anchors, types, iterations: int):
     """Run the deterministic (expected-feedback) anchored-learning search on a
     stage game and return each player's belief-weighted average policy.
@@ -98,11 +79,14 @@ def search_state(stage: NormalFormGame, anchors, types, iterations: int):
             for i, (a, only) in enumerate(zip(anchors, anchored_only))]
 
 
-def _search(stage: NormalFormGame, anchors, types, keep, iterations: int):
-    """`search_state` on the stage game, or on its restriction to the action
-    subsets `keep` (renormalized anchors) with sigma zero off the subsets."""
-    if keep is None:
+def _search(stage: NormalFormGame, anchors, types, top_k, iterations: int):
+    """`search_state` on the stage game, or on its restriction to the `top_k`
+    actions each anchor ranks highest, the lower index winning ties
+    (renormalized anchors), with sigma zero off those actions."""
+    if top_k is None:
         return search_state(stage, anchors, types, iterations)
+    keep = [np.sort(np.argsort(-np.asarray(a), kind="stable")[:top_k])
+            for a in anchors]
     sub = NormalFormGame(tuple(map(len, keep)),
                          tuple(u[np.ix_(*keep)] for u in stage.payoffs),
                          payoff_bound=stage.payoff_bound, zero_sum=stage.zero_sum)
@@ -123,51 +107,41 @@ class EpisodeRecord:
 
 def run_episode(game: TabularMarkovGame, values: dict, policy_table: dict,
                 anchors: dict, config: TrainConfig, rng: np.random.Generator,
-                visit_counts: dict | None = None,
-                proposal_table: dict | None = None,
-                searches: dict | None = None) -> EpisodeRecord:
+                visit_counts: dict, searches: dict | None = None) -> EpisodeRecord:
     """Play one self-play episode from the initial state, updating the
-    `{s: vector}` values and the `{(s, i): vector}` policy table at every
-    visited state.  A policy entry is replaced by
+    `{s: vector}` values, `{(s, i): vector}` policy table and `{s: count}`
+    visit counts at every visited state.  A policy entry is replaced by
     `(1 - policy_step) * old + policy_step * sigma`, never changed in place.
+    Player i searches with the types `config.types[i]`, over the `top_k`
+    actions its anchor ranks highest.
 
-    `proposal_table` is the table consulted for the top-k action restriction;
-    in NPU mode the caller passes a frozen copy so the restriction never moves
-    while the trained table still tracks sigma.
-
-    `searches`, when given, maps each state to the key and the read-only
-    sigma of its last search, and is updated here.  The search is
-    deterministic, so when a state's stage payoffs and top-k action subsets
-    (the key) are those of its last search, that sigma is reused.  The caller
-    keeps one dict per game, anchors and config, as `train` does.
+    `searches`, when given, maps each state to the stage payoff bytes and the
+    read-only sigma of its last search, and is updated here.  The search is
+    deterministic, so a state whose stage payoffs are those of its last
+    search reuses that sigma.  The caller keeps one dict per game, anchors
+    and config, as `train` does.
     """
-    types = _search_types(config, game.player_count)
-    proposals = proposal_table if proposal_table is not None else policy_table
+    if len(config.types) != game.player_count:
+        raise ValueError("need one type distribution per player")
     record = EpisodeRecord([], [], [])
     s = game.initial_state
     for _ in range(game.horizon):
         stage = stage_game_from_values(game, s, values)
-        keep = None if config.top_k is None else [
-            np.sort(np.argsort(-proposals[(s, i)], kind="stable")[:config.top_k])
-            for i in range(game.player_count)]
-        key = b"".join(x.tobytes() for x in (*stage.payoffs, *(keep or ())))
+        key = b"".join(u.tobytes() for u in stage.payoffs)
         last = searches.get(s) if searches is not None else None
         if last is not None and last[0] == key:
             sigma = last[1]
         else:
             sigma = _search(stage, [anchors[(s, i)] for i in range(game.player_count)],
-                            types, keep, config.search_iterations)
+                            config.types, config.top_k, config.search_iterations)
             if not all(np.isfinite(p).all() for p in sigma):
                 raise RuntimeError(f"non-finite search policy at state {s}")
             if searches is not None:
                 for p in sigma:
                     p.setflags(write=False)
                 searches[s] = (key, sigma)
-        if visit_counts is not None:
-            visit_counts[s] = visit_counts.get(s, 0) + 1
-            alpha = 1.0 / visit_counts[s] if config.alpha_harmonic else config.alpha
-        else:
-            alpha = config.alpha
+        visit_counts[s] = visit_counts.get(s, 0) + 1
+        alpha = 1.0 / visit_counts[s] if config.alpha_harmonic else config.alpha
         nashv_update(values, s, sigma, stage, alpha)
         step = config.policy_step
         for i in range(game.player_count):
@@ -197,7 +171,6 @@ def train(game: TabularMarkovGame, anchors: dict, config: TrainConfig,
     rng = np.random.default_rng(config.seed)
     values = {s: np.zeros(game.player_count) for s in range(game.state_count)}
     policy_table = dict(anchors)
-    proposal_table = dict(policy_table) if config.mode == "NPU" else None
     visit_counts: dict = {}
     searches: dict = {}
     metrics: list[dict] = []
@@ -205,8 +178,7 @@ def train(game: TabularMarkovGame, anchors: dict, config: TrainConfig,
         s: stage_game_from_values(game, s, oracle_values) for s in oracle_profiles}
     for ep in range(1, config.episodes + 1):
         run_episode(game, values, policy_table, anchors, config, rng,
-                    visit_counts=visit_counts, proposal_table=proposal_table,
-                    searches=searches)
+                    visit_counts, searches)
         if ep % config.checkpoint_every == 0 or ep == config.episodes:
             row = {"episode": ep}
             if oracle_values is not None:

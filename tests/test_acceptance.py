@@ -293,11 +293,9 @@ def test_criterion_7_best_response_mode(capsys):
     anchors = uniform_anchors(game)
     cfg = TrainConfig(
         search_iterations=128,
-        types=(),
+        types=(TypeDistribution.singleton(0.0), TypeDistribution.singleton(INF)),
         episodes=200,
         alpha_harmonic=True,
-        mode="best_response",
-        distinguished_player=0,
         seed=11,
     )
     values = {s: np.zeros(2) for s in range(game.state_count)}

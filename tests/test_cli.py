@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from anchored import INF, make_builtin_game, make_random_markov
 from anchored.cli import (
@@ -519,6 +519,38 @@ def test_rl_seed_reaches_training(tmp_path):
     assert a["artifacts"] == b["artifacts"] != c["artifacts"]
 
 
+def test_brbot_preset_is_best_response_mode(tmp_path):
+    a = run_experiment(rl_config(preset="brbot"), out=tmp_path / "a")
+    b = run_experiment(rl_config(mode="best_response"), out=tmp_path / "b")
+    c = run_experiment(rl_config(), out=tmp_path / "c")
+    assert a["artifacts"] == b["artifacts"] != c["artifacts"]
+
+
+@pytest.mark.parametrize("preset, act_lambda", [("diplodocus_low", 1e-4),
+                                                ("diplodocus_high", 1e-2)])
+def test_preset_search_agent_acts_at_preset_act_lambda(tmp_path, preset,
+                                                       act_lambda):
+    """A search agent whose types are a preset acts at the preset's
+    act_lambda unless it gives its own; one with listed types acts at 0."""
+    game = tmp_path / "game.json"
+    game.write_text(json.dumps({
+        "players": 2, "action_counts": [2, 2], "payoff_bound": 2.0,
+        "payoffs": [[[1, 2], [0.5, 1]], [[1, 0.5], [2, 1]]]}))
+
+    def config(**agent):
+        return {**_popeval_config({"id": "cand", "kind": "search",
+                                   "types": {"preset": preset},
+                                   "search_iterations": 8, **agent}),
+                "game": {"file": str(game)}}
+
+    acts = [validate_config(c)[2][0].act_lambda
+            for c in (config(), config(act_lambda=0.5), config(types=[0.1]))]
+    assert acts == [act_lambda, 0.5, 0.0]
+    implied = run_experiment(config(), out=tmp_path / "a")
+    given = run_experiment(config(act_lambda=act_lambda), out=tmp_path / "b")
+    assert implied["artifacts"] == given["artifacts"]
+
+
 def test_run_builds_the_game_and_reads_the_games_once(tmp_path, monkeypatch):
     import anchored.cli as cli
     from anchored import rating
@@ -664,7 +696,8 @@ def _solve(**learner):
 
 
 # Each config key that was ignored or misread: an unknown key, a string read
-# as a true flag, a float truncated to an integer, a bool read as a number.
+# as a true flag, a float truncated to an integer, a bool read as a number, a
+# value no longer accepted.
 MISREAD_KEYS = {
     "learner.itertions": _solve(itertions=5),
     "bogus": {**solve_config(), "bogus": 1},
@@ -679,6 +712,7 @@ MISREAD_KEYS = {
                                                     "kapa_floor": 0.1}),
     "learner.schedule.eta": _solve(schedule={"mode": "inverse_sqrt", "eta": 0.5}),
     "rl.preset": rl_config(preset="bogus"),
+    "rl.mode": rl_config(mode="NPU"),
     "game.random_markov.zero_sum": {**rl_config(), "game": {"random_markov": {
         "seed": 2, "states": 3, "horizon": 2, "zero_sum": "false"}}},
     "rl.alpha_harmonic": rl_config(alpha_harmonic="false"),
@@ -863,28 +897,50 @@ def test_fuzzed_configs_validate_as_they_run(fuzz_work, data):
     assert "Traceback" not in err.getvalue()
 
 
-MARKOV_BOUNDS = [None, 0.0, 0.5, 2.0, -1.0, math.nan, math.inf, -math.inf]
+def _validate_as_run(work, config):
+    """`validate` and `run` give the same exit code, or `validate` accepts
+    what `run` fails on numerically (3); never a traceback."""
+    cfg = work / "file_cfg.json"
+    cfg.write_text(json.dumps(config))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        codes = [main(["validate", str(cfg)]),
+                 main(["run", str(cfg), "--out", str(work / "file_out")])]
+    assert codes[0] == codes[1] or codes == [0, 3], (config, codes, err.getvalue())
+    assert codes[0] in (0, 2, 3, 4) and "Traceback" not in err.getvalue()
+
+
+#: "scaled": the game's own payoff_bound times the reward scale.
+MARKOV_BOUNDS = [None, 0.0, 0.5, 2.0, -1.0, math.nan, math.inf, -math.inf, "scaled"]
+#: Scales at which u / lambda, the Newton system or the stage bound overflow.
+HUGE_SCALES = [1e150, 1e200, 1e307, 1e308]
 
 
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(kind=st.sampled_from(["oracle", "rl"]),
-       scale=st.one_of(st.sampled_from([0.0, 1.0, 5.0, -3.0]),
+       scale=st.one_of(st.sampled_from([0.0, 1.0, 5.0, -3.0, *HUGE_SCALES]),
                        st.floats(-10.0, 10.0)),
        bound=st.sampled_from(MARKOV_BOUNDS),
        bad=st.sampled_from([None, math.nan, math.inf, -math.inf]),
        where=st.tuples(st.integers(0, 2), st.integers(0, 3), st.integers(0, 1)))
+@example(kind="oracle", scale=1e200, bound="scaled", bad=None, where=(0, 0, 0))
+@example(kind="rl", scale=1e200, bound="scaled", bad=None, where=(0, 0, 0))
+@example(kind="oracle", scale=1e307, bound="scaled", bad=None, where=(0, 0, 0))
+@example(kind="oracle", scale=1e308, bound="scaled", bad=None, where=(0, 0, 0))
+@example(kind="rl", scale=1e308, bound="scaled", bad=None, where=(0, 0, 0))
 def test_fuzzed_markov_files_validate_as_they_run(fuzz_work, kind, scale, bound,
                                                   bad, where):
-    """A Markov game file with scaled or non-finite rewards or a bad bound:
-    `validate` and `run` give the same exit code and never a traceback."""
+    """A Markov game file with scaled (up to 1e308) or non-finite rewards or
+    a bad bound: `validate` and `run` agree, bar a numerical failure of `run`,
+    and never give a traceback."""
     work, _ = fuzz_work
     d = make_random_markov(seed=1, state_count=3, player_count=2,
                            actions_per_player=2, horizon=2, gamma=1.0,
                            zero_sum=True).to_dict()
     _scale_rewards(d, scale)
     if bound is not None:
-        d["payoff_bound"] = bound
+        d["payoff_bound"] = abs(scale) * d["payoff_bound"] if bound == "scaled" else bound
     if bad is not None:
         s, joint, player = where
         row = d["rewards"][s]
@@ -892,14 +948,29 @@ def test_fuzzed_markov_files_validate_as_they_run(fuzz_work, kind, scale, bound,
     game_file = work / "markov_game.json"
     game_file.write_text(json.dumps(d))
     game = {"file": str(game_file)}
-    config = ({"kind": "oracle", "seed": 1, "game": game} if kind == "oracle"
-              else {**rl_config(), "game": game})
-    cfg = work / "markov_cfg.json"
-    cfg.write_text(json.dumps(config))
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        codes = [main(["validate", str(cfg)]),
-                 main(["run", str(cfg), "--out", str(work / "markov_out")])]
-    assert codes[0] == codes[1] and codes[0] in (0, 2, 3, 4), (d, codes,
-                                                               err.getvalue())
-    assert "Traceback" not in err.getvalue()
+    _validate_as_run(work, {"kind": "oracle", "seed": 1, "game": game}
+                     if kind == "oracle" else {**rl_config(), "game": game})
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(kind=st.sampled_from(["oracle", "solve"]),
+       scale=st.one_of(st.sampled_from([1.0, *HUGE_SCALES]),
+                       st.floats(1.0, 1e308)))
+@example(kind="oracle", scale=1e150)
+@example(kind="solve", scale=1e308)
+def test_fuzzed_normal_form_files_validate_as_they_run(fuzz_work, kind, scale):
+    """A normal-form game file with payoffs and bound scaled up to 1e308,
+    solved exactly or by sampled self-play: `validate` and `run` agree, bar a
+    numerical failure of `run`, and never give a traceback."""
+    work, _ = fuzz_work
+    d = make_builtin_game("random_zero_sum", {"seed": 3, "actions": [3, 3]}).to_dict()
+    d["payoffs"] = (scale * np.array(d["payoffs"])).tolist()
+    d["payoff_bound"] *= scale
+    game_file = work / "normal_form_game.json"
+    game_file.write_text(json.dumps(d))
+    game = {"file": str(game_file)}
+    _validate_as_run(work, {"kind": "oracle", "seed": 1, "game": game,
+                            "oracle": {"types": [0.1]}} if kind == "oracle" else
+                     {"kind": "solve", "seed": 1, "game": game,
+                      "learner": {"iterations": 20}})

@@ -1,9 +1,9 @@
 """Golden sha256 digests of `anchored run` artifacts for the run shapes the
-per-module golden tests do not cover: rl in standard mode with oracle
-metrics, NPU with a top-k restriction and best response; popeval with a
-search agent; solve with sampled multi-type feedback and with adaptive
-expected feedback.  Any change to a draw order, an update's arithmetic or an
-artifact's format changes a digest."""
+per-module golden tests do not cover: rl with oracle metrics, without and
+with a top-k restriction, and best response; popeval with a search agent;
+solve with sampled multi-type feedback and with adaptive expected feedback.
+Any change to a draw order, an update's arithmetic or an artifact's format
+changes a digest."""
 
 import hashlib
 import json
@@ -35,9 +35,9 @@ GOLDEN = {
              "9ee3f6e7203f6210cc9238cd82041802d4f49b2ba48eb4fe13a2bf7abdaacebb"}),
     "rl-npu-top-k": (
         {"kind": "rl", "seed": 5, "game": MARKOV_5,
-         "rl": {**RL, "mode": "NPU", "top_k": 2}},
+         "rl": {**RL, "top_k": 2}},
         {"metrics.csv":
-             "f443a647b069327c4fab07e7823c4718f6f8b74dc2e28a023acdffc8de6ad383",
+             "bf4231d39545022f6ebb7b084a3b597d09483433f0c82bd9b087ee566a531f74",
          "checkpoint.json":
              "507a2811f8246c0b177367364a0f508ef0235839f7b07346783df5b047b0dfe9"}),
     "rl-brbot": (

@@ -407,6 +407,24 @@ def test_nan_state_leaves_batch_alone():
 
 
 @NAN_WARNINGS
+@pytest.mark.parametrize("scale", [1e150, 1e200])
+def test_overflowing_game_leaves_batch_alone(scale):
+    """A game so large that u / lambda overflows ends unconverged, also when
+    its Newton system is singular (at 1e200); the other game of its batch is
+    unaffected."""
+    games = [make_builtin_game("random_zero_sum", {"seed": s}) for s in (3, 4)]
+    anchors = [np.stack([uniform_policy(3)] * 2) for _ in range(2)]
+    payoffs = [np.stack([g.payoffs[i] for g in games]) for i in range(2)]
+    for u in payoffs:
+        u[1] *= scale
+    types = (TypeDistribution.singleton(0.1),) * 2
+    first, second = oracle._newton_equilibria(payoffs, anchors, types)
+    assert_same_profile(first, solve_regularized_bne(
+        games[0], [uniform_policy(3)] * 2, types))
+    assert not second.converged
+
+
+@NAN_WARNINGS
 def test_run_oracle_nan_target_exits_3(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({

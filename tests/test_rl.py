@@ -23,9 +23,9 @@ from anchored import (
     uniform_policy,
 )
 from anchored import rl
+from anchored.cli import load_train_config
 from anchored.games import TERMINAL
 from anchored.oracle import stage_game_from_values, uniform_anchors
-from anchored.rl import _search_types
 
 
 def small_fixture():
@@ -36,6 +36,10 @@ def small_fixture():
 
 def zero_values(game):
     return {s: np.zeros(game.player_count) for s in range(game.state_count)}
+
+
+#: Best response: player 0 at lambda = 0 against player 1 at lambda = inf.
+BEST_RESPONSE = (TypeDistribution.singleton(0.0), TypeDistribution.singleton(INF))
 
 
 def singleton_config(**kw):
@@ -204,11 +208,15 @@ def test_search_state_approximates_stage_equilibrium():
 
 
 def test_best_response_mode_type_assignment():
-    cfg = singleton_config(mode="best_response", distinguished_player=1,
-                           types=())
-    types = _search_types(cfg, 2)
-    assert types[0].lambdas == (INF,)
-    assert types[1].lambdas == (0.0,)
+    """Best response, by mode or by the `brbot` preset, is the types lambda = 0
+    for player 0 and lambda = inf for the others; given types are overridden."""
+    game = make_random_markov(seed=12, state_count=3, player_count=3,
+                              actions_per_player=2, horizon=2, gamma=1.0)
+    for spec in ({"mode": "best_response", "types": [0.5]}, {"preset": "brbot"}):
+        cfg = load_train_config(spec, game)
+        assert [td.lambdas for td in cfg.types] == [(0.0,), (INF,), (INF,)]
+    assert load_train_config({"preset": "brbot", "mode": "standard"},
+                             game).types == (TypeDistribution.singleton(0.1),) * 3
 
 
 # --------------------------------------------------------------- episodes
@@ -220,7 +228,7 @@ def test_run_episode_visits_initial_state_and_updates():
     table = dict(anchors)
     cfg = singleton_config()
     rec = run_episode(game, values, table, anchors, cfg,
-                      np.random.default_rng(0))
+                      np.random.default_rng(0), {})
     assert rec.states[0] == game.initial_state
     assert len(rec.states) <= game.horizon
     assert np.any(values[0] != 0.0)
@@ -236,7 +244,7 @@ def test_full_exploration_uniform_frequencies():
     counts = np.zeros(2)
     n = 0
     for _ in range(1500):
-        rec = run_episode(game, values, table, anchors, cfg, rng)
+        rec = run_episode(game, values, table, anchors, cfg, rng, {})
         for joint in rec.actions:
             counts[joint[0]] += 1
             n += 1
@@ -251,12 +259,11 @@ def test_best_response_mode_opponents_play_anchor():
         (s, i): np.array([0.8, 0.2]) if i == 1 else uniform_policy(2)
         for s in range(game.state_count) for i in range(2)
     }
-    cfg = singleton_config(mode="best_response", distinguished_player=0,
-                           types=())
+    cfg = singleton_config(types=BEST_RESPONSE)
     values = zero_values(game)
     table = dict(anchors)
     rec = run_episode(game, values, table, anchors, cfg,
-                      np.random.default_rng(2))
+                      np.random.default_rng(2), {})
     for s, sigmas in zip(rec.states, rec.sigmas):
         np.testing.assert_array_equal(sigmas[1], anchors[(s, 1)])
 
@@ -270,7 +277,8 @@ def test_episode_determinism():
         values = zero_values(game)
         table = dict(anchors)
         rng = np.random.default_rng(7)
-        recs = [run_episode(game, values, table, anchors, cfg, rng)
+        visits = {}
+        recs = [run_episode(game, values, table, anchors, cfg, rng, visits)
                 for _ in range(5)]
         return [(r.states, r.actions) for r in recs], values
 
@@ -281,39 +289,65 @@ def test_episode_determinism():
         np.testing.assert_array_equal(va[s], vb[s])
 
 
-def test_npu_keeps_proposal_frozen():
-    game = make_random_markov(seed=23, state_count=3, player_count=2,
-                              actions_per_player=4, horizon=2, gamma=1.0,
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.booleans(), st.integers(1, 4),
+       st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True)))
+def test_policy_table_top_k_is_the_anchors_top_k(seed, dirichlet, top_k, step):
+    """At every visit during training, the `top_k` actions the policy table
+    ranks highest (stable, the lower index winning ties) are those the
+    anchors rank highest, which the search is restricted to."""
+    game = make_random_markov(seed=seed, state_count=4, player_count=2,
+                              actions_per_player=4, horizon=3, gamma=1.0,
                               zero_sum=True)
+    rng = np.random.default_rng(seed)
+    anchors = {k: rng.dirichlet(np.ones(len(a))) if dirichlet else a
+               for k, a in uniform_anchors(game).items()}
+    cfg = singleton_config(search_iterations=4, episodes=10, seed=seed,
+                           top_k=top_k, policy_step=step)
+    values, table, visited = zero_values(game), dict(anchors), []
+    search = rl._search
+
+    def record_stage(game, s, values):
+        visited.append(s)
+        return stage_game_from_values(game, s, values)
+
+    def top(p):
+        return set(np.argsort(-p, kind="stable")[:top_k].tolist())
+
+    def check_top_k(stage, st_anchors, types, k, iterations):
+        assert k == top_k
+        sigma = search(stage, st_anchors, types, k, iterations)
+        for i, (anchor, p) in enumerate(zip(st_anchors, sigma)):
+            assert top(table[(visited[-1], i)]) == top(anchor)
+            assert set(np.flatnonzero(p).tolist()) <= top(anchor)
+        return sigma
+
+    rng, visits = np.random.default_rng(seed), {}
+    with mock.patch.object(rl, "_search", check_top_k), \
+            mock.patch.object(rl, "stage_game_from_values", record_stage):
+        for _ in range(cfg.episodes):
+            run_episode(game, values, table, anchors, cfg, rng, visits)
+    assert sum(visits.values()) == len(visited)
+
+
+def test_run_episode_needs_types_per_player():
+    game = small_fixture()
     anchors = uniform_anchors(game)
-    cfg = singleton_config(mode="NPU", top_k=2, episodes=15,
-                           search_iterations=32)
-    values = zero_values(game)
-    table = dict(anchors)
-    proposal = dict(table)
-    frozen = {k: v.copy() for k, v in proposal.items()}
-    rng = np.random.default_rng(3)
-    for _ in range(15):
-        run_episode(game, values, table, anchors, cfg, rng,
-                    proposal_table=proposal)
-    for k in frozen:
-        np.testing.assert_array_equal(proposal[k], frozen[k])
-    # the trained table did move
-    assert any(np.max(np.abs(table[k] - frozen[k])) > 1e-12
-               for k in frozen)
+    cfg = singleton_config(types=(TypeDistribution.singleton(0.5),))
+    with pytest.raises(ValueError, match="one type distribution per player"):
+        run_episode(game, zero_values(game), dict(anchors), anchors, cfg,
+                    np.random.default_rng(0), {})
 
 
 # ------------------------------------------------------------ search cache
 
-def _episodes(game, anchors, cfg, searches, proposals=None):
-    """cfg.episodes episodes as `train` plays them, with the given cache and,
-    when given, proposal table k for episode k."""
+def _episodes(game, anchors, cfg, searches):
+    """cfg.episodes episodes as `train` plays them, with the given cache."""
     values, table, visits = zero_values(game), dict(anchors), {}
     rng = np.random.default_rng(cfg.seed)
-    records = [run_episode(game, values, table, anchors, cfg, rng,
-                           visit_counts=visits, searches=searches,
-                           proposal_table=proposals and proposals[k])
-               for k in range(cfg.episodes)]
+    records = [run_episode(game, values, table, anchors, cfg, rng, visits,
+                           searches)
+               for _ in range(cfg.episodes)]
     return values, table, visits, records
 
 
@@ -332,17 +366,11 @@ def _assert_same_runs(a, b):
             assert all(np.array_equal(p, q) for p, q in zip(sx, sy))
 
 
-# A proposal table of "frozen" is the anchors in every episode, as NPU mode
-# uses it; one of "redrawn" is random in every episode, so that the top-k
-# subsets change.  The trained table alone never changes them: its update
-# scales every entry by 1 - policy_step and adds only to kept actions.
 CACHE_CASES = {
-    "constant alpha": (dict(), None),
-    "harmonic alpha": (dict(alpha_harmonic=True), None),
-    "top_k": (dict(top_k=2, policy_step=0.5), None),
-    "top_k, redrawn proposals": (dict(top_k=2), "redrawn"),
-    "NPU": (dict(mode="NPU", top_k=2), "frozen"),
-    "best_response": (dict(mode="best_response", types=()), None),
+    "constant alpha": dict(),
+    "harmonic alpha": dict(alpha_harmonic=True),
+    "top_k": dict(top_k=2, policy_step=0.5),
+    "best_response": dict(types=BEST_RESPONSE),
 }
 
 
@@ -356,22 +384,15 @@ def test_search_cache_matches_uncached(seed, case, lambdas):
                               actions_per_player=3, horizon=2, gamma=1.0,
                               zero_sum=True)
     anchors = uniform_anchors(game)
-    kw, proposal = CACHE_CASES[case]
     cfg = singleton_config(search_iterations=8, episodes=12, seed=seed,
                            **{"types": (TypeDistribution.uniform(lambdas),) * 2,
-                              **kw})
-    rng = np.random.default_rng(seed)
-    proposals = proposal and [
-        dict(anchors) if proposal == "frozen"
-        else {k: rng.dirichlet(np.ones(3)) for k in anchors}
-        for _ in range(cfg.episodes)]
-    uncached = _episodes(game, anchors, cfg, None, proposals)
+                              **CACHE_CASES[case]})
+    uncached = _episodes(game, anchors, cfg, None)
     with mock.patch.object(rl, "search_state", wraps=rl.search_state) as spy:
-        cached = _episodes(game, anchors, cfg, {}, proposals)
+        cached = _episodes(game, anchors, cfg, {})
     _assert_same_runs(uncached, cached)
-    if proposal != "redrawn":       # redrawn subsets seldom repeat
-        visits = sum(len(r.states) for r in cached[3])
-        assert spy.call_count < visits  # last-layer stages never change
+    visits = sum(len(r.states) for r in cached[3])
+    assert spy.call_count < visits  # last-layer stages never change
 
 
 def test_train_with_cache_matches_uncached_loop():
@@ -409,8 +430,8 @@ CRITERION_6_GAME = dict(seed=42, state_count=5, player_count=2,
 @pytest.mark.parametrize("top_k", [None, 2])
 def test_search_runs_once_per_key_change(top_k):
     """Each state is searched on its first visit and whenever its stage
-    payoffs or top-k subsets differ from its last visit's; each last-layer
-    state once per `train` call."""
+    payoffs differ from its last visit's; each last-layer state once per
+    `train` call."""
     game = make_random_markov(**CRITERION_6_GAME)
     anchors = uniform_anchors(game)
     cfg = singleton_config(search_iterations=16, episodes=40, seed=7,
@@ -422,11 +443,9 @@ def test_search_runs_once_per_key_change(top_k):
         visited.append(s)
         return stage_game_from_values(game, s, values)
 
-    def record_key(stage, anchors, types, keep, iterations):
-        key = [u.tobytes() for u in stage.payoffs]
-        key += [] if keep is None else [k.tobytes() for k in keep]
-        visited[-1] = (visited[-1], key)
-        return search(stage, anchors, types, keep, iterations)
+    def record_key(stage, anchors, types, top_k, iterations):
+        visited[-1] = (visited[-1], [u.tobytes() for u in stage.payoffs])
+        return search(stage, anchors, types, top_k, iterations)
 
     with mock.patch.object(rl, "_search", record_key), \
             mock.patch.object(rl, "stage_game_from_values", record_stage):
@@ -555,13 +574,9 @@ def test_config_validation():
         singleton_config(nash_explore=1.5)
     with pytest.raises(ValueError):
         singleton_config(search_iterations=0)
-    with pytest.raises(ValueError):
-        singleton_config(mode="offline")
 
 
 @pytest.mark.parametrize("field, value", [
-    ("distinguished_player", 2),
-    ("distinguished_player", -1),
     ("policy_step", 0.0),
     ("policy_step", 1.5),
     ("policy_step", float("nan")),

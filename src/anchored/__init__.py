@@ -14,7 +14,7 @@ from .oracle import (RegretReport, RegularizedProfile, kl_divergence,
                      unregularized_exploitability, uniform_anchors,
                      evaluate_markov_profile)
 from .popeval import AgentSpec, PopEvalReport, mean_and_se, run_population_eval
-from .rating import (ELO_SCALE, GameRecord, RatingModel, fit_ratings,
+from .rating import (ELO_SCALE, GameRecord, GameTable, RatingModel, fit_ratings,
                      log_posterior, predict_shares)
 from .rl import (TrainConfig, evaluate_vs_oracle, nashv_update, run_episode,
                  search_state, train)

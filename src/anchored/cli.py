@@ -184,11 +184,9 @@ def _random_markov(spec) -> G.TabularMarkovGame:
         payoff_bound=p.get("payoff_bound", 1.0))
 
 
-def _games_csv(path) -> list:
+def _games_csv(path) -> R.GameTable:
     _require(Path(_text(path)).exists(), f"rate.games_csv: {path} does not exist")
-    games = R.read_game_records(path)
-    R.seat_count(games)
-    return games
+    return R.read_game_records(path)
 
 
 def _seat_vectors(spec, name: str, game, policy: bool) -> tuple:
@@ -225,10 +223,38 @@ def load_game(spec: dict):
         return G.make_builtin_game(given["builtin"], given.get("params"))
 
 
+#: Steps per block of `emit_trace`; a block's text is all it holds at once.
+TRACE_BLOCK = 1024
+
+
 def emit_trace(trace: Trace, path: Path) -> None:
-    """Write a trace as JSON lines, one record per step."""
+    """Write a trace as JSON lines, one `dumps_json` record per step.  The
+    record template is `dumps_json` of a record whose numbers are "%.17g",
+    which formats a finite float as `dumps_json` does and a step or action
+    (an integer below 2**53) as its digits; each block of steps fills it
+    from one float matrix with a column per number of a record."""
+    cell, sampled, p = "%.17g", trace.actions is not None, trace.n_players
+    drawn = cell if sampled else None
+    columns, players = [np.arange(1.0, len(trace) + 1)[:, None], trace.kappas], []
+    for i, (n, support) in enumerate(zip(trace.action_counts, trace.type_supports)):
+        if sampled:
+            columns += [trace.sampled_lambdas[:, i:i + 1], trace.actions[:, i:i + 1]]
+        rows = trace.policies[:, trace.row_start[i]:trace.row_start[i + 1], :n]
+        columns += [*rows.transpose(1, 0, 2), trace.utilities[:, i, :n]]
+        players.append({"sampled_lambda": drawn, "action": drawn,
+                        "policy_by_type": {repr(lam): [cell] * n for lam in support},
+                        "action_utilities": [cell] * n})
+    columns.append(trace.realized)
+    record = dumps_json({"t": cell, "kappa": [cell] * p, "per_player": players,
+                         "utilities": [cell] * p}).replace(f'"{cell}"', cell) + "\n"
     with open(path, "w") as fh:
-        fh.writelines(dumps_json(rec) + "\n" for rec in trace.records())
+        for start in range(0, len(trace), TRACE_BLOCK):
+            block = np.concatenate([c[start:start + TRACE_BLOCK] for c in columns], 1)
+            if np.isfinite(block).all():
+                fh.write(record * len(block) % tuple(block.ravel().tolist()))
+            else:    # each number through `dumps_json`: "inf" is quoted, NaN raises
+                fh.write(record.replace(cell, "%s") * len(block)
+                         % tuple(map(dumps_json, block.ravel().tolist())))
 
 
 def read_trace_jsonl(path: Path, type_supports) -> Trace:
@@ -357,10 +383,12 @@ def run_rl(game, loaded, seed: int, out: Path) -> list[Path]:
     with open(metrics_path, "w") as fh:
         fh.write(",".join(fields) + "\n")
         for row in metrics:
-            fh.write(",".join(
-                "" if row.get(f) is None else
-                (str(row[f]) if f == "episode" else format(row[f], ".17g"))
-                for f in fields) + "\n")
+            cells = [row.get(f) for f in fields]
+            if not all(math.isfinite(x) for x in cells if x is not None):
+                raise FloatingPointError(f"non-finite metric at episode {row['episode']}")
+            fh.write(",".join("" if x is None else str(x) if f == "episode"
+                              else format(x, ".17g") for f, x in zip(fields, cells))
+                     + "\n")
     ckpt_path = out / "checkpoint.json"
     ckpt_path.write_text(dumps_json({
         "values": {str(s): v.tolist() for s, v in values.items()},

@@ -221,9 +221,10 @@ class Trace:
 
     `kappas` and `realized` are [T, P]; `utilities` is [T, P, A] and
     `policies` is [T, rows, A], with one row per (player, type) in the
-    player-major order of `type_supports` and zero padding past a player's
-    action count.  `actions` and `sampled_lambdas` are [T, P] in a
-    sampled-feedback run and None in an expected-feedback one.
+    player-major order of `type_supports` (player i's from `row_start[i]`)
+    and zero padding past a player's action count.  `actions` and
+    `sampled_lambdas` are [T, P] in a sampled-feedback run and None in an
+    expected-feedback one.
     """
 
     def __init__(self, action_counts, type_supports, iterations: int,
@@ -231,14 +232,13 @@ class Trace:
         self.action_counts = tuple(int(n) for n in action_counts)
         self.n_players = len(self.action_counts)
         self.type_supports = [tuple(s) for s in type_supports]
-        starts = _row_starts(self.type_supports)
-        self._row_start = starts[:-1]
+        self.row_start = _row_starts(self.type_supports)
         width = max(self.action_counts)
         shape = (iterations, self.n_players)
         self.kappas = np.zeros(shape)
         self.realized = np.zeros(shape)
         self.utilities = np.zeros(shape + (width,))
-        self.policies = np.zeros((iterations, starts[-1], width))
+        self.policies = np.zeros((iterations, self.row_start[-1], width))
         self.actions = np.zeros(shape, dtype=np.int64) if sampled else None
         self.sampled_lambdas = np.zeros(shape) if sampled else None
 
@@ -250,36 +250,9 @@ class Trace:
         return np.ascontiguousarray(self.utilities[:, player, :n])
 
     def policy_matrix(self, player: int, lam: float) -> np.ndarray:
-        row = self._row_start[player] + self.type_supports[player].index(lam)
+        row = self.row_start[player] + self.type_supports[player].index(lam)
         n = self.action_counts[player]
         return np.ascontiguousarray(self.policies[:, row, :n])
-
-    def records(self):
-        """Iterate export-shaped dict records (1-based t)."""
-        kappas, realized = self.kappas.tolist(), self.realized.tolist()
-        utilities, policies = self.utilities.tolist(), self.policies.tolist()
-        unsampled = [[None] * self.n_players] * len(self)
-        actions = unsampled if self.actions is None else self.actions.tolist()
-        lams = (unsampled if self.sampled_lambdas is None
-                else self.sampled_lambdas.tolist())
-        for t in range(len(self)):
-            yield {
-                "t": t + 1,
-                "kappa": kappas[t],
-                "per_player": [
-                    {
-                        "sampled_lambda": lams[t][i],
-                        "action": actions[t][i],
-                        "policy_by_type": {
-                            repr(lam): policies[t][self._row_start[i] + k][:n]
-                            for k, lam in enumerate(self.type_supports[i])
-                        },
-                        "action_utilities": utilities[t][i][:n],
-                    }
-                    for i, n in enumerate(self.action_counts)
-                ],
-                "utilities": realized[t],
-            }
 
     @classmethod
     def from_records(cls, records, type_supports) -> "Trace":
@@ -296,7 +269,7 @@ class Trace:
                 n = trace.action_counts[i]
                 trace.utilities[t, i, :n] = p["action_utilities"]
                 for k, lam in enumerate(trace.type_supports[i]):
-                    trace.policies[t, trace._row_start[i] + k, :n] = \
+                    trace.policies[t, trace.row_start[i] + k, :n] = \
                         p["policy_by_type"][repr(lam)]
                 if trace.actions is not None:
                     trace.actions[t, i] = p["action"]

@@ -23,10 +23,15 @@ def kl_divergence(p, q) -> float:
     q = np.asarray(q, dtype=float)
     if p.shape != q.shape:
         raise ValueError("dimension mismatch")
-    mask = p > 0
-    if np.any(q[mask] <= 0):
+    p, q = p[p > 0], q[p > 0]
+    if np.any(q <= 0):
         raise ValueError("q has zero mass where p is positive")
-    return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
+    with np.errstate(over="ignore", under="ignore"):
+        logs = np.log(p / q)
+    # p / q over- or underflows for a subnormal q or p: take the logs apart.
+    far = ~np.isfinite(logs)
+    logs[far] = np.log(p[far]) - np.log(q[far])
+    return float(np.sum(p * logs))
 
 
 def smooth_best_response(u, anchor, lam: float) -> np.ndarray:
@@ -93,9 +98,9 @@ def solve_regularized_bne(game: NormalFormGame, anchors, types,
     """Regularized equilibrium of a two-player zero-sum game: converged once
     no type's policy is more than `tol` from its smooth best response to the
     opponent's mixture.  A solve that has not converged after `NEWTON_STEPS`
-    steps or reaches a non-finite residual or a singular Newton system (e.g.
-    u/lambda overflows) returns ``converged=False``.  The B = 1 call of
-    `_newton_equilibria`."""
+    steps or reaches a non-finite residual or |F|^2 or a singular Newton
+    system (e.g. u/lambda overflows) returns ``converged=False``.  The B = 1
+    call of `_newton_equilibria`."""
     if game.player_count != 2 or not game.zero_sum:
         raise ValueError("requires a two-player zero-sum game")
     payoffs = [u[None] for u in game.payoffs]
@@ -178,6 +183,7 @@ def _newton_equilibria(payoffs, anchors, types,
                 except np.linalg.LinAlgError:
                     live[b] = False
         merit = (f * f).sum(axis=1)
+        live &= np.isfinite(merit)      # |F|^2 overflows: Armijo accepts any step
         t = np.ones(batch)
         pending = live.copy()
         for _ in range(40):                  # halvings before giving up a step

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,65 +64,66 @@ class RatingModel:
 
 def predict_shares(model: RatingModel, seats) -> np.ndarray:
     """Expected score shares for one game's seat assignment."""
-    n = len(seats)
+    return _shares(model, seats, np.arange(len(seats))[None])[0]
+
+
+def _shares(model: RatingModel, players, seat_idx) -> np.ndarray:
+    """Expected score shares of games whose seats hold `players[seat_idx]`."""
     try:
-        r = np.array([model.ratings[p] for p in seats])
+        r = np.array([model.ratings[p] for p in players])
     except KeyError as exc:
         raise KeyError(f"unknown player id {exc.args[0]!r}") from None
+    n = seat_idx.shape[1]
     b = model.seat_biases if model.seat_biases.size == n else np.zeros(n)
-    z = (r + b) / model.scale
-    z = z - z.max()
-    e = np.exp(z)
-    return e / e.sum()
+    z = (r[seat_idx] + b) / model.scale
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
 
 
-def log_posterior(model: RatingModel, games) -> float:
+@dataclass(frozen=True, eq=False)
+class GameTable:
+    """Games as arrays: sorted player ids, and per game and seat an index
+    into them (`seat_idx`) and a score share (`obs`)."""
+
+    players: list
+    seat_idx: np.ndarray
+    obs: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.obs)
+
+    @classmethod
+    def from_records(cls, games) -> GameTable:
+        """Pack `GameRecord`s: games in their order, seats in theirs."""
+        games = list(games)
+        return _table([k for k, g in enumerate(games) for _ in g.seats],
+                      np.array([s for g in games for s in range(len(g.seats))]),
+                      [p for g in games for p in g.seats],
+                      np.array([x for g in games for x in g.shares]))
+
+
+def log_posterior(model: RatingModel, games: GameTable) -> float:
     """Cross-entropy likelihood plus the Gaussian rating log-prior (up to an
     additive constant)."""
-    games = list(games)
-    if not games:
-        raise ValueError("no games")
-    total = 0.0
-    for g in games:
-        p = predict_shares(model, g.seats)
-        obs = np.asarray(g.shares)
-        total += float(np.sum(obs * np.log(p)))
+    p = _shares(model, games.players, games.seat_idx)
+    total = float(np.sum(games.obs * np.log(p)))
     for r in model.ratings.values():
         total += -0.5 * (r / model.sigma_prior) ** 2
     return total
 
 
-def seat_count(games) -> int:
-    """The seat count that every game in `games` shares."""
-    if not games:
-        raise ValueError("no games")
-    n_seats = len(games[0].seats)
-    if any(len(g.seats) != n_seats for g in games):
-        raise ValueError("all games must have the same seat count")
-    return n_seats
-
-
-def _pack(games):
-    players = sorted({p for g in games for p in g.seats})
-    index = {p: i for i, p in enumerate(players)}
-    seat_idx = np.array([[index[p] for p in g.seats] for g in games])
-    obs = np.array([g.shares for g in games])
-    return players, seat_idx, obs
-
-
 def fit_ratings(games, sigma_prior: float = 350.0, c: float = ELO_SCALE,
                 tol: float = 1e-8, max_iters: int = 200000) -> RatingModel:
-    """MAP fit by damped Newton ascent with backtracking line search.
+    """MAP fit of a `GameTable` by damped Newton ascent with backtracking
+    line search.
 
     Optimization runs in share space (parameters divided by c), where the
     gradient is the accumulated difference between observed and predicted
     shares; convergence is declared when its max-norm drops below `tol`.
     Deterministic: zero initialization and a deterministic line search.
     """
-    games = list(games)
-    n_seats = seat_count(games)
-    players, seat_idx, obs = _pack(games)
-    n_players = len(players)
+    players, seat_idx, obs = games.players, games.seat_idx, games.obs
+    n_players, n_seats = len(players), obs.shape[1]
     prior_precision = (c / sigma_prior) ** 2
     n_params = n_players + n_seats   # x = (rho, beta): ratings / c, biases / c
     # Flat rating-block cell of each (game, seat, seat) entry.
@@ -208,25 +210,61 @@ def fit_ratings(games, sigma_prior: float = 350.0, c: float = ELO_SCALE,
     return model
 
 
-def read_game_records(path) -> list[GameRecord]:
+def read_game_records(path) -> GameTable:
     """Ingest games from CSV columns game_id, seat_index, player_id and
-    score_share, found by header name; blank lines are skipped.  Games come
-    sorted by id, each game's seats by (seat_index, player_id, share)."""
-    rows: dict = {}
+    score_share, found by header name; blank lines are skipped.  No row is
+    kept: each field goes to its column, a list of ids (one string per
+    distinct id) or an array of numbers; `_table` orders and checks them.
+    A `ValueError` names the line of a short row or of a seat_index or
+    share that does not parse."""
+    ids, players, distinct = [], [], {}
+    seats, shares = array("q"), array("d")
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = {name: i for i, name in enumerate(next(reader, []))}
             gi, si, pi, ci = (header[name] for name in ("game_id", "seat_index",
                                                         "player_id", "score_share"))
-            for row in reader:
-                if row:
-                    rows.setdefault(row[gi], []).append(
-                        (int(row[si]), row[pi], float(row[ci])))
-        except (csv.Error, IndexError) as exc:    # IndexError: a short row
-            raise ValueError(f"line {reader.line_num}: {exc}") from exc
-    games = []
-    for game_id in sorted(rows):
-        _, seats, shares = zip(*sorted(rows[game_id]))
-        games.append(GameRecord(seats=seats, shares=shares))
-    return games
+            for row in filter(None, reader):
+                ids.append(distinct.setdefault(row[gi], row[gi]))
+                seats.append(int(row[si]))
+                players.append(distinct.setdefault(row[pi], row[pi]))
+                shares.append(float(row[ci]))
+        except IndexError:
+            raise ValueError(f"line {reader.line_num}: short row") from None
+        except (csv.Error, ValueError, OverflowError) as exc:
+            raise ValueError(f"line {reader.line_num}: {exc}") from None
+    return _table(ids, np.asarray(seats), players, np.asarray(shares))
+
+
+def _table(ids, seats, players, shares) -> GameTable:
+    """One row per (game, seat) as a `GameTable`: game ids, seat indices,
+    player ids and shares, games sorted by id, seats by (seat index, player
+    id, share).  Raises `ValueError` for no rows, unequal seat counts and
+    shares that are NaN, negative or off 1 in their sum, naming the game."""
+    if not len(ids):
+        raise ValueError("no games")
+    (ids, game), (players, player) = _codes(ids), _codes(players)
+    order = np.lexsort((shares, player, seats, game))
+    counts = np.bincount(game)
+    g = (counts != counts[0]).argmax()
+    if counts[g] != counts[0]:
+        raise ValueError(f"game {ids[g]!r} has {counts[g]} seats, game {ids[0]!r} "
+                         f"{counts[0]}")
+    obs = shares[order].reshape(len(ids), counts[0])
+    total = np.zeros(len(ids))
+    for column in obs.T:    # left to right, as `GameRecord` adds them
+        total += column
+    bad = ~((obs.min(axis=1) >= 0) & (abs(total - 1.0) <= 1e-9))    # True for NaN
+    if bad.any():
+        raise ValueError(f"game {ids[bad.argmax()]!r}: shares must be nonnegative "
+                         "and sum to 1")
+    return GameTable(players, player[order].reshape(obs.shape), obs)
+
+
+def _codes(column) -> tuple:
+    """The sorted distinct entries of `column`, and each entry's index in them."""
+    keys = sorted(set(column))
+    index = dict(zip(keys, range(len(keys))))
+    return keys, np.fromiter(map(index.__getitem__, column), np.intp, len(column))
+

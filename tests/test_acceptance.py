@@ -37,7 +37,8 @@ from anchored import (
 from anchored.cli import dumps_json, run_experiment
 from anchored.learners import UtilityStats
 from anchored.oracle import evaluate_markov_profile
-from anchored.rating import GameRecord, RatingModel, fit_ratings, predict_shares
+from anchored.rating import (GameRecord, GameTable, RatingModel, fit_ratings,
+                             predict_shares)
 from anchored.rl import evaluate_vs_oracle
 from anchored.oracle import uniform_anchors
 
@@ -335,7 +336,7 @@ def _exact_share_games(true_ratings, seat_biases, n_games, n_seats, seed):
         seats = tuple(names[k] for k in rng.integers(len(names), size=n_seats))
         games.append(GameRecord(seats=seats,
                                 shares=tuple(predict_shares(model, seats))))
-    return games
+    return GameTable.from_records(games)
 
 
 def test_criterion_8_rating_recovery(capsys):

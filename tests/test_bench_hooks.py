@@ -1,0 +1,67 @@
+"""The benchmark's tracer (bench/tracing.py) wraps program functions by name
+and reads their arguments and results.  These tests install it against the
+current program, so that a rename or a changed signature fails here rather
+than silently zeroing a per-layer metric such as `cli.emit_busy_s`,
+`rating.read_busy_s` or `rating.games`."""
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from anchored.cli import main
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+@pytest.fixture
+def tracer(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracing
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    yield tracer
+    tracer.uninstall()
+
+
+def test_tracer_finds_every_target(tracer):
+    assert tracer.missing == []
+
+
+def _run(tmp_path, config) -> None:
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+
+
+def test_traced_rate_run_counts_its_games(tracer, tmp_path):
+    import tracing
+
+    rng = np.random.default_rng(0)
+    n_games, n_seats = 37, 4
+    lines = ["game_id,seat_index,player_id,score_share"]
+    for g in range(n_games):
+        w = rng.uniform(0.1, 1.0, n_seats)
+        lines += [f"g{g},{s},p{rng.integers(6)},{x!r}"
+                  for s, x in enumerate((w / w.sum()).tolist())]
+    games_csv = tmp_path / "games.csv"
+    games_csv.write_text("\n".join(lines) + "\n")
+    _run(tmp_path, {"kind": "rate", "rate": {"games_csv": str(games_csv)}})
+    spans, counts = tracer.take()
+    assert counts["rating.games"] == n_games
+    metrics = tracing.layer_metrics(spans, counts, 0)
+    assert metrics["rating.fits"] == 1 and metrics["rating.newton_iters"] > 0
+    assert metrics["rating.read_busy_s"] > 0
+
+
+def test_traced_solve_run_times_its_trace(tracer, tmp_path):
+    import tracing
+
+    _run(tmp_path, {"kind": "solve", "game": {"builtin": "matching_pennies"},
+                    "learner": {"iterations": 30}})
+    spans, counts = tracer.take()
+    metrics = tracing.layer_metrics(spans, counts, 0)
+    assert metrics["learners.steps"] == 30
+    assert metrics["cli.emit_busy_s"] > 0

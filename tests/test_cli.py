@@ -7,13 +7,14 @@ import io
 import json
 import math
 import re
+import unittest.mock
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from anchored import INF, make_builtin_game, make_random_markov
+from anchored import INF, Trace, make_builtin_game, make_random_markov
 from anchored.cli import (
     ConfigError,
     dumps_json,
@@ -205,6 +206,42 @@ def rl_config(**rl):
         "rl": {"types": [0.5], "episodes": 6, "search_iterations": 16,
                "checkpoint_every": 3, **rl},
     }
+
+
+# 8000 visits of one state sink the policy table's entries off the top-k
+# action to 5e-324, so KL(oracle || table) has an overflowing p / q.
+SUNK_TOP_K = {"kind": "rl", "game": {"random_markov": {
+    "seed": 2, "states": 1, "actions": 3, "horizon": 1, "zero_sum": True}},
+    "rl": {"types": [0.5], "episodes": 8000, "search_iterations": 1, "top_k": 1,
+           "checkpoint_every": 8000}}
+
+
+def test_sunk_top_k_policy_writes_a_finite_kl(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(SUNK_TOP_K))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+    rows = list(csv.DictReader(open(tmp_path / "out" / "metrics.csv")))
+    assert rows[-1]["episode"] == "8000"
+    assert all(math.isfinite(float(v)) for v in rows[-1].values())
+    assert float(rows[-1]["mean_policy_kl"]) > 300    # -0.6 log(5e-324) ~ 447
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_metric_exits_3(tmp_path, capsys, monkeypatch, bad):
+    from anchored import rl
+
+    train = rl.train
+
+    def poisoned(*args, **kwargs):
+        values, table, metrics = train(*args, **kwargs)
+        metrics[-1]["mean_policy_kl"] = bad
+        return values, table, metrics
+    monkeypatch.setattr(rl, "train", poisoned)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(rl_config()))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+    assert "numerical failure: non-finite metric at episode 6" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "manifest.json").exists()
 
 
 def test_run_rate(tmp_path):
@@ -594,6 +631,48 @@ def test_malformed_games_csv_exits_2(tmp_path, capsys, name):
         "validation error: rate.games_csv") == 2
 
 
+# Bad games CSVs and where the error says the fault is.
+GAMES_CSV_FAULTS = {
+    "short row": (GAMES_CSV_HEADER + "g0,0,a,0.5\n\ng0,1,b\n", "line 4: short row"),
+    "short row after 6000 rows": (
+        GAMES_CSV_HEADER + "".join(f"g{k},{k % 2},a,0.5\n" for k in range(6000))
+        + "g0,0,a\n", "line 6002: short row"),
+    "short row, game_id last": ("seat_index,player_id,score_share,game_id\n"
+                                "0,a,0.5,g0\n1,b,0.5\n", "line 3: short row"),
+    "seat_index not an integer": (GAMES_CSV_HEADER + "g0,0,a,0.5\ng0,1.0,b,0.5\n",
+                                  "line 3: invalid literal for int() with base 10: '1.0'"),
+    "seat_index beyond int64": (
+        GAMES_CSV_HEADER + "g0,0,a,0.5\ng0,99999999999999999999,b,0.5\n",
+        "line 3: int too big to convert"),
+    "share not a number": (GAMES_CSV_HEADER + "g0,0,a,half\ng0,1,b,0.5\n",
+                           "line 2: could not convert string to float: 'half'"),
+    "nan share": (GAMES_CSV_HEADER + "g0,0,a,0.5\ng0,1,b,nan\n",
+                  "game 'g0': shares must be nonnegative and sum to 1"),
+    "unequal seat counts": (GAMES_CSV_HEADER + "g0,0,a,0.5\ng0,1,b,0.5\n"
+                            "g1,0,a,0.4\ng1,1,b,0.3\ng1,2,c,0.3\n",
+                            "game 'g1' has 3 seats, game 'g0' 2"),
+    "shares sum to 1.4": (GAMES_CSV_HEADER + "g0,0,a,0.5\ng0,1,b,0.5\n"
+                          "g9,0,a,0.7\ng9,1,b,0.7\n",
+                          "game 'g9': shares must be nonnegative and sum to 1"),
+    "negative share": (GAMES_CSV_HEADER + "g0,0,a,1.5\ng0,1,b,-0.5\n",
+                       "game 'g0': shares must be nonnegative and sum to 1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GAMES_CSV_FAULTS))
+def test_games_csv_fault_is_named(tmp_path, capsys, name):
+    text, where = GAMES_CSV_FAULTS[name]
+    games_csv = tmp_path / "games.csv"
+    games_csv.write_text(text)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"kind": "rate", "rate": {"games_csv": str(games_csv)}}))
+    assert main(["validate", str(path)]) == 2
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("validation error: rate.games_csv") == 2
+    assert err.count(where) == 2 and "Traceback" not in err
+
+
 def test_unreadable_games_csv_exits_4(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"kind": "rate",
@@ -653,6 +732,141 @@ def test_trace_round_trip_with_infinite_lambda(tmp_path):
     for column in ("kappas", "realized", "utilities", "policies", "actions",
                    "sampled_lambdas"):
         np.testing.assert_array_equal(getattr(back, column), getattr(trace, column))
+
+
+def reference_records(trace):
+    """The dict records `Trace.records()` yielded (1-based t) before
+    `emit_trace` wrote the columns itself."""
+    kappas, realized = trace.kappas.tolist(), trace.realized.tolist()
+    utilities, policies = trace.utilities.tolist(), trace.policies.tolist()
+    unsampled = [[None] * trace.n_players] * len(trace)
+    actions = unsampled if trace.actions is None else trace.actions.tolist()
+    lams = (unsampled if trace.sampled_lambdas is None
+            else trace.sampled_lambdas.tolist())
+    for t in range(len(trace)):
+        yield {
+            "t": t + 1,
+            "kappa": kappas[t],
+            "per_player": [
+                {
+                    "sampled_lambda": lams[t][i],
+                    "action": actions[t][i],
+                    "policy_by_type": {
+                        repr(lam): policies[t][trace.row_start[i] + k][:n]
+                        for k, lam in enumerate(trace.type_supports[i])
+                    },
+                    "action_utilities": utilities[t][i][:n],
+                }
+                for i, n in enumerate(trace.action_counts)
+            ],
+            "utilities": realized[t],
+        }
+
+
+def reference_emit(trace, path):
+    """The writer `emit_trace` replaced: each record through `dumps_json`."""
+    with open(path, "w") as fh:
+        fh.writelines(dumps_json(rec) + "\n" for rec in reference_records(trace))
+
+
+#: Finite doubles the writer must format as `format_float` does, and inf.
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e-300, 0.1, 1 / 3,
+                  1.0, 2.0 ** 53, 1e16, 1e17, 123456789.0, -1e300,
+                  1.7976931348623157e308, INF, -INF]
+
+
+@st.composite
+def random_traces(draw):
+    """A `Trace` of 2-3 players with unequal action counts, mixed supports
+    that may hold lambda = 0 and lambda = inf, sampled or expected feedback,
+    and columns of arbitrary doubles (inf included) around a block size."""
+    n_players = draw(st.integers(2, 3))
+    counts = draw(st.lists(st.integers(1, 4), min_size=n_players, max_size=n_players))
+    supports = [tuple(sorted(draw(st.sets(st.sampled_from([0.0, 1e-4, 0.1, 1.0, INF]),
+                                          min_size=1, max_size=3))))
+                for _ in range(n_players)]
+    block = draw(st.integers(1, 5))
+    steps = draw(st.sampled_from([1, block - 1, block, block + 1, 2 * block + 1]) |
+                 st.integers(1, 12)) or 1
+    trace = Trace(counts, supports, steps, draw(st.booleans()))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def fill(a):
+        a[...] = rng.normal(size=a.shape) * 10.0 ** rng.integers(-300, 300, a.shape)
+        special = rng.random(a.shape) < 0.2
+        a[special] = rng.choice(SPECIAL_FLOATS, size=special.sum())
+    for column in (trace.kappas, trace.realized, trace.utilities, trace.policies):
+        fill(column)
+    if trace.actions is not None:
+        fill(trace.sampled_lambdas)
+        trace.actions[...] = rng.integers(0, max(counts), trace.actions.shape)
+    return trace, block
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_traces())
+def test_emit_trace_matches_reference_writer(tmp_path_factory, case):
+    import anchored.cli as cli
+
+    trace, block = case
+    out = tmp_path_factory.mktemp("trace")
+    reference_emit(trace, out / "want.jsonl")
+    with unittest.mock.patch.object(cli, "TRACE_BLOCK", block):
+        cli.emit_trace(trace, out / "got.jsonl")
+    assert (out / "got.jsonl").read_bytes() == (out / "want.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("steps", [1, 1023, 1024, 1025, 2049])
+@pytest.mark.parametrize("mode", ["sampled", "expected"])
+def test_emit_trace_of_selfplay_matches_reference_writer(tmp_path, steps, mode):
+    """Around the real block size, with a uniform first iterate and a
+    lambda = 0 and lambda = inf type; the file reads back column for column."""
+    from anchored import Learners, TemperatureSchedule, TypeDistribution, run_selfplay
+    from anchored.cli import TRACE_BLOCK, emit_trace
+
+    assert TRACE_BLOCK == 1024
+    game = make_builtin_game("random_zero_sum", {"seed": 5, "actions": [2, 3]})
+    types = [TypeDistribution.uniform([0.0, 0.1, INF]), TypeDistribution.singleton(0.5)]
+    learners = Learners([[0.6, 0.4], [0.2, 0.3, 0.5]], types,
+                        TemperatureSchedule(mode="constant_eta", eta=0.5),
+                        uniform_first_iterate=True)
+    trace = run_selfplay(game, learners, steps, mode=mode,
+                         rng=np.random.default_rng(4) if mode == "sampled" else None)
+    reference_emit(trace, tmp_path / "want.jsonl")
+    emit_trace(trace, tmp_path / "got.jsonl")
+    assert (tmp_path / "got.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()
+    back = read_trace_jsonl(tmp_path / "got.jsonl", [td.lambdas for td in types])
+    for column in ("kappas", "realized", "utilities", "policies", "actions",
+                   "sampled_lambdas"):
+        a, b = getattr(back, column), getattr(trace, column)
+        assert (a is None and b is None) or np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("column", ["kappas", "realized", "utilities", "policies",
+                                    "sampled_lambdas"])
+@pytest.mark.parametrize("step", [0, 1023, 1024, 1499])
+def test_emit_trace_rejects_nan(tmp_path, column, step):
+    from anchored.cli import emit_trace
+
+    trace = Trace([2, 3], [(0.1, INF), (0.0,)], 1500, True)
+    getattr(trace, column)[step, -1, ...] = math.nan
+    for write in (emit_trace, reference_emit):
+        with pytest.raises(FloatingPointError, match="NaN in an artifact"):
+            write(trace, tmp_path / "trace.jsonl")
+
+
+def test_solve_with_nan_iterate_exits_3(tmp_path, capsys):
+    """An expected-feedback iterate that overflows to NaN reaches only the
+    trace, whose writer stops the run."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "kind": "solve", "game": {"builtin": "random_zero_sum", "params": {"seed": 0}},
+        "learner": {"iterations": 20, "mode": "expected", "types": [1e-320],
+                    "schedule": {"mode": "constant_eta", "eta": 1e308}}}))
+    with np.errstate(all="ignore"):
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+    assert "numerical failure: NaN in an artifact" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "regret_report.json").exists()
 
 
 INF_ANCHORS = {"matching_pennies": None,

@@ -6,12 +6,16 @@ The reference is the per-player loop the kernel replaced, built from
 comparison is exact equality.
 """
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from anchored import (INF, Learners, NormalFormGame, TemperatureSchedule, Trace,
+from anchored import (INF, Learners, NormalFormGame, TemperatureSchedule,
                       TypeDistribution, make_anchor, policy_for_type, run_selfplay,
                       uniform_policy)
+from anchored.cli import emit_trace, read_trace_jsonl
 from anchored.learners import UtilityStats
 
 LAMBDAS = (0.0, 1e-3, 0.1, 0.5, 2.0, INF)
@@ -190,12 +194,16 @@ def test_kernel_matches_scalar_reference(case, record):
         return
     assert len(trace) == T
     assert_trace_matches(trace, ref)
-    rebuilt = Trace.from_records(trace.records(), trace.type_supports)
+    with tempfile.TemporaryDirectory() as tmp:
+        path, again = Path(tmp) / "trace.jsonl", Path(tmp) / "again.jsonl"
+        emit_trace(trace, path)
+        rebuilt = read_trace_jsonl(path, trace.type_supports)
+        emit_trace(rebuilt, again)
+        assert again.read_bytes() == path.read_bytes()
     for column in ("kappas", "realized", "utilities", "policies", "actions",
                    "sampled_lambdas"):
         a, b = getattr(trace, column), getattr(rebuilt, column)
         assert (a is None and b is None) or np.array_equal(a, b)
-    assert list(rebuilt.records()) == list(trace.records())
 
 
 @settings(max_examples=40, deadline=None)

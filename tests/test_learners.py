@@ -10,13 +10,13 @@ from anchored import (
     Learners,
     NormalFormGame,
     TemperatureSchedule,
-    Trace,
     TypeDistribution,
     make_builtin_game,
     policy_for_type,
     run_selfplay,
     uniform_policy,
 )
+from anchored.cli import emit_trace, read_trace_jsonl
 from anchored.learners import UtilityStats
 
 
@@ -407,14 +407,15 @@ def test_replay_q_oracle():
         np.testing.assert_allclose(trace.replay_q(i), learners.q[i], atol=1e-10)
 
 
-def test_trace_records_round_trip():
+def test_trace_records_round_trip(tmp_path):
     game = make_builtin_game("matching_pennies")
     types = TypeDistribution.uniform([1e-2, 1e-1])
     sched = TemperatureSchedule.adaptive()
     learners = Learners([uniform_policy(2)] * 2, [types] * 2, sched)
     rng = np.random.default_rng(20)
     trace = run_selfplay(game, learners, 30, mode="sampled", rng=rng)
-    rebuilt = Trace.from_records(trace.records(), trace.type_supports)
+    emit_trace(trace, tmp_path / "trace.jsonl")
+    rebuilt = read_trace_jsonl(tmp_path / "trace.jsonl", trace.type_supports)
     assert len(rebuilt) == len(trace)
     for i in range(2):
         np.testing.assert_array_equal(rebuilt.utility_matrix(i),

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from anchored import (
     INF,
@@ -45,6 +46,32 @@ def test_kl_hand_values():
     v = 0.5 * math.log(0.5 / 0.8) + 0.5 * math.log(0.5 / 0.2)
     assert kl_divergence([0.5, 0.5], [0.8, 0.2]) == pytest.approx(v, abs=1e-12)
     assert v == pytest.approx(0.223144, abs=1e-6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(5e-324, 1.0)),
+                min_size=1, max_size=6))
+def test_kl_keeps_every_finite_value_and_takes_logs_apart_past_it(pairs):
+    """Where p / q is finite the sum is the plain formula's, bit for bit;
+    where it overflows (q subnormal) the term is p (log p - log q)."""
+    p, q = (np.array(x) for x in zip(*pairs))
+    with np.errstate(over="ignore"):
+        ratio = p / q
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(p > 0, p * np.log(ratio), 0.0)
+    far = np.isinf(ratio) & (p > 0)
+    terms[far] = p[far] * (np.log(p[far]) - np.log(q[far]))
+    got = kl_divergence(p, q)
+    assert math.isfinite(got)
+    if not far.any():
+        assert got == float(np.sum(p[p > 0] * np.log(p[p > 0] / q[p > 0])))
+    assert got == float(np.sum(terms[p > 0]))
+
+
+def test_kl_of_a_sunk_policy_entry_is_finite():
+    """A policy-table entry that long top-k training sinks to 5e-324."""
+    got = kl_divergence([0.4, 0.6], [1.0, 5e-324])
+    assert got == 0.4 * math.log(0.4) + 0.6 * (math.log(0.6) - math.log(5e-324))
 
 
 def test_kl_rejects_absolute_discontinuity():

@@ -425,6 +425,19 @@ def test_overflowing_game_leaves_batch_alone(scale):
 
 
 @NAN_WARNINGS
+def test_overflowing_merit_stops_the_game():
+    """At 1e307 the merit |F|^2 overflows to inf, under which the Armijo
+    test accepts every trial step: the game stops within one step,
+    unconverged, instead of running all `NEWTON_STEPS`."""
+    game = make_builtin_game("random_zero_sum", {"seed": 3})
+    big = NormalFormGame(game.action_counts, tuple(u * 1e307 for u in game.payoffs),
+                         payoff_bound=game.payoff_bound * 1e307, zero_sum=True)
+    profile = solve_regularized_bne(big, [uniform_policy(3)] * 2,
+                                    (TypeDistribution.singleton(0.1),) * 2)
+    assert profile.iterations <= 1 and not profile.converged
+
+
+@NAN_WARNINGS
 def test_run_oracle_nan_target_exits_3(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({

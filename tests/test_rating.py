@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 from anchored import (
     ELO_SCALE,
     GameRecord,
+    GameTable,
     RatingModel,
     fit_ratings,
     log_posterior,
@@ -29,7 +30,8 @@ from anchored.rating import read_game_records
 
 
 def synthetic_games(true_ratings, seat_biases, n_games, n_seats, seed):
-    """Exact-share generator; the generating model is the recovery oracle."""
+    """Exact-share generator; the generating model is the recovery oracle.
+    Returns the games as a `GameTable`."""
     model = RatingModel(ratings=dict(true_ratings),
                         seat_biases=np.asarray(seat_biases, float))
     names = sorted(true_ratings)
@@ -39,7 +41,7 @@ def synthetic_games(true_ratings, seat_biases, n_games, n_seats, seed):
         seats = tuple(names[k] for k in rng.integers(len(names), size=n_seats))
         shares = predict_shares(model, seats)
         games.append(GameRecord(seats=seats, shares=tuple(shares)))
-    return games
+    return GameTable.from_records(games)
 
 
 # ------------------------------------------------------------- prediction
@@ -95,7 +97,7 @@ def test_game_record_validation():
 
 def test_log_posterior_uniform_model():
     model = RatingModel(ratings={"a": 0.0, "b": 0.0}, seat_biases=np.zeros(2))
-    games = [GameRecord(seats=("a", "b"), shares=(0.3, 0.7))]
+    games = GameTable.from_records([GameRecord(seats=("a", "b"), shares=(0.3, 0.7))])
     assert log_posterior(model, games) == pytest.approx(math.log(0.5), abs=1e-12)
 
 
@@ -117,7 +119,7 @@ def test_log_posterior_local_map_optimality():
 # ------------------------------------------------------------------ fitting
 
 def test_fit_symmetric_single_game():
-    games = [GameRecord(seats=("a", "b"), shares=(0.5, 0.5))]
+    games = GameTable.from_records([GameRecord(seats=("a", "b"), shares=(0.5, 0.5))])
     model = fit_ratings(games)
     assert abs(model.ratings["a"]) <= 1e-6
     assert abs(model.ratings["b"]) <= 1e-6
@@ -180,11 +182,11 @@ def test_fit_deterministic():
 
 
 def test_fit_rejects_empty_and_ragged():
-    with pytest.raises(ValueError):
-        fit_ratings([])
-    with pytest.raises(ValueError):
-        fit_ratings([GameRecord(("a", "b"), (0.5, 0.5)),
-                     GameRecord(("a", "b", "c"), (0.4, 0.3, 0.3))])
+    with pytest.raises(ValueError, match="no games"):
+        GameTable.from_records([])
+    with pytest.raises(ValueError, match="has 3 seats"):
+        GameTable.from_records([GameRecord(("a", "b"), (0.5, 0.5)),
+                                GameRecord(("a", "b", "c"), (0.4, 0.3, 0.3))])
 
 
 # ----------------------------------------------------------------- model
@@ -211,9 +213,9 @@ def test_read_game_records_csv(tmp_path):
         "g0,1,alice,0.5\n"
     )
     games = read_game_records(path)
-    assert games[0].seats == ("bob", "alice")
-    assert games[1].seats == ("alice", "bob")
-    assert games[1].shares == (0.75, 0.25)
+    assert len(games) == 2 and games.players == ["alice", "bob"]
+    assert games.seat_idx.tolist() == [[1, 0], [0, 1]]     # g0: bob, alice
+    assert games.obs.tolist() == [[0.5, 0.5], [0.75, 0.25]]
 
 
 # ------------------------------------------------------- references
@@ -342,10 +344,10 @@ def assert_same_fit(games, **kw):
         want = reference_fit(games, **kw)
     except (RuntimeError, ValueError) as exc:
         with pytest.raises(type(exc)) as got:
-            fit_ratings(games, **kw)
+            fit_ratings(GameTable.from_records(games), **kw)
         assert str(got.value) == str(exc)
         return
-    got = fit_ratings(games, **kw)
+    got = fit_ratings(GameTable.from_records(games), **kw)
     assert got.ratings == want.ratings
     np.testing.assert_array_equal(got.seat_biases, want.seat_biases)
     assert got.ascent_history == want.ascent_history
@@ -416,6 +418,9 @@ READER_CASES = {
     "unsorted ids and seats": "game_id,seat_index,player_id,score_share\n"
                               "g2,2,c,0.2\ng10,0,a,0.5\ng2,0,b,0.3\n"
                               "g10,1,b,0.5\ng2,1,a,0.5\n",
+    "unsorted ids and seats, equal seat counts":
+        "game_id,seat_index,player_id,score_share\n"
+        "g2,2,c,0.2\ng10,0,a,0.5\ng2,0,b,0.3\ng10,2,c,0\ng10,1,b,0.5\ng2,1,a,0.5\n",
     "crlf": "game_id,seat_index,player_id,score_share\r\n"
             "g1,0,a,0.125\r\ng1,1,b,0.875\r\n\r\ng0,1,a,1\r\ng0,0,b,0\r\n",
     "header only": "game_id,seat_index,player_id,score_share\n",
@@ -424,11 +429,88 @@ READER_CASES = {
 }
 
 
+def assert_reads_as_reference(path):
+    """`read_game_records` gives what `reference_pack` makes of
+    `reference_read`'s games, bit for bit, or raises `ValueError` where
+    those games are none or of unequal seat counts."""
+    games = reference_read(path)
+    if not games or len({len(g.seats) for g in games}) > 1:
+        with pytest.raises(ValueError):
+            read_game_records(path)
+        return
+    players, seat_idx, obs = reference_pack(games, len(games[0].seats))
+    got = read_game_records(path)
+    assert len(got) == len(games) and got.players == players
+    for a, b in ((got.seat_idx, seat_idx), (got.obs, obs)):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
 @pytest.mark.parametrize("name", sorted(READER_CASES))
 def test_read_game_records_matches_reference(tmp_path, name):
     path = tmp_path / "games.csv"
     path.write_bytes(READER_CASES[name].encode())
-    assert read_game_records(path) == reference_read(path)
+    assert_reads_as_reference(path)
+
+
+# Ids whose string order is not their numeric order, and one that is a prefix.
+READER_IDS = ["g2", "g10", "g1", "g", "G3", "é", "p 1", "p,1", 'q"2']
+
+
+@st.composite
+def games_csvs(draw):
+    """A games CSV text: shuffled rows and columns, an extra column, ids
+    whose string order differs from their numeric order, a player in
+    several seats of one game, ties on seat_index, blank lines and CRLF or
+    LF line ends."""
+    n_seats = draw(st.integers(1, 5))
+    n_games = draw(st.integers(1, 8))
+    ids = draw(st.permutations(READER_IDS))
+    players = ids[:draw(st.integers(1, 4))]
+    rows = []
+    for g in ids[:n_games]:
+        w = draw(st.lists(st.floats(0.0, 1.0), min_size=n_seats, max_size=n_seats))
+        total = sum(w)
+        shares = [x / total for x in w] if total > 0 else [1.0] + [0.0] * (n_seats - 1)
+        seats = draw(st.lists(st.integers(0, n_seats), min_size=n_seats,
+                              max_size=n_seats))
+        for seat, share in zip(seats, shares):
+            rows.append({"game_id": g, "seat_index": str(seat),
+                         "player_id": draw(st.sampled_from(players)),
+                         "score_share": repr(share), "note": "x"})
+    rows = draw(st.permutations(rows))
+    header = draw(st.permutations(["game_id", "seat_index", "player_id",
+                                   "score_share", "note"]))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(_csv_field(row[name]) for name in header))
+        if draw(st.booleans()) and draw(st.booleans()):
+            lines.append("")
+    return end.join(lines) + end
+
+
+def _csv_field(text: str) -> str:
+    return f'"{text.replace(chr(34), 2 * chr(34))}"' if any(c in text for c in ',"') \
+        else text
+
+
+@settings(max_examples=200, deadline=None)
+@given(games_csvs())
+def test_read_game_records_matches_reference_on_random_csvs(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("csv") / "games.csv"
+    path.write_bytes(text.encode())
+    assert_reads_as_reference(path)
+
+
+def test_read_game_records_matches_reference_on_a_shuffled_league_file(tmp_path):
+    """9100 shuffled rows of 7-seat games among 40 players."""
+    path = tmp_path / "games.csv"
+    write_rating_csv(path, 1300, 40, seed=3)
+    header, *rows = path.read_text().splitlines()
+    np.random.default_rng(0).shuffle(rows)
+    path.write_text("\n".join([header, *rows]) + "\n")
+    assert_reads_as_reference(path)
 
 
 def reference_shares_ok(shares) -> bool:
@@ -451,6 +533,27 @@ def test_game_record_accepts_what_numpy_accepted(weights, offset, ulps):
     except ValueError:
         accepted = False
     assert accepted == reference_shares_ok(shares)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=12),
+       st.sampled_from([0.0, 1e-9, -1e-9]), st.integers(-8, 8))
+def test_reader_accepts_the_shares_game_record_accepts(tmp_path_factory, weights,
+                                                        offset, ulps):
+    """Both add a game's shares left to right, also past 8 seats, where a
+    numpy row sum would add them pairwise."""
+    shares = [w / sum(weights) for w in weights]
+    shares[-1] += offset + ulps * 2.0 ** -52
+    path = tmp_path_factory.mktemp("csv") / "games.csv"
+    path.write_text("game_id,seat_index,player_id,score_share\n" + "".join(
+        f"g,{k},p{k},{x!r}\n" for k, x in enumerate(shares)))
+    try:
+        GameRecord(tuple(f"p{k}" for k in range(len(shares))), tuple(shares))
+    except ValueError:
+        with pytest.raises(ValueError, match="sum to 1"):
+            read_game_records(path)
+    else:
+        assert read_game_records(path).obs.tolist() == [shares]
 
 
 def test_game_record_rejects_non_finite_shares():

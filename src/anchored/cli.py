@@ -232,7 +232,8 @@ def emit_trace(trace: Trace, path: Path) -> None:
     record template is `dumps_json` of a record whose numbers are "%.17g",
     which formats a finite float as `dumps_json` does and a step or action
     (an integer below 2**53) as its digits; each block of steps fills it
-    from one float matrix with a column per number of a record."""
+    from one float matrix with a column per number of a record.  A write
+    that raises, as a NaN does, removes the file."""
     cell, sampled, p = "%.17g", trace.actions is not None, trace.n_players
     drawn = cell if sampled else None
     columns, players = [np.arange(1.0, len(trace) + 1)[:, None], trace.kappas], []
@@ -247,14 +248,18 @@ def emit_trace(trace: Trace, path: Path) -> None:
     columns.append(trace.realized)
     record = dumps_json({"t": cell, "kappa": [cell] * p, "per_player": players,
                          "utilities": [cell] * p}).replace(f'"{cell}"', cell) + "\n"
-    with open(path, "w") as fh:
-        for start in range(0, len(trace), TRACE_BLOCK):
-            block = np.concatenate([c[start:start + TRACE_BLOCK] for c in columns], 1)
-            if np.isfinite(block).all():
-                fh.write(record * len(block) % tuple(block.ravel().tolist()))
-            else:    # each number through `dumps_json`: "inf" is quoted, NaN raises
-                fh.write(record.replace(cell, "%s") * len(block)
-                         % tuple(map(dumps_json, block.ravel().tolist())))
+    try:
+        with open(path, "w") as fh:
+            for start in range(0, len(trace), TRACE_BLOCK):
+                block = np.concatenate([c[start:start + TRACE_BLOCK] for c in columns], 1)
+                if np.isfinite(block).all():
+                    fh.write(record * len(block) % tuple(block.ravel().tolist()))
+                else:    # each number through `dumps_json`: "inf" is quoted, NaN raises
+                    fh.write(record.replace(cell, "%s") * len(block)
+                             % tuple(map(dumps_json, block.ravel().tolist())))
+    except BaseException:    # a write that stops leaves no partial file
+        Path(path).unlink(missing_ok=True)
+        raise
 
 
 def read_trace_jsonl(path: Path, type_supports) -> Trace:
@@ -476,7 +481,7 @@ SCHEMA = {
     "game.params": {"seed": _integer(0), "actions": _list_of(_integer(1)),
                     "payoff_bound": _positive},
     "game.random_markov": {
-        "seed": _integer(0), "states": _integer(1), "players": _integer(1),
+        "seed": _integer(0), "states": _integer(1), "players": _integer(2),
         "actions": _integer(1), "horizon": _integer(1), "gamma": _number,
         "zero_sum": _flag, "payoff_bound": _positive},
     "learner": {"iterations": _integer(1), "mode": _one_of(("sampled", "expected")),

@@ -31,13 +31,13 @@ def make_anchor(probs, floor: float = ANCHOR_FLOOR) -> np.ndarray:
     p = np.asarray(probs, dtype=float)
     if p.ndim != 1 or p.size < 1:
         raise ValueError("anchor must be a non-empty 1-D probability vector")
-    if np.any(p < 0) or not np.isfinite(p).all():
+    if not all(0.0 <= x < np.inf for x in p.tolist()):
         raise ValueError("anchor entries must be finite and nonnegative")
     s = p.sum()
     if s <= 0:
         raise ValueError("anchor must have positive mass")
     p = np.maximum(p / s, floor)
-    p = p / p.sum()
+    p /= p.sum()
     p.setflags(write=False)
     return p
 
@@ -255,6 +255,11 @@ class TabularMarkovGame:
     stage_bound: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.player_count < 2:
+            raise ValueError("need at least 2 players")
+        if self.initial_state not in range(self.state_count):
+            raise ValueError(f"initial_state {self.initial_state!r} is not a state "
+                             f"in [0, {self.state_count})")
         if not (0.0 <= self.gamma <= 1.0):
             raise ValueError("gamma must be in [0, 1]")
         if self.horizon < 1:
@@ -345,6 +350,9 @@ class TabularMarkovGame:
         """Inverse of `to_dict`.  A successor listed twice for one joint
         action has its probabilities added."""
         players = int(d["players"])
+        initial = d.get("initial_state", 0)
+        if type(initial) is not int:
+            raise ValueError(f"initial_state must be an integer, got {initial!r}")
         counts = [tuple(int(k) for k in row) for row in d["action_counts"]]
         if not len(counts) == len(d["transitions"]) == len(d["rewards"]):
             raise ValueError("need action counts, transitions and rewards per state")
@@ -374,7 +382,7 @@ class TabularMarkovGame:
             T=tuple(probs),
             gamma=float(d["gamma"]),
             horizon=int(d["horizon"]),
-            initial_state=int(d.get("initial_state", 0)),
+            initial_state=initial,
             zero_sum=bool(d.get("zero_sum", False)),
             payoff_bound=float(d.get("payoff_bound", 1.0)),
         )

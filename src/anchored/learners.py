@@ -90,17 +90,21 @@ class TemperatureSchedule:
 
     def kappa(self, t: int, utility_stats: "UtilityStats | None" = None) -> float:
         """kappa_t for iteration index t >= 1."""
+        return self.kappas(t, (utility_stats,))[0]
+
+    def kappas(self, t: int, stats) -> list[float]:
+        """kappa_t for iteration index t >= 1, one per entry of `stats` (a
+        player's `UtilityStats`, or None)."""
         if t < 1:
             raise ValueError("t must be >= 1")
+        floor = self.kappa_floor
         if self.mode == "constant_eta":
-            k = 1.0 / (self.eta * t)
-        elif self.mode == "inverse_sqrt":
-            k = 1.0 / math.sqrt(t)
-        else:
-            if utility_stats is None or utility_stats.count < 2:
-                return self.kappa_floor
-            k = 3.0 * utility_stats.std() / (10.0 * math.sqrt(t))
-        return max(k, self.kappa_floor)
+            return [max(1.0 / (self.eta * t), floor)] * len(stats)
+        if self.mode == "inverse_sqrt":
+            return [max(1.0 / math.sqrt(t), floor)] * len(stats)
+        root = 10.0 * math.sqrt(t)
+        return [floor if st is None or st.count < 2 else max(3.0 * st.std() / root, floor)
+                for st in stats]
 
     def kappa_initial(self) -> float:
         """kappa_0 used by the very first iterate, where the schedules are
@@ -194,7 +198,7 @@ class Learners:
         iterate."""
         if self.t == 0:
             return [self.schedule.kappa_initial()] * len(self.anchors)
-        return [self.schedule.kappa(self.t, st) for st in self.utility_stats]
+        return self.schedule.kappas(self.t, self.utility_stats)
 
     def policy(self, i: int, lam: float) -> np.ndarray:
         """Player i's current iterate of type `lam`; `lam` may lie outside
@@ -211,8 +215,10 @@ class Learners:
         return self.avg[row, :self.action_counts[i]] / self.t
 
     def average_mixture(self, i: int) -> np.ndarray:
-        return self.types[i].mixture([self.average_policy(i, lam)
-                                      for lam in self.types[i].lambdas])
+        """With one type, its average policy: a product with weight 1.0 is
+        exact."""
+        pols = [self.average_policy(i, lam) for lam in self.types[i].lambdas]
+        return pols[0] if len(pols) == 1 else self.types[i].mixture(pols)
 
 
 class Trace:
@@ -311,10 +317,22 @@ def _contractions(game: NormalFormGame):
 
 
 def _index(rows: list[int]):
-    """`rows` as a slice when they are consecutive, else as an index array."""
-    if rows == list(range(rows[0], rows[-1] + 1)):
-        return slice(rows[0], rows[-1] + 1)
+    """`rows` as a slice when they are evenly spaced, else as an index array."""
+    step = rows[1] - rows[0] if len(rows) > 1 else 1
+    if step > 0 and rows == list(range(rows[0], rows[-1] + 1, step)):
+        return slice(rows[0], rows[-1] + 1, step)
     return np.array(rows)
+
+
+def _gather(a: np.ndarray, rows: list[int]):
+    """A function returning `a[rows]` without allocating: a view built once
+    when `_index` gives a slice, else a `take` into one buffer."""
+    idx = _index(rows)
+    if isinstance(idx, slice):
+        view = a[idx]
+        return lambda: view
+    buf = np.empty((len(rows), *a.shape[1:]))
+    return lambda: a.take(idx, 0, out=buf, mode="clip")
 
 
 def _selfplay(game: NormalFormGame, learners: Learners, iterations: int,
@@ -325,10 +343,16 @@ def _selfplay(game: NormalFormGame, learners: Learners, iterations: int,
 
     Each step forms every (player, type) iterate with one softmax per
     action-count group and reproduces `policy_for_type`, `utility_vector`
-    and `UtilityStats` bit for bit.  Sampled mode draws each step's types
-    and actions from one row of a block of uniforms, one double per draw:
-    the doubles and indices of a per-player `Generator.choice` loop.  Updates
-    the learners' arrays in place and fills `trace` if given.
+    and `UtilityStats` bit for bit.  A step runs on buffers and views built
+    once per call: the softmax runs in place in the policy rows (in a buffer
+    when a group's rows are not evenly spaced), the belief mixture of a
+    player with one type is its policy row (a product with weight 1.0 is
+    exact), and only the argmax rule and the contractions of three or more
+    players allocate arrays.
+    Sampled mode draws each step's types and actions from one row of a block
+    of uniforms, one double per draw: the doubles and indices of a
+    per-player `Generator.choice` loop.  Updates the learners' arrays in
+    place and fills `trace` if given.
     """
     counts = learners.action_counts
     n_players = len(counts)
@@ -338,12 +362,14 @@ def _selfplay(game: NormalFormGame, learners: Learners, iterations: int,
     rows = [(i, lam) for i, support in enumerate(supports) for lam in support]
     q, avg, stats = learners.q, learners.avg, learners.utility_stats
     u = np.zeros((n_players, width))
+    du = np.empty_like(u)
     pol = np.zeros((len(rows), width))
     q_rows = [q[i, :n] for i, n in enumerate(counts)]
     u_rows = [u[i, :n] for i, n in enumerate(counts)]
+    pol_rows = [pol[r, :counts[i]] for r, (i, _) in enumerate(rows)]
     for r, (i, lam) in enumerate(rows):
         if lam == INF:
-            pol[r, :counts[i]] = learners.anchors[i]
+            pol_rows[r][...] = learners.anchors[i]
     t0 = learners.t
     # A uniform first iterate replaces every row, lambda = inf included, at
     # t = 0 only.
@@ -363,8 +389,14 @@ def _selfplay(game: NormalFormGame, learners: Learners, iterations: int,
             pairs = [rows[r] for r in g]
             lams = np.array([[lam] for _, lam in pairs])
             shift = lams * np.log([learners.anchors[i] for i, _ in pairs])
-            groups.append((q[:, :n], pol[:, :n], _index(g),
-                           np.array([i for i, _ in pairs]), pairs, shift))
+            at = _index(g)
+            z = pol[at, :n] if isinstance(at, slice) else np.empty((len(g), n))
+            scatter = None if isinstance(at, slice) else (at, slice(0, n))
+            # Each row's divisor, max and sum, repeated along the row: a
+            # broadcast operand costs numpy more than a copy into `b` does.
+            b = np.empty((len(g), n))
+            groups.append((_gather(q[:, :n], [i for i, _ in pairs]), shift, z, b,
+                           b.T, np.empty(len(g)), pairs, scatter))
 
     sampled = rng is not None
     if sampled:
@@ -372,38 +404,46 @@ def _selfplay(game: NormalFormGame, learners: Learners, iterations: int,
                      for td in learners.types]
         draws = n_players + sum(c is not None for c in type_cdfs)
         uniforms = rng.random((iterations, draws))
-        pol_rows = [pol[r, :counts[i]] for r, (i, _) in enumerate(rows)]
     else:
-        mix = np.zeros((n_players, width))
-        mix_rows = [mix[i, :n] for i, n in enumerate(counts)]
         plans = _contractions(game)
-        # The belief-weighted mixture, one type slot at a time; a player with
-        # fewer types adds weight 0 in the missing slots.
+        # The belief-weighted mixture of the players with several types, one
+        # type slot at a time; a player with fewer types adds weight 0 in the
+        # missing slots.
+        multi = [i for i, s in enumerate(supports) if len(s) > 1]
+        mix = np.zeros((len(multi), width))
+        mix_rows = [pol_rows[s] for s in starts[:-1]]
+        for k, i in enumerate(multi):
+            mix_rows[i] = mix[k, :counts[i]]
+        weights = [learners.types[i].weights for i in multi]
         slots = []
-        for k in range(max(len(s) for s in supports)):
-            idx = np.array([starts[i] + min(k, len(s) - 1)
-                            for i, s in enumerate(supports)])
-            w = np.array([[td.weights[k] if k < len(td.weights) else 0.0]
-                          for td in learners.types])
-            slots.append((idx, w))
+        for k in range(max(map(len, weights), default=0)):
+            slot = [starts[i] + min(k, len(ws) - 1) for i, ws in zip(multi, weights)]
+            w = np.array([[ws[k] if k < len(ws) else 0.0] * width for ws in weights])
+            slots.append((_gather(pol, slot), w))
+        product = np.empty_like(mix)
     realized = [0.0] * n_players
     for t in range(t0, t0 + iterations):
         kappas = learners.kappas()
-        for q_n, pol_n, g, players, pairs, shift in groups:
-            z = q_n.take(players, 0)
-            z += shift
-            d = [[kappas[i] + lam] for i, lam in pairs]
-            argmax = [k for k, (x,) in enumerate(d) if x == 0.0] if 0.0 in kappas else ()
+        for gather, shift, z, b, b_t, r, pairs, scatter in groups:
+            np.add(gather(), shift, out=z)
+            d = [kappas[i] + lam for i, lam in pairs]
+            argmax = [k for k, x in enumerate(d) if x == 0.0] if 0.0 in d else ()
             for k in argmax:
-                d[k][0] = 1.0
-            z /= d
-            z -= z.max(1, keepdims=True)
+                d[k] = 1.0
+            b_t[...] = d
+            np.divide(z, b, out=z)
+            np.maximum.reduce(z, 1, None, r)
+            b_t[...] = r
+            np.subtract(z, b, out=z)
             np.exp(z, out=z)
-            z /= z.sum(1, keepdims=True)
+            np.add.reduce(z, 1, None, r)
+            b_t[...] = r
+            np.divide(z, b, out=z)
             for k in argmax:    # kappa = lambda = 0: the argmax rule
                 i = pairs[k][0]
                 z[k] = policy_for_type(q_rows[i], learners.anchors[i], 0.0, 0.0)
-            pol_n[g] = z
+            if scatter is not None:
+                pol[scatter] = z
         if t == 0 and first:
             pol[...] = first_pol
         if sampled:
@@ -422,19 +462,22 @@ def _selfplay(game: NormalFormGame, learners: Learners, iterations: int,
                                         + tuple(joint[i + 1:])]
                 realized[i] = float(u_rows[i][joint[i]])
         else:
-            idx, w = slots[0]
-            np.multiply(w, pol.take(idx, 0), out=mix)
-            for idx, w in slots[1:]:
-                mix += w * pol.take(idx, 0)
+            if slots:
+                (gather, w), *rest = slots
+                np.multiply(w, gather(), out=mix)
+                for gather, w in rest:
+                    np.multiply(w, gather(), out=product)
+                    mix += product
             for i, (matrix, j, steps) in enumerate(plans):
-                x = np.dot(matrix, mix_rows[j])
-                for j, shape, axes, matrix in steps:
+                x = np.dot(matrix, mix_rows[j], out=None if steps else u_rows[i])
+                for k, (j, shape, axes, matrix) in enumerate(steps, 1):
                     x = np.dot(x.reshape(shape).transpose(axes).reshape(matrix),
-                               mix_rows[j])
-                u_rows[i][...] = x
-                realized[i] = float(x @ mix_rows[i])
+                               mix_rows[j], out=u_rows[i] if k == len(steps) else None)
+                realized[i] = float(u_rows[i].dot(mix_rows[i]))
         avg += pol
-        q += (u - q) / (t + 1)
+        np.subtract(u, q, out=du)
+        du /= t + 1
+        q += du
         for st, x in zip(stats, realized):
             st.add(x)
         learners.t = t + 1

@@ -2,7 +2,8 @@
 and reads their arguments and results.  These tests install it against the
 current program, so that a rename or a changed signature fails here rather
 than silently zeroing a per-layer metric such as `cli.emit_busy_s`,
-`rating.read_busy_s` or `rating.games`."""
+`rating.read_busy_s`, `rating.games` or, when a search stops calling
+`anchored.rl.run_selfplay`, `learners.steps`."""
 
 import json
 from pathlib import Path
@@ -65,3 +66,19 @@ def test_traced_solve_run_times_its_trace(tracer, tmp_path):
     metrics = tracing.layer_metrics(spans, counts, 0)
     assert metrics["learners.steps"] == 30
     assert metrics["cli.emit_busy_s"] > 0
+
+
+def test_traced_rl_run_counts_its_searches(tracer, tmp_path):
+    import tracing
+
+    iterations = 16
+    _run(tmp_path, {"kind": "rl", "seed": 3,
+                    "game": {"random_markov": {"seed": 2, "states": 3, "actions": 2,
+                                               "horizon": 2, "zero_sum": True}},
+                    "rl": {"types": [0.5], "episodes": 6,
+                           "search_iterations": iterations, "checkpoint_every": 3}})
+    spans, counts = tracer.take()
+    metrics = tracing.layer_metrics(spans, counts, 0)
+    searches = metrics["rl.search_calls"]
+    assert metrics["learners.runs"] == searches
+    assert metrics["learners.steps"] == searches * iterations > 0

@@ -433,6 +433,26 @@ def test_main_game_construction_errors_exit_2(tmp_path, capsys, name):
     assert capsys.readouterr().err.count("validation error: game") == 2
 
 
+# Markov games that `validate` passed and whose `rl` run raised from its first
+# episode: an initial state out of range or not an integer, and one player.
+BAD_RL_GAMES = {
+    **{f"initial_state {x}": lambda tmp, x=x: _markov_file(
+        tmp, lambda d: d.update(initial_state=x)) for x in (3, 99, -5, -1, 1.5)},
+    "one player": lambda tmp: {"random_markov": {"seed": 1, "states": 3,
+                                                 "horizon": 2, "players": 1}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_RL_GAMES))
+def test_main_bad_rl_game_exits_2(tmp_path, capsys, name):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**rl_config(), "game": BAD_RL_GAMES[name](tmp_path)}))
+    assert main(["validate", str(path)]) == 2
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("validation error: game") == 2 and "Traceback" not in err
+
+
 def _popeval_config(candidate):
     return {"kind": "popeval", "seed": 1,
             "game": {"builtin": "matching_pennies"},
@@ -867,6 +887,7 @@ def test_solve_with_nan_iterate_exits_3(tmp_path, capsys):
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
     assert "numerical failure: NaN in an artifact" in capsys.readouterr().err
     assert not (tmp_path / "out" / "regret_report.json").exists()
+    assert not (tmp_path / "out" / "trace.jsonl").exists()
 
 
 INF_ANCHORS = {"matching_pennies": None,

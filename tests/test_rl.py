@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from anchored import (
     INF,
+    NormalFormGame,
+    TemperatureSchedule,
     TrainConfig,
     TypeDistribution,
     make_builtin_game,
@@ -26,6 +28,7 @@ from anchored import rl
 from anchored.cli import load_train_config
 from anchored.games import TERMINAL
 from anchored.oracle import stage_game_from_values, uniform_anchors
+from test_kernel import ScalarLearner, reference_selfplay
 
 
 def small_fixture():
@@ -205,6 +208,76 @@ def test_search_state_approximates_stage_equilibrium():
     prof = solve_regularized_bne(stage, anchors, types)
     for i in range(2):
         np.testing.assert_allclose(sigma[i], prof.mixture(i), atol=0.05)
+
+
+SEARCH_LAMBDAS = (0.0, 1e-3, 0.1, 0.5, 2.0, INF)
+
+
+@st.composite
+def search_cases(draw):
+    """A stage game of 2-3 players with 1-4 actions each, and per player an
+    anchor and a singleton, (0, inf) or multi-type support."""
+    counts = tuple(draw(st.integers(1, 4)) for _ in range(draw(st.integers(2, 3))))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    game = NormalFormGame(counts, tuple(rng.uniform(-1.0, 1.0, size=counts)
+                                        for _ in counts), payoff_bound=1.0)
+    types = []
+    for _ in counts:
+        lams = draw(st.sampled_from([
+            (draw(st.sampled_from(SEARCH_LAMBDAS)),), (0.0, INF),
+            tuple(sorted(draw(st.sets(st.sampled_from(SEARCH_LAMBDAS),
+                                      min_size=2, max_size=3))))]))
+        mass = [draw(st.integers(1, 5)) for _ in lams]
+        types.append(TypeDistribution(lams, tuple(m / sum(mass) for m in mass)))
+    # Anchors of small integer masses tie often, which `top_k` must break.
+    anchors = []
+    for n in counts:
+        mass = rng.dirichlet(np.ones(n)) if draw(st.booleans()) else rng.integers(1, 3, n)
+        anchors.append(mass / mass.sum())
+    return game, anchors, types, draw(st.integers(64, 256))
+
+
+def reference_search(game, anchors, types, iterations):
+    """`search_state` from the scalar self-play of tests/test_kernel.py: each
+    player's belief-weighted average policy, or its anchor when its only type
+    is lambda = inf."""
+    only = [td.lambdas == (INF,) for td in types]
+    if all(only):
+        return [np.array(a, dtype=float) for a in anchors]
+    learners = [ScalarLearner(n, a, td, TemperatureSchedule.adaptive(), False)
+                for n, a, td in zip(game.action_counts, anchors, types)]
+    reference_selfplay(game, learners, iterations)
+    sigma = []
+    for a, anchored_only, ln in zip(anchors, only, learners):
+        mix = np.zeros(ln.n)
+        for lam, w in zip(ln.types.lambdas, ln.types.weights):
+            mix += w * (ln.sums[lam] / ln.t)
+        sigma.append(np.array(a, dtype=float) if anchored_only else mix)
+    return sigma
+
+
+@settings(max_examples=60, deadline=None)
+@given(search_cases(), st.integers(1, 4))
+def test_search_matches_scalar_reference(case, top_k):
+    """`search_state`, and `_search` on the `top_k` actions each anchor ranks
+    highest (the lower index winning ties), give the scalar reference's bits
+    at the search lengths of RL."""
+    game, anchors, types, iterations = case
+    sigma = search_state(game, anchors, types, iterations)
+    for got, want in zip(sigma, reference_search(game, anchors, types, iterations)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    keep = [sorted(sorted(range(len(a)), key=lambda k: (-a[k], k))[:top_k])
+            for a in anchors]
+    sub = NormalFormGame(tuple(map(len, keep)),
+                         tuple(u[np.ix_(*keep)] for u in game.payoffs),
+                         payoff_bound=game.payoff_bound)
+    want = [np.zeros(n) for n in game.action_counts]
+    for full, k, p in zip(want, keep, reference_search(
+            sub, [a[k] / a[k].sum() for a, k in zip(anchors, keep)], types,
+            iterations)):
+        full[k] = p
+    for got, w in zip(rl._search(game, anchors, types, top_k, iterations), want):
+        assert np.array_equal(got, w)
 
 
 def test_best_response_mode_type_assignment():

@@ -215,8 +215,9 @@ class Learners:
         return self.avg[row, :self.action_counts[i]] / self.t
 
     def average_mixture(self, i: int) -> np.ndarray:
-        """With one type, its average policy: a product with weight 1.0 is
-        exact."""
+        """Player i's belief-weighted mixture of its types' average policies,
+        which with one type is that type's (a product with weight 1.0 is
+        exact)."""
         pols = [self.average_policy(i, lam) for lam in self.types[i].lambdas]
         return pols[0] if len(pols) == 1 else self.types[i].mixture(pols)
 
@@ -326,7 +327,8 @@ def _index(rows: list[int]):
 
 def _gather(a: np.ndarray, rows: list[int]):
     """A function returning `a[rows]` without allocating: a view built once
-    when `_index` gives a slice, else a `take` into one buffer."""
+    when `_index` gives a slice, else a `take` into one buffer (in "clip"
+    mode, since under the default "raise" numpy buffers `out` again)."""
     idx = _index(rows)
     if isinstance(idx, slice):
         view = a[idx]
@@ -347,8 +349,8 @@ def _selfplay(game: NormalFormGame, learners: Learners, iterations: int,
     once per call: the softmax runs in place in the policy rows (in a buffer
     when a group's rows are not evenly spaced), the belief mixture of a
     player with one type is its policy row (a product with weight 1.0 is
-    exact), and only the argmax rule and the contractions of three or more
-    players allocate arrays.
+    exact), and every other result goes into a buffer, except in the argmax
+    rule and the contractions of three or more players.
     Sampled mode draws each step's types and actions from one row of a block
     of uniforms, one double per draw: the doubles and indices of a
     per-player `Generator.choice` loop.  Updates the learners' arrays in

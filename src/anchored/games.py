@@ -156,12 +156,28 @@ class NormalFormGame:
 
     @classmethod
     def from_dict(cls, d: dict) -> "NormalFormGame":
+        """Inverse of `to_dict`; `players`, when given, must count the action
+        counts."""
+        counts = tuple(_exact(int, f"action_counts[{i}]", n)
+                       for i, n in enumerate(d["action_counts"]))
+        if "players" in d and _exact(int, "players", d["players"]) != len(counts):
+            raise ValueError(f"players {d['players']} does not match the "
+                             f"{len(counts)} action counts")
         return cls(
-            action_counts=tuple(d["action_counts"]),
+            action_counts=counts,
             payoffs=tuple(np.array(u) for u in d["payoffs"]),
             payoff_bound=float(d["payoff_bound"]),
-            zero_sum=bool(d.get("zero_sum", False)),
+            zero_sum=_exact(bool, "zero_sum", d.get("zero_sum", False)),
         )
+
+
+def _exact(kind: type, key: str, value):
+    """`value` if it is exactly of `kind` (an int that is not a bool, or a
+    bool); a game file's 1.5 or "false" raises, naming `key`."""
+    if type(value) is not kind:
+        raise ValueError(f"{key} must be {'an integer' if kind is int else 'true or false'}"
+                         f", got {value!r}")
+    return value
 
 
 def expected_utility(game: NormalFormGame, profile, player: int) -> float:
@@ -236,8 +252,11 @@ class TabularMarkovGame:
     of the state's successors (TERMINAL included where reachable) and
     ``T[s]`` of shape ``(*A_s, len(next_states[s]))`` holds the successor
     probabilities, and ``C[s]`` their cdfs.  ``stage_bound``, payoff_bound +
-    gamma * max_return(), bounds every stage-game payoff r + gamma * V.  All
-    episodes reach TERMINAL within `horizon` steps by construction.
+    gamma * max_return(), bounds every stage-game payoff r + gamma * V.
+    ``layers`` holds the states in backward-induction order: each layer, in
+    ascending order, holds the states whose successors all lie in earlier
+    layers.  A cycle, or more layers than `horizon`, raises, so every
+    episode reaches TERMINAL within `horizon` steps.
     """
 
     player_count: int
@@ -253,6 +272,7 @@ class TabularMarkovGame:
     payoff_bound: float = 1.0
     C: tuple = field(init=False, repr=False, compare=False)
     stage_bound: float = field(init=False, repr=False, compare=False)
+    layers: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.player_count < 2:
@@ -296,8 +316,35 @@ class TabularMarkovGame:
         sums = ((t / t.sum(-1, keepdims=True)).cumsum(-1) for t in probs)
         cdfs = tuple(c / c[..., -1:] for c in sums)
         for name, value in (("action_counts", acts), ("R", rewards), ("T", probs),
-                            ("C", cdfs), ("stage_bound", bound)):
+                            ("C", cdfs), ("stage_bound", bound),
+                            ("layers", self._backward_layers())):
             object.__setattr__(self, name, value)
+
+    def _backward_layers(self) -> tuple:
+        resolved = {TERMINAL}
+        layers = []
+        remaining = set(range(self.state_count))
+        while remaining:
+            ready = tuple(sorted(s for s in remaining
+                                 if resolved.issuperset(self.next_states[s])))
+            if not ready:
+                raise ValueError("state graph has a cycle; backward induction undefined")
+            layers.append(ready)
+            resolved.update(ready)
+            remaining.difference_update(ready)
+        if len(layers) > self.horizon:
+            raise ValueError(f"state graph is {len(layers)} states deep, deeper "
+                             f"than horizon {self.horizon}")
+        return tuple(layers)
+
+    def stage_groups(self, states) -> list:
+        """`states` split into tuples of states that share their action
+        counts and successors, in order of first appearance; the stage games
+        of one group stack into one array."""
+        groups: dict = {}
+        for s in states:
+            groups.setdefault((self.action_counts[s], self.next_states[s]), []).append(s)
+        return [tuple(g) for g in groups.values()]
 
     def joint_actions(self, s: int):
         return product(*(range(n) for n in self.action_counts[s]))
@@ -349,11 +396,9 @@ class TabularMarkovGame:
     def from_dict(cls, d: dict) -> "TabularMarkovGame":
         """Inverse of `to_dict`.  A successor listed twice for one joint
         action has its probabilities added."""
-        players = int(d["players"])
-        initial = d.get("initial_state", 0)
-        if type(initial) is not int:
-            raise ValueError(f"initial_state must be an integer, got {initial!r}")
-        counts = [tuple(int(k) for k in row) for row in d["action_counts"]]
+        players = _exact(int, "players", d["players"])
+        counts = [tuple(_exact(int, f"action_counts[{s}]", k) for k in row)
+                  for s, row in enumerate(d["action_counts"])]
         if not len(counts) == len(d["transitions"]) == len(d["rewards"]):
             raise ValueError("need action counts, transitions and rewards per state")
         rewards, succs, probs = [], [], []
@@ -375,15 +420,15 @@ class TabularMarkovGame:
             probs.append(t.reshape(*acts, len(nxt)))
         return cls(
             player_count=players,
-            state_count=int(d["states"]),
+            state_count=_exact(int, "states", d["states"]),
             action_counts=tuple(counts),
             R=tuple(rewards),
             next_states=tuple(succs),
             T=tuple(probs),
             gamma=float(d["gamma"]),
-            horizon=int(d["horizon"]),
-            initial_state=initial,
-            zero_sum=bool(d.get("zero_sum", False)),
+            horizon=_exact(int, "horizon", d["horizon"]),
+            initial_state=_exact(int, "initial_state", d.get("initial_state", 0)),
+            zero_sum=_exact(bool, "zero_sum", d.get("zero_sum", False)),
             payoff_bound=float(d.get("payoff_bound", 1.0)),
         )
 

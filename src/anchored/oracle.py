@@ -18,20 +18,53 @@ from .learners import INF, Trace, TypeDistribution
 
 
 def kl_divergence(p, q) -> float:
-    """KL(p || q) in nats, with 0*log(0) = 0.  Requires q > 0 wherever p > 0."""
+    """KL(p || q) in nats, with 0*log(0) = 0.  Requires q > 0 wherever p > 0.
+    The B = 1 call of `_kl_rows`."""
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     if p.shape != q.shape:
         raise ValueError("dimension mismatch")
-    p, q = p[p > 0], q[p > 0]
-    if np.any(q <= 0):
+    return float(_kl_rows(p.reshape(1, -1), q.reshape(1, -1))[0])
+
+
+def _kl_rows(p, q) -> np.ndarray:
+    """KL(p[b] || q[b]) of each row of two ``(B, n)`` stacks: the sum over
+    p > 0 of p * log(p / q), taking log p - log q where p / q over- or
+    underflows (a subnormal p or q), with the bits of a sum over each row's
+    p > 0 entries alone."""
+    mask = p > 0
+    if np.any(mask & (q <= 0)):
         raise ValueError("q has zero mass where p is positive")
-    with np.errstate(over="ignore", under="ignore"):
+    with np.errstate(divide="ignore", over="ignore", under="ignore",
+                     invalid="ignore"):
         logs = np.log(p / q)
-    # p / q over- or underflows for a subnormal q or p: take the logs apart.
-    far = ~np.isfinite(logs)
-    logs[far] = np.log(p[far]) - np.log(q[far])
-    return float(np.sum(p * logs))
+        far = mask & ~np.isfinite(logs)
+        logs[far] = np.log(p[far]) - np.log(q[far])
+        terms = np.where(mask, p * logs, 0.0)
+    return _row_sums(terms, mask)
+
+
+def _row_sums(terms, mask) -> np.ndarray:
+    """Each row's sum over its `mask` entries, as `np.sum` of the row's
+    masked entries alone adds them.  Summing the zero-filled row in place
+    gives the same bits only below numpy's 8-wide pairwise block, so rows
+    with masked-out entries are packed to the left first and summed in
+    groups of one length."""
+    if mask.all():
+        return terms.sum(axis=-1)
+    counts = mask.sum(axis=-1)
+    packed = np.take_along_axis(terms, np.argsort(~mask, axis=-1, kind="stable"), -1)
+    out = np.empty(len(terms))
+    for n in np.unique(counts):
+        rows = counts == n
+        out[rows] = packed[rows, :n].sum(axis=-1)
+    return out
+
+
+def _row_dots(u, p) -> np.ndarray:
+    """``u[b] @ p[b]`` of each row of two ``(B, n)`` stacks, as one stacked
+    matmul with the bits of the 1-D dot."""
+    return (u[:, None, :] @ p[:, :, None])[:, 0, 0]
 
 
 def smooth_best_response(u, anchor, lam: float) -> np.ndarray:
@@ -50,16 +83,26 @@ def smooth_best_response(u, anchor, lam: float) -> np.ndarray:
 def sbr_value(u, anchor, lam: float) -> float:
     """Optimal value of the smooth best response, in log-partition form:
     lam * log sum_a anchor(a) * exp(u(a)/lam); its limit <u, anchor> at
-    lam = inf."""
+    lam = inf.  The B = 1 call of `_sbr_values`."""
     if lam <= 0:
         raise ValueError("lam must be > 0")
     u = np.asarray(u, dtype=float)
     anchor = np.asarray(anchor, dtype=float)
+    return float(_sbr_values(u[None], anchor[None], lam)[0])
+
+
+def _sbr_values(u, anchor, lam: float) -> np.ndarray:
+    """`sbr_value` of each row of ``(B, n)`` utility and anchor stacks, and
+    the best-response value max u at lam = 0.  The last log is `math.log`,
+    as in the scalar form, since `np.log` rounds a few inputs differently."""
+    if lam == 0:
+        return u.max(axis=-1)
     if lam == INF:
-        return float(u @ anchor)
+        return _row_dots(u, anchor)
     z = np.log(anchor) + u / lam
-    m = z.max()
-    return float(lam * (m + math.log(np.sum(np.exp(z - m)))))
+    m = z.max(axis=-1)
+    sums = np.exp(z - m[:, None]).sum(axis=-1)
+    return lam * (m + np.array([math.log(x) for x in sums.tolist()]))
 
 
 @dataclass
@@ -208,21 +251,40 @@ def regularized_exploitability(game: NormalFormGame, anchors, types,
                                profile: RegularizedProfile) -> float:
     """Belief-weighted total gap between each type's policy and its smooth
     best response to the opponent mixture.  Zero exactly at the regularized
-    equilibrium."""
+    equilibrium.  The B = 1 call of `_exploitabilities`."""
     if game.player_count != 2:
         raise ValueError("requires a two-player game")
-    anchors = [np.asarray(a, dtype=float) for a in anchors]
-    mixtures = [profile.mixture(0), profile.mixture(1)]
-    u_vecs = [game.utility_vector(i, mixtures) for i in range(2)]
-    gap = 0.0
-    for i in range(2):
-        td = types[i]
-        for lam, w in zip(td.lambdas, td.weights):
-            pol = profile.policies[i][lam]
-            achieved = float(u_vecs[i] @ pol) - lam * kl_divergence(pol, anchors[i])
-            gap += w * (sbr_value(u_vecs[i], anchors[i], lam) - achieved)
-    # Clamp rounding residue: the gap is nonnegative by optimality of the SBR.
-    return max(gap, 0.0)
+    policies = [[np.asarray(profile.policies[i][lam], dtype=float)[None]
+                 for lam in td.lambdas]
+                for i, td in enumerate(types)]
+    return float(_exploitabilities(np.array(game.payoffs)[None],
+                                   [np.asarray(a, dtype=float)[None] for a in anchors],
+                                   types, policies)[0])
+
+
+def _exploitabilities(payoffs, anchors, types, policies) -> np.ndarray:
+    """`regularized_exploitability` of B two-player games of one shape:
+    `payoffs` is their ``(B, 2, A_0, A_1)`` stack, `anchors[i]` player i's
+    ``(B, A_i)`` anchors and `policies[i]` its ``(B, A_i)`` policy stack per
+    type of `types[i]`, in support order.
+
+    A type's gap is its best value minus <u, x> - lam * KL(x || anchor),
+    with `regularized_regret`'s rule at the ends: lam = inf times a zero KL
+    counts 0, and at lam = 0 the gap is the unregularized best-response
+    gain.  The result is clamped at 0: the gap is nonnegative by optimality
+    of the smooth best response, so below 0 is rounding residue."""
+    mixtures = [td.mixture(pols) for td, pols in zip(types, policies)]
+    u_vecs = _utilities(payoffs, mixtures)
+    gap = np.zeros(len(payoffs))
+    for u, anchor, td, pols in zip(u_vecs, anchors, types, policies):
+        for lam, w, pol in zip(td.lambdas, td.weights, pols):
+            achieved = _row_dots(u, pol)
+            if lam > 0:
+                kl = _kl_rows(pol, anchor)
+                with np.errstate(invalid="ignore"):     # inf * 0 where KL is 0
+                    achieved -= np.where(kl == 0, 0.0, lam * kl)
+            gap += w * (_sbr_values(u, anchor, lam) - achieved)
+    return np.maximum(gap, 0.0)
 
 
 def unregularized_exploitability(game: NormalFormGame, profile) -> float:
@@ -330,45 +392,75 @@ def last_iterate_distance(current, profile: RegularizedProfile, types,
     return total
 
 
-def _layers(game: TabularMarkovGame) -> list[list[int]]:
-    """States in backward-induction layers: each layer, in ascending order,
-    holds the states whose successors all lie in earlier layers; raises on
-    cycles."""
-    resolved = {TERMINAL}
-    layers: list[list[int]] = []
-    remaining = set(range(game.state_count))
-    while remaining:
-        ready = sorted(s for s in remaining
-                       if resolved.issuperset(game.next_states[s]))
-        if not ready:
-            raise ValueError("state graph has a cycle; backward induction undefined")
-        layers.append(ready)
-        resolved.update(ready)
-        remaining.difference_update(ready)
-    return layers
+def stage_payoffs(game: TabularMarkovGame, states, values) -> np.ndarray:
+    """The ``(B, P, *A)`` one-step lookahead stage payoffs
+    u_i(a) = r_i(s, a) + gamma * E_{s'}[V_i(s')] of B states that share their
+    action counts and successors (a `stage_groups` group).
+
+    `values` maps every non-terminal successor to its value vector.  The
+    expectation is accumulated one successor at a time in `next_states`
+    order, elementwise over the stack, so each state's payoffs have the bits
+    of a build of it alone.  Non-finite payoffs raise `FloatingPointError`."""
+    if TERMINAL in states:
+        raise ValueError("terminal state has no stage game")
+    first = states[0]
+    if len(states) == 1:
+        rewards, probs = game.R[first][None], game.T[first][None]
+    else:
+        rewards = np.stack([game.R[s] for s in states])
+        probs = np.stack([game.T[s] for s in states])
+    lift = (None, slice(None)) + (None,) * (rewards.ndim - 2)
+    cont = np.zeros(rewards.shape)
+    for k, s2 in enumerate(game.next_states[first]):
+        if s2 != TERMINAL:
+            cont += np.asarray(values[s2], dtype=float)[lift] * probs[:, None, ..., k]
+    total = rewards + game.gamma * cont
+    if not np.isfinite(total).all():
+        raise FloatingPointError(f"non-finite stage payoffs at states {list(states)}")
+    return total
+
+
+def stage_game(game: TabularMarkovGame, s: int, payoffs) -> NormalFormGame:
+    """State s's stage game from its ``(P, *A_s)`` stage payoffs: player i's
+    payoff tensor is the slice ``payoffs[i]``."""
+    zero_sum = game.zero_sum and game.player_count == 2
+    return NormalFormGame(game.action_counts[s], tuple(payoffs),
+                          payoff_bound=game.stage_bound, zero_sum=zero_sum)
 
 
 def stage_game_from_values(game: TabularMarkovGame, s: int,
                            values: dict) -> NormalFormGame:
-    """One-step lookahead stage game at state s:
-    u_i(a) = r_i(s, a) + gamma * E_{s'}[V_i(s')].
+    """One-step lookahead stage game at state s: the B = 1 call of
+    `stage_payoffs`."""
+    return stage_game(game, s, stage_payoffs(game, (s,), values)[0])
 
-    `values` maps every non-terminal successor of s to its value vector.  The
-    expectation is accumulated one successor at a time in `next_states`
-    order, and player i's payoff tensor is the C-contiguous slice ``[i]`` of
-    one ``(P, *A_s)`` array."""
-    if s == TERMINAL:
-        raise ValueError("terminal state has no stage game")
-    rewards, probs = game.R[s], game.T[s]
-    lift = (slice(None),) + (None,) * (rewards.ndim - 1)
-    cont = np.zeros(rewards.shape)
-    for k, s2 in enumerate(game.next_states[s]):
-        if s2 != TERMINAL:
-            cont += np.asarray(values[s2], dtype=float)[lift] * probs[..., k]
-    total = rewards + game.gamma * cont
-    zero_sum = game.zero_sum and game.player_count == 2
-    return NormalFormGame(game.action_counts[s], tuple(total),
-                          payoff_bound=game.stage_bound, zero_sum=zero_sum)
+
+def _utilities(payoffs, policies) -> list:
+    """Each player's ``(B, A_i)`` expected utilities of its actions against
+    the others' ``(B, A_j)`` policies, in B stacked games ``(B, P, *A)``.
+
+    Opponent axes are contracted highest-first, each as one stacked matmul
+    over the layout `np.tensordot` gives that axis (moved last, the others
+    in order), so each game's utilities have the bits of
+    `NormalFormGame.utility_vector`."""
+    batch, players = len(payoffs), payoffs.shape[1]
+    out = []
+    for i in range(players):
+        u = payoffs[:, i]
+        for j in reversed(range(players)):
+            if j != i:
+                rest = u.shape[1:j + 1] + u.shape[j + 2:]
+                u = np.moveaxis(u, j + 1, -1).reshape(batch, -1, u.shape[j + 1])
+                u = (u @ policies[j][:, :, None]).reshape(batch, *rest)
+        out.append(u)
+    return out
+
+
+def _profile_values(payoffs, policies) -> np.ndarray:
+    """``(B, P)``: each player's expected payoff in each of B stacked games
+    ``(B, P, *A)`` when every player follows its ``(B, A_i)`` policy."""
+    return np.stack([_row_dots(u, p) for u, p in
+                     zip(_utilities(payoffs, policies), policies)], axis=1)
 
 
 def solve_markov_backward(game: TabularMarkovGame, anchors, lambdas,
@@ -377,52 +469,51 @@ def solve_markov_backward(game: TabularMarkovGame, anchors, lambdas,
 
     `anchors` maps (state, player) to an anchor policy; `lambdas` is one
     positive lambda per player.  Returns (values, per-state profiles), where
-    values[s] is the per-player expected value of equilibrium play from s.
-    The states of one layer are independent: their stage games are solved
-    with one `_newton_equilibria` call per action-count shape.
+    values[s] is the per-player expected value of equilibrium play from s,
+    both in `game.layers` order.  Each `stage_groups` group of a layer is
+    one stage-payoff stack, one `_newton_equilibria` call and one stacked
+    pass for its states' values.
     """
     if game.player_count != 2 or not game.zero_sum:
         raise ValueError("requires a two-player zero-sum Markov game")
     types = tuple(TypeDistribution.singleton(l) for l in lambdas)
     values: dict = {}
     profiles: dict = {}
-    for layer in _layers(game):
-        stages = {s: stage_game_from_values(game, s, values) for s in layer}
-        groups: dict = {}
-        for s in layer:
-            groups.setdefault(game.action_counts[s], []).append(s)
+    for layer in game.layers:
         solved: dict = {}
-        for group in groups.values():
-            solved.update(zip(group, _newton_equilibria(
-                [np.stack([stages[s].payoffs[i] for s in group]) for i in range(2)],
+        for group in game.stage_groups(layer):
+            payoffs = stage_payoffs(game, group, values)
+            found = _newton_equilibria(
+                [payoffs[:, 0], payoffs[:, 1]],
                 [np.stack([anchors[(s, i)] for s in group], dtype=float)
                  for i in range(2)],
-                types, tol)))
+                types, tol)
+            mixtures = [td.mixture([np.stack([p.policies[i][lam] for p in found])
+                                    for lam in td.lambdas])
+                        for i, td in enumerate(types)]
+            solved.update(zip(group, zip(found, _profile_values(payoffs, mixtures))))
         for s in layer:
-            profile = solved[s]
+            profile, values[s] = solved[s]
             if not profile.converged:
                 raise RuntimeError(f"equilibrium solve failed at state {s}: "
                                    f"residual {profile.residual}")
-            values[s] = _profile_value(stages[s], [profile.mixture(0),
-                                                   profile.mixture(1)])
             profiles[s] = profile
     return values, profiles
 
 
 def evaluate_markov_profile(game: TabularMarkovGame, policies) -> dict:
-    """Policy evaluation of a fixed per-(state, player) product profile."""
+    """Policy evaluation of a fixed per-(state, player) product profile, one
+    stacked pass per `stage_groups` group of each layer."""
     values: dict = {}
-    for s in (s for layer in _layers(game) for s in layer):
-        stage = stage_game_from_values(game, s, values)
-        values[s] = _profile_value(stage, [np.asarray(policies[(s, i)], dtype=float)
-                                           for i in range(game.player_count)])
+    for layer in game.layers:
+        found: dict = {}
+        for group in game.stage_groups(layer):
+            pols = [np.stack([policies[(s, i)] for s in group], dtype=float)
+                    for i in range(game.player_count)]
+            found.update(zip(group, _profile_values(
+                stage_payoffs(game, group, values), pols)))
+        values.update((s, found[s]) for s in layer)
     return values
-
-
-def _profile_value(stage: NormalFormGame, profile) -> np.ndarray:
-    """Each player's expected payoff when every player follows `profile`."""
-    return np.array([float(stage.utility_vector(i, profile) @ profile[i])
-                     for i in range(stage.player_count)])
 
 
 def uniform_anchors(game: TabularMarkovGame) -> dict:

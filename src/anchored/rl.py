@@ -17,8 +17,9 @@ import numpy as np
 from .games import TERMINAL, NormalFormGame, TabularMarkovGame, cdf, draw
 from .learners import (INF, Learners, TemperatureSchedule, TypeDistribution,
                        run_selfplay)
-from .oracle import (kl_divergence, regularized_exploitability,
-                     stage_game_from_values)
+from .oracle import _exploitabilities, _kl_rows, stage_game, stage_payoffs
+# Unused here; bench/tracing.py wraps them under these names.
+from .oracle import regularized_exploitability, stage_game_from_values  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -49,19 +50,19 @@ class TrainConfig:
             raise ValueError("checkpoint_every must be >= 1")
 
 
-def nashv_update(values: dict, s: int, sigma, stage: NormalFormGame,
+def nashv_update(values: dict, s: int, sigma, payoffs,
                  alpha: float) -> None:
     """V(s) <- (1 - alpha) V(s) + alpha * E_sigma[u(a)] in the `{s: vector}`
-    dict `values`.  `stage` is the stage game r + gamma * E[V(s')] at s
-    (`stage_game_from_values`), and the expectation is under the product of
-    the per-player policies in sigma.
+    dict `values`.  `payoffs` are the ``(P, *A_s)`` stage payoffs
+    r + gamma * E[V(s')] at s (`stage_payoffs`), and the expectation is under
+    the product of the per-player policies in sigma.
 
     The target sums p(a) u(a) over joint actions one at a time, in product
     order."""
     if s == TERMINAL:
         raise ValueError("cannot update the terminal state")
     p = reduce(np.multiply.outer, sigma).ravel()
-    u = np.array(stage.payoffs).reshape(stage.player_count, -1)
+    u = np.asarray(payoffs, dtype=float).reshape(len(payoffs), -1)
     target = np.add.reduce((p * u).T.copy(), axis=0, initial=0.0)
     values[s] = (1 - alpha) * values[s] + alpha * target
 
@@ -118,21 +119,22 @@ def run_episode(game: TabularMarkovGame, values: dict, policy_table: dict,
     `searches`, when given, maps each state to the stage payoff bytes and the
     read-only sigma of its last search, and is updated here.  The search is
     deterministic, so a state whose stage payoffs are those of its last
-    search reuses that sigma.  The caller keeps one dict per game, anchors
-    and config, as `train` does.
+    search reuses that sigma, and the stage game is built only to search.
+    The caller keeps one dict per game, anchors and config, as `train` does.
     """
     if len(config.types) != game.player_count:
         raise ValueError("need one type distribution per player")
     record = EpisodeRecord([], [], [])
     s = game.initial_state
     for _ in range(game.horizon):
-        stage = stage_game_from_values(game, s, values)
-        key = b"".join(u.tobytes() for u in stage.payoffs)
+        payoffs = stage_payoffs(game, (s,), values)[0]
+        key = payoffs.tobytes()
         last = searches.get(s) if searches is not None else None
         if last is not None and last[0] == key:
             sigma = last[1]
         else:
-            sigma = _search(stage, [anchors[(s, i)] for i in range(game.player_count)],
+            sigma = _search(stage_game(game, s, payoffs),
+                            [anchors[(s, i)] for i in range(game.player_count)],
                             config.types, config.top_k, config.search_iterations)
             if not all(np.isfinite(p).all() for p in sigma):
                 raise RuntimeError(f"non-finite search policy at state {s}")
@@ -142,7 +144,7 @@ def run_episode(game: TabularMarkovGame, values: dict, policy_table: dict,
                 searches[s] = (key, sigma)
         visit_counts[s] = visit_counts.get(s, 0) + 1
         alpha = 1.0 / visit_counts[s] if config.alpha_harmonic else config.alpha
-        nashv_update(values, s, sigma, stage, alpha)
+        nashv_update(values, s, sigma, payoffs, alpha)
         step = config.policy_step
         for i in range(game.player_count):
             policy_table[(s, i)] = (1 - step) * policy_table[(s, i)] + step * sigma[i]
@@ -174,8 +176,8 @@ def train(game: TabularMarkovGame, anchors: dict, config: TrainConfig,
     visit_counts: dict = {}
     searches: dict = {}
     metrics: list[dict] = []
-    stages = None if oracle_profiles is None else {
-        s: stage_game_from_values(game, s, oracle_values) for s in oracle_profiles}
+    stages = None if oracle_profiles is None else oracle_stages(
+        game, oracle_values, oracle_profiles)
     for ep in range(1, config.episodes + 1):
         run_episode(game, values, policy_table, anchors, config, rng,
                     visit_counts, searches)
@@ -189,42 +191,66 @@ def train(game: TabularMarkovGame, anchors: dict, config: TrainConfig,
     return values, policy_table, metrics
 
 
+def oracle_stages(game: TabularMarkovGame, oracle_values: dict,
+                  states) -> list:
+    """The stage payoffs of `states` under the oracle's values, as
+    ``(states, (B, 2, *A) stack)`` pairs, one per action-count shape."""
+    shapes: dict = {}
+    for group in game.stage_groups(states):
+        shapes.setdefault(game.action_counts[group[0]], []).append(group)
+    return [(sum(groups, ()), np.concatenate(
+        [stage_payoffs(game, g, oracle_values) for g in groups]))
+        for groups in shapes.values()]
+
+
 def evaluate_vs_oracle(game: TabularMarkovGame, values: dict,
                        policy_table: dict, anchors: dict,
                        oracle_values: dict,
                        oracle_profiles: dict | None = None,
-                       stages: dict | None = None) -> dict:
-    """Error of the learned tables against exact backward induction.
-    `stages` maps each state of `oracle_profiles` to its stage game under
-    `oracle_values`; it is built here when not given."""
-    errs = []
-    for s in range(game.state_count):
-        if s not in oracle_values:
-            raise ValueError(f"oracle has no value for state {s}")
-        errs.append(float(np.max(np.abs(values[s] - oracle_values[s]))))
+                       stages: list | None = None) -> dict:
+    """Error of the learned tables against exact backward induction: the
+    largest and mean value error over states, and, given the oracle's
+    profiles, the mean KL(oracle type policy || learned policy) over
+    (state, player, type) and the mean `regularized_exploitability` of the
+    learned policies in the oracle's stage games.
+
+    Each metric is one stacked pass over states, one stack per action-count
+    shape, with the bits of the per-state definition.  The profiles share
+    their types, as `solve_markov_backward`'s do.  `stages` is
+    `oracle_stages(game, oracle_values, oracle_profiles)`, built here when
+    not given."""
+    missing = [s for s in range(game.state_count) if s not in oracle_values]
+    if missing:
+        raise ValueError(f"oracle has no value for state {missing[0]}")
+    states = range(game.state_count)
+    errs = np.abs(np.array([values[s] for s in states])
+                  - np.array([oracle_values[s] for s in states])).max(axis=1)
     out = {
-        "max_value_error": max(errs),
+        "max_value_error": float(errs.max()),
         "mean_value_error": float(np.mean(errs)),
     }
     if oracle_profiles is not None:
-        kls, gaps = [], []
-        for s, profile in oracle_profiles.items():
-            stage = (stages[s] if stages
-                     else stage_game_from_values(game, s, oracle_values))
-            st_anchors = [anchors[(s, i)] for i in range(game.player_count)]
-            learned = type(profile)(
-                policies=tuple(
-                    {lam: policy_table[(s, i)] for lam in profile.types[i].lambdas}
-                    for i in range(game.player_count)
-                ),
-                types=profile.types,
-            )
-            gaps.append(regularized_exploitability(stage, st_anchors,
-                                                   profile.types, learned))
-            for i in range(game.player_count):
-                for lam in profile.types[i].lambdas:
-                    kls.append(kl_divergence(profile.policies[i][lam],
-                                             policy_table[(s, i)]))
-        out["mean_policy_kl"] = float(np.mean(kls))
+        order = {s: k for k, s in enumerate(oracle_profiles)}
+        types = next(iter(oracle_profiles.values())).types
+        if any(p.types != types for p in oracle_profiles.values()):
+            raise ValueError("oracle profiles must share their types")
+        if stages is None:
+            stages = oracle_stages(game, oracle_values, oracle_profiles)
+        gaps = np.empty(len(order))
+        kls = np.empty((len(order), sum(len(td.lambdas) for td in types)))
+        for group, payoffs in stages:
+            rows = [order[s] for s in group]
+            learned = [np.stack([policy_table[(s, i)] for s in group], dtype=float)
+                       for i in range(2)]
+            st_anchors = [np.stack([anchors[(s, i)] for s in group], dtype=float)
+                          for i in range(2)]
+            gaps[rows] = _exploitabilities(
+                payoffs, st_anchors, types,
+                [[p] * len(td.lambdas) for p, td in zip(learned, types)])
+            kls[rows] = np.stack([
+                _kl_rows(np.stack([oracle_profiles[s].policies[i][lam]
+                                   for s in group]), learned[i])
+                for i, td in enumerate(types) for lam in td.lambdas], axis=1)
+        out["mean_policy_kl"] = float(np.mean(kls.ravel()))
         out["mean_exploitability"] = float(np.mean(gaps))
     return out

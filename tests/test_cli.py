@@ -453,6 +453,67 @@ def test_main_bad_rl_game_exits_2(tmp_path, capsys, name):
     assert err.count("validation error: game") == 2 and "Traceback" not in err
 
 
+def _lead_state_1_to(target):
+    """Every joint action at state 1 moves to `target`."""
+    def edit(d):
+        row = d["transitions"][1]
+        for joint in row:
+            row[joint] = [[target, 1.0]]
+    return edit
+
+
+#: Edits of the 3-state, horizon-2 game of `_markov_file` (state 0 leads to
+#: states 1 and 2, which end the episode) that `validate` passed: a cycle,
+#: after which `run` raised from backward induction, and game-file scalars
+#: read loosely: `bool("false")` is true and `int(1.5)` is 1.
+MARKOV_MUTATIONS = {
+    "cycle": _lead_state_1_to(0),
+    "deeper than horizon": _lead_state_1_to(2),
+    "zero_sum": lambda d: d.update(zero_sum="false"),
+    "horizon": lambda d: d.update(horizon=1.5),
+    "action_counts[1]": lambda d: d["action_counts"].__setitem__(1, [2, 1.5]),
+    "players": lambda d: d.update(players=2.0),
+}
+#: The same for a normal-form file, whose `players` was never read.
+NORMAL_FORM_MUTATIONS = {
+    "players": lambda d: d.update(players=3),
+    "zero_sum": lambda d: d.update(zero_sum="false"),
+    "action_counts[0]": lambda d: d["action_counts"].__setitem__(0, 2.0),
+}
+
+
+@pytest.mark.parametrize("kind", ["oracle", "rl"])
+@pytest.mark.parametrize("name", sorted(MARKOV_MUTATIONS))
+def test_main_bad_markov_file_exits_2(tmp_path, capsys, name, kind):
+    game = _markov_file(tmp_path, MARKOV_MUTATIONS[name])
+    config = ({"kind": "oracle", "seed": 1, "game": game} if kind == "oracle"
+              else {**rl_config(), "game": game})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main(["validate", str(path)]) == 2
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("validation error: game.file") == 2 and "Traceback" not in err
+    assert err.count(name) == 2
+
+
+@pytest.mark.parametrize("kind", ["oracle", "solve"])
+@pytest.mark.parametrize("name", sorted(NORMAL_FORM_MUTATIONS))
+def test_main_bad_normal_form_file_exits_2(tmp_path, capsys, name, kind):
+    d = make_builtin_game("matching_pennies").to_dict()
+    NORMAL_FORM_MUTATIONS[name](d)
+    config = {**(solve_config() if kind == "solve" else
+                 {"kind": "oracle", "seed": 1}),
+              "game": _game_file(tmp_path, json.dumps(d))}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main(["validate", str(path)]) == 2
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("validation error: game.file") == 2 and "Traceback" not in err
+    assert err.count(name) == 2
+
+
 def _popeval_config(candidate):
     return {"kind": "popeval", "seed": 1,
             "game": {"builtin": "matching_pennies"},
@@ -1132,9 +1193,10 @@ def test_fuzzed_configs_validate_as_they_run(fuzz_work, data):
     assert "Traceback" not in err.getvalue()
 
 
-def _validate_as_run(work, config):
+def _validate_as_run(work, config) -> list:
     """`validate` and `run` give the same exit code, or `validate` accepts
-    what `run` fails on numerically (3); never a traceback."""
+    what `run` fails on numerically (3); never a traceback.  Returns the
+    two exit codes."""
     cfg = work / "file_cfg.json"
     cfg.write_text(json.dumps(config))
     err = io.StringIO()
@@ -1143,6 +1205,7 @@ def _validate_as_run(work, config):
                  main(["run", str(cfg), "--out", str(work / "file_out")])]
     assert codes[0] == codes[1] or codes == [0, 3], (config, codes, err.getvalue())
     assert codes[0] in (0, 2, 3, 4) and "Traceback" not in err.getvalue()
+    return codes
 
 
 #: "scaled": the game's own payoff_bound times the reward scale.
@@ -1158,17 +1221,24 @@ HUGE_SCALES = [1e150, 1e200, 1e307, 1e308]
                        st.floats(-10.0, 10.0)),
        bound=st.sampled_from(MARKOV_BOUNDS),
        bad=st.sampled_from([None, math.nan, math.inf, -math.inf]),
-       where=st.tuples(st.integers(0, 2), st.integers(0, 3), st.integers(0, 1)))
-@example(kind="oracle", scale=1e200, bound="scaled", bad=None, where=(0, 0, 0))
-@example(kind="rl", scale=1e200, bound="scaled", bad=None, where=(0, 0, 0))
-@example(kind="oracle", scale=1e307, bound="scaled", bad=None, where=(0, 0, 0))
-@example(kind="oracle", scale=1e308, bound="scaled", bad=None, where=(0, 0, 0))
-@example(kind="rl", scale=1e308, bound="scaled", bad=None, where=(0, 0, 0))
+       where=st.tuples(st.integers(0, 2), st.integers(0, 3), st.integers(0, 1)),
+       mutation=st.sampled_from([None, *sorted(MARKOV_MUTATIONS)]))
+@example(kind="oracle", scale=1e200, bound="scaled", bad=None, where=(0, 0, 0),
+         mutation=None)
+@example(kind="rl", scale=1e200, bound="scaled", bad=None, where=(0, 0, 0),
+         mutation=None)
+@example(kind="oracle", scale=1e307, bound="scaled", bad=None, where=(0, 0, 0),
+         mutation=None)
+@example(kind="oracle", scale=1e308, bound="scaled", bad=None, where=(0, 0, 0),
+         mutation=None)
+@example(kind="rl", scale=1e308, bound="scaled", bad=None, where=(0, 0, 0),
+         mutation=None)
 def test_fuzzed_markov_files_validate_as_they_run(fuzz_work, kind, scale, bound,
-                                                  bad, where):
+                                                  bad, where, mutation):
     """A Markov game file with scaled (up to 1e308) or non-finite rewards or
     a bad bound: `validate` and `run` agree, bar a numerical failure of `run`,
-    and never give a traceback."""
+    and never give a traceback.  A `MARKOV_MUTATIONS` edit exits 2 from
+    both."""
     work, _ = fuzz_work
     d = make_random_markov(seed=1, state_count=3, player_count=2,
                            actions_per_player=2, horizon=2, gamma=1.0,
@@ -1180,32 +1250,41 @@ def test_fuzzed_markov_files_validate_as_they_run(fuzz_work, kind, scale, bound,
         s, joint, player = where
         row = d["rewards"][s]
         row[sorted(row)[joint]][player] = bad
+    if mutation is not None:
+        MARKOV_MUTATIONS[mutation](d)
     game_file = work / "markov_game.json"
     game_file.write_text(json.dumps(d))
     game = {"file": str(game_file)}
-    _validate_as_run(work, {"kind": "oracle", "seed": 1, "game": game}
-                     if kind == "oracle" else {**rl_config(), "game": game})
+    codes = _validate_as_run(work, {"kind": "oracle", "seed": 1, "game": game}
+                             if kind == "oracle" else {**rl_config(), "game": game})
+    assert mutation is None or codes == [2, 2]
 
 
 @settings(max_examples=30, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(kind=st.sampled_from(["oracle", "solve"]),
        scale=st.one_of(st.sampled_from([1.0, *HUGE_SCALES]),
-                       st.floats(1.0, 1e308)))
-@example(kind="oracle", scale=1e150)
-@example(kind="solve", scale=1e308)
-def test_fuzzed_normal_form_files_validate_as_they_run(fuzz_work, kind, scale):
+                       st.floats(1.0, 1e308)),
+       mutation=st.sampled_from([None, *sorted(NORMAL_FORM_MUTATIONS)]))
+@example(kind="oracle", scale=1e150, mutation=None)
+@example(kind="solve", scale=1e308, mutation=None)
+def test_fuzzed_normal_form_files_validate_as_they_run(fuzz_work, kind, scale,
+                                                       mutation):
     """A normal-form game file with payoffs and bound scaled up to 1e308,
     solved exactly or by sampled self-play: `validate` and `run` agree, bar a
-    numerical failure of `run`, and never give a traceback."""
+    numerical failure of `run`, and never give a traceback.  A
+    `NORMAL_FORM_MUTATIONS` edit exits 2 from both."""
     work, _ = fuzz_work
     d = make_builtin_game("random_zero_sum", {"seed": 3, "actions": [3, 3]}).to_dict()
     d["payoffs"] = (scale * np.array(d["payoffs"])).tolist()
     d["payoff_bound"] *= scale
+    if mutation is not None:
+        NORMAL_FORM_MUTATIONS[mutation](d)
     game_file = work / "normal_form_game.json"
     game_file.write_text(json.dumps(d))
     game = {"file": str(game_file)}
-    _validate_as_run(work, {"kind": "oracle", "seed": 1, "game": game,
-                            "oracle": {"types": [0.1]}} if kind == "oracle" else
-                     {"kind": "solve", "seed": 1, "game": game,
-                      "learner": {"iterations": 20}})
+    codes = _validate_as_run(work, {"kind": "oracle", "seed": 1, "game": game,
+                                    "oracle": {"types": [0.1]}} if kind == "oracle" else
+                             {"kind": "solve", "seed": 1, "game": game,
+                              "learner": {"iterations": 20}})
+    assert mutation is None or codes == [2, 2]

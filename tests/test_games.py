@@ -20,7 +20,7 @@ from anchored import (
     sos_score,
     uniform_policy,
 )
-from anchored.games import cdf, draw
+from anchored.games import cdf, draw, markov_layers
 from anchored.oracle import evaluate_markov_profile, uniform_anchors
 
 
@@ -455,6 +455,54 @@ def test_markov_rejects_rewards_above_payoff_bound():
     d["rewards"][1]["[0, 1]"] = [1.0 + 1e-9, -1.0 - 1e-9]
     with pytest.raises(ValueError, match="state 1: reward magnitude exceeds"):
         TabularMarkovGame.from_dict(d)
+
+
+def test_markov_layers_fixed_at_construction():
+    g = make_random_markov(seed=5, state_count=40, player_count=2,
+                           actions_per_player=3, horizon=4, gamma=1.0,
+                           zero_sum=True)
+    assert g.layers == tuple(map(tuple, reversed(markov_layers(40, 4))))
+    assert g.stage_groups(g.layers[1]) == [g.layers[1]]
+    d = _markov_dict()       # state 0 leads to states 1 and 2, which end
+    d["transitions"][1] = {joint: [[0, 1.0]] for joint in d["transitions"][1]}
+    with pytest.raises(ValueError, match="state graph has a cycle"):
+        TabularMarkovGame.from_dict(d)
+    d = _markov_dict()
+    d["transitions"][1] = {joint: [[2, 1.0]] for joint in d["transitions"][1]}
+    with pytest.raises(ValueError, match="3 states deep, deeper than horizon 2"):
+        TabularMarkovGame.from_dict(d)
+    d["horizon"] = 3
+    assert TabularMarkovGame.from_dict(d).layers == ((2,), (1,), (0,))
+
+
+@pytest.mark.parametrize("key, value", [("zero_sum", "false"), ("zero_sum", 0),
+                                        ("horizon", 1.5), ("horizon", 2.0),
+                                        ("horizon", True), ("states", 3.0),
+                                        ("players", "2"), ("initial_state", 0.0)])
+def test_markov_from_dict_reads_scalars_exactly(key, value):
+    d = _markov_dict()
+    d[key] = value
+    with pytest.raises(ValueError, match=f"{key} must be"):
+        TabularMarkovGame.from_dict(d)
+    d = _markov_dict()
+    d["action_counts"][2] = [2, 1.5]
+    with pytest.raises(ValueError, match=r"action_counts\[2\] must be an integer"):
+        TabularMarkovGame.from_dict(d)
+
+
+def test_normal_form_from_dict_reads_players_and_flags_exactly():
+    d = make_builtin_game("matching_pennies").to_dict()
+    assert NormalFormGame.from_dict(d).zero_sum
+    del d["players"]
+    assert NormalFormGame.from_dict(d).player_count == 2
+    for key, value, message in (("players", 3, "does not match the 2 action counts"),
+                                ("players", 2.0, "players must be an integer"),
+                                ("zero_sum", "false", "zero_sum must be true or false"),
+                                ("action_counts", [2, 2.0],
+                                 r"action_counts\[1\] must be an integer")):
+        bad = {**d, key: value}
+        with pytest.raises(ValueError, match=message):
+            NormalFormGame.from_dict(bad)
 
 
 def test_markov_from_dict_successor_order_and_duplicates():

@@ -275,6 +275,24 @@ def test_regularized_exploitability_zero_at_exact_equilibrium():
     assert gap == pytest.approx(0.0, abs=1e-12)
 
 
+def test_regularized_exploitability_at_the_lambda_ends():
+    """lambda = inf at the anchor gave NaN (inf times a zero KL), and
+    lambda = 0 raised "lam must be > 0"; lambda = 0 is the unregularized
+    best-response gain."""
+    game = make_builtin_game("matching_pennies")
+    anchors = [np.array([0.7, 0.3]), uniform_policy(2)]
+    inf_types = (TypeDistribution.singleton(INF),) * 2
+    at_anchor = RegularizedProfile(({INF: anchors[0]}, {INF: anchors[1]}), inf_types)
+    assert regularized_exploitability(game, anchors, inf_types, at_anchor) == 0.0
+    off = RegularizedProfile(({INF: uniform_policy(2)}, {INF: anchors[1]}), inf_types)
+    assert regularized_exploitability(game, anchors, inf_types, off) == INF
+    zero_types = (TypeDistribution.singleton(0.0),) * 2
+    policies = [np.array([1.0, 0.0]), np.array([0.4, 0.6])]
+    prof = RegularizedProfile(({0.0: policies[0]}, {0.0: policies[1]}), zero_types)
+    gap = regularized_exploitability(game, anchors, zero_types, prof)
+    assert gap == unregularized_exploitability(game, policies) == pytest.approx(1.2)
+
+
 def test_unregularized_exploitability_values():
     game = make_builtin_game("matching_pennies")
     assert unregularized_exploitability(

@@ -105,6 +105,12 @@ def reference_order(game: TabularMarkovGame) -> list[int]:
     return order
 
 
+def reference_profile_value(stage: NormalFormGame, profile) -> np.ndarray:
+    """Each player's expected payoff when every player follows `profile`."""
+    return np.array([float(stage.utility_vector(i, profile) @ profile[i])
+                     for i in range(stage.player_count)])
+
+
 def reference_backward(game: TabularMarkovGame, anchors, lambdas,
                        tol: float = 1e-10):
     if game.player_count != 2 or not game.zero_sum:
@@ -119,8 +125,8 @@ def reference_backward(game: TabularMarkovGame, anchors, lambdas,
         if not profile.converged:
             raise RuntimeError(
                 f"equilibrium solve failed at state {s}: residual {profile.residual}")
-        values[s] = oracle._profile_value(stage, [profile.mixture(0),
-                                                  profile.mixture(1)])
+        values[s] = reference_profile_value(stage, [profile.mixture(0),
+                                                    profile.mixture(1)])
         profiles[s] = profile
     return values, profiles
 
@@ -344,7 +350,7 @@ def test_backward_induction_calls_kernel_once_per_layer_and_shape(monkeypatch):
 
     monkeypatch.setattr(oracle, "_newton_equilibria", counting)
     values, _ = solve_markov_backward(game, uniform_anchors(game), (0.5, 0.5))
-    layers = oracle._layers(game)
+    layers = game.layers
     assert len(values) == 40
     assert calls == [len(layer) for layer in layers]      # one shape per layer
     assert len(calls) == 4
@@ -361,7 +367,7 @@ def test_backward_induction_calls_kernel_once_per_shape_group(monkeypatch):
 
     monkeypatch.setattr(oracle, "_newton_equilibria", counting)
     solve_markov_backward(game, uniform_anchors(game), (0.5, 0.5))
-    layers = oracle._layers(game)
+    layers = game.layers
     expected = []
     for layer in layers:
         shapes = list(dict.fromkeys(game.action_counts[s] for s in layer))

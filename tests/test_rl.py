@@ -27,7 +27,7 @@ from anchored import (
 from anchored import rl
 from anchored.cli import load_train_config
 from anchored.games import TERMINAL
-from anchored.oracle import stage_game_from_values, uniform_anchors
+from anchored.oracle import stage_game_from_values, stage_payoffs, uniform_anchors
 from test_kernel import ScalarLearner, reference_selfplay
 
 
@@ -105,7 +105,7 @@ def test_nashv_alpha_zero_noop():
     values[0] = np.array([0.3, -0.3])
     before = values[0].copy()
     nashv_update(values, 0, [uniform_policy(2)] * 2,
-                 stage_game_from_values(game, 0, values), alpha=0.0)
+                 stage_payoffs(game, (0,), values)[0], alpha=0.0)
     np.testing.assert_array_equal(values[0], before)
 
 
@@ -113,7 +113,7 @@ def test_nashv_alpha_one_overwrites_with_target():
     game = small_fixture()
     values = zero_values(game)
     sigma = [uniform_policy(2), uniform_policy(2)]
-    nashv_update(values, 0, sigma, stage_game_from_values(game, 0, values), alpha=1.0)
+    nashv_update(values, 0, sigma, stage_payoffs(game, (0,), values)[0], alpha=1.0)
     # independent expectation over joint actions and transitions
     target = np.zeros(2)
     for a in game.joint_actions(0):
@@ -133,7 +133,7 @@ def test_nashv_hand_convex_combination():
     values[0] = np.array([0.2, 0.8])
     # force a deterministic joint action with expected reward (1, -1)
     sigma = [np.array([1.0, 0.0]), np.array([1.0, 0.0])]
-    nashv_update(values, 0, sigma, stage_game_from_values(game, 0, values), alpha=0.5)
+    nashv_update(values, 0, sigma, stage_payoffs(game, (0,), values)[0], alpha=0.5)
     np.testing.assert_allclose(values[0], [0.6, -0.1], atol=1e-12)
 
 
@@ -146,7 +146,7 @@ def test_nashv_contraction_identity():
         sigma = [rng.dirichlet(np.ones(2)) for _ in range(2)]
         alpha = float(rng.uniform(0.0, 1.0))
         check = dict(values)
-        stage = stage_game_from_values(game, 0, values)
+        stage = stage_payoffs(game, (0,), values)[0]
         nashv_update(check, 0, sigma, stage, alpha=1.0)
         target = check[0]
         old = values[0].copy()
@@ -183,7 +183,7 @@ def test_stage_and_nashv_match_scalar_reference(seed, players, actions):
             if p != 0.0:
                 target += p * total
         check = dict(values)
-        nashv_update(check, s, sigma, stage, alpha=1.0)
+        nashv_update(check, s, sigma, np.array(stage.payoffs), alpha=1.0)
         np.testing.assert_array_equal(check[s], target)
 
 
@@ -380,9 +380,9 @@ def test_policy_table_top_k_is_the_anchors_top_k(seed, dirichlet, top_k, step):
     values, table, visited = zero_values(game), dict(anchors), []
     search = rl._search
 
-    def record_stage(game, s, values):
-        visited.append(s)
-        return stage_game_from_values(game, s, values)
+    def record_stage(game, states, values):
+        visited.append(*states)
+        return stage_payoffs(game, states, values)
 
     def top(p):
         return set(np.argsort(-p, kind="stable")[:top_k].tolist())
@@ -397,7 +397,7 @@ def test_policy_table_top_k_is_the_anchors_top_k(seed, dirichlet, top_k, step):
 
     rng, visits = np.random.default_rng(seed), {}
     with mock.patch.object(rl, "_search", check_top_k), \
-            mock.patch.object(rl, "stage_game_from_values", record_stage):
+            mock.patch.object(rl, "stage_payoffs", record_stage):
         for _ in range(cfg.episodes):
             run_episode(game, values, table, anchors, cfg, rng, visits)
     assert sum(visits.values()) == len(visited)
@@ -512,16 +512,16 @@ def test_search_runs_once_per_key_change(top_k):
     search, search_state = rl._search, rl.search_state
     visited = []      # the state of every visit
 
-    def record_stage(game, s, values):
-        visited.append(s)
-        return stage_game_from_values(game, s, values)
+    def record_stage(game, states, values):
+        visited.append(*states)
+        return stage_payoffs(game, states, values)
 
     def record_key(stage, anchors, types, top_k, iterations):
         visited[-1] = (visited[-1], [u.tobytes() for u in stage.payoffs])
         return search(stage, anchors, types, top_k, iterations)
 
     with mock.patch.object(rl, "_search", record_key), \
-            mock.patch.object(rl, "stage_game_from_values", record_stage):
+            mock.patch.object(rl, "stage_payoffs", record_stage):
         _episodes(game, anchors, cfg, None)
     last, changes = {}, []    # the state of every visit whose key changed
     for s, key in visited:
@@ -539,7 +539,7 @@ def test_search_runs_once_per_key_change(top_k):
     last_layer = [s for s in range(game.state_count)
                   if game.next_states[s] == (TERMINAL,)]
     with mock.patch.object(rl, "search_state", count_search), \
-            mock.patch.object(rl, "stage_game_from_values", record_stage):
+            mock.patch.object(rl, "stage_payoffs", record_stage):
         for _ in range(2):
             visited.clear()
             searched.clear()

@@ -410,11 +410,12 @@ class TabularMarkovGame:
             if any(len(r) != players for r in rew):
                 raise ValueError(f"state {s}: a reward vector does not have "
                                  f"{players} entries")
-            nxt = tuple(dict.fromkeys(int(s2) for pairs in trans for s2, _ in pairs))
+            nxt = tuple(dict.fromkeys(_exact(int, f"state {s}: successor id", s2)
+                                      for pairs in trans for s2, _ in pairs))
             t = np.zeros((len(joints), len(nxt)))
             for j, pairs in enumerate(trans):
                 for s2, p in pairs:
-                    t[j, nxt.index(int(s2))] += float(p)
+                    t[j, nxt.index(s2)] += float(p)
             rewards.append(np.array(rew, dtype=float).T.reshape(players, *acts))
             succs.append(nxt)
             probs.append(t.reshape(*acts, len(nxt)))

@@ -398,9 +398,10 @@ def stage_payoffs(game: TabularMarkovGame, states, values) -> np.ndarray:
     action counts and successors (a `stage_groups` group).
 
     `values` maps every non-terminal successor to its value vector.  The
-    expectation is accumulated one successor at a time in `next_states`
-    order, elementwise over the stack, so each state's payoffs have the bits
-    of a build of it alone.  Non-finite payoffs raise `FloatingPointError`."""
+    expectation is accumulated from 0 one successor at a time in
+    `next_states` order, elementwise over the stack (an axis-0 reduce adds
+    its slices in order), so each state's payoffs have the bits of a build
+    of it alone.  Non-finite payoffs raise `FloatingPointError`."""
     if TERMINAL in states:
         raise ValueError("terminal state has no stage game")
     first = states[0]
@@ -409,12 +410,12 @@ def stage_payoffs(game: TabularMarkovGame, states, values) -> np.ndarray:
     else:
         rewards = np.stack([game.R[s] for s in states])
         probs = np.stack([game.T[s] for s in states])
-    lift = (None, slice(None)) + (None,) * (rewards.ndim - 2)
-    cont = np.zeros(rewards.shape)
-    for k, s2 in enumerate(game.next_states[first]):
-        if s2 != TERMINAL:
-            cont += np.asarray(values[s2], dtype=float)[lift] * probs[:, None, ..., k]
-    total = rewards + game.gamma * cont
+    succ = game.next_states[first]
+    ks = [k for k, s2 in enumerate(succ) if s2 != TERMINAL]
+    later = np.array([values[succ[k]] for k in ks], dtype=float).reshape(
+        len(ks), 1, game.player_count, *(1,) * (rewards.ndim - 2))
+    terms = later * np.moveaxis(probs[..., ks], -1, 0)[:, :, None]   # (K, B, P, *A)
+    total = rewards + game.gamma * np.add.reduce(terms, axis=0, initial=0.0)
     if not np.isfinite(total).all():
         raise FloatingPointError(f"non-finite stage payoffs at states {list(states)}")
     return total

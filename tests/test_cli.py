@@ -473,6 +473,7 @@ MARKOV_MUTATIONS = {
     "horizon": lambda d: d.update(horizon=1.5),
     "action_counts[1]": lambda d: d["action_counts"].__setitem__(1, [2, 1.5]),
     "players": lambda d: d.update(players=2.0),
+    "successor id": _lead_state_1_to(2.0),
 }
 #: The same for a normal-form file, whose `players` was never read.
 NORMAL_FORM_MUTATIONS = {

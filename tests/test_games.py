@@ -488,6 +488,10 @@ def test_markov_from_dict_reads_scalars_exactly(key, value):
     d["action_counts"][2] = [2, 1.5]
     with pytest.raises(ValueError, match=r"action_counts\[2\] must be an integer"):
         TabularMarkovGame.from_dict(d)
+    d = _markov_dict()
+    d["transitions"][0]["[0, 1]"] = [[1.5, 1.0]]
+    with pytest.raises(ValueError, match="state 0: successor id must be an integer"):
+        TabularMarkovGame.from_dict(d)
 
 
 def test_normal_form_from_dict_reads_players_and_flags_exactly():

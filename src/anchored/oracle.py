@@ -412,9 +412,12 @@ def stage_payoffs(game: TabularMarkovGame, states, values) -> np.ndarray:
         probs = np.stack([game.T[s] for s in states])
     succ = game.next_states[first]
     ks = [k for k, s2 in enumerate(succ) if s2 != TERMINAL]
+    if len(ks) < len(succ):
+        probs = probs[..., ks]
     later = np.array([values[succ[k]] for k in ks], dtype=float).reshape(
-        len(ks), 1, game.player_count, *(1,) * (rewards.ndim - 2))
-    terms = later * np.moveaxis(probs[..., ks], -1, 0)[:, :, None]   # (K, B, P, *A)
+        len(ks), 1, game.player_count, *(1,) * (probs.ndim - 2))
+    # (K, B, P, *A): the successor axis first, whose reduce adds in order
+    terms = later * probs.transpose(probs.ndim - 1, *range(probs.ndim - 1))[:, :, None]
     total = rewards + game.gamma * np.add.reduce(terms, axis=0, initial=0.0)
     if not np.isfinite(total).all():
         raise FloatingPointError(f"non-finite stage payoffs at states {list(states)}")

@@ -501,7 +501,7 @@ SCHEMA = {
            "preset": _one_of([n for n, p in AGENT_PRESETS.items() if "mode" in p])},
     "rate": {"games_csv": _games_csv, "sigma_prior": _positive, "c": _positive},
     "popeval": {"candidate": _nested, "baselines": _list_of(_nested),
-                "games": _integer(1)},
+                "games": _integer(2)},
     "agent": {"id": _text, "kind": _one_of(("fixed", "search")), "policies": _nested,
               "types": load_types, "act_lambda": parse_lambda, "anchors": _nested,
               "search_iterations": _integer(1)},

@@ -200,11 +200,23 @@ def sos_score(counts) -> np.ndarray:
     c = np.asarray(counts, dtype=float)
     if np.any(c < 0):
         raise ValueError("counts must be nonnegative")
-    sq = c * c
-    total = sq.sum(-1, keepdims=True)
-    if np.any(total <= 0):
-        raise ValueError("counts must not be all zero")
-    return sq / total
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = c * c
+        total = sq.sum(-1, keepdims=True)
+        shares = sq / total
+        # A total that overflowed, or that is zero or subnormal because the
+        # squares underflowed, gives no shares or imprecise ones.  Shares are
+        # scale-free, so those rows are taken again from c / max(c).
+        redo = ~((total >= np.finfo(float).tiny) & (total < np.inf))[..., 0]
+        if redo.any():
+            x = c[redo]
+            top = x.max(-1, keepdims=True)
+            if np.any(top == 0):
+                raise ValueError("counts must not be all zero")
+            x = x / top
+            sq = x * x
+            shares[redo] = sq / sq.sum(-1, keepdims=True)
+    return shares
 
 
 #: The named two-player zero-sum games, by the first player's payoffs.
@@ -496,24 +508,23 @@ def make_random_markov(seed: int, state_count: int, player_count: int,
     rng = np.random.default_rng(seed)
     layers = markov_layers(state_count, horizon)
     acts = tuple(actions_per_player for _ in range(player_count))
+    rewards_drawn = 1 if zero_sum else player_count
     rewards, succs, probs = ([None] * state_count for _ in range(3))
     for li, layer in enumerate(layers):
         last = li + 1 == len(layers)
         nxt = (TERMINAL,) if last else tuple(layers[li + 1])
+        # Per joint action in product order: the successor weights (none in
+        # the last layer), then the rewards, one value per player or (x, -x).
+        # `uniform(low, high)` is `low + (high - low) * random()`, so one
+        # `random` block per state gives the draws of a call per value.
+        m = 0 if last else len(nxt)
         for s in layer:
-            r = np.zeros((player_count, *acts))
-            t = np.ones((*acts, len(nxt)))
-            for a in product(*(range(k) for k in acts)):
-                if not last:
-                    w = rng.uniform(0.05, 1.0, size=len(nxt))
-                    t[a] = w / w.sum()
-                if zero_sum:
-                    x = rng.uniform(-payoff_bound, payoff_bound)
-                    r[(slice(None), *a)] = (x, -x)
-                else:
-                    r[(slice(None), *a)] = rng.uniform(-payoff_bound, payoff_bound,
-                                                       size=player_count)
-            rewards[s], succs[s], probs[s] = r, nxt, t
+            u = rng.random((*acts, m + rewards_drawn))
+            w = 0.05 + (1.0 - 0.05) * u[..., :m]
+            t = w / w.sum(-1, keepdims=True) if m else np.ones((*acts, 1))
+            x = -payoff_bound + (payoff_bound - -payoff_bound) * u[..., m:]
+            r = np.concatenate([x, -x], -1) if zero_sum else x
+            rewards[s], succs[s], probs[s] = np.moveaxis(r, -1, 0), nxt, t
     return TabularMarkovGame(
         player_count=player_count,
         state_count=state_count,

@@ -7,12 +7,17 @@ all of its seats.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .games import NormalFormGame, TabularMarkovGame, TERMINAL, cdf, draw, sos_score
 from .learners import Learners, TemperatureSchedule, TypeDistribution, run_selfplay
+
+#: Rows of `popeval_games.csv` formatted per write.
+GAME_CSV_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -83,12 +88,31 @@ class PopEvalReport:
         }
 
     def write_game_csv(self, path) -> None:
-        game_ids, seats = np.indices(self.scores.shape).reshape(2, -1).tolist()
+        """One `game_id,seat,agent_id,score` row per seat, in the bytes
+        `csv.writer` writes: each block of `GAME_CSV_BLOCK` rows fills one
+        `%`-template, with every agent id quoted once as csv quotes it."""
+        seats = self.scores.shape[1]
+        ids = self.seatings.ravel()
+        field = {a: _csv_field(a) for a in set(ids.tolist())}
+        scores = self.scores.ravel()
+        row = "%d,%d,%s,%.17g\r\n"
         with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["game_id", "seat", "agent_id", "score"])
-            w.writerows(zip(game_ids, seats, self.seatings.ravel().tolist(),
-                            [f"{sc:.17g}" for sc in self.scores.ravel().tolist()]))
+            fh.write("game_id,seat,agent_id,score\r\n")
+            for start in range(0, ids.size, GAME_CSV_BLOCK):
+                stop = min(start + GAME_CSV_BLOCK, ids.size)
+                game_ids, seat = np.divmod(np.arange(start, stop), seats)
+                cells = zip(game_ids.tolist(), seat.tolist(),
+                            map(field.__getitem__, ids[start:stop].tolist()),
+                            scores[start:stop].tolist())
+                fh.write(row * (stop - start) % tuple(chain.from_iterable(cells)))
+
+
+def _csv_field(text: str) -> str:
+    """`text` as `csv.writer` writes it inside a row of several fields (an
+    empty field is quoted only when it is a row's one field)."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow((0, text, 0))
+    return buf.getvalue()[2:-4]
 
 
 def mean_and_se(scores) -> tuple[float, float]:
@@ -97,12 +121,6 @@ def mean_and_se(scores) -> tuple[float, float]:
     if x.size < 2:
         raise ValueError("need at least 2 scores for a standard error")
     return float(x.mean()), float(x.std(ddof=1) / np.sqrt(x.size))
-
-
-def _play_normal_form(game: NormalFormGame, seat_cdfs,
-                      rng: np.random.Generator) -> np.ndarray:
-    u = rng.random(game.player_count).tolist()
-    return game.pure_utilities(tuple(map(draw, seat_cdfs, u)))
 
 
 def _play_markov(game: TabularMarkovGame, seat_cdfs,
@@ -147,18 +165,23 @@ def scorable(game) -> bool:
 
 def run_population_eval(candidate: AgentSpec, baselines, game, n_games: int,
                         rng: np.random.Generator) -> PopEvalReport:
-    """Score the candidate over `n_games` games with roster seats sampled
+    """Score the candidate over `n_games` ≥ 2 games with roster seats sampled
     uniformly with replacement; games without the candidate are rejected and
     redrawn.  Outcomes are converted to score shares with sum-of-squares
-    scoring, so the game must be `scorable`."""
+    scoring, so the game must be `scorable`.
+
+    The generator calls are those of one game at a time: per seating attempt
+    `rng.integers(len(roster), size=seats)`, then `rng.random(seats)` for the
+    seats' actions, or the rollout's draws on a Markov game.  On a normal-form
+    game the actions and outcomes of all games are then one array pass."""
     baselines = list(baselines)
     if not baselines:
         raise ValueError("empty baseline pool")
     if not scorable(game):
         raise ValueError("sum-of-squares scoring needs outcomes that are "
                          "nonnegative and never all zero")
-    if n_games < 1:
-        raise ValueError("need at least one game")
+    if n_games < 2:
+        raise ValueError("need at least 2 games for a standard error")
     roster = baselines + [candidate]
     ids = [a.agent_id for a in roster]
     if len(set(ids)) != len(ids):
@@ -172,17 +195,30 @@ def run_population_eval(candidate: AgentSpec, baselines, game, n_games: int,
                 for a in roster]
     cdfs = [[{k: cdf(v) for k, v in p.items()} if isinstance(p, dict) else cdf(p)
              for p in policies] for policies in resolved]
-    play = _play_markov if is_markov else _play_normal_form
     cand = len(roster) - 1
     seats = np.empty((n_games, n_seats), dtype=int)
-    outcomes = np.empty((n_games, n_seats))
+    rows = np.empty((n_games, n_seats))     # Markov outcomes, else the uniforms
     for g in range(n_games):
         picks = ()
         while cand not in picks:
             picks = rng.integers(len(roster), size=n_seats).tolist()
         seats[g] = picks
-        outcomes[g] = play(game, [cdfs[k][i] for i, k in enumerate(picks)], rng)
+        rows[g] = (_play_markov(game, [cdfs[k][i] for i, k in enumerate(picks)], rng)
+                   if is_markov else rng.random(n_seats))
+    outcomes = rows if is_markov else _outcomes(game, cdfs, seats, rows)
     scores = sos_score(outcomes)
     candidate_scores = scores[seats == cand]
     return PopEvalReport(candidate.agent_id, n_games, np.array(ids)[seats], scores,
                          candidate_scores, *mean_and_se(candidate_scores))
+
+
+def _outcomes(game: NormalFormGame, cdfs, seats: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Every game's outcomes, each seat acting by `draw` of its uniform from
+    the cdf of the agent seated there: the count of cdf entries ≤ u, with the
+    cdf table padded by inf."""
+    table = np.full((len(cdfs), game.player_count, max(game.action_counts)), np.inf)
+    for k, row in enumerate(cdfs):
+        for i, c in enumerate(row):
+            table[k, i, :len(c)] = c
+    actions = (table[seats, np.arange(game.player_count)] <= u[..., None]).sum(-1)
+    return np.stack(game.payoffs, -1)[tuple(actions.T)]

@@ -8,6 +8,7 @@ import json
 import math
 import re
 import unittest.mock
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -778,6 +779,49 @@ def test_popeval_markov_needs_fixed_policies(tmp_path, capsys, agent):
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.count(
         "validation error: agent 'cand': a Markov game needs a fixed agent") == 2
+
+
+def _two_by_two_popeval(tmp_path, payoffs, bound, games=200, seed=1):
+    game = _game_file(tmp_path, json.dumps({"players": 2, "action_counts": [2, 2],
+                                            "payoff_bound": bound, "payoffs": payoffs}))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "kind": "popeval", "seed": seed, "game": game,
+        "popeval": {"candidate": {"id": "cand", "kind": "fixed",
+                                  "policies": [[0.3, 0.7], [0.6, 0.4]]},
+                    "baselines": [{"id": "base"}], "games": games}}))
+    return path
+
+
+@pytest.mark.parametrize("seed", [1, 3, 5, 6])
+def test_popeval_single_game_exits_2(tmp_path, capsys, seed):
+    # One game can seat the candidate once, and one score has no standard
+    # error; at these seeds it does.
+    path = _two_by_two_popeval(tmp_path, [[[1, 2], [0, 1]], [[1, 0], [2, 1]]], 2.0,
+                               games=1, seed=seed)
+    assert main(["validate", str(path)]) == 2
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("validation error: popeval.games") == 2 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-170])
+def test_popeval_scores_huge_and_tiny_outcomes(tmp_path, capsys, scale):
+    # The squares of these outcomes overflow or underflow; the shares do not.
+    payoffs = (scale * np.array([[[1.0, 2.0], [0.5, 1.0]], [[1.0, 0.5], [2.0, 1.0]]])).tolist()
+    path = _two_by_two_popeval(tmp_path, payoffs, 2 * scale)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["validate", str(path)]) == 0
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert not caught and "Traceback" not in capsys.readouterr().err
+    with open(tmp_path / "out" / "popeval_games.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    shares = np.sort(np.array([float(r["score"]) for r in rows]).reshape(-1, 2))
+    # Outcomes (1, 1) and (2, 0.5) in units of `scale` score (1/2, 1/2) and
+    # (16/17, 1/17).
+    assert all(np.allclose(r, [0.5, 0.5]) or np.allclose(r, [1 / 17, 16 / 17])
+               for r in shares)
 
 
 def test_dumps_json_rejects_nan():

@@ -3,10 +3,12 @@
 import hashlib
 import json
 import re
+import warnings
+from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from anchored import (
     NormalFormGame,
@@ -187,6 +189,22 @@ def test_sos_score_rejects_degenerate():
         sos_score([0, 0, 0])
     with pytest.raises(ValueError):
         sos_score([-1, 2])
+
+
+def test_sos_score_rescales_rows_whose_squares_overflow_or_underflow():
+    # Squares that overflow, a total that overflows, squares that underflow
+    # to zero and a subnormal total; each row scores as (3, 4, 0) or (1, 1, 1).
+    c = np.array([[3e200, 4e200, 0.0], [1e154, 1e154, 1e154], [3e-170, 4e-170, 0.0],
+                  [3e-160, 4e-160, 0.0], [3.0, 4.0, 0.0], [0.3, 0.4, 0.5]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = sos_score(c)
+    np.testing.assert_allclose(s[[0, 2, 3]], np.tile([0.36, 0.64, 0.0], (3, 1)), atol=1e-15)
+    np.testing.assert_allclose(s[1], np.full(3, 1 / 3), atol=1e-15)
+    # Every other row keeps the bits of the direct formula.
+    assert s[4:].tobytes() == (c[4:] ** 2 / (c[4:] ** 2).sum(-1, keepdims=True)).tobytes()
+    with pytest.raises(ValueError, match="all zero"):
+        sos_score([[1.0, 2.0], [0.0, 0.0]])
 
 
 @pytest.mark.parametrize("seats", [1, 2, 7, 8, 9, 16, 17, 40])
@@ -396,6 +414,53 @@ def test_markov_dict_round_trip_property(params):
     for s in range(g.state_count):
         np.testing.assert_array_equal(h.R[s], g.R[s])
         np.testing.assert_array_equal(h.T[s], g.T[s])
+
+
+def reference_random_markov(seed, state_count, player_count, actions_per_player,
+                            horizon, gamma, zero_sum=False, payoff_bound=1.0):
+    """The rewards, transitions and successors of `make_random_markov` from
+    its former loop: per joint action, a `Generator.uniform` call for the
+    successor weights (none in the last layer) and one for the rewards."""
+    rng = np.random.default_rng(seed)
+    layers = markov_layers(state_count, horizon)
+    acts = tuple(actions_per_player for _ in range(player_count))
+    rewards, succs, probs = ([None] * state_count for _ in range(3))
+    for li, layer in enumerate(layers):
+        last = li + 1 == len(layers)
+        nxt = (TERMINAL,) if last else tuple(layers[li + 1])
+        for s in layer:
+            r = np.zeros((player_count, *acts))
+            t = np.ones((*acts, len(nxt)))
+            for a in product(*(range(k) for k in acts)):
+                if not last:
+                    w = rng.uniform(0.05, 1.0, size=len(nxt))
+                    t[a] = w / w.sum()
+                if zero_sum:
+                    x = rng.uniform(-payoff_bound, payoff_bound)
+                    r[(slice(None), *a)] = (x, -x)
+                else:
+                    r[(slice(None), *a)] = rng.uniform(-payoff_bound, payoff_bound,
+                                                       size=player_count)
+            rewards[s], succs[s], probs[s] = r, nxt, t
+    return rewards, succs, probs
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), states=st.integers(1, 45),
+       players=st.integers(2, 4), actions=st.integers(1, 4), horizon=st.integers(2, 6),
+       zero_sum=st.booleans(), bound=st.sampled_from([1.0, 2.5, 1e-3, 1e300]))
+@example(seed=0, states=40, players=2, actions=3, horizon=4, zero_sum=True, bound=1.0)
+@example(seed=1, states=12, players=3, actions=2, horizon=3, zero_sum=False, bound=1.0)
+def test_random_markov_matches_per_joint_action_draws(seed, states, players, actions,
+                                                      horizon, zero_sum, bound):
+    zero_sum = zero_sum and players == 2
+    args = (seed, states, players, actions, horizon, 0.9, zero_sum, bound)
+    game = make_random_markov(*args)
+    rewards, succs, probs = reference_random_markov(*args)
+    assert game.next_states == tuple(succs)
+    for s in range(states):
+        assert game.R[s].tobytes() == rewards[s].tobytes()
+        assert game.T[s].tobytes() == probs[s].tobytes()
 
 
 def _markov_dict():

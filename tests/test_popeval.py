@@ -1,9 +1,11 @@
 """Tests for the population evaluation harness."""
 
+import csv
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from anchored import (
     TERMINAL,
@@ -17,7 +19,7 @@ from anchored import (
     sos_score,
     uniform_policy,
 )
-from anchored.popeval import resolve_agent_policies, scorable
+from anchored.popeval import GAME_CSV_BLOCK, PopEvalReport, resolve_agent_policies, scorable
 
 
 def seven_seat_game():
@@ -159,6 +161,16 @@ def test_negative_outcomes_rejected():
         run_population_eval(cand, [base], game, 50, np.random.default_rng(5))
 
 
+@pytest.mark.parametrize("n_games", [1, 0, -3])
+def test_fewer_than_two_games_rejected_before_any_draw(n_games):
+    game = two_seat_game()
+    rng = np.random.default_rng(7)
+    with pytest.raises(ValueError, match="at least 2 games"):
+        run_population_eval(fixed_agent("cand", [0.5, 0.5], 2),
+                            [fixed_agent("base", [0.5, 0.5], 2)], game, n_games, rng)
+    assert rng.random() == np.random.default_rng(7).random()
+
+
 def test_duplicate_ids_and_empty_pool_rejected():
     game = two_seat_game()
     cand = fixed_agent("dup", [0.5, 0.5], 2)
@@ -220,9 +232,31 @@ def two_state_markov_game():
         gamma=0.9, horizon=2)
 
 
-@pytest.mark.parametrize("markov", [False, True])
+def ragged_game():
+    """Three seats with 2, 3 and 4 actions and positive payoffs."""
+    rng = np.random.default_rng(8)
+    return NormalFormGame((2, 3, 4), tuple(rng.uniform(0.1, 1.0, size=(2, 3, 4))
+                                           for _ in range(3)), payoff_bound=1.0)
+
+
+# "ragged": unequal action counts, fixed policies with zero entries, and a
+# roster of ten in which a seating holds the candidate about a quarter of
+# the time.
+@pytest.mark.parametrize("markov", [False, True, "ragged"])
 def test_population_eval_matches_choice_reference(markov):
-    if markov:
+    if markov == "ragged":
+        game = ragged_game()
+        cand = AgentSpec(agent_id="cand", policies=(
+            np.array([0.0, 1.0]), np.array([0.5, 0.0, 0.5]), np.array([0.0, 0.25, 0.0, 0.75])))
+        base = [AgentSpec(agent_id=f"b{k}", policies=tuple(
+            np.eye(n)[k % n] if k % 2 else np.full(n, 1 / n) for n in game.action_counts))
+            for k in range(8)]
+        base.append(AgentSpec(agent_id="s", kind="search",
+                              types=TypeDistribution.uniform([0.1, 1.0]), act_lambda=0.1,
+                              anchor_policies=tuple(uniform_policy(n)
+                                                    for n in game.action_counts),
+                              search_iterations=16))
+    elif markov:
         game = two_state_markov_game()
         # a per-state table with a zero entry and one vector for every state
         cand = AgentSpec(agent_id="cand", policies=(
@@ -360,3 +394,42 @@ def test_markov_fixed_agents_play_per_state_tables():
     for seating, scores in zip(report.seatings, report.scores):
         # outcome (2, 1) scores (4/5, 1/5); outcome (1, 0) scores (1, 0)
         assert np.array_equal(scores, [0.8, 0.2] if seating[0] == "cand" else [1.0, 0.0])
+
+
+# ------------------------------------------------------------- games CSV
+
+def reference_write_game_csv(report: PopEvalReport, path) -> None:
+    """The `csv.writer` writer that `PopEvalReport.write_game_csv` replaced."""
+    game_ids, seats = np.indices(report.scores.shape).reshape(2, -1).tolist()
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["game_id", "seat", "agent_id", "score"])
+        w.writerows(zip(game_ids, seats, report.seatings.ravel().tolist(),
+                        [f"{sc:.17g}" for sc in report.scores.ravel().tolist()]))
+
+
+# Ids with every character csv quotes or the template could misread, and
+# any other character numpy keeps in a str array (a trailing NUL it drops).
+AGENT_IDS = st.text(st.sampled_from(list(',"\r\n% ab\u00e9\u732b')) | st.characters(
+    blacklist_categories=("Cs",), blacklist_characters="\x00"), max_size=6)
+SPECIAL_SCORES = [0.0, 1.0, 5e-324, 1e-310, np.nextafter(2.2250738585072014e-308, 0),
+                  2.2250738585072014e-308, np.nextafter(1.0, 0.0), 1 / 3,
+                  np.nextafter(1 / 3, 1.0), np.nextafter(1 / 3, 0.0), 0.1, 1e-5]
+
+
+@pytest.mark.parametrize("games, seats", [
+    (1, 1), (GAME_CSV_BLOCK - 1, 1), (GAME_CSV_BLOCK, 1), (GAME_CSV_BLOCK + 1, 1),
+    (GAME_CSV_BLOCK // 4, 4), (GAME_CSV_BLOCK // 4 + 1, 4), (3, 7)])
+@settings(max_examples=15, deadline=None)
+@given(ids=st.lists(AGENT_IDS, min_size=1, max_size=5, unique=True),
+       extra=st.lists(st.floats(0.0, 1.0), max_size=4), seed=st.integers(0, 2 ** 32))
+def test_game_csv_matches_csv_writer(tmp_path_factory, games, seats, ids, extra, seed):
+    rng = np.random.default_rng(seed)
+    pool = np.array(SPECIAL_SCORES + extra)
+    report = PopEvalReport("cand", games, np.array(ids)[rng.integers(len(ids), size=(games, seats))],
+                           pool[rng.integers(len(pool), size=(games, seats))], np.zeros(0),
+                           0.0, 0.0)
+    out = tmp_path_factory.mktemp("csv")
+    report.write_game_csv(out / "new.csv")
+    reference_write_game_csv(report, out / "old.csv")
+    assert (out / "new.csv").read_bytes() == (out / "old.csv").read_bytes()

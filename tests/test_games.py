@@ -195,7 +195,7 @@ def test_sos_score_rescales_rows_whose_squares_overflow_or_underflow():
     # Squares that overflow, a total that overflows, squares that underflow
     # to zero and a subnormal total; each row scores as (3, 4, 0) or (1, 1, 1).
     c = np.array([[3e200, 4e200, 0.0], [1e154, 1e154, 1e154], [3e-170, 4e-170, 0.0],
-                  [3e-160, 4e-160, 0.0], [3.0, 4.0, 0.0], [0.3, 0.4, 0.5]])
+                  [3e-162, 4e-162, 0.0], [3.0, 4.0, 0.0], [0.3, 0.4, 0.5]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         s = sos_score(c)

@@ -2,9 +2,9 @@
 tabular self-play value iteration, multiplayer MAP Elo, and population
 evaluation."""
 
-from .games import (NormalFormGame, TabularMarkovGame, TERMINAL, expected_utility,
-                    make_anchor, make_builtin_game, make_random_markov,
-                    make_repeated_markov, sos_score, uniform_policy)
+from .games import (NormalFormGame, TabularMarkovGame, TERMINAL, make_anchor,
+                    make_builtin_game, make_random_markov, make_repeated_markov,
+                    sos_score, uniform_policy)
 from .learners import (INF, Learners, TemperatureSchedule, Trace,
                        TypeDistribution, policy_for_type, run_selfplay)
 from .oracle import (RegretReport, RegularizedProfile, kl_divergence,
@@ -14,8 +14,8 @@ from .oracle import (RegretReport, RegularizedProfile, kl_divergence,
                      unregularized_exploitability, uniform_anchors,
                      evaluate_markov_profile)
 from .popeval import AgentSpec, PopEvalReport, mean_and_se, run_population_eval
-from .rating import (ELO_SCALE, GameRecord, GameTable, RatingModel, fit_ratings,
-                     log_posterior, predict_shares)
+from .rating import (ELO_SCALE, GameTable, RatingModel, fit_ratings, log_posterior,
+                     predict_shares)
 from .rl import (TrainConfig, evaluate_vs_oracle, nashv_update, run_episode,
                  search_state, train)
 

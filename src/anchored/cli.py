@@ -307,8 +307,9 @@ def run_solve(game, loaded, seed: int, out: Path) -> list[Path]:
 
 def load_oracle(spec: dict, game):
     """The oracle section as (types, anchors, tol): one `TypeDistribution` and
-    one anchor per player for a normal-form game, one lambda per player and
-    `uniform_anchors` for a Markov game."""
+    one anchor per player for a normal-form game, the anchors floored and
+    renormalized by `make_anchor` as the learners' are; one lambda per player
+    and `uniform_anchors` for a Markov game."""
     _require(game.player_count == 2 and game.zero_sum,
              "oracle: needs a two-player zero-sum game")
     given = _section(spec, "oracle")
@@ -326,7 +327,7 @@ def load_oracle(spec: dict, game):
     _require(all(0 < l < INF for l in types[0].lambdas),
              "oracle.types: lambdas must be finite and > 0")
     anchors = _seat_vectors(given.get("anchors"), "oracle.anchors", game, policy=False)
-    return types, list(anchors), tol
+    return types, [G.make_anchor(a) for a in anchors], tol
 
 
 def run_oracle(game, loaded, seed: int, out: Path) -> list[Path]:

@@ -142,9 +142,6 @@ class NormalFormGame:
             u = np.tensordot(u, pol, axes=(j, 0))
         return np.atleast_1d(u)
 
-    def pure_utilities(self, joint_action: tuple[int, ...]) -> np.ndarray:
-        return np.array([u[joint_action] for u in self.payoffs])
-
     def to_dict(self) -> dict:
         return {
             "players": self.player_count,
@@ -178,20 +175,6 @@ def _exact(kind: type, key: str, value):
         raise ValueError(f"{key} must be {'an integer' if kind is int else 'true or false'}"
                          f", got {value!r}")
     return value
-
-
-def expected_utility(game: NormalFormGame, profile, player: int) -> float:
-    """Expected utility for `player` when every player (including `player`)
-    follows their policy in `profile`."""
-    if len(profile) != game.player_count:
-        raise ValueError("profile needs one policy per player")
-    u = game.payoffs[player]
-    for j in reversed(range(game.player_count)):
-        pol = np.asarray(profile[j], dtype=float)
-        if pol.shape != (game.action_counts[j],):
-            raise ValueError(f"policy for player {j} has wrong length")
-        u = np.tensordot(u, pol, axes=(j, 0))
-    return float(u)
 
 
 def sos_score(counts) -> np.ndarray:

@@ -19,26 +19,6 @@ import numpy as np
 ELO_SCALE = 400.0 * math.log10(math.e)
 
 
-@dataclass(frozen=True)
-class GameRecord:
-    """Seat -> player assignment plus observed per-seat score shares."""
-
-    seats: tuple[str, ...]
-    shares: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.seats) != len(self.shares) or not self.seats:
-            raise ValueError("seats and shares must be non-empty and equal length")
-        shares = tuple(float(x) for x in self.shares)
-        total = 0.0
-        for x in shares:    # in order, as numpy sums up to 7 seats
-            total += x
-        # False for a NaN or infinite share.
-        if not (min(shares) >= 0 and abs(total - 1.0) <= 1e-9):
-            raise ValueError("shares must be nonnegative and sum to 1")
-        object.__setattr__(self, "shares", shares)
-
-
 @dataclass
 class RatingModel:
     ratings: dict = field(default_factory=dict)    # player id -> Elo
@@ -93,13 +73,31 @@ class GameTable:
         return len(self.obs)
 
     @classmethod
-    def from_records(cls, games) -> GameTable:
-        """Pack `GameRecord`s: games in their order, seats in theirs."""
-        games = list(games)
-        return _table([k for k, g in enumerate(games) for _ in g.seats],
-                      np.array([s for g in games for s in range(len(g.seats))]),
-                      [p for g in games for p in g.seats],
-                      np.array([x for g in games for x in g.shares]))
+    def from_rows(cls, game_ids, seat_indices, player_ids, shares) -> GameTable:
+        """One row per (game, seat): game ids, seat indices, player ids and
+        shares, as four columns of equal length.  Games are sorted by id,
+        seats by (seat index, player id, share).  Raises `ValueError` for no
+        rows, columns of unequal length, unequal seat counts and shares that
+        are NaN, negative or off 1 in their sum, naming the game."""
+        seats, shares = np.asarray(seat_indices), np.asarray(shares, dtype=float)
+        if not len(game_ids):
+            raise ValueError("no games")
+        (ids, game), (players, player) = _codes(game_ids), _codes(player_ids)
+        order = np.lexsort((shares, player, seats, game))
+        counts = np.bincount(game)
+        g = (counts != counts[0]).argmax()
+        if counts[g] != counts[0]:
+            raise ValueError(f"game {ids[g]!r} has {counts[g]} seats, game {ids[0]!r} "
+                             f"{counts[0]}")
+        obs = shares[order].reshape(len(ids), counts[0])
+        total = np.zeros(len(ids))
+        for column in obs.T:    # left to right; a row sum adds pairwise past 8 seats
+            total += column
+        bad = ~((obs.min(axis=1) >= 0) & (abs(total - 1.0) <= 1e-9))    # True for NaN
+        if bad.any():
+            raise ValueError(f"game {ids[bad.argmax()]!r}: shares must be "
+                             "nonnegative and sum to 1")
+        return cls(players, player[order].reshape(obs.shape), obs)
 
 
 def log_posterior(model: RatingModel, games: GameTable) -> float:
@@ -121,10 +119,18 @@ def fit_ratings(games, sigma_prior: float = 350.0, c: float = ELO_SCALE,
     gradient is the accumulated difference between observed and predicted
     shares; convergence is declared when its max-norm drops below `tol`.
     Deterministic: zero initialization and a deterministic line search.
+    Raises `FloatingPointError` when the prior precision (c / sigma_prior)**2
+    is not finite.
     """
     players, seat_idx, obs = games.players, games.seat_idx, games.obs
     n_players, n_seats = len(players), obs.shape[1]
-    prior_precision = (c / sigma_prior) ** 2
+    try:
+        prior_precision = (c / sigma_prior) ** 2
+    except OverflowError:
+        prior_precision = math.inf
+    if not math.isfinite(prior_precision):
+        raise FloatingPointError(f"prior precision (c / sigma_prior)**2 is not finite "
+                                 f"for c = {c!r}, sigma_prior = {sigma_prior!r}")
     n_params = n_players + n_seats   # x = (rho, beta): ratings / c, biases / c
     # Flat rating-block cell of each (game, seat, seat) entry.
     cells = (seat_idx[:, :, None] * n_players + seat_idx[:, None, :]).ravel()
@@ -214,7 +220,8 @@ def read_game_records(path) -> GameTable:
     """Ingest games from CSV columns game_id, seat_index, player_id and
     score_share, found by header name; blank lines are skipped.  No row is
     kept: each field goes to its column, a list of ids (one string per
-    distinct id) or an array of numbers; `_table` orders and checks them.
+    distinct id) or an array of numbers; `GameTable.from_rows` orders and
+    checks them.
     A `ValueError` names the line of a short row or of a seat_index or
     share that does not parse."""
     ids, players, distinct = [], [], {}
@@ -234,32 +241,7 @@ def read_game_records(path) -> GameTable:
             raise ValueError(f"line {reader.line_num}: short row") from None
         except (csv.Error, ValueError, OverflowError) as exc:
             raise ValueError(f"line {reader.line_num}: {exc}") from None
-    return _table(ids, np.asarray(seats), players, np.asarray(shares))
-
-
-def _table(ids, seats, players, shares) -> GameTable:
-    """One row per (game, seat) as a `GameTable`: game ids, seat indices,
-    player ids and shares, games sorted by id, seats by (seat index, player
-    id, share).  Raises `ValueError` for no rows, unequal seat counts and
-    shares that are NaN, negative or off 1 in their sum, naming the game."""
-    if not len(ids):
-        raise ValueError("no games")
-    (ids, game), (players, player) = _codes(ids), _codes(players)
-    order = np.lexsort((shares, player, seats, game))
-    counts = np.bincount(game)
-    g = (counts != counts[0]).argmax()
-    if counts[g] != counts[0]:
-        raise ValueError(f"game {ids[g]!r} has {counts[g]} seats, game {ids[0]!r} "
-                         f"{counts[0]}")
-    obs = shares[order].reshape(len(ids), counts[0])
-    total = np.zeros(len(ids))
-    for column in obs.T:    # left to right, as `GameRecord` adds them
-        total += column
-    bad = ~((obs.min(axis=1) >= 0) & (abs(total - 1.0) <= 1e-9))    # True for NaN
-    if bad.any():
-        raise ValueError(f"game {ids[bad.argmax()]!r}: shares must be nonnegative "
-                         "and sum to 1")
-    return GameTable(players, player[order].reshape(obs.shape), obs)
+    return GameTable.from_rows(ids, seats, players, shares)
 
 
 def _codes(column) -> tuple:

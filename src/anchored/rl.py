@@ -99,22 +99,16 @@ def _search(stage: NormalFormGame, anchors, types, top_k, iterations: int):
     return sigma
 
 
-@dataclass
-class EpisodeRecord:
-    states: list
-    actions: list
-    sigmas: list
-
-
 def run_episode(game: TabularMarkovGame, values: dict, policy_table: dict,
                 anchors: dict, config: TrainConfig, rng: np.random.Generator,
-                visit_counts: dict, searches: dict | None = None) -> EpisodeRecord:
+                visit_counts: dict, searches: dict | None = None) -> tuple[list, list]:
     """Play one self-play episode from the initial state, updating the
     `{s: vector}` values, `{(s, i): vector}` policy table and `{s: count}`
     visit counts at every visited state.  A policy entry is replaced by
     `(1 - policy_step) * old + policy_step * sigma`, never changed in place.
     Player i searches with the types `config.types[i]`, over the `top_k`
-    actions its anchor ranks highest.
+    actions its anchor ranks highest.  Returns the visited states and the
+    joint action played at each.
 
     `searches`, when given, maps each state to the stage payoff bytes and the
     read-only sigma of its last search, and is updated here.  The search is
@@ -124,7 +118,7 @@ def run_episode(game: TabularMarkovGame, values: dict, policy_table: dict,
     """
     if len(config.types) != game.player_count:
         raise ValueError("need one type distribution per player")
-    record = EpisodeRecord([], [], [])
+    states, actions = [], []
     s = game.initial_state
     for _ in range(game.horizon):
         payoffs = stage_payoffs(game, (s,), values)[0]
@@ -155,13 +149,12 @@ def run_episode(game: TabularMarkovGame, values: dict, policy_table: dict,
             else:
                 a = draw(cdf(sigma[i] / sigma[i].sum()), rng.random())
             joint.append(a)
-        record.states.append(s)
-        record.actions.append(tuple(joint))
-        record.sigmas.append([p.copy() for p in sigma])
+        states.append(s)
+        actions.append(tuple(joint))
         s = game.sample_successor(s, joint, rng)
         if s == TERMINAL:
             break
-    return record
+    return states, actions
 
 
 def train(game: TabularMarkovGame, anchors: dict, config: TrainConfig,

@@ -37,8 +37,7 @@ from anchored import (
 from anchored.cli import dumps_json, run_experiment
 from anchored.learners import UtilityStats
 from anchored.oracle import evaluate_markov_profile
-from anchored.rating import (GameRecord, GameTable, RatingModel, fit_ratings,
-                             predict_shares)
+from anchored.rating import GameTable, RatingModel, fit_ratings, predict_shares
 from anchored.rl import evaluate_vs_oracle
 from anchored.oracle import uniform_anchors
 
@@ -247,6 +246,55 @@ def test_criterion_5_hedge_average(capsys):
 
 
 # --------------------------------------------------------------------------
+# The distributional learner's average against the regularized BNE
+# --------------------------------------------------------------------------
+
+# Per player; the second is diplodocus_high's support.
+BNE_SUPPORTS = ((0.1, 1.0), (0.01, 0.1))
+
+
+def test_distributional_average_approaches_regularized_bne(capsys):
+    """Expected feedback at constant eta = 0.5 on three random 3x3 zero-sum
+    games, each with both supports: the worst |average - BNE| over players
+    and types is at most 6e-2 at T = 1e3 and 8e-3 at 1e4, falling at least
+    3x, and the next iterate is within 6.5e-3 of the BNE at 1e4.  The bounds
+    are about twice the worst values of a probe (3.05e-2, 3.94e-3 and
+    3.21e-3, with falls of 5.9-11.7x)."""
+    sched = TemperatureSchedule(mode="constant_eta", eta=0.5)
+    checkpoints = (1_000, 10_000)
+    errors, last = [], []
+    for seed in range(3):
+        game = make_builtin_game("random_zero_sum", {"seed": seed, "actions": (3, 3)})
+        for support in BNE_SUPPORTS:
+            types = [TypeDistribution.uniform(support)] * 2
+            learners = Learners([[0.5, 0.3, 0.2], uniform_policy(3)], types, sched)
+            prof = solve_regularized_bne(game, learners.anchors, types)
+            assert prof.converged
+
+            def worst(policy):
+                return max(float(np.max(np.abs(policy(i, lam) - prof.policies[i][lam])))
+                           for i in range(2) for lam in support)
+
+            run = []
+            for t in checkpoints:
+                run_selfplay(game, learners, t - learners.t, mode="expected",
+                             record=False)
+                run.append(worst(learners.average_policy))
+            errors.append(run)
+            last.append(worst(learners.policy))
+    worst_at = [max(run[k] for run in errors) for k in range(len(checkpoints))]
+    least_fall = min(run[0] / run[1] for run in errors)
+    ok = (worst_at[0] <= 6e-2 and worst_at[1] <= 8e-3 and least_fall >= 3
+          and max(last) <= 6.5e-3)
+    with capsys.disabled():
+        print(f"[bne convergence] distributional average to the regularized BNE "
+              f"(worst error {worst_at[0]:.2e} at 1e3, {worst_at[1]:.2e} at 1e4, "
+              f"least fall {least_fall:.1f}x, last iterate {max(last):.2e}): "
+              f"{'PASS' if ok else 'FAIL'}")
+    assert ok, "the distributional average did not approach the regularized BNE"
+
+
+# --------------------------------------------------------------------------
 # 6. Value learning against the exact oracle
 # --------------------------------------------------------------------------
 
@@ -331,12 +379,12 @@ def _exact_share_games(true_ratings, seat_biases, n_games, n_seats, seed):
                         seat_biases=np.asarray(seat_biases, float))
     names = sorted(true_ratings)
     rng = np.random.default_rng(seed)
-    games = []
-    for _ in range(n_games):
-        seats = tuple(names[k] for k in rng.integers(len(names), size=n_seats))
-        games.append(GameRecord(seats=seats,
-                                shares=tuple(predict_shares(model, seats))))
-    return GameTable.from_records(games)
+    seats = [[names[k] for k in rng.integers(len(names), size=n_seats)]
+             for _ in range(n_games)]
+    return GameTable.from_rows(
+        np.repeat(np.arange(n_games), n_seats), np.tile(np.arange(n_seats), n_games),
+        [p for game in seats for p in game],
+        np.concatenate([predict_shares(model, game) for game in seats]))
 
 
 def test_criterion_8_rating_recovery(capsys):

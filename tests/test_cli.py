@@ -164,6 +164,29 @@ def test_run_oracle_normal_form(tmp_path):
     assert "subtracted" in doc["note"]
 
 
+def _oracle_json(tmp_path, anchors) -> bytes:
+    tmp_path.mkdir()
+    path, out = tmp_path / "cfg.json", tmp_path / "out"
+    path.write_text(json.dumps({"kind": "oracle",
+                                "game": {"builtin": "matching_pennies"},
+                                "oracle": {"types": [0.5], "anchors": anchors}}))
+    assert main(["run", str(path), "--out", str(out)]) == 0
+    return (out / "oracle.json").read_bytes()
+
+
+def test_oracle_floors_its_anchors_as_the_learners_do(tmp_path, capsys):
+    """An anchor entry of 0 is floored to `ANCHOR_FLOOR`, so the solve takes
+    no log of 0, and anchors that differ only by a positive factor solve
+    alike, as `Learners` makes them."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        doc = json.loads(_oracle_json(tmp_path / "zero", [[1, 0], [0.5, 0.5]]))
+    assert not caught and capsys.readouterr().err == ""
+    assert doc["converged"] and doc["mixtures"][0][1] > 0
+    assert (_oracle_json(tmp_path / "a", [[2, 2], [1, 3]])
+            == _oracle_json(tmp_path / "b", [[0.5, 0.5], [0.25, 0.75]]))
+
+
 def test_run_oracle_markov(tmp_path):
     config = {
         "kind": "oracle",

@@ -14,7 +14,6 @@ from anchored import (
     NormalFormGame,
     TabularMarkovGame,
     TERMINAL,
-    expected_utility,
     make_anchor,
     make_builtin_game,
     make_random_markov,
@@ -104,6 +103,13 @@ def test_zero_sum_flag_validated():
                        payoff_bound=1.0, zero_sum=True)
 
 
+def expected_utility(game, profile, player):
+    """`player`'s expected utility when every player follows its policy in
+    `profile`: its utility vector against the others, dotted with its own
+    policy."""
+    return float(game.utility_vector(player, profile) @ profile[player])
+
+
 def test_expected_utility_uniform_pennies_is_zero():
     g = make_builtin_game("matching_pennies")
     prof = [uniform_policy(2), uniform_policy(2)]
@@ -150,12 +156,16 @@ def test_zero_sum_expected_utilities_cancel():
 
 
 def test_utility_vector_matches_expected_utility():
+    """Each player's expected utility against an explicit sum over joint
+    actions, sum_a u_i(a) prod_j p_j(a_j)."""
     rng = np.random.default_rng(2)
     g = make_builtin_game("random_general_sum", {"seed": 9, "actions": (2, 3)})
     prof = [rng.dirichlet(np.ones(2)), rng.dirichlet(np.ones(3))]
-    u = g.utility_vector(0, prof)
-    assert u.shape == (2,)
-    assert float(u @ prof[0]) == pytest.approx(expected_utility(g, prof, 0), abs=1e-12)
+    assert g.utility_vector(0, prof).shape == (2,)
+    for i in range(g.player_count):
+        want = sum(g.payoffs[i][a] * np.prod([p[k] for p, k in zip(prof, a)])
+                   for a in product(*map(range, g.action_counts)))
+        assert expected_utility(g, prof, i) == pytest.approx(want, abs=1e-12)
 
 
 def test_sos_score_equal_counts():

@@ -210,8 +210,9 @@ def reference_population_eval(candidate, baselines, game, n_games, rng):
                 if s == TERMINAL:
                     break
         else:
-            outcome = game.pure_utilities(tuple(
-                int(rng.choice(game.action_counts[i], p=p)) for i, p in enumerate(pols)))
+            joint = tuple(int(rng.choice(game.action_counts[i], p=p))
+                          for i, p in enumerate(pols))
+            outcome = np.array([u[joint] for u in game.payoffs])
         sc = sos_score(outcome)
         seatings.append(seating)
         scores.append(sc.tolist())

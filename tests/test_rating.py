@@ -3,8 +3,10 @@
 `reference_fit` (with `reference_pack`) is the per-game Hessian loop that
 `fit_ratings` ran before its Hessian became one in-order scatter, and
 `reference_read` is the `csv.DictReader` reader that `read_game_records`
-replaced; both are kept verbatim apart from their names.  The fit and the
-reader are compared with them under exact equality.
+replaced; both are kept apart from their names and from holding each game as
+a `(seats, shares)` pair.  The fit and the reader are compared with them
+under exact equality.  `reference_shares_ok` is the left-to-right share
+check of the deleted `GameRecord`, which the reader is compared with.
 """
 
 import csv
@@ -18,7 +20,6 @@ from hypothesis import given, settings, strategies as st
 
 from anchored import (
     ELO_SCALE,
-    GameRecord,
     GameTable,
     RatingModel,
     fit_ratings,
@@ -27,6 +28,16 @@ from anchored import (
 )
 from anchored.cli import main
 from anchored.rating import read_game_records
+
+
+def table(games) -> GameTable:
+    """`(seats, shares)` games as `GameTable.from_rows` rows: games in their
+    order, seats in theirs."""
+    return GameTable.from_rows(
+        [k for k, (seats, _) in enumerate(games) for _ in seats],
+        [s for seats, _ in games for s in range(len(seats))],
+        [p for seats, _ in games for p in seats],
+        [x for _, shares in games for x in shares])
 
 
 def synthetic_games(true_ratings, seat_biases, n_games, n_seats, seed):
@@ -40,8 +51,8 @@ def synthetic_games(true_ratings, seat_biases, n_games, n_seats, seed):
     for _ in range(n_games):
         seats = tuple(names[k] for k in rng.integers(len(names), size=n_seats))
         shares = predict_shares(model, seats)
-        games.append(GameRecord(seats=seats, shares=tuple(shares)))
-    return GameTable.from_records(games)
+        games.append((seats, tuple(shares)))
+    return table(games)
 
 
 # ------------------------------------------------------------- prediction
@@ -82,22 +93,23 @@ def test_seat_bias_shifts_shares():
     assert shares[0] > 0.5
 
 
-# ---------------------------------------------------------------- records
+# ------------------------------------------------------------------- rows
 
 def test_game_record_validation():
-    with pytest.raises(ValueError):
-        GameRecord(seats=("a", "b"), shares=(0.7, 0.7))
-    with pytest.raises(ValueError):
-        GameRecord(seats=("a",), shares=(0.5, 0.5))
-    with pytest.raises(ValueError):
-        GameRecord(seats=(), shares=())
+    """A game record as `from_rows` rows."""
+    with pytest.raises(ValueError, match="nonnegative and sum to 1"):
+        table([(("a", "b"), (0.7, 0.7))])
+    with pytest.raises(ValueError):         # unequal column lengths
+        table([(("a",), (0.5, 0.5))])
+    with pytest.raises(ValueError, match="no games"):
+        table([((), ())])
 
 
 # ------------------------------------------------------------- posterior
 
 def test_log_posterior_uniform_model():
     model = RatingModel(ratings={"a": 0.0, "b": 0.0}, seat_biases=np.zeros(2))
-    games = GameTable.from_records([GameRecord(seats=("a", "b"), shares=(0.3, 0.7))])
+    games = table([(("a", "b"), (0.3, 0.7))])
     assert log_posterior(model, games) == pytest.approx(math.log(0.5), abs=1e-12)
 
 
@@ -119,7 +131,7 @@ def test_log_posterior_local_map_optimality():
 # ------------------------------------------------------------------ fitting
 
 def test_fit_symmetric_single_game():
-    games = GameTable.from_records([GameRecord(seats=("a", "b"), shares=(0.5, 0.5))])
+    games = table([(("a", "b"), (0.5, 0.5))])
     model = fit_ratings(games)
     assert abs(model.ratings["a"]) <= 1e-6
     assert abs(model.ratings["b"]) <= 1e-6
@@ -183,10 +195,9 @@ def test_fit_deterministic():
 
 def test_fit_rejects_empty_and_ragged():
     with pytest.raises(ValueError, match="no games"):
-        GameTable.from_records([])
+        table([])
     with pytest.raises(ValueError, match="has 3 seats"):
-        GameTable.from_records([GameRecord(("a", "b"), (0.5, 0.5)),
-                                GameRecord(("a", "b", "c"), (0.4, 0.3, 0.3))])
+        table([(("a", "b"), (0.5, 0.5)), (("a", "b", "c"), (0.4, 0.3, 0.3))])
 
 
 # ----------------------------------------------------------------- model
@@ -221,10 +232,10 @@ def test_read_game_records_csv(tmp_path):
 # ------------------------------------------------------- references
 
 def reference_pack(games, n_seats: int):
-    players = sorted({p for g in games for p in g.seats})
+    players = sorted({p for seats, _ in games for p in seats})
     index = {p: i for i, p in enumerate(players)}
-    seat_idx = np.array([[index[p] for p in g.seats] for g in games])
-    obs = np.array([g.shares for g in games])
+    seat_idx = np.array([[index[p] for p in seats] for seats, _ in games])
+    obs = np.array([shares for _, shares in games])
     return players, seat_idx, obs
 
 
@@ -240,8 +251,8 @@ def reference_fit(games, sigma_prior: float = 350.0, c: float = ELO_SCALE,
     games = list(games)
     if not games:
         raise ValueError("no games")
-    n_seats = len(games[0].seats)
-    if any(len(g.seats) != n_seats for g in games):
+    n_seats = len(games[0][0])
+    if any(len(seats) != n_seats for seats, _ in games):
         raise ValueError("all games must have the same seat count")
     players, seat_idx, obs = reference_pack(games, n_seats)
     n_players = len(players)
@@ -319,7 +330,7 @@ def reference_fit(games, sigma_prior: float = 350.0, c: float = ELO_SCALE,
     return model
 
 
-def reference_read(path) -> list[GameRecord]:
+def reference_read(path) -> list[tuple]:
     """Ingest games from CSV columns: game_id, seat_index, player_id, score_share."""
     rows: dict = {}
     with open(path, newline="") as fh:
@@ -329,9 +340,9 @@ def reference_read(path) -> list[GameRecord]:
     games = []
     for gid in sorted(rows):
         entries = sorted(rows[gid])
-        games.append(GameRecord(
-            seats=tuple(p for _, p, _ in entries),
-            shares=tuple(s for _, _, s in entries),
+        games.append((
+            tuple(p for _, p, _ in entries),
+            tuple(s for _, _, s in entries),
         ))
     return games
 
@@ -344,10 +355,10 @@ def assert_same_fit(games, **kw):
         want = reference_fit(games, **kw)
     except (RuntimeError, ValueError) as exc:
         with pytest.raises(type(exc)) as got:
-            fit_ratings(GameTable.from_records(games), **kw)
+            fit_ratings(table(games), **kw)
         assert str(got.value) == str(exc)
         return
-    got = fit_ratings(GameTable.from_records(games), **kw)
+    got = fit_ratings(table(games), **kw)
     assert got.ratings == want.ratings
     np.testing.assert_array_equal(got.seat_biases, want.seat_biases)
     assert got.ascent_history == want.ascent_history
@@ -369,8 +380,7 @@ def rated_games(draw):
         seats = rng.integers(n_players, size=n_seats)
         z = (ratings[seats] + biases) / ELO_SCALE
         w = np.exp(z - z.max()) if exact else rng.uniform(0.02, 1.0, size=n_seats)
-        games.append(GameRecord(seats=tuple(f"p{k}" for k in seats),
-                                shares=tuple(w / w.sum())))
+        games.append((tuple(f"p{k}" for k in seats), tuple(w / w.sum())))
     return games
 
 
@@ -382,10 +392,10 @@ def test_fit_matches_reference(games, sigma_prior):
 
 # The line search halves its step 40 times on this fixture at sigma_prior 2000.
 BACKTRACKING_GAMES = [
-    GameRecord(("a", "a"), (0.0002, 0.9998)),
-    GameRecord(("a", "b"), (0.999, 0.001)),
-    GameRecord(("b", "a"), (0.9999999, 1e-7)),
-    GameRecord(("b", "b"), (0.75, 0.25)),
+    (("a", "a"), (0.0002, 0.9998)),
+    (("a", "b"), (0.999, 0.001)),
+    (("b", "a"), (0.9999999, 1e-7)),
+    (("b", "b"), (0.75, 0.25)),
 ]
 
 
@@ -434,11 +444,11 @@ def assert_reads_as_reference(path):
     `reference_read`'s games, bit for bit, or raises `ValueError` where
     those games are none or of unequal seat counts."""
     games = reference_read(path)
-    if not games or len({len(g.seats) for g in games}) > 1:
+    if not games or len({len(seats) for seats, _ in games}) > 1:
         with pytest.raises(ValueError):
             read_game_records(path)
         return
-    players, seat_idx, obs = reference_pack(games, len(games[0].seats))
+    players, seat_idx, obs = reference_pack(games, len(games[0][0]))
     got = read_game_records(path)
     assert len(got) == len(games) and got.players == players
     for a, b in ((got.seat_idx, seat_idx), (got.obs, obs)):
@@ -513,11 +523,32 @@ def test_read_game_records_matches_reference_on_a_shuffled_league_file(tmp_path)
     assert_reads_as_reference(path)
 
 
-def reference_shares_ok(shares) -> bool:
-    """The numpy check `GameRecord` made before it validated in plain Python
-    (it accepted NaN)."""
+def reference_numpy_shares_ok(shares) -> bool:
+    """The numpy check of a game record's shares before they were checked one
+    at a time (it accepted NaN)."""
     sh = np.asarray(shares, dtype=float)
     return not (np.any(sh < 0) or abs(sh.sum() - 1.0) > 1e-9)
+
+
+def reference_shares_ok(shares) -> bool:
+    """The check the deleted `GameRecord` made of a game's shares: each one
+    nonnegative and their total, added left to right, within 1e-9 of 1
+    (False for a NaN or an infinite share)."""
+    shares = tuple(float(x) for x in shares)
+    total = 0.0
+    for x in shares:    # in order, as numpy sums up to 7 seats
+        total += x
+    return min(shares) >= 0 and abs(total - 1.0) <= 1e-9
+
+
+def from_rows_accepts(shares) -> bool:
+    """Whether `from_rows` accepts one game record with these shares."""
+    try:
+        table([(tuple(f"p{k}" for k in range(len(shares))), tuple(shares))])
+    except ValueError as exc:
+        assert "nonnegative and sum to 1" in str(exc)
+        return False
+    return True
 
 
 @settings(max_examples=300, deadline=None)
@@ -527,12 +558,7 @@ def test_game_record_accepts_what_numpy_accepted(weights, offset, ulps):
     """Up to 7 seats, also within a few ulps of the 1e-9 tolerance."""
     shares = [w / sum(weights) for w in weights]
     shares[-1] += offset + ulps * 2.0 ** -52
-    try:
-        GameRecord(tuple("abcdefg"[:len(shares)]), tuple(shares))
-        accepted = True
-    except ValueError:
-        accepted = False
-    assert accepted == reference_shares_ok(shares)
+    assert from_rows_accepts(shares) == reference_numpy_shares_ok(shares)
 
 
 @settings(max_examples=300, deadline=None)
@@ -540,27 +566,45 @@ def test_game_record_accepts_what_numpy_accepted(weights, offset, ulps):
        st.sampled_from([0.0, 1e-9, -1e-9]), st.integers(-8, 8))
 def test_reader_accepts_the_shares_game_record_accepts(tmp_path_factory, weights,
                                                         offset, ulps):
-    """Both add a game's shares left to right, also past 8 seats, where a
-    numpy row sum would add them pairwise."""
+    """The reader adds a game's shares left to right as the deleted
+    `GameRecord` did (`reference_shares_ok`), also past 8 seats, where a numpy
+    row sum would add them pairwise."""
     shares = [w / sum(weights) for w in weights]
     shares[-1] += offset + ulps * 2.0 ** -52
     path = tmp_path_factory.mktemp("csv") / "games.csv"
     path.write_text("game_id,seat_index,player_id,score_share\n" + "".join(
         f"g,{k},p{k},{x!r}\n" for k, x in enumerate(shares)))
-    try:
-        GameRecord(tuple(f"p{k}" for k in range(len(shares))), tuple(shares))
-    except ValueError:
+    if reference_shares_ok(shares):
+        assert read_game_records(path).obs.tolist() == [shares]
+    else:
         with pytest.raises(ValueError, match="sum to 1"):
             read_game_records(path)
-    else:
-        assert read_game_records(path).obs.tolist() == [shares]
 
 
 def test_game_record_rejects_non_finite_shares():
     for shares in [(math.nan, 1.0), (1.0, math.nan), (math.inf, 0.0),
                    (-math.inf, 1.0)]:
         with pytest.raises(ValueError, match="nonnegative and sum to 1"):
-            GameRecord(("a", "b"), shares)
+            table([(("a", "b"), shares)])
+
+
+@pytest.mark.parametrize("option", [{"c": 1e300}, {"sigma_prior": 1e-300}],
+                         ids=["c", "sigma_prior"])
+def test_rate_prior_precision_overflow_exits_3(tmp_path, capsys, option):
+    """A (c / sigma_prior)**2 past the largest double is a numerical failure,
+    not a traceback."""
+    games_csv = tmp_path / "games.csv"
+    games_csv.write_text("game_id,seat_index,player_id,score_share\n"
+                         "g0,0,a,0.75\ng0,1,b,0.25\ng1,0,b,0.5\ng1,1,a,0.5\n")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"kind": "rate",
+                                "rate": {"games_csv": str(games_csv), **option}}))
+    assert main(["validate", str(path)]) == 0
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "c = " in err and "sigma_prior = " in err
+    assert not (tmp_path / "out" / "ratings.json").exists()
 
 
 # ---------------------------------------------------------- golden digest

@@ -300,10 +300,10 @@ def test_run_episode_visits_initial_state_and_updates():
     anchors = uniform_anchors(game)
     table = dict(anchors)
     cfg = singleton_config()
-    rec = run_episode(game, values, table, anchors, cfg,
-                      np.random.default_rng(0), {})
-    assert rec.states[0] == game.initial_state
-    assert len(rec.states) <= game.horizon
+    states, actions = run_episode(game, values, table, anchors, cfg,
+                                  np.random.default_rng(0), {})
+    assert states[0] == game.initial_state
+    assert len(states) <= game.horizon and len(actions) == len(states)
     assert np.any(values[0] != 0.0)
 
 
@@ -317,8 +317,8 @@ def test_full_exploration_uniform_frequencies():
     counts = np.zeros(2)
     n = 0
     for _ in range(1500):
-        rec = run_episode(game, values, table, anchors, cfg, rng, {})
-        for joint in rec.actions:
+        _, actions = run_episode(game, values, table, anchors, cfg, rng, {})
+        for joint in actions:
             counts[joint[0]] += 1
             n += 1
     freq = counts[0] / n
@@ -335,10 +335,12 @@ def test_best_response_mode_opponents_play_anchor():
     cfg = singleton_config(types=BEST_RESPONSE)
     values = zero_values(game)
     table = dict(anchors)
-    rec = run_episode(game, values, table, anchors, cfg,
-                      np.random.default_rng(2), {})
-    for s, sigmas in zip(rec.states, rec.sigmas):
-        np.testing.assert_array_equal(sigmas[1], anchors[(s, 1)])
+    searches = {}
+    states, _ = run_episode(game, values, table, anchors, cfg,
+                            np.random.default_rng(2), {}, searches)
+    assert searches.keys() == set(states)
+    for s in states:
+        np.testing.assert_array_equal(searches[s][1][1], anchors[(s, 1)])
 
 
 def test_episode_determinism():
@@ -353,7 +355,7 @@ def test_episode_determinism():
         visits = {}
         recs = [run_episode(game, values, table, anchors, cfg, rng, visits)
                 for _ in range(5)]
-        return [(r.states, r.actions) for r in recs], values
+        return recs, values
 
     a, va = run()
     b, vb = run()
@@ -415,28 +417,37 @@ def test_run_episode_needs_types_per_player():
 # ------------------------------------------------------------ search cache
 
 def _episodes(game, anchors, cfg, searches):
-    """cfg.episodes episodes as `train` plays them, with the given cache."""
-    values, table, visits = zero_values(game), dict(anchors), {}
+    """cfg.episodes episodes as `train` plays them, with the given cache:
+    the values, policy table and visit counts, each episode's
+    `(states, actions)`, and the sigma of every visit, as `nashv_update`
+    receives it."""
+    values, table, visits, sigmas = zero_values(game), dict(anchors), {}, []
     rng = np.random.default_rng(cfg.seed)
-    records = [run_episode(game, values, table, anchors, cfg, rng, visits,
-                           searches)
-               for _ in range(cfg.episodes)]
-    return values, table, visits, records
+    update = rl.nashv_update
+
+    def record_sigma(values, s, sigma, payoffs, alpha):
+        sigmas.append(sigma)
+        update(values, s, sigma, payoffs, alpha)
+
+    with mock.patch.object(rl, "nashv_update", record_sigma):
+        records = [run_episode(game, values, table, anchors, cfg, rng, visits,
+                               searches)
+                   for _ in range(cfg.episodes)]
+    return values, table, visits, records, sigmas
 
 
 def _assert_same_runs(a, b):
-    (va, ta, ca, ra), (vb, tb, cb, rb) = a, b
+    (va, ta, ca, ra, sa), (vb, tb, cb, rb, sb) = a, b
     assert va.keys() == vb.keys() and ta.keys() == tb.keys() and ca == cb
     for s in va:
         assert np.array_equal(va[s], vb[s])
     for k in ta:
         assert np.array_equal(ta[k], tb[k])
-    assert len(ra) == len(rb)
-    for x, y in zip(ra, rb):
-        assert x.states == y.states and x.actions == y.actions
-        for sx, sy in zip(x.sigmas, y.sigmas):
-            assert len(sx) == len(sy)
-            assert all(np.array_equal(p, q) for p, q in zip(sx, sy))
+    assert ra == rb
+    assert len(sa) == len(sb) == sum(len(states) for states, _ in ra)
+    for sx, sy in zip(sa, sb):
+        assert len(sx) == len(sy)
+        assert all(np.array_equal(p, q) for p, q in zip(sx, sy))
 
 
 CACHE_CASES = {
@@ -464,7 +475,7 @@ def test_search_cache_matches_uncached(seed, case, lambdas):
     with mock.patch.object(rl, "search_state", wraps=rl.search_state) as spy:
         cached = _episodes(game, anchors, cfg, {})
     _assert_same_runs(uncached, cached)
-    visits = sum(len(r.states) for r in cached[3])
+    visits = sum(len(states) for states, _ in cached[3])
     assert spy.call_count < visits  # last-layer stages never change
 
 
@@ -554,7 +565,7 @@ def test_cached_sigma_is_read_only():
     anchors = uniform_anchors(game)
     cfg = singleton_config(search_iterations=8, episodes=3, top_k=2)
     searches = {}
-    records = _episodes(game, anchors, cfg, searches)[3]
+    _episodes(game, anchors, cfg, searches)
     assert searches
     for s, (key, sigma) in searches.items():
         assert isinstance(key, bytes)
@@ -562,8 +573,6 @@ def test_cached_sigma_is_read_only():
             assert not p.flags.writeable
             with pytest.raises(ValueError):
                 p[0] = 0.5
-    # episode records hold copies the caller may change
-    assert all(p.flags.writeable for r in records for ps in r.sigmas for p in ps)
 
 
 # ---------------------------------------------------------------- training

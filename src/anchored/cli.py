@@ -37,8 +37,7 @@ BUILTIN_GAMES = (*G.MATRIX_GAMES, "random_zero_sum", "random_general_sum")
 AGENT_PRESETS = {
     "diplodocus_low": {"lambdas": [1e-4, 1e-1], "act_lambda": 1e-4},
     "diplodocus_high": {"lambdas": [1e-2, 1e-1], "act_lambda": 1e-2},
-    "brbot": {"mode": "best_response", "distinguished_lambda": 0.0,
-              "population_lambda": "inf"},
+    "brbot": {"distinguished_lambda": 0.0, "population_lambda": "inf"},
 }
 
 
@@ -265,7 +264,24 @@ def emit_trace(trace: Trace, path: Path) -> None:
 def read_trace_jsonl(path: Path, type_supports) -> Trace:
     """A trace `emit_trace` wrote; its float columns read "inf" as inf."""
     records = [json.loads(line) for line in path.read_text().splitlines() if line]
-    return Trace.from_records(records, type_supports)
+    if not records:
+        raise ValueError("empty record stream")
+    first = records[0]["per_player"]
+    trace = Trace([len(p["action_utilities"]) for p in first], type_supports,
+                  len(records), first[0]["action"] is not None)
+    for t, rec in enumerate(records):
+        trace.kappas[t] = rec["kappa"]
+        trace.realized[t] = rec["utilities"]
+        for i, p in enumerate(rec["per_player"]):
+            n = trace.action_counts[i]
+            trace.utilities[t, i, :n] = p["action_utilities"]
+            for k, lam in enumerate(trace.type_supports[i]):
+                trace.policies[t, trace.row_start[i] + k, :n] = \
+                    p["policy_by_type"][repr(lam)]
+            if trace.actions is not None:
+                trace.actions[t, i] = p["action"]
+                trace.sampled_lambdas[t, i] = p["sampled_lambda"]
+    return trace
 
 
 def _sub_rng(seed: int, *key) -> np.random.Generator:
@@ -286,9 +302,8 @@ def load_solve(spec: dict, game):
 
 def run_solve(game, loaded, seed: int, out: Path) -> list[Path]:
     learners, mode, iterations = loaded
-    rng = _sub_rng(seed, 0)
-    trace = run_selfplay(game, learners, iterations, mode=mode,
-                         rng=rng if mode == "sampled" else None)
+    trace = run_selfplay(game, learners, iterations,
+                         rng=_sub_rng(seed, 0) if mode == "sampled" else None)
     trace_path = out / "trace.jsonl"
     emit_trace(trace, trace_path)
     schedule = learners.schedule
@@ -353,14 +368,15 @@ def run_oracle(game, loaded, seed: int, out: Path) -> list[Path]:
 
 
 def load_train_config(spec: dict, game) -> RL.TrainConfig:
-    """The rl section of a config as a `TrainConfig` with seed 0.  Best
-    response, the `brbot` preset's mode, gives player 0 the preset's
+    """The rl section of a config as a `TrainConfig` with seed 0.  The
+    `brbot` preset, best response, gives player 0 the preset's
     `distinguished_lambda` and every other player its `population_lambda`."""
     _require(isinstance(game, G.TabularMarkovGame), "rl: needs a Markov game")
     given = _section(spec, "rl")
-    preset = AGENT_PRESETS.get(given.pop("preset", None), {"mode": "standard"})
+    _require(not ("alpha" in given and given.get("alpha_harmonic")),
+             "rl.alpha: alpha_harmonic sets alpha = 1 / visit count, so it takes no alpha")
     types = (given.pop("types", TypeDistribution.singleton(0.1)),) * game.player_count
-    if given.pop("mode", preset["mode"]) == "best_response":
+    if given.pop("preset", None) == "brbot":
         brbot = AGENT_PRESETS["brbot"]
         best, population = (TypeDistribution.singleton(parse_lambda(brbot[k]))
                             for k in ("distinguished_lambda", "population_lambda"))
@@ -497,9 +513,7 @@ SCHEMA = {
     "rl": {"search_iterations": _integer(1), "types": load_types,
            "nash_explore": _number, "episodes": _integer(1), "alpha": _number,
            "alpha_harmonic": _flag, "top_k": _integer(1),
-           "mode": _one_of(("standard", "best_response")),
-           "checkpoint_every": _integer(1),
-           "preset": _one_of([n for n, p in AGENT_PRESETS.items() if "mode" in p])},
+           "checkpoint_every": _integer(1), "preset": _one_of(("brbot",))},
     "rate": {"games_csv": _games_csv, "sigma_prior": _positive, "c": _positive},
     "popeval": {"candidate": _nested, "baselines": _list_of(_nested),
                 "games": _integer(2)},

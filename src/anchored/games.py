@@ -23,8 +23,8 @@ LOOSE_ATOL = {np.dtype(t): np.sqrt(np.finfo(t).eps) for t in (np.float16, np.flo
 TERMINAL = -1
 
 
-def make_anchor(probs, floor: float = ANCHOR_FLOOR) -> np.ndarray:
-    """Clamp-and-renormalize a probability vector so every entry is >= floor.
+def make_anchor(probs) -> np.ndarray:
+    """Clamp-and-renormalize a probability vector so every entry is >= `ANCHOR_FLOOR`.
 
     Anchors feed log() downstream, so zero entries are never allowed through.
     """
@@ -36,7 +36,7 @@ def make_anchor(probs, floor: float = ANCHOR_FLOOR) -> np.ndarray:
     s = p.sum()
     if s <= 0:
         raise ValueError("anchor must have positive mass")
-    p = np.maximum(p / s, floor)
+    p = np.maximum(p / s, ANCHOR_FLOOR)
     p /= p.sum()
     p.setflags(write=False)
     return p

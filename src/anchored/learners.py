@@ -85,8 +85,8 @@ class TemperatureSchedule:
             raise ValueError("kappa_floor must be >= 0")
 
     @classmethod
-    def adaptive(cls, kappa_floor: float = 1e-6) -> "TemperatureSchedule":
-        return cls(mode="adaptive_std", kappa_floor=kappa_floor)
+    def adaptive(cls) -> "TemperatureSchedule":
+        return cls(mode="adaptive_std", kappa_floor=1e-6)
 
     def kappa(self, t: int, utility_stats: "UtilityStats | None" = None) -> float:
         """kappa_t for iteration index t >= 1."""
@@ -136,21 +136,19 @@ class UtilityStats:
         return math.sqrt(self.m2 / (self.count - 1))
 
 
-def policy_for_type(q: np.ndarray, anchor: np.ndarray, lam: float, kappa: float,
-                    argmax_fallback: bool = True) -> np.ndarray:
+def policy_for_type(q: np.ndarray, anchor: np.ndarray, lam: float,
+                    kappa: float) -> np.ndarray:
     """The anchored-hedge iterate: proportional to
     exp{(Q(a) + lam*log tau(a)) / (kappa + lam)}.
 
     lam = inf returns the anchor exactly; kappa = lam = 0 is the
-    fictitious-play step (uniform over argmax Q) when the fallback is enabled.
+    fictitious-play step (uniform over argmax Q).
     """
     if kappa < 0 or lam < 0:
         raise ValueError("kappa and lambda must be >= 0")
     if lam == INF:
         return np.array(anchor, dtype=float)
     if kappa + lam == 0.0:
-        if not argmax_fallback:
-            raise ValueError("kappa == 0 and lambda == 0 with argmax fallback disabled")
         best = np.isclose(q, q.max(), rtol=0.0, atol=1e-12)
         return best / best.sum()
     z = q if lam == 0.0 else q + lam * np.log(anchor)
@@ -261,34 +259,9 @@ class Trace:
         n = self.action_counts[player]
         return np.ascontiguousarray(self.policies[:, row, :n])
 
-    @classmethod
-    def from_records(cls, records, type_supports) -> "Trace":
-        records = list(records)
-        if not records:
-            raise ValueError("empty record stream")
-        first = records[0]["per_player"]
-        trace = cls([len(p["action_utilities"]) for p in first], type_supports,
-                    len(records), first[0]["action"] is not None)
-        for t, rec in enumerate(records):
-            trace.kappas[t] = rec["kappa"]
-            trace.realized[t] = rec["utilities"]
-            for i, p in enumerate(rec["per_player"]):
-                n = trace.action_counts[i]
-                trace.utilities[t, i, :n] = p["action_utilities"]
-                for k, lam in enumerate(trace.type_supports[i]):
-                    trace.policies[t, trace.row_start[i] + k, :n] = \
-                        p["policy_by_type"][repr(lam)]
-                if trace.actions is not None:
-                    trace.actions[t, i] = p["action"]
-                    trace.sampled_lambdas[t, i] = p["sampled_lambda"]
-        return trace
-
-    def replay_q(self, player: int, upto: int | None = None) -> np.ndarray:
+    def replay_q(self, player: int) -> np.ndarray:
         """Recomputation oracle: Q from the stored utility vectors."""
-        u = self.utility_matrix(player)
-        if upto is not None:
-            u = u[:upto]
-        return u.mean(axis=0)
+        return self.utility_matrix(player).mean(axis=0)
 
 
 def _contractions(game: NormalFormGame):
@@ -351,7 +324,7 @@ def _selfplay(game: NormalFormGame, learners: Learners, iterations: int,
     player with one type is its policy row (a product with weight 1.0 is
     exact), and every other result goes into a buffer, except in the argmax
     rule and the contractions of three or more players.
-    Sampled mode draws each step's types and actions from one row of a block
+    Sampled feedback draws each step's types and actions from one row of a block
     of uniforms, one double per draw: the doubles and indices of a
     per-player `Generator.choice` loop.  Updates the learners' arrays in
     place and fills `trace` if given.
@@ -424,92 +397,92 @@ def _selfplay(game: NormalFormGame, learners: Learners, iterations: int,
             slots.append((_gather(pol, slot), w))
         product = np.empty_like(mix)
     realized = [0.0] * n_players
-    for t in range(t0, t0 + iterations):
-        kappas = learners.kappas()
-        for gather, shift, z, b, b_t, r, pairs, scatter in groups:
-            np.add(gather(), shift, out=z)
-            d = [kappas[i] + lam for i, lam in pairs]
-            argmax = [k for k, x in enumerate(d) if x == 0.0] if 0.0 in d else ()
-            for k in argmax:
-                d[k] = 1.0
-            b_t[...] = d
-            np.divide(z, b, out=z)
-            np.maximum.reduce(z, 1, None, r)
-            b_t[...] = r
-            np.subtract(z, b, out=z)
-            np.exp(z, out=z)
-            np.add.reduce(z, 1, None, r)
-            b_t[...] = r
-            np.divide(z, b, out=z)
-            for k in argmax:    # kappa = lambda = 0: the argmax rule
-                i = pairs[k][0]
-                z[k] = policy_for_type(q_rows[i], learners.anchors[i], 0.0, 0.0)
-            if scatter is not None:
-                pol[scatter] = z
-        if t == 0 and first:
-            pol[...] = first_pol
-        if sampled:
-            lams_t, joint = [], []
-            u_t = iter(uniforms[t - t0].tolist())
-            for i, r in enumerate(starts[:-1]):
-                if type_cdfs[i] is not None:
-                    r += draw(type_cdfs[i], next(u_t))
-                lams_t.append(rows[r][1])
-                try:
-                    joint.append(draw(cdf(pol_rows[r]), next(u_t)))
-                except ValueError as exc:   # only a non-finite iterate fails cdf
-                    raise FloatingPointError(f"non-finite iterate at step {t}") from exc
-            for i, payoff in enumerate(game.payoffs):
-                u_rows[i][...] = payoff[tuple(joint[:i]) + (slice(None),)
-                                        + tuple(joint[i + 1:])]
-                realized[i] = float(u_rows[i][joint[i]])
-        else:
-            if slots:
-                (gather, w), *rest = slots
-                np.multiply(w, gather(), out=mix)
-                for gather, w in rest:
-                    np.multiply(w, gather(), out=product)
-                    mix += product
-            for i, (matrix, j, steps) in enumerate(plans):
-                x = np.dot(matrix, mix_rows[j], out=None if steps else u_rows[i])
-                for k, (j, shape, axes, matrix) in enumerate(steps, 1):
-                    x = np.dot(x.reshape(shape).transpose(axes).reshape(matrix),
-                               mix_rows[j], out=u_rows[i] if k == len(steps) else None)
-                realized[i] = float(u_rows[i].dot(mix_rows[i]))
-        avg += pol
-        np.subtract(u, q, out=du)
-        du /= t + 1
-        q += du
-        for st, x in zip(stats, realized):
-            st.add(x)
-        learners.t = t + 1
-        if trace is not None:
-            s = t - t0
-            trace.kappas[s] = kappas
-            trace.realized[s] = realized
-            trace.utilities[s] = u
-            trace.policies[s] = pol
+    # Overflow leaves a non-finite iterate, which the sampled draw or the
+    # caller reports as a numerical failure; numpy need not warn as well.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(t0, t0 + iterations):
+            kappas = learners.kappas()
+            for gather, shift, z, b, b_t, r, pairs, scatter in groups:
+                np.add(gather(), shift, out=z)
+                d = [kappas[i] + lam for i, lam in pairs]
+                argmax = [k for k, x in enumerate(d) if x == 0.0] if 0.0 in d else ()
+                for k in argmax:
+                    d[k] = 1.0
+                b_t[...] = d
+                np.divide(z, b, out=z)
+                np.maximum.reduce(z, 1, None, r)
+                b_t[...] = r
+                np.subtract(z, b, out=z)
+                np.exp(z, out=z)
+                np.add.reduce(z, 1, None, r)
+                b_t[...] = r
+                np.divide(z, b, out=z)
+                for k in argmax:    # kappa = lambda = 0: the argmax rule
+                    i = pairs[k][0]
+                    z[k] = policy_for_type(q_rows[i], learners.anchors[i], 0.0, 0.0)
+                if scatter is not None:
+                    pol[scatter] = z
+            if t == 0 and first:
+                pol[...] = first_pol
             if sampled:
-                trace.actions[s] = joint
-                trace.sampled_lambdas[s] = lams_t
-        if t == 0 and first:
-            pol[...] = later_pol
+                lams_t, joint = [], []
+                u_t = iter(uniforms[t - t0].tolist())
+                for i, r in enumerate(starts[:-1]):
+                    if type_cdfs[i] is not None:
+                        r += draw(type_cdfs[i], next(u_t))
+                    lams_t.append(rows[r][1])
+                    try:
+                        joint.append(draw(cdf(pol_rows[r]), next(u_t)))
+                    except ValueError as exc:   # only a non-finite iterate fails cdf
+                        raise FloatingPointError(f"non-finite iterate at step {t}") from exc
+                for i, payoff in enumerate(game.payoffs):
+                    u_rows[i][...] = payoff[tuple(joint[:i]) + (slice(None),)
+                                            + tuple(joint[i + 1:])]
+                    realized[i] = float(u_rows[i][joint[i]])
+            else:
+                if slots:
+                    (gather, w), *rest = slots
+                    np.multiply(w, gather(), out=mix)
+                    for gather, w in rest:
+                        np.multiply(w, gather(), out=product)
+                        mix += product
+                for i, (matrix, j, steps) in enumerate(plans):
+                    x = np.dot(matrix, mix_rows[j], out=None if steps else u_rows[i])
+                    for k, (j, shape, axes, matrix) in enumerate(steps, 1):
+                        x = np.dot(x.reshape(shape).transpose(axes).reshape(matrix),
+                                   mix_rows[j], out=u_rows[i] if k == len(steps) else None)
+                    realized[i] = float(u_rows[i].dot(mix_rows[i]))
+            avg += pol
+            np.subtract(u, q, out=du)
+            du /= t + 1
+            q += du
+            for st, x in zip(stats, realized):
+                st.add(x)
+            learners.t = t + 1
+            if trace is not None:
+                s = t - t0
+                trace.kappas[s] = kappas
+                trace.realized[s] = realized
+                trace.utilities[s] = u
+                trace.policies[s] = pol
+                if sampled:
+                    trace.actions[s] = joint
+                    trace.sampled_lambdas[s] = lams_t
+            if t == 0 and first:
+                pol[...] = later_pol
 
 
 def run_selfplay(game: NormalFormGame, learners: Learners, iterations: int,
-                 mode: str = "sampled", rng: np.random.Generator | None = None,
+                 rng: np.random.Generator | None = None,
                  record: bool = True) -> Trace | None:
     """Drive `iterations` steps of self-play from the state in `learners`,
-    which it advances, optionally recording a trace."""
-    if mode not in ("sampled", "expected"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "sampled" and rng is None:
-        raise ValueError("sampled mode requires an rng")
+    which it advances, optionally recording a trace.  Feedback is sampled
+    from `rng` when one is given and expected otherwise."""
     if learners.action_counts != game.action_counts:
         raise ValueError("learner action counts do not match the game")
     trace = None
     if record:
         trace = Trace(game.action_counts, [td.lambdas for td in learners.types],
-                      iterations, mode == "sampled")
-    _selfplay(game, learners, iterations, rng if mode == "sampled" else None, trace)
+                      iterations, rng is not None)
+    _selfplay(game, learners, iterations, rng, trace)
     return trace

@@ -99,9 +99,10 @@ def _sbr_values(u, anchor, lam: float) -> np.ndarray:
         return u.max(axis=-1)
     if lam == INF:
         return _row_dots(u, anchor)
-    z = np.log(anchor) + u / lam
-    m = z.max(axis=-1)
-    sums = np.exp(z - m[:, None]).sum(axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):    # overflow: a non-finite value
+        z = np.log(anchor) + u / lam
+        m = z.max(axis=-1)
+        sums = np.exp(z - m[:, None]).sum(axis=-1)
     return lam * (m + np.array([math.log(x) for x in sums.tolist()]))
 
 
@@ -196,50 +197,53 @@ def _newton_equilibria(payoffs, anchors, types,
     steps = np.zeros(batch, dtype=int)
     live = np.ones(batch, dtype=bool)
     below = np.zeros(batch, dtype=bool)
-    for step in range(NEWTON_STEPS + 1):
-        pols = respond(x)
-        u = utilities(pols)
-        residual = np.maximum(*(np.abs(t - p).max(axis=(1, 2))
-                                for t, p in zip(respond(u), pols)))
-        # The residual sees a utility only through its action's probability,
-        # so a game freezes at its second residual below tol in a row (the
-        # step between settles near-zero actions too) or at a non-finite one.
-        live &= ~(below & (residual < tol)) & np.isfinite(residual)
-        below = residual < tol
-        if step == NEWTON_STEPS or not live.any():
-            break
-        jac = np.repeat(-eye[None], batch, axis=0)
-        for i, block in ((0, np.s_[:, n0:, :n0]), (1, np.s_[:, :n0, n0:])):
-            wp = weights[i] / lams[i] * pols[i]
-            s_i = (np.eye(wp.shape[2]) * wp.sum(axis=1)[:, None]
-                   - wp.transpose(0, 2, 1) @ pols[i])
-            jac[block] = to_u[1 - i] @ s_i
-        f = u - x
-        # A singular system (say, u / lambda overflows) stops its game, unconverged.
-        try:
-            dx = np.linalg.solve(jac, -f[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            dx = np.zeros_like(f)
-            for b in np.flatnonzero(live):
-                try:
-                    dx[b] = np.linalg.solve(jac[b], -f[b])
-                except np.linalg.LinAlgError:
-                    live[b] = False
-        merit = (f * f).sum(axis=1)
-        live &= np.isfinite(merit)      # |F|^2 overflows: Armijo accepts any step
-        t = np.ones(batch)
-        pending = live.copy()
-        for _ in range(40):                  # halvings before giving up a step
-            trial = x + t[:, None] * dx
-            r = utilities(respond(trial)) - trial
-            # Armijo: |F|^2 falls by 1e-4 * t of its slope -2|F|^2 along dx.
-            ok = pending & ((r * r).sum(axis=1) <= (1.0 - 2e-4 * t) * merit)
-            x[ok] = trial[ok]
-            pending &= ~ok
-            if not pending.any():
+    # Overflow gives a non-finite residual or merit, which stops its game
+    # unconverged; numpy need not warn as well.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(NEWTON_STEPS + 1):
+            pols = respond(x)
+            u = utilities(pols)
+            residual = np.maximum(*(np.abs(t - p).max(axis=(1, 2))
+                                    for t, p in zip(respond(u), pols)))
+            # The residual sees a utility only through its action's probability,
+            # so a game freezes at its second residual below tol in a row (the
+            # step between settles near-zero actions too) or at a non-finite one.
+            live &= ~(below & (residual < tol)) & np.isfinite(residual)
+            below = residual < tol
+            if step == NEWTON_STEPS or not live.any():
                 break
-            t[pending] *= 0.5
-        steps += live
+            jac = np.repeat(-eye[None], batch, axis=0)
+            for i, block in ((0, np.s_[:, n0:, :n0]), (1, np.s_[:, :n0, n0:])):
+                wp = weights[i] / lams[i] * pols[i]
+                s_i = (np.eye(wp.shape[2]) * wp.sum(axis=1)[:, None]
+                       - wp.transpose(0, 2, 1) @ pols[i])
+                jac[block] = to_u[1 - i] @ s_i
+            f = u - x
+            # A singular system (say, u / lambda overflows) stops its game, unconverged.
+            try:
+                dx = np.linalg.solve(jac, -f[..., None])[..., 0]
+            except np.linalg.LinAlgError:
+                dx = np.zeros_like(f)
+                for b in np.flatnonzero(live):
+                    try:
+                        dx[b] = np.linalg.solve(jac[b], -f[b])
+                    except np.linalg.LinAlgError:
+                        live[b] = False
+            merit = (f * f).sum(axis=1)
+            live &= np.isfinite(merit)      # |F|^2 overflows: Armijo accepts any step
+            t = np.ones(batch)
+            pending = live.copy()
+            for _ in range(40):                  # halvings before giving up a step
+                trial = x + t[:, None] * dx
+                r = utilities(respond(trial)) - trial
+                # Armijo: |F|^2 falls by 1e-4 * t of its slope -2|F|^2 along dx.
+                ok = pending & ((r * r).sum(axis=1) <= (1.0 - 2e-4 * t) * merit)
+                x[ok] = trial[ok]
+                pending &= ~ok
+                if not pending.any():
+                    break
+                t[pending] *= 0.5
+            steps += live
     return [RegularizedProfile(
         tuple({lam: p[b, k] for k, lam in enumerate(td.lambdas)}
               for td, p in zip(types, pols)),
@@ -349,17 +353,18 @@ def regularized_regret(trace: Trace, player: int, lam: float, anchor,
     anchor = np.asarray(anchor, dtype=float)
     u = trace.utility_matrix(player)[:T]
     pols = trace.policy_matrix(player, lam)[:T]
-    q_final = u.mean(axis=0)
-    if lam == 0:
-        comparator = T * float(np.max(q_final))
-        kl_total = 0.0
-    else:
-        comparator = T * sbr_value(q_final, anchor, lam)
-        with np.errstate(divide="ignore", invalid="ignore"):
+    # Sums that overflow give a non-finite regret; numpy need not warn as well.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        q_final = u.mean(axis=0)
+        if lam == 0:
+            comparator = T * float(np.max(q_final))
+            kl_total = 0.0
+        else:
+            comparator = T * sbr_value(q_final, anchor, lam)
             terms = np.where(pols > 0, pols * np.log(pols / anchor), 0.0)
-        kl_total = float(terms.sum())
-    # A lambda = inf type plays its anchor, so its zero KL costs nothing.
-    achieved = float(np.sum(u * pols)) - (lam * kl_total if kl_total else 0.0)
+            kl_total = float(terms.sum())
+        # A lambda = inf type plays its anchor, so its zero KL costs nothing.
+        achieved = float(np.sum(u * pols)) - (lam * kl_total if kl_total else 0.0)
     regret = comparator - achieved
     report = RegretReport(player=player, lam=lam, iterations=T, regret=regret)
     n = u.shape[1]

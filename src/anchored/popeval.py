@@ -59,8 +59,7 @@ def resolve_agent_policies(agent: AgentSpec, game: NormalFormGame) -> list:
     if len(anchors) != n:
         raise ValueError(f"agent {agent.agent_id}: need one anchor per seat")
     learners = Learners(anchors, [agent.types] * n, TemperatureSchedule.adaptive())
-    run_selfplay(game, learners, agent.search_iterations, mode="expected",
-                 record=False)
+    run_selfplay(game, learners, agent.search_iterations, record=False)
     return [learners.policy(i, agent.act_lambda) for i in range(n)]
 
 

@@ -75,7 +75,7 @@ def search_state(stage: NormalFormGame, anchors, types, iterations: int):
     if all(anchored_only):
         return [np.array(a, dtype=float) for a in anchors]
     learners = Learners(anchors, types, TemperatureSchedule.adaptive())
-    run_selfplay(stage, learners, iterations, mode="expected", record=False)
+    run_selfplay(stage, learners, iterations, record=False)
     return [np.array(a, dtype=float) if only else learners.average_mixture(i)
             for i, (a, only) in enumerate(zip(anchors, anchored_only))]
 
@@ -101,7 +101,7 @@ def _search(stage: NormalFormGame, anchors, types, top_k, iterations: int):
 
 def run_episode(game: TabularMarkovGame, values: dict, policy_table: dict,
                 anchors: dict, config: TrainConfig, rng: np.random.Generator,
-                visit_counts: dict, searches: dict | None = None) -> tuple[list, list]:
+                visit_counts: dict, searches: dict) -> tuple[list, list]:
     """Play one self-play episode from the initial state, updating the
     `{s: vector}` values, `{(s, i): vector}` policy table and `{s: count}`
     visit counts at every visited state.  A policy entry is replaced by
@@ -110,11 +110,13 @@ def run_episode(game: TabularMarkovGame, values: dict, policy_table: dict,
     actions its anchor ranks highest.  Returns the visited states and the
     joint action played at each.
 
-    `searches`, when given, maps each state to the stage payoff bytes and the
-    read-only sigma of its last search, and is updated here.  The search is
+    `searches` maps each state to the stage payoff bytes and the read-only
+    sigma of its last search, and is updated here.  The search is
     deterministic, so a state whose stage payoffs are those of its last
     search reuses that sigma, and the stage game is built only to search.
     The caller keeps one dict per game, anchors and config, as `train` does.
+    A fresh `{}` searches at every visit: the state graph has no cycles, so
+    an episode visits a state at most once.
     """
     if len(config.types) != game.player_count:
         raise ValueError("need one type distribution per player")
@@ -123,7 +125,7 @@ def run_episode(game: TabularMarkovGame, values: dict, policy_table: dict,
     for _ in range(game.horizon):
         payoffs = stage_payoffs(game, (s,), values)[0]
         key = payoffs.tobytes()
-        last = searches.get(s) if searches is not None else None
+        last = searches.get(s)
         if last is not None and last[0] == key:
             sigma = last[1]
         else:
@@ -132,10 +134,9 @@ def run_episode(game: TabularMarkovGame, values: dict, policy_table: dict,
                             config.types, config.top_k, config.search_iterations)
             if not all(np.isfinite(p).all() for p in sigma):
                 raise RuntimeError(f"non-finite search policy at state {s}")
-            if searches is not None:
-                for p in sigma:
-                    p.setflags(write=False)
-                searches[s] = (key, sigma)
+            for p in sigma:
+                p.setflags(write=False)
+            searches[s] = (key, sigma)
         visit_counts[s] = visit_counts.get(s, 0) + 1
         alpha = 1.0 / visit_counts[s] if config.alpha_harmonic else config.alpha
         nashv_update(values, s, sigma, payoffs, alpha)
@@ -169,8 +170,6 @@ def train(game: TabularMarkovGame, anchors: dict, config: TrainConfig,
     visit_counts: dict = {}
     searches: dict = {}
     metrics: list[dict] = []
-    stages = None if oracle_profiles is None else oracle_stages(
-        game, oracle_values, oracle_profiles)
     for ep in range(1, config.episodes + 1):
         run_episode(game, values, policy_table, anchors, config, rng,
                     visit_counts, searches)
@@ -178,7 +177,7 @@ def train(game: TabularMarkovGame, anchors: dict, config: TrainConfig,
             row = {"episode": ep}
             if oracle_values is not None:
                 evals = evaluate_vs_oracle(game, values, policy_table, anchors,
-                                           oracle_values, oracle_profiles, stages)
+                                           oracle_values, oracle_profiles)
                 row.update(evals)
             metrics.append(row)
     return values, policy_table, metrics
@@ -199,8 +198,7 @@ def oracle_stages(game: TabularMarkovGame, oracle_values: dict,
 def evaluate_vs_oracle(game: TabularMarkovGame, values: dict,
                        policy_table: dict, anchors: dict,
                        oracle_values: dict,
-                       oracle_profiles: dict | None = None,
-                       stages: list | None = None) -> dict:
+                       oracle_profiles: dict | None = None) -> dict:
     """Error of the learned tables against exact backward induction: the
     largest and mean value error over states, and, given the oracle's
     profiles, the mean KL(oracle type policy || learned policy) over
@@ -209,9 +207,7 @@ def evaluate_vs_oracle(game: TabularMarkovGame, values: dict,
 
     Each metric is one stacked pass over states, one stack per action-count
     shape, with the bits of the per-state definition.  The profiles share
-    their types, as `solve_markov_backward`'s do.  `stages` is
-    `oracle_stages(game, oracle_values, oracle_profiles)`, built here when
-    not given."""
+    their types, as `solve_markov_backward`'s do."""
     missing = [s for s in range(game.state_count) if s not in oracle_values]
     if missing:
         raise ValueError(f"oracle has no value for state {missing[0]}")
@@ -227,11 +223,9 @@ def evaluate_vs_oracle(game: TabularMarkovGame, values: dict,
         types = next(iter(oracle_profiles.values())).types
         if any(p.types != types for p in oracle_profiles.values()):
             raise ValueError("oracle profiles must share their types")
-        if stages is None:
-            stages = oracle_stages(game, oracle_values, oracle_profiles)
         gaps = np.empty(len(order))
         kls = np.empty((len(order), sum(len(td.lambdas) for td in types)))
-        for group, payoffs in stages:
+        for group, payoffs in oracle_stages(game, oracle_values, oracle_profiles):
             rows = [order[s] for s in group]
             learned = [np.stack([policy_table[(s, i)] for s in group], dtype=float)
                        for i in range(2)]

@@ -80,7 +80,7 @@ def test_criterion_1_reduction_identities(capsys):
         learners = Learners([anchor] * 2, [TypeDistribution.singleton(lam)] * 2,
                             sched)
         rng = np.random.default_rng(1)
-        trace = run_selfplay(game, learners, 300, mode="sampled", rng=rng)
+        trace = run_selfplay(game, learners, 300, rng=rng)
         for i in range(2):
             manual = _manual_replay(trace, i, learners.anchors[i], lam, sched)
             worst = max(worst, float(np.max(np.abs(
@@ -105,7 +105,7 @@ def test_criterion_2_regret_bound(capsys):
                                   "payoff_bound": 1.0})
         learners = Learners([uniform_policy(3)] * 2, [types] * 2, sched)
         rng = np.random.default_rng(10_000 + seed)
-        trace = run_selfplay(game, learners, 10_000, mode="sampled", rng=rng)
+        trace = run_selfplay(game, learners, 10_000, rng=rng)
         for i in range(2):
             for lam in lams:
                 rep = regularized_regret(trace, i, lam, learners.anchors[i],
@@ -147,7 +147,7 @@ def test_criterion_3_last_iterate(capsys):
 
     # expected feedback: deterministic convergence of the last iterate
     learners = Learners(MP_ANCHORS, [types[0]] * 2, sched)
-    run_selfplay(game, learners, 100_000, mode="expected", record=False)
+    run_selfplay(game, learners, 100_000, record=False)
     expected_kls = [
         kl_divergence(prof.policies[i][0.1], learners.policy(i, 0.1))
         for i in range(2)
@@ -164,8 +164,7 @@ def test_criterion_3_last_iterate(capsys):
         done = 0
         for t in checkpoints:
             # the iterate played at step t, after t - 1 sampled steps
-            run_selfplay(game, learners, t - 1 - done, mode="sampled",
-                         rng=rng, record=False)
+            run_selfplay(game, learners, t - 1 - done, rng=rng, record=False)
             done = t - 1
             kappas = learners.kappas()
             current = [{0.1: learners.policy(i, 0.1)} for i in range(2)]
@@ -238,7 +237,7 @@ def test_criterion_5_hedge_average(capsys):
     sched = TemperatureSchedule(mode="inverse_sqrt")
     learners = Learners([uniform_policy(2)] * 2, [types] * 2, sched)
     rng = np.random.default_rng(0)
-    run_selfplay(game, learners, 10_000, mode="sampled", rng=rng, record=False)
+    run_selfplay(game, learners, 10_000, rng=rng, record=False)
     avg = [learners.average_policy(i, 0.0) for i in range(2)]
     gap = unregularized_exploitability(game, avg)
     _verdict(capsys, 5, f"hedge average-policy exploitability ({gap:.4f})",
@@ -277,8 +276,7 @@ def test_distributional_average_approaches_regularized_bne(capsys):
 
             run = []
             for t in checkpoints:
-                run_selfplay(game, learners, t - learners.t, mode="expected",
-                             record=False)
+                run_selfplay(game, learners, t - learners.t, record=False)
                 run.append(worst(learners.average_policy))
             errors.append(run)
             last.append(worst(learners.policy))

@@ -244,7 +244,8 @@ def test_sunk_top_k_policy_writes_a_finite_kl(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(SUNK_TOP_K))
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
-    rows = list(csv.DictReader(open(tmp_path / "out" / "metrics.csv")))
+    with open(tmp_path / "out" / "metrics.csv") as fh:
+        rows = list(csv.DictReader(fh))
     assert rows[-1]["episode"] == "8000"
     assert all(math.isfinite(float(v)) for v in rows[-1].values())
     assert float(rows[-1]["mean_policy_kl"]) > 300    # -0.6 log(5e-324) ~ 447
@@ -662,11 +663,16 @@ def test_rl_seed_reaches_training(tmp_path):
     assert a["artifacts"] == b["artifacts"] != c["artifacts"]
 
 
-def test_brbot_preset_is_best_response_mode(tmp_path):
+def test_brbot_preset_is_best_response_mode(tmp_path, capsys):
+    """The `brbot` preset is the one spelling of best response: `rl.mode` is
+    no config key."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(rl_config(mode="best_response")))
+    assert main(["run", str(path), "--out", str(tmp_path / "b")]) == 2
+    assert "validation error: rl.mode: unknown key" in capsys.readouterr().err
     a = run_experiment(rl_config(preset="brbot"), out=tmp_path / "a")
-    b = run_experiment(rl_config(mode="best_response"), out=tmp_path / "b")
     c = run_experiment(rl_config(), out=tmp_path / "c")
-    assert a["artifacts"] == b["artifacts"] != c["artifacts"]
+    assert a["artifacts"] != c["artifacts"]
 
 
 @pytest.mark.parametrize("preset, act_lambda", [("diplodocus_low", 1e-4),
@@ -865,6 +871,51 @@ def test_nan_regret_exits_3(tmp_path, capsys):
     assert not (tmp_path / "out" / "manifest.json").exists()
 
 
+def _scaled_game_file(tmp_path, scale, markov: bool) -> dict:
+    """A `game` section naming the fuzz tests' Markov or normal-form game
+    file, its payoffs and bound times `scale`."""
+    if markov:
+        d = make_random_markov(seed=1, state_count=3, player_count=2,
+                               actions_per_player=2, horizon=2, gamma=1.0,
+                               zero_sum=True).to_dict()
+        _scale_rewards(d, scale)
+    else:
+        d = make_builtin_game("random_zero_sum", {"seed": 3, "actions": [3, 3]}).to_dict()
+        d["payoffs"] = (scale * np.array(d["payoffs"])).tolist()
+    d["payoff_bound"] *= scale
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(d))
+    return {"file": str(path)}
+
+
+#: Runs whose arithmetic overflows and that exit 3: pinned examples of the
+#: fuzz tests below, a scale between them, and `test_nan_regret_exits_3`'s.
+OVERFLOWING_RUNS = {
+    "solve x 1e308": lambda tmp: {"kind": "solve", "seed": 1, "learner": {
+        "iterations": 20}, "game": _scaled_game_file(tmp, 1e308, False)},
+    "solve x 1.3e307": lambda tmp: {"kind": "solve", "seed": 1, "learner": {
+        "iterations": 20}, "game": _scaled_game_file(tmp, 1.3022877078497826e307,
+                                                     False)},
+    "markov oracle x 1e200": lambda tmp: {
+        "kind": "oracle", "seed": 1, "game": _scaled_game_file(tmp, 1e200, True)},
+    "subnormal lambda": lambda tmp: {
+        "kind": "solve", "game": {"builtin": "matching_pennies"},
+        "learner": {"iterations": 5, "mode": "sampled", "types": [1e-320]}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERFLOWING_RUNS))
+def test_overflowing_run_exits_3_without_numpy_warnings(tmp_path, capsys, name):
+    """The run reports its numerical failure once, in its own message."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(OVERFLOWING_RUNS[name](tmp_path)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["run", str(path), "--out", str(tmp_path / "out")])
+    assert code == 3 and "numerical failure" in capsys.readouterr().err
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+
 def test_trace_round_trip_with_infinite_lambda(tmp_path):
     from anchored import Learners, TemperatureSchedule, TypeDistribution, \
         run_selfplay, uniform_policy
@@ -874,7 +925,7 @@ def test_trace_round_trip_with_infinite_lambda(tmp_path):
     sched = TemperatureSchedule(mode="constant_eta", eta=0.5)
     learners = Learners([uniform_policy(2)] * 2, [types] * 2, sched)
     trace = run_selfplay(make_builtin_game("matching_pennies"), learners, 40,
-                         mode="sampled", rng=np.random.default_rng(3))
+                         rng=np.random.default_rng(3))
     emit_trace(trace, tmp_path / "trace.jsonl")
     back = read_trace_jsonl(tmp_path / "trace.jsonl", [types.lambdas] * 2)
     assert np.isinf(trace.sampled_lambdas).any()
@@ -979,7 +1030,7 @@ def test_emit_trace_of_selfplay_matches_reference_writer(tmp_path, steps, mode):
     learners = Learners([[0.6, 0.4], [0.2, 0.3, 0.5]], types,
                         TemperatureSchedule(mode="constant_eta", eta=0.5),
                         uniform_first_iterate=True)
-    trace = run_selfplay(game, learners, steps, mode=mode,
+    trace = run_selfplay(game, learners, steps,
                          rng=np.random.default_rng(4) if mode == "sampled" else None)
     reference_emit(trace, tmp_path / "want.jsonl")
     emit_trace(trace, tmp_path / "got.jsonl")
@@ -1076,7 +1127,7 @@ MISREAD_KEYS = {
                                                     "kapa_floor": 0.1}),
     "learner.schedule.eta": _solve(schedule={"mode": "inverse_sqrt", "eta": 0.5}),
     "rl.preset": rl_config(preset="bogus"),
-    "rl.mode": rl_config(mode="NPU"),
+    "rl.mode": rl_config(preset="brbot", mode="standard"),
     "game.random_markov.zero_sum": {**rl_config(), "game": {"random_markov": {
         "seed": 2, "states": 3, "horizon": 2, "zero_sum": "false"}}},
     "rl.alpha_harmonic": rl_config(alpha_harmonic="false"),
@@ -1085,6 +1136,7 @@ MISREAD_KEYS = {
         "seed": 1.7, "states": 3, "horizon": 2, "zero_sum": True}}},
     "seed": {**solve_config(), "seed": True},
     "rl.alpha": rl_config(alpha="nan"),
+    "rl.alpha: alpha_harmonic": rl_config(alpha=0.9, alpha_harmonic=True),
     "popeval.candidate.search_iterations": _popeval_config(
         {"id": "cand", "kind": "search", "search_iterations": "x"}),
     "rl.episodes": rl_config(episodes=True),

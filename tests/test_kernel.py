@@ -180,13 +180,13 @@ def test_kernel_matches_scalar_reference(case, record):
     kernel, scalar = make_learners(case), make_scalar(case)
     rng_k = np.random.default_rng(case["seed"])
     rng_s = np.random.default_rng(case["seed"])
-    trace = run_selfplay(game, kernel, T, mode=mode, rng=rng_k, record=record)
-    ref = reference_selfplay(game, scalar, T,
-                             rng_s if mode == "sampled" else None)
+    feedback_k, feedback_s = (rng_k, rng_s) if mode == "sampled" else (None, None)
+    trace = run_selfplay(game, kernel, T, rng=feedback_k, record=record)
+    ref = reference_selfplay(game, scalar, T, feedback_s)
     assert_same_state(kernel, scalar)
     # A second call resumes from the state the first call left.
-    run_selfplay(game, kernel, 3, mode=mode, rng=rng_k, record=False)
-    reference_selfplay(game, scalar, 3, rng_s if mode == "sampled" else None)
+    run_selfplay(game, kernel, 3, rng=feedback_k, record=False)
+    reference_selfplay(game, scalar, 3, feedback_s)
     assert_same_state(kernel, scalar)
     assert rng_k.random() == rng_s.random()      # same draws, same order
     if not record:
@@ -219,6 +219,6 @@ def test_single_steps_match_scalar_reference(case):
             ref = reference_selfplay(game, scalar, 1, rng_s)
             assert trace.actions[0].tolist() == ref["actions"][0]
         else:
-            run_selfplay(game, kernel, 1, mode="expected", record=False)
+            run_selfplay(game, kernel, 1, record=False)
             reference_selfplay(game, scalar, 1)
     assert_same_state(kernel, scalar)

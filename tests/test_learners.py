@@ -79,7 +79,7 @@ def test_kappa_adaptive_examples():
 
 
 def test_kappa_adaptive_floor_on_degenerate_input():
-    sched = TemperatureSchedule.adaptive(kappa_floor=1e-6)
+    sched = TemperatureSchedule.adaptive()
     stats = UtilityStats()
     stats.add(1.0)
     stats.add(1.0)   # zero variance
@@ -154,9 +154,6 @@ def test_policy_anchor_dominance():
 def test_policy_fictitious_play_tie_break():
     p = policy_for_type(np.array([1.0, 1.0, 0.0]), uniform_policy(3), 0.0, 0.0)
     np.testing.assert_allclose(p, [0.5, 0.5, 0.0], atol=1e-12)
-    with pytest.raises(ValueError):
-        policy_for_type(np.zeros(2), uniform_policy(2), 0.0, 0.0,
-                        argmax_fallback=False)
 
 
 def test_policy_monotone_anchor_pull():
@@ -224,7 +221,7 @@ def test_observe_constant_utilities():
     learners = Learners([uniform_policy(2), uniform_policy(1)],
                         [TypeDistribution.singleton(0.1)] * 2,
                         TemperatureSchedule(mode="inverse_sqrt"))
-    run_selfplay(game, learners, 10, mode="expected", record=False)
+    run_selfplay(game, learners, 10, record=False)
     np.testing.assert_allclose(learners.q[0], [0.25, 0.25], atol=1e-14)
 
 
@@ -233,7 +230,7 @@ def test_act_policy_matches_support_point():
     types = TypeDistribution.uniform([1e-4, 1e-1])
     sched = TemperatureSchedule.adaptive()
     learners = Learners([np.array([0.6, 0.4])] * 2, [types] * 2, sched)
-    run_selfplay(game, learners, 50, mode="expected", record=False)
+    run_selfplay(game, learners, 50, record=False)
     np.testing.assert_allclose(learners.policy(0, 1e-1), policy_for_type(
         learners.q[0], learners.anchors[0], 1e-1, learners.kappas()[0]), atol=0.0)
     np.testing.assert_allclose(learners.policy(0, INF), learners.anchors[0], atol=0.0)
@@ -247,7 +244,7 @@ def test_average_policy_after_one_iteration():
     first = learners.policy(0, 0.1)
     with pytest.raises(ValueError, match="no iterations completed"):
         learners.average_policy(0, 0.1)
-    run_selfplay(game, learners, 1, mode="expected", record=False)
+    run_selfplay(game, learners, 1, record=False)
     np.testing.assert_allclose(learners.average_policy(0, 0.1), first, atol=1e-15)
 
 
@@ -277,7 +274,7 @@ def test_singleton_reduces_to_anchored_hedge(mode):
     sched = TemperatureSchedule(mode="constant_eta", eta=0.5)
     learners = Learners([anchor] * 2, [types] * 2, sched)
     rng = np.random.default_rng(12)
-    trace = run_selfplay(game, learners, 200, mode=mode, rng=rng)
+    trace = run_selfplay(game, learners, 200, rng=rng if mode == "sampled" else None)
     for i in range(2):
         manual = _manual_pikl_replay(trace, i, learners.anchors[i], 0.5, sched)
         np.testing.assert_allclose(trace.policy_matrix(i, 0.5), manual,
@@ -290,7 +287,7 @@ def test_lambda_zero_reduces_to_hedge():
     sched = TemperatureSchedule(mode="constant_eta", eta=0.5)
     learners = Learners([uniform_policy(3)] * 2, [types] * 2, sched)
     rng = np.random.default_rng(13)
-    trace = run_selfplay(game, learners, 200, mode="sampled", rng=rng)
+    trace = run_selfplay(game, learners, 200, rng=rng)
     for i in range(2):
         u = trace.utility_matrix(i)
         q = np.zeros(3)
@@ -310,7 +307,7 @@ def test_zero_kappa_lambda_reduces_to_fictitious_play():
     sched = TemperatureSchedule(mode="constant_eta", eta=INF)   # kappa == 0
     learners = Learners([uniform_policy(3)] * 2, [types] * 2, sched)
     rng = np.random.default_rng(14)
-    trace = run_selfplay(game, learners, 100, mode="sampled", rng=rng)
+    trace = run_selfplay(game, learners, 100, rng=rng)
     for i in range(2):
         u = trace.utility_matrix(i)
         q = np.zeros(3)
@@ -332,7 +329,7 @@ def test_sampled_deterministic_in_seed():
         sched = TemperatureSchedule.adaptive()
         learners = Learners([uniform_policy(3)] * 2, [types] * 2, sched)
         rng = np.random.default_rng(seed)
-        return run_selfplay(game, learners, 100, mode="sampled", rng=rng)
+        return run_selfplay(game, learners, 100, rng=rng)
 
     a, b = run(99), run(99)
     np.testing.assert_array_equal(a.actions, b.actions)
@@ -346,7 +343,7 @@ def test_expected_mode_bit_identical():
     def run():
         sched = TemperatureSchedule(mode="constant_eta", eta=0.5)
         learners = Learners([np.array([0.5, 0.25, 0.25])] * 2, [types] * 2, sched)
-        return run_selfplay(game, learners, 50, mode="expected")
+        return run_selfplay(game, learners, 50)
 
     a, b = run(), run()
     for i in range(2):
@@ -359,7 +356,7 @@ def test_expected_symmetric_fixed_point_stays_uniform():
     types = TypeDistribution.singleton(0.1)
     sched = TemperatureSchedule(mode="constant_eta", eta=0.5)
     learners = Learners([uniform_policy(2)] * 2, [types] * 2, sched)
-    run_selfplay(game, learners, 200, mode="expected", record=False)
+    run_selfplay(game, learners, 200, record=False)
     for i in range(2):
         np.testing.assert_allclose(learners.policy(i, 0.1), [0.5, 0.5], atol=1e-12)
 
@@ -372,7 +369,7 @@ def test_all_infinite_types_play_anchor_frequencies():
     learners = Learners([tau] * 2, [types] * 2, sched)
     rng = np.random.default_rng(17)
     n = 10000
-    trace = run_selfplay(game, learners, n, mode="sampled", rng=rng)
+    trace = run_selfplay(game, learners, n, rng=rng)
     for i in range(2):
         freq = np.mean([a[i] == 0 for a in trace.actions])
         sigma = math.sqrt(0.7 * 0.3 / n)
@@ -385,7 +382,7 @@ def test_emitted_policies_are_distributions():
     sched = TemperatureSchedule.adaptive()
     learners = Learners([np.array([0.6, 0.3, 0.1])] * 2, [types] * 2, sched)
     rng = np.random.default_rng(18)
-    trace = run_selfplay(game, learners, 200, mode="sampled", rng=rng)
+    trace = run_selfplay(game, learners, 200, rng=rng)
     for i in range(2):
         for lam in types.lambdas:
             mat = trace.policy_matrix(i, lam)
@@ -402,7 +399,7 @@ def test_replay_q_oracle():
     sched = TemperatureSchedule.adaptive()
     learners = Learners([uniform_policy(3)] * 2, [types] * 2, sched)
     rng = np.random.default_rng(19)
-    trace = run_selfplay(game, learners, 500, mode="sampled", rng=rng)
+    trace = run_selfplay(game, learners, 500, rng=rng)
     for i in range(2):
         np.testing.assert_allclose(trace.replay_q(i), learners.q[i], atol=1e-10)
 
@@ -413,7 +410,7 @@ def test_trace_records_round_trip(tmp_path):
     sched = TemperatureSchedule.adaptive()
     learners = Learners([uniform_policy(2)] * 2, [types] * 2, sched)
     rng = np.random.default_rng(20)
-    trace = run_selfplay(game, learners, 30, mode="sampled", rng=rng)
+    trace = run_selfplay(game, learners, 30, rng=rng)
     emit_trace(trace, tmp_path / "trace.jsonl")
     rebuilt = read_trace_jsonl(tmp_path / "trace.jsonl", trace.type_supports)
     assert len(rebuilt) == len(trace)
@@ -444,4 +441,4 @@ def test_mismatched_learners_rejected():
         run_selfplay(game, one, 1, rng=np.random.default_rng(0))
     bad = Learners([uniform_policy(3)] * 2, [types] * 2, sched)
     with pytest.raises(ValueError, match="action counts do not match"):
-        run_selfplay(game, bad, 1, mode="expected")
+        run_selfplay(game, bad, 1)

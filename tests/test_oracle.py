@@ -342,7 +342,7 @@ def _selfplay_trace(seed, iterations=500, lam=0.1):
     sched = TemperatureSchedule(mode="constant_eta", eta=0.5)
     learners = Learners([uniform_policy(3)] * 2, [types] * 2, sched)
     rng = np.random.default_rng(seed + 100)
-    trace = run_selfplay(game, learners, iterations, mode="sampled", rng=rng)
+    trace = run_selfplay(game, learners, iterations, rng=rng)
     return game, learners, trace
 
 
@@ -370,7 +370,7 @@ def test_regret_symmetric_single_step_zero():
     types = TypeDistribution.singleton(0.1)
     sched = TemperatureSchedule(mode="constant_eta", eta=0.5)
     learners = Learners([uniform_policy(2)] * 2, [types] * 2, sched)
-    trace = run_selfplay(game, learners, 1, mode="expected")
+    trace = run_selfplay(game, learners, 1)
     rep = regularized_regret(trace, 0, 0.1, uniform_policy(2))
     assert rep.regret == pytest.approx(0.0, abs=1e-12)
 

@@ -281,15 +281,13 @@ def test_search_matches_scalar_reference(case, top_k):
 
 
 def test_best_response_mode_type_assignment():
-    """Best response, by mode or by the `brbot` preset, is the types lambda = 0
-    for player 0 and lambda = inf for the others; given types are overridden."""
+    """Best response, the `brbot` preset, is the types lambda = 0 for player 0
+    and lambda = inf for the others; given types are overridden."""
     game = make_random_markov(seed=12, state_count=3, player_count=3,
                               actions_per_player=2, horizon=2, gamma=1.0)
-    for spec in ({"mode": "best_response", "types": [0.5]}, {"preset": "brbot"}):
+    for spec in ({"preset": "brbot", "types": [0.5]}, {"preset": "brbot"}):
         cfg = load_train_config(spec, game)
         assert [td.lambdas for td in cfg.types] == [(0.0,), (INF,), (INF,)]
-    assert load_train_config({"preset": "brbot", "mode": "standard"},
-                             game).types == (TypeDistribution.singleton(0.1),) * 3
 
 
 # --------------------------------------------------------------- episodes
@@ -301,7 +299,7 @@ def test_run_episode_visits_initial_state_and_updates():
     table = dict(anchors)
     cfg = singleton_config()
     states, actions = run_episode(game, values, table, anchors, cfg,
-                                  np.random.default_rng(0), {})
+                                  np.random.default_rng(0), {}, {})
     assert states[0] == game.initial_state
     assert len(states) <= game.horizon and len(actions) == len(states)
     assert np.any(values[0] != 0.0)
@@ -317,7 +315,7 @@ def test_full_exploration_uniform_frequencies():
     counts = np.zeros(2)
     n = 0
     for _ in range(1500):
-        _, actions = run_episode(game, values, table, anchors, cfg, rng, {})
+        _, actions = run_episode(game, values, table, anchors, cfg, rng, {}, {})
         for joint in actions:
             counts[joint[0]] += 1
             n += 1
@@ -353,7 +351,7 @@ def test_episode_determinism():
         table = dict(anchors)
         rng = np.random.default_rng(7)
         visits = {}
-        recs = [run_episode(game, values, table, anchors, cfg, rng, visits)
+        recs = [run_episode(game, values, table, anchors, cfg, rng, visits, {})
                 for _ in range(5)]
         return recs, values
 
@@ -401,7 +399,7 @@ def test_policy_table_top_k_is_the_anchors_top_k(seed, dirichlet, top_k, step):
     with mock.patch.object(rl, "_search", check_top_k), \
             mock.patch.object(rl, "stage_payoffs", record_stage):
         for _ in range(cfg.episodes):
-            run_episode(game, values, table, anchors, cfg, rng, visits)
+            run_episode(game, values, table, anchors, cfg, rng, visits, {})
     assert sum(visits.values()) == len(visited)
 
 
@@ -411,16 +409,17 @@ def test_run_episode_needs_types_per_player():
     cfg = singleton_config(types=(TypeDistribution.singleton(0.5),))
     with pytest.raises(ValueError, match="one type distribution per player"):
         run_episode(game, zero_values(game), dict(anchors), anchors, cfg,
-                    np.random.default_rng(0), {})
+                    np.random.default_rng(0), {}, {})
 
 
 # ------------------------------------------------------------ search cache
 
 def _episodes(game, anchors, cfg, searches):
-    """cfg.episodes episodes as `train` plays them, with the given cache:
-    the values, policy table and visit counts, each episode's
-    `(states, actions)`, and the sigma of every visit, as `nashv_update`
-    receives it."""
+    """cfg.episodes episodes as `train` plays them, with the given cache, or
+    with a fresh one per episode, which searches at every visit, when
+    `searches` is None: the values, policy table and visit counts, each
+    episode's `(states, actions)`, and the sigma of every visit, as
+    `nashv_update` receives it."""
     values, table, visits, sigmas = zero_values(game), dict(anchors), {}, []
     rng = np.random.default_rng(cfg.seed)
     update = rl.nashv_update
@@ -431,7 +430,7 @@ def _episodes(game, anchors, cfg, searches):
 
     with mock.patch.object(rl, "nashv_update", record_sigma):
         records = [run_episode(game, values, table, anchors, cfg, rng, visits,
-                               searches)
+                               {} if searches is None else searches)
                    for _ in range(cfg.episodes)]
     return values, table, visits, records, sigmas
 
@@ -493,7 +492,7 @@ def test_train_with_cache_matches_uncached_loop():
     rng, visits, ref_metrics = np.random.default_rng(cfg.seed), {}, []
     for ep in range(1, cfg.episodes + 1):
         run_episode(game, ref_values, ref_table, anchors, cfg, rng,
-                    visit_counts=visits)
+                    visit_counts=visits, searches={})
         if ep % cfg.checkpoint_every == 0:
             ref_metrics.append({"episode": ep, **evaluate_vs_oracle(
                 game, ref_values, ref_table, anchors, oracle_values,

@@ -164,7 +164,6 @@ def _schedule(spec) -> TemperatureSchedule:
     mode = given.setdefault("mode", "adaptive_std")
     _require("eta" not in given or mode == "constant_eta",
              "learner.schedule.eta: only the constant_eta mode takes eta")
-    given.setdefault("kappa_floor", 1e-6 if mode == "adaptive_std" else 0.0)
     return TemperatureSchedule(**given)
 
 
@@ -295,8 +294,7 @@ def load_solve(spec: dict, game):
     types = given.get("types", TypeDistribution.singleton(0.1))
     anchors = _seat_vectors(given.get("anchors"), "learner.anchors", game, policy=False)
     learners = Learners(anchors, [types] * game.player_count,
-                        given.get("schedule", TemperatureSchedule.adaptive()),
-                        given.get("uniform_first_iterate", False))
+                        given.get("schedule", TemperatureSchedule.adaptive()))
     return learners, given.get("mode", "sampled"), given.get("iterations", 1000)
 
 
@@ -502,11 +500,10 @@ SCHEMA = {
         "actions": _integer(1), "horizon": _integer(1), "gamma": _number,
         "zero_sum": _flag, "payoff_bound": _positive},
     "learner": {"iterations": _integer(1), "mode": _one_of(("sampled", "expected")),
-                "types": load_types, "schedule": _schedule, "anchors": _nested,
-                "uniform_first_iterate": _flag},
+                "types": load_types, "schedule": _schedule, "anchors": _nested},
     "learner.schedule": {
         "mode": _one_of(("constant_eta", "inverse_sqrt", "adaptive_std")),
-        "eta": parse_lambda, "kappa_floor": _number},
+        "eta": parse_lambda},
     "types": {"preset": _one_of([n for n, p in AGENT_PRESETS.items() if "lambdas" in p])},
     "oracle": {"tol": _positive, "types": load_types, "anchors": _nested,
                "lambdas": _list_of(parse_lambda)},
@@ -590,14 +587,14 @@ def main(argv=None) -> int:
         parser.print_help()
         return 2
     try:
-        config = json.loads(args.config.read_text())
+        config = json.loads(args.config.read_text(encoding="utf-8"))
         if args.command == "validate":
             validate_config(config)
             print("ok")
             return 0
         manifest = run_experiment(config, seed=args.seed, out=args.out)
-    except json.JSONDecodeError as exc:
-        print(f"validation error: config is not valid JSON: {exc}", file=sys.stderr)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        print(f"validation error: config is not valid UTF-8 JSON: {exc}", file=sys.stderr)
         return 2
     except ConfigError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
@@ -607,6 +604,12 @@ def main(argv=None) -> int:
         return 4
     except (RuntimeError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except (MemoryError, ValueError) as exc:
+        # numpy raises ValueError for an array larger than the address space
+        if isinstance(exc, ValueError) and not str(exc).startswith("array is too big"):
+            raise
+        print(f"runtime failure: out of memory: {exc}", file=sys.stderr)
         return 3
     print(dumps_json(manifest, indent=2))
     return 0

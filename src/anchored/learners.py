@@ -15,9 +15,11 @@ from itertools import accumulate
 
 import numpy as np
 
-from .games import NormalFormGame, cdf, draw, make_anchor, uniform_policy
+from .games import NormalFormGame, cdf, draw, make_anchor
 
 INF = math.inf
+#: The adaptive_std schedule's least kappa.
+KAPPA_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -68,52 +70,34 @@ class TemperatureSchedule:
     Modes:
       constant_eta : kappa_t = 1/(eta * t)
       inverse_sqrt : kappa_t = 1/sqrt(t)
-      adaptive_std : kappa_t = max(3 * S_t / (10 * sqrt(t)), kappa_floor), where
+      adaptive_std : kappa_t = max(3 * S_t / (10 * sqrt(t)), KAPPA_FLOOR), where
                      S_t is the sample std of realized utilities so far
     """
 
     mode: str = "constant_eta"
     eta: float | None = None
-    kappa_floor: float = 0.0
 
     def __post_init__(self):
         if self.mode not in ("constant_eta", "inverse_sqrt", "adaptive_std"):
             raise ValueError(f"unknown schedule mode {self.mode!r}")
         if self.mode == "constant_eta" and (self.eta is None or not self.eta > 0):
             raise ValueError("constant_eta requires eta > 0 (inf allowed for kappa == 0)")
-        if self.kappa_floor < 0:
-            raise ValueError("kappa_floor must be >= 0")
 
     @classmethod
     def adaptive(cls) -> "TemperatureSchedule":
-        return cls(mode="adaptive_std", kappa_floor=1e-6)
-
-    def kappa(self, t: int, utility_stats: "UtilityStats | None" = None) -> float:
-        """kappa_t for iteration index t >= 1."""
-        return self.kappas(t, (utility_stats,))[0]
+        return cls(mode="adaptive_std")
 
     def kappas(self, t: int, stats) -> list[float]:
-        """kappa_t for iteration index t >= 1, one per entry of `stats` (a
-        player's `UtilityStats`, or None)."""
+        """kappa_t for iteration index t >= 1, one per player's
+        `UtilityStats` in `stats`."""
         if t < 1:
             raise ValueError("t must be >= 1")
-        floor = self.kappa_floor
         if self.mode == "constant_eta":
-            return [max(1.0 / (self.eta * t), floor)] * len(stats)
+            return [1.0 / (self.eta * t)] * len(stats)
         if self.mode == "inverse_sqrt":
-            return [max(1.0 / math.sqrt(t), floor)] * len(stats)
+            return [1.0 / math.sqrt(t)] * len(stats)
         root = 10.0 * math.sqrt(t)
-        return [floor if st is None or st.count < 2 else max(3.0 * st.std() / root, floor)
-                for st in stats]
-
-    def kappa_initial(self) -> float:
-        """kappa_0 used by the very first iterate, where the schedules are
-        undefined; chosen as the natural continuation of each mode."""
-        if self.mode == "constant_eta":
-            return max(1.0 / self.eta, self.kappa_floor)
-        if self.mode == "inverse_sqrt":
-            return max(1.0, self.kappa_floor)
-        return self.kappa_floor
+        return [max(3.0 * st.std() / root, KAPPA_FLOOR) for st in stats]
 
 
 @dataclass
@@ -171,18 +155,16 @@ class Learners:
     iterates.  `q` is [P, W] and `avg` is [rows, W], rows player-major in
     support order and zero past a player's action count; `t` counts the
     completed steps, and `utility_stats` holds one `UtilityStats` per player.
-    All players share one schedule; with `uniform_first_iterate` every row
-    plays uniform at t = 0.  `run_selfplay` updates the arrays in place.
+    All players share one schedule.  `run_selfplay` updates the arrays in
+    place.
     """
 
-    def __init__(self, anchors, types, schedule: TemperatureSchedule,
-                 uniform_first_iterate: bool = False):
+    def __init__(self, anchors, types, schedule: TemperatureSchedule):
         if len(anchors) != len(types):
             raise ValueError("need one type distribution per anchor")
         self.anchors = tuple(make_anchor(a) for a in anchors)
         self.types = tuple(types)
         self.schedule = schedule
-        self.uniform_first_iterate = uniform_first_iterate
         self.action_counts = tuple(len(a) for a in self.anchors)
         self.row_start = _row_starts([td.lambdas for td in self.types])
         width = max(self.action_counts)
@@ -193,17 +175,13 @@ class Learners:
 
     def kappas(self) -> list[float]:
         """Each player's kappa_{t-1}, the temperature of the iteration-(t+1)
-        iterate."""
-        if self.t == 0:
-            return [self.schedule.kappa_initial()] * len(self.anchors)
-        return self.schedule.kappas(self.t, self.utility_stats)
+        iterate; kappa_0 is kappa_1, where Q is still 0."""
+        return self.schedule.kappas(max(self.t, 1), self.utility_stats)
 
     def policy(self, i: int, lam: float) -> np.ndarray:
         """Player i's current iterate of type `lam`; `lam` may lie outside
         the support (an acting lambda)."""
         n = self.action_counts[i]
-        if self.t == 0 and self.uniform_first_iterate:
-            return uniform_policy(n)
         return policy_for_type(self.q[i, :n], self.anchors[i], lam, self.kappas()[i])
 
     def average_policy(self, i: int, lam: float) -> np.ndarray:
@@ -258,10 +236,6 @@ class Trace:
         row = self.row_start[player] + self.type_supports[player].index(lam)
         n = self.action_counts[player]
         return np.ascontiguousarray(self.policies[:, row, :n])
-
-    def replay_q(self, player: int) -> np.ndarray:
-        """Recomputation oracle: Q from the stored utility vectors."""
-        return self.utility_matrix(player).mean(axis=0)
 
 
 def _contractions(game: NormalFormGame):
@@ -346,14 +320,6 @@ def _selfplay(game: NormalFormGame, learners: Learners, iterations: int,
         if lam == INF:
             pol_rows[r][...] = learners.anchors[i]
     t0 = learners.t
-    # A uniform first iterate replaces every row, lambda = inf included, at
-    # t = 0 only.
-    first = t0 == 0 and learners.uniform_first_iterate
-    if first:
-        later_pol = pol.copy()
-        first_pol = np.zeros_like(pol)
-        for r, (i, _) in enumerate(rows):
-            first_pol[r, :counts[i]] = 1.0 / counts[i]
 
     # One softmax per action count over its finite-lambda rows; a lambda = 0
     # row adds 0 * log(anchor), which leaves Q unchanged.
@@ -422,8 +388,6 @@ def _selfplay(game: NormalFormGame, learners: Learners, iterations: int,
                     z[k] = policy_for_type(q_rows[i], learners.anchors[i], 0.0, 0.0)
                 if scatter is not None:
                     pol[scatter] = z
-            if t == 0 and first:
-                pol[...] = first_pol
             if sampled:
                 lams_t, joint = [], []
                 u_t = iter(uniforms[t - t0].tolist())
@@ -468,8 +432,6 @@ def _selfplay(game: NormalFormGame, learners: Learners, iterations: int,
                 if sampled:
                     trace.actions[s] = joint
                     trace.sampled_lambdas[s] = lams_t
-            if t == 0 and first:
-                pol[...] = later_pol
 
 
 def run_selfplay(game: NormalFormGame, learners: Learners, iterations: int,

@@ -25,6 +25,8 @@ class RatingModel:
     seat_biases: np.ndarray = field(default_factory=lambda: np.zeros(0))
     scale: float = ELO_SCALE
     sigma_prior: float = 350.0
+    #: `fit_ratings`'s log-posterior at the start and after each Newton step.
+    ascent_history: list = field(default_factory=list, repr=False, compare=False)
 
     def __post_init__(self):
         self.seat_biases = np.asarray(self.seat_biases, dtype=float)
@@ -206,14 +208,13 @@ def fit_ratings(games, sigma_prior: float = 350.0, c: float = ELO_SCALE,
         raise RuntimeError(f"no convergence after {max_iters} iterations; "
                            f"gradient norm {max_norm(grad)}")
     rho, beta = x[:n_players], x[n_players:]
-    model = RatingModel(
+    return RatingModel(
         ratings={p: float(rho[i] * c) for i, p in enumerate(players)},
         seat_biases=beta * c,
         scale=c,
         sigma_prior=sigma_prior,
+        ascent_history=history,
     )
-    model.ascent_history = history
-    return model
 
 
 def read_game_records(path) -> GameTable:

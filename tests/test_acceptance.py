@@ -59,7 +59,7 @@ def _manual_replay(trace, player, anchor, lam, schedule):
     stats = UtilityStats()
     out = []
     for t in range(u.shape[0]):
-        kappa = schedule.kappa_initial() if t == 0 else schedule.kappa(t, stats)
+        kappa = schedule.kappas(max(t, 1), [stats])[0]
         out.append(policy_for_type(q, anchor, lam, kappa))
         q = q * t / (t + 1) + u[t] / (t + 1)
         stats.add(float(realized[t]))

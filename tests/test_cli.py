@@ -15,9 +15,10 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from anchored import INF, Trace, make_builtin_game, make_random_markov
+from anchored import INF, Trace, make_builtin_game, make_random_markov, run_selfplay
 from anchored.cli import (
     ConfigError,
+    _sub_rng,
     dumps_json,
     format_float,
     list_builtins,
@@ -144,12 +145,13 @@ def test_trace_round_trip_replay(tmp_path):
     run_experiment(solve_config(), out=tmp_path)
     trace = read_trace_jsonl(tmp_path / "trace.jsonl", [(0.1,), (0.1,)])
     assert len(trace) == 50
+    # The run's Q is the mean of its utilities; serialization must not
+    # perturb them beyond float round-trip.
+    _, game, (learners, _, iterations) = validate_config(solve_config())
+    run_selfplay(game, learners, iterations, rng=_sub_rng(5, 0), record=False)
     for player in range(2):
-        q = trace.replay_q(player)
-        # the replayed Q is itself the exact mean of the stored utilities;
-        # serialization must not perturb it beyond float round-trip
-        u = trace.utility_matrix(player)
-        np.testing.assert_allclose(q, u.mean(axis=0), atol=1e-12)
+        np.testing.assert_allclose(trace.utility_matrix(player).mean(axis=0),
+                                   learners.q[player], atol=1e-12)
 
 
 def test_run_oracle_normal_form(tmp_path):
@@ -916,6 +918,46 @@ def test_overflowing_run_exits_3_without_numpy_warnings(tmp_path, capsys, name):
     assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
+def test_non_utf8_config_exits_2(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(b'\xff\xfe{"kind": "rate"}')
+    assert main(["validate", str(path)]) == 2
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.count(
+        "validation error: config is not valid UTF-8 JSON: 'utf-8' codec") == 2
+
+
+def _scorable_popeval(tmp, games):
+    game_file = tmp / "game.json"
+    game_file.write_text(json.dumps({
+        "players": 2, "action_counts": [2, 2], "payoff_bound": 2.0,
+        "payoffs": [[[1, 2], [0.5, 1]], [[1, 0.5], [2, 1]]]}))
+    config = _popeval_config({"id": "cand"})
+    return {**config, "game": {"file": str(game_file)},
+            "popeval": {**config["popeval"], "games": games}}
+
+
+#: Runs whose first large array is bigger than the address space, so that
+#: nothing is allocated: past 2**63 bytes numpy raises ValueError, below it
+#: (an exbibyte, 2**60 bytes) MemoryError.
+UNALLOCATABLE_RUNS = {
+    "solve 2**62 steps": lambda tmp: _solve(iterations=2 ** 62),
+    "solve 2**56 steps": lambda tmp: _solve(iterations=2 ** 56),
+    "popeval 2**62 games": lambda tmp: _scorable_popeval(tmp, 2 ** 62),
+    "popeval 2**56 games": lambda tmp: _scorable_popeval(tmp, 2 ** 56),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNALLOCATABLE_RUNS))
+def test_unallocatable_run_exits_3(tmp_path, capsys, name):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(UNALLOCATABLE_RUNS[name](tmp_path)))
+    assert main(["validate", str(path)]) == 0
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("runtime failure: out of memory: ") and err.count("\n") == 1
+
+
 def test_trace_round_trip_with_infinite_lambda(tmp_path):
     from anchored import Learners, TemperatureSchedule, TypeDistribution, \
         run_selfplay, uniform_policy
@@ -1019,8 +1061,8 @@ def test_emit_trace_matches_reference_writer(tmp_path_factory, case):
 @pytest.mark.parametrize("steps", [1, 1023, 1024, 1025, 2049])
 @pytest.mark.parametrize("mode", ["sampled", "expected"])
 def test_emit_trace_of_selfplay_matches_reference_writer(tmp_path, steps, mode):
-    """Around the real block size, with a uniform first iterate and a
-    lambda = 0 and lambda = inf type; the file reads back column for column."""
+    """Around the real block size, with a lambda = 0 and lambda = inf type;
+    the file reads back column for column."""
     from anchored import Learners, TemperatureSchedule, TypeDistribution, run_selfplay
     from anchored.cli import TRACE_BLOCK, emit_trace
 
@@ -1028,8 +1070,7 @@ def test_emit_trace_of_selfplay_matches_reference_writer(tmp_path, steps, mode):
     game = make_builtin_game("random_zero_sum", {"seed": 5, "actions": [2, 3]})
     types = [TypeDistribution.uniform([0.0, 0.1, INF]), TypeDistribution.singleton(0.5)]
     learners = Learners([[0.6, 0.4], [0.2, 0.3, 0.5]], types,
-                        TemperatureSchedule(mode="constant_eta", eta=0.5),
-                        uniform_first_iterate=True)
+                        TemperatureSchedule(mode="constant_eta", eta=0.5))
     trace = run_selfplay(game, learners, steps,
                          rng=np.random.default_rng(4) if mode == "sampled" else None)
     reference_emit(trace, tmp_path / "want.jsonl")
@@ -1110,9 +1151,9 @@ def _solve(**learner):
     return {**solve_config(), "learner": {**solve_config()["learner"], **learner}}
 
 
-# Each config key that was ignored or misread: an unknown key, a string read
-# as a true flag, a float truncated to an integer, a bool read as a number, a
-# value no longer accepted.
+# Each config key that was ignored or misread: an unknown or deleted key, a
+# string read as a true flag, a float truncated to an integer, a bool read as
+# a number, a value no longer accepted.
 MISREAD_KEYS = {
     "learner.itertions": _solve(itertions=5),
     "bogus": {**solve_config(), "bogus": 1},
@@ -1125,13 +1166,15 @@ MISREAD_KEYS = {
                      "oracle": {"typez": [0.1]}},
     "learner.schedule.kapa_floor": _solve(schedule={"mode": "adaptive_std",
                                                     "kapa_floor": 0.1}),
+    "learner.schedule.kappa_floor": _solve(schedule={"mode": "adaptive_std",
+                                                     "kappa_floor": 1e-6}),
     "learner.schedule.eta": _solve(schedule={"mode": "inverse_sqrt", "eta": 0.5}),
     "rl.preset": rl_config(preset="bogus"),
     "rl.mode": rl_config(preset="brbot", mode="standard"),
     "game.random_markov.zero_sum": {**rl_config(), "game": {"random_markov": {
         "seed": 2, "states": 3, "horizon": 2, "zero_sum": "false"}}},
     "rl.alpha_harmonic": rl_config(alpha_harmonic="false"),
-    "learner.uniform_first_iterate": _solve(uniform_first_iterate="no"),
+    "learner.uniform_first_iterate": _solve(uniform_first_iterate=True),
     "game.random_markov.seed": {**rl_config(), "game": {"random_markov": {
         "seed": 1.7, "states": 3, "horizon": 2, "zero_sum": True}}},
     "seed": {**solve_config(), "seed": True},
@@ -1232,8 +1275,7 @@ def _fuzz_bases(work):
         {"kind": "solve", "seed": 1, "game": {"builtin": "matching_pennies"},
          "learner": {"iterations": 20, "mode": "sampled", "types": [0.1, 1.0],
                      "schedule": {"mode": "constant_eta", "eta": 0.5},
-                     "anchors": [[0.7, 0.3], [0.5, 0.5]],
-                     "uniform_first_iterate": True}},
+                     "anchors": [[0.7, 0.3], [0.5, 0.5]]}},
         {"kind": "oracle", "seed": 1, "game": {"builtin": "rock_paper_scissors"},
          "oracle": {"types": [1.0], "anchors": [[0.5, 0.3, 0.2], None],
                     "tol": 1e-9}},

@@ -50,13 +50,13 @@ def test_uniform_type_distribution():
 
 def test_kappa_constant_eta():
     sched = TemperatureSchedule(mode="constant_eta", eta=0.5)
-    assert sched.kappa(4) == pytest.approx(0.5)
-    assert sched.kappa(1) == pytest.approx(2.0)
+    assert sched.kappas(4, [UtilityStats()]) == pytest.approx([0.5])
+    assert sched.kappas(1, [UtilityStats()]) == pytest.approx([2.0])
 
 
 def test_kappa_inverse_sqrt():
     sched = TemperatureSchedule(mode="inverse_sqrt")
-    assert sched.kappa(9) == pytest.approx(1.0 / 3.0)
+    assert sched.kappas(9, [UtilityStats()]) == pytest.approx([1.0 / 3.0])
 
 
 def test_kappa_adaptive_std():
@@ -65,7 +65,7 @@ def test_kappa_adaptive_std():
     for x in (0.0, 2.0):   # sample std = sqrt(2)
         stats.add(x)
     expected = 3.0 * math.sqrt(2.0) / (10.0 * 3.0)
-    assert sched.kappa(9, stats) == pytest.approx(expected)
+    assert sched.kappas(9, [stats]) == pytest.approx([expected])
 
 
 def test_kappa_adaptive_examples():
@@ -83,9 +83,9 @@ def test_kappa_adaptive_floor_on_degenerate_input():
     stats = UtilityStats()
     stats.add(1.0)
     stats.add(1.0)   # zero variance
-    assert sched.kappa(5, stats) == pytest.approx(1e-6)
+    assert sched.kappas(5, [stats]) == pytest.approx([1e-6])
     # fewer than 2 samples: schedule undefined, floor engaged
-    assert sched.kappa(1, UtilityStats()) == pytest.approx(1e-6)
+    assert sched.kappas(1, [UtilityStats()]) == pytest.approx([1e-6])
 
 
 def test_schedule_validation():
@@ -95,7 +95,7 @@ def test_schedule_validation():
         TemperatureSchedule(mode="warp_drive")
     sched = TemperatureSchedule(mode="inverse_sqrt")
     with pytest.raises(ValueError):
-        sched.kappa(0)
+        sched.kappas(0, [UtilityStats()])
 
 
 def test_schedule_rejects_nan_eta():
@@ -190,6 +190,16 @@ def test_learners_initial_state():
     assert ln.kappas() == [1.0, 1.0]
 
 
+@pytest.mark.parametrize("schedule, kappa", [
+    (TemperatureSchedule(mode="constant_eta", eta=0.5), 2.0),
+    (TemperatureSchedule(mode="inverse_sqrt"), 1.0),
+    (TemperatureSchedule.adaptive(), 1e-6),
+])
+def test_first_kappa_is_the_schedules_kappa_1(schedule, kappa):
+    ln = Learners([uniform_policy(2)], [TypeDistribution.singleton(0.1)], schedule)
+    assert ln.kappas() == [kappa] == schedule.kappas(1, ln.utility_stats)
+
+
 def test_learners_reject_mismatched_lengths():
     types = TypeDistribution.singleton(0.1)
     sched = TemperatureSchedule.adaptive()
@@ -258,8 +268,7 @@ def _manual_pikl_replay(trace, player, anchor, lam, schedule):
     stats = UtilityStats()
     policies = []
     for t in range(u.shape[0]):
-        kappa = (schedule.kappa_initial() if t == 0
-                 else schedule.kappa(t, stats))
+        kappa = schedule.kappas(max(t, 1), [stats])[0]
         policies.append(policy_for_type(q, anchor, lam, kappa))
         q = q * t / (t + 1) + u[t] / (t + 1)
         stats.add(float(realized[t]))
@@ -292,7 +301,7 @@ def test_lambda_zero_reduces_to_hedge():
         u = trace.utility_matrix(i)
         q = np.zeros(3)
         for t in range(200):
-            kappa = sched.kappa_initial() if t == 0 else sched.kappa(t)
+            kappa = 1.0 / (0.5 * max(t, 1))
             z = q / kappa
             z -= z.max()
             hedge = np.exp(z) / np.exp(z).sum()
@@ -401,7 +410,8 @@ def test_replay_q_oracle():
     rng = np.random.default_rng(19)
     trace = run_selfplay(game, learners, 500, rng=rng)
     for i in range(2):
-        np.testing.assert_allclose(trace.replay_q(i), learners.q[i], atol=1e-10)
+        np.testing.assert_allclose(trace.utility_matrix(i).mean(axis=0), learners.q[i],
+                                   atol=1e-10)
 
 
 def test_trace_records_round_trip(tmp_path):
@@ -420,16 +430,6 @@ def test_trace_records_round_trip(tmp_path):
         for lam in types.lambdas:
             np.testing.assert_array_equal(rebuilt.policy_matrix(i, lam),
                                           trace.policy_matrix(i, lam))
-
-
-def test_uniform_first_iterate_switch():
-    tau = np.array([0.9, 0.1])
-    types = TypeDistribution.singleton(0.5)
-    sched = TemperatureSchedule(mode="constant_eta", eta=0.5)
-    ln = Learners([tau], [types], sched, uniform_first_iterate=True)
-    np.testing.assert_allclose(ln.policy(0, 0.5), [0.5, 0.5], atol=0.0)
-    ln2 = Learners([tau], [types], sched)
-    assert ln2.policy(0, 0.5)[0] > 0.5    # anchored first iterate leans to tau
 
 
 def test_mismatched_learners_rejected():

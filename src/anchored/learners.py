@@ -175,7 +175,7 @@ class Learners:
 
     def kappas(self) -> list[float]:
         """Each player's kappa_{t-1}, the temperature of the iteration-(t+1)
-        iterate; kappa_0 is kappa_1, where Q is still 0."""
+        iterate; the first iterate, of Q = 0, takes kappa_1."""
         return self.schedule.kappas(max(self.t, 1), self.utility_stats)
 
     def policy(self, i: int, lam: float) -> np.ndarray:

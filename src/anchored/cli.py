@@ -81,6 +81,12 @@ def _require(cond, message):
         raise ConfigError(message)
 
 
+def _addressable(key: str, shape) -> None:
+    """Reject a size whose 8-byte-item array of `shape` numpy cannot address."""
+    _require(math.prod(shape) * np.dtype(float).itemsize <= np.iinfo(np.intp).max,
+             f"{key}: an array of shape {shape} is larger than numpy can address")
+
+
 @contextmanager
 def _config_errors(section: str):
     """Report what building a config's objects raises as a `ConfigError`."""
@@ -260,29 +266,6 @@ def emit_trace(trace: Trace, path: Path) -> None:
         raise
 
 
-def read_trace_jsonl(path: Path, type_supports) -> Trace:
-    """A trace `emit_trace` wrote; its float columns read "inf" as inf."""
-    records = [json.loads(line) for line in path.read_text().splitlines() if line]
-    if not records:
-        raise ValueError("empty record stream")
-    first = records[0]["per_player"]
-    trace = Trace([len(p["action_utilities"]) for p in first], type_supports,
-                  len(records), first[0]["action"] is not None)
-    for t, rec in enumerate(records):
-        trace.kappas[t] = rec["kappa"]
-        trace.realized[t] = rec["utilities"]
-        for i, p in enumerate(rec["per_player"]):
-            n = trace.action_counts[i]
-            trace.utilities[t, i, :n] = p["action_utilities"]
-            for k, lam in enumerate(trace.type_supports[i]):
-                trace.policies[t, trace.row_start[i] + k, :n] = \
-                    p["policy_by_type"][repr(lam)]
-            if trace.actions is not None:
-                trace.actions[t, i] = p["action"]
-                trace.sampled_lambdas[t, i] = p["sampled_lambda"]
-    return trace
-
-
 def _sub_rng(seed: int, *key) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
@@ -295,7 +278,9 @@ def load_solve(spec: dict, game):
     anchors = _seat_vectors(given.get("anchors"), "learner.anchors", game, policy=False)
     learners = Learners(anchors, [types] * game.player_count,
                         given.get("schedule", TemperatureSchedule.adaptive()))
-    return learners, given.get("mode", "sampled"), given.get("iterations", 1000)
+    iterations = given.get("iterations", 1000)
+    _addressable("learner.iterations", (iterations, *learners.avg.shape))  # Trace.policies
+    return learners, given.get("mode", "sampled"), iterations
 
 
 def run_solve(game, loaded, seed: int, out: Path) -> list[Path]:
@@ -394,9 +379,7 @@ def run_rl(game, loaded, seed: int, out: Path) -> list[Path]:
     if (game.zero_sum and 0 < lam < INF
             and all(td.lambdas == (lam,) for td in tcfg.types)):
         oracle_values, oracle_profiles = solve_markov_backward(game, anchors, [lam, lam])
-    values, policy_table, metrics = RL.train(game, anchors, tcfg,
-                                             oracle_values=oracle_values,
-                                             oracle_profiles=oracle_profiles)
+    values, policy, metrics = RL.train(game, anchors, tcfg, oracle_values, oracle_profiles)
     metrics_path = out / "metrics.csv"
     fields = ["episode", "max_value_error", "mean_value_error",
               "mean_policy_kl", "mean_exploitability"]
@@ -411,9 +394,10 @@ def run_rl(game, loaded, seed: int, out: Path) -> list[Path]:
                      + "\n")
     ckpt_path = out / "checkpoint.json"
     ckpt_path.write_text(dumps_json({
-        "values": {str(s): v.tolist() for s, v in values.items()},
-        "policy_table": {f"{s},{i}": p.tolist()
-                         for (s, i), p in policy_table.items()},
+        "values": {str(s): v.tolist() for s, v in enumerate(values[:-1])},
+        "policy_table": {f"{s},{i}": policy[s, i, :n].tolist()
+                         for s, counts in enumerate(game.action_counts)
+                         for i, n in enumerate(counts)},
     }, indent=2) + "\n")
     return [metrics_path, ckpt_path]
 
@@ -460,7 +444,9 @@ def load_popeval(spec: dict, game):
     _require(len(set(ids)) == len(ids), "popeval: agent ids must be unique")
     _require(PE.scorable(game), "popeval: sum-of-squares scoring needs outcomes "
              "that are nonnegative and never all zero")
-    return candidate, baselines, given.get("games", 1000)
+    games = given.get("games", 1000)
+    _addressable("popeval.games", (games, game.player_count))  # seats, rows
+    return candidate, baselines, games
 
 
 def run_popeval(game, loaded, seed: int, out: Path) -> list[Path]:

@@ -149,14 +149,14 @@ def solve_regularized_bne(game: NormalFormGame, anchors, types,
         raise ValueError("requires a two-player zero-sum game")
     payoffs = [u[None] for u in game.payoffs]
     anchors = [np.asarray(a, dtype=float)[None] for a in anchors]
-    return _newton_equilibria(payoffs, anchors, tuple(types), tol)[0]
+    return _newton_equilibria(payoffs, anchors, tuple(types), tol)[0][0]
 
 
-def _newton_equilibria(payoffs, anchors, types,
-                       tol: float = 1e-10) -> list[RegularizedProfile]:
+def _newton_equilibria(payoffs, anchors, types, tol: float = 1e-10) -> tuple:
     """`solve_regularized_bne` for B games of one shape: `payoffs[i]` is
     player i's ``(B, A_0, A_1)`` payoff stack, `anchors[i]` its ``(B, A_i)``
-    anchors and `types[i]` its types, shared by the batch.
+    anchors and `types[i]` its types, shared by the batch.  Returns the B
+    profiles and each player's ``(B, K_i, A_i)`` policies, which they view.
 
     Type k of player i plays ``softmax(log tau_i + u_i / lambda_k)``, so the
     equilibrium is the root x = (g, h) of ``F = (P_0 mix_1(h) - g,
@@ -248,7 +248,7 @@ def _newton_equilibria(payoffs, anchors, types,
         tuple({lam: p[b, k] for k, lam in enumerate(td.lambdas)}
               for td, p in zip(types, pols)),
         types, int(steps[b]), float(residual[b]), bool(residual[b] < tol))
-        for b in range(batch)]
+        for b in range(batch)], pols
 
 
 def regularized_exploitability(game: NormalFormGame, anchors, types,
@@ -402,11 +402,12 @@ def stage_payoffs(game: TabularMarkovGame, states, values) -> np.ndarray:
     u_i(a) = r_i(s, a) + gamma * E_{s'}[V_i(s')] of B states that share their
     action counts and successors (a `stage_groups` group).
 
-    `values` maps every non-terminal successor to its value vector.  The
-    expectation is accumulated from 0 one successor at a time in
+    `values` is the ``(S + 1, P)`` value array, TERMINAL's last row 0.  The
+    expectation is accumulated from +0.0 one successor at a time in
     `next_states` order, elementwise over the stack (an axis-0 reduce adds
     its slices in order), so each state's payoffs have the bits of a build
-    of it alone.  Non-finite payoffs raise `FloatingPointError`."""
+    of it alone; a sum from +0.0 is never -0.0, so TERMINAL's +0.0 terms
+    change no bit.  Non-finite payoffs raise `FloatingPointError`."""
     if TERMINAL in states:
         raise ValueError("terminal state has no stage game")
     first = states[0]
@@ -416,11 +417,8 @@ def stage_payoffs(game: TabularMarkovGame, states, values) -> np.ndarray:
         rewards = np.stack([game.R[s] for s in states])
         probs = np.stack([game.T[s] for s in states])
     succ = game.next_states[first]
-    ks = [k for k, s2 in enumerate(succ) if s2 != TERMINAL]
-    if len(ks) < len(succ):
-        probs = probs[..., ks]
-    later = np.array([values[succ[k]] for k in ks], dtype=float).reshape(
-        len(ks), 1, game.player_count, *(1,) * (probs.ndim - 2))
+    later = values[list(succ)].reshape(len(succ), 1, game.player_count,
+                                       *(1,) * (probs.ndim - 2))
     # (K, B, P, *A): the successor axis first, whose reduce adds in order
     terms = later * probs.transpose(probs.ndim - 1, *range(probs.ndim - 1))[:, :, None]
     total = rewards + game.gamma * np.add.reduce(terms, axis=0, initial=0.0)
@@ -439,9 +437,13 @@ def stage_game(game: TabularMarkovGame, s: int, payoffs) -> NormalFormGame:
 
 def stage_game_from_values(game: TabularMarkovGame, s: int,
                            values: dict) -> NormalFormGame:
-    """One-step lookahead stage game at state s: the B = 1 call of
-    `stage_payoffs`."""
-    return stage_game(game, s, stage_payoffs(game, (s,), values)[0])
+    """One-step lookahead stage game at state s from a `{state: vector}`
+    dict of its successors' values: the B = 1 call of `stage_payoffs`.  Only
+    the benchmark's `add_references` calls it, until ROADMAP item 11."""
+    table = np.zeros((game.state_count + 1, game.player_count))
+    for s2, v in values.items():
+        table[s2] = v
+    return stage_game(game, s, stage_payoffs(game, (s,), table)[0])
 
 
 def _utilities(payoffs, policies) -> list:
@@ -472,59 +474,58 @@ def _profile_values(payoffs, policies) -> np.ndarray:
                      zip(_utilities(payoffs, policies), policies)], axis=1)
 
 
+def _seat_rows(table, game: TabularMarkovGame, group) -> list:
+    """Each player's ``(B, A_i)`` rows of an ``(S, P, W)`` array at a stage group."""
+    return [table[list(group), i, :n] for i, n in enumerate(game.action_counts[group[0]])]
+
+
 def solve_markov_backward(game: TabularMarkovGame, anchors, lambdas,
                           tol: float = 1e-10):
     """Backward induction with a regularized equilibrium solve at each state.
 
-    `anchors` maps (state, player) to an anchor policy; `lambdas` is one
-    positive lambda per player.  Returns (values, per-state profiles), where
-    values[s] is the per-player expected value of equilibrium play from s,
-    both in `game.layers` order.  Each `stage_groups` group of a layer is
-    one stage-payoff stack, one `_newton_equilibria` call and one stacked
-    pass for its states' values.
+    `anchors` is an ``(S, P, W)`` array; `lambdas` is one positive lambda per
+    player.  Returns (values, per-state profiles), where values[s] is the
+    per-player expected value of equilibrium play from s, both dicts in
+    `game.layers` order (the benchmark's `add_references` reads `.items()`,
+    until ROADMAP item 11).  Each `stage_groups` group of a layer is one
+    stage-payoff stack, one `_newton_equilibria` call and one stacked pass.
     """
     if game.player_count != 2 or not game.zero_sum:
         raise ValueError("requires a two-player zero-sum Markov game")
     types = tuple(TypeDistribution.singleton(l) for l in lambdas)
-    values: dict = {}
+    values = np.zeros((game.state_count + 1, 2))
     profiles: dict = {}
     for layer in game.layers:
-        solved: dict = {}
         for group in game.stage_groups(layer):
             payoffs = stage_payoffs(game, group, values)
-            found = _newton_equilibria(
-                [payoffs[:, 0], payoffs[:, 1]],
-                [np.stack([anchors[(s, i)] for s in group], dtype=float)
-                 for i in range(2)],
-                types, tol)
-            mixtures = [td.mixture([np.stack([p.policies[i][lam] for p in found])
-                                    for lam in td.lambdas])
-                        for i, td in enumerate(types)]
-            solved.update(zip(group, zip(found, _profile_values(payoffs, mixtures))))
+            found, pols = _newton_equilibria([payoffs[:, 0], payoffs[:, 1]],
+                                             _seat_rows(anchors, game, group), types, tol)
+            # one type per player: its policy is the mixture, bit for bit
+            values[list(group)] = _profile_values(payoffs, [p[:, 0] for p in pols])
+            profiles.update(zip(group, found))
         for s in layer:
-            profile, values[s] = solved[s]
-            if not profile.converged:
+            if not profiles[s].converged:
                 raise RuntimeError(f"equilibrium solve failed at state {s}: "
-                                   f"residual {profile.residual}")
-            profiles[s] = profile
-    return values, profiles
+                                   f"residual {profiles[s].residual}")
+    order = [s for layer in game.layers for s in layer]
+    return {s: values[s] for s in order}, {s: profiles[s] for s in order}
 
 
-def evaluate_markov_profile(game: TabularMarkovGame, policies) -> dict:
-    """Policy evaluation of a fixed per-(state, player) product profile, one
-    stacked pass per `stage_groups` group of each layer."""
-    values: dict = {}
+def evaluate_markov_profile(game: TabularMarkovGame, policies) -> np.ndarray:
+    """The ``(S + 1, P)`` values of an ``(S, P, W)`` policy array's product
+    profile, one stacked pass per `stage_groups` group of each layer."""
+    values = np.zeros((game.state_count + 1, game.player_count))
     for layer in game.layers:
-        found: dict = {}
         for group in game.stage_groups(layer):
-            pols = [np.stack([policies[(s, i)] for s in group], dtype=float)
-                    for i in range(game.player_count)]
-            found.update(zip(group, _profile_values(
-                stage_payoffs(game, group, values), pols)))
-        values.update((s, found[s]) for s in layer)
+            values[list(group)] = _profile_values(stage_payoffs(game, group, values),
+                                                  _seat_rows(policies, game, group))
     return values
 
 
-def uniform_anchors(game: TabularMarkovGame) -> dict:
-    return {(s, i): uniform_policy(n) for s, counts in enumerate(game.action_counts)
-            for i, n in enumerate(counts)}
+def uniform_anchors(game: TabularMarkovGame) -> np.ndarray:
+    """The uniform policies as a read-only ``(S, P, W)`` array.  The benchmark
+    reads ``[(s, 1)]`` as a W-action anchor, until ROADMAP item 11."""
+    counts = np.array(game.action_counts)[..., None]
+    anchors = np.where(np.arange(counts.max()) < counts, 1.0 / counts, 0.0)
+    anchors.setflags(write=False)
+    return anchors

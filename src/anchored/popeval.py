@@ -24,7 +24,8 @@ GAME_CSV_BLOCK = 1024
 class AgentSpec:
     """Resolvable description of a playable agent.
 
-    kind "fixed": plays `policies[seat]` directly (e.g. an anchor policy).
+    kind "fixed": plays `policies[seat]` directly (e.g. an anchor policy), or
+    at state s of a Markov game row ``[s, seat]`` of an ``(S, P, W)`` array.
     kind "search": runs anchored self-play search on the game assuming every
     seat follows the population model, then acts with `act_lambda`.
     """
@@ -124,8 +125,8 @@ def mean_and_se(scores) -> tuple[float, float]:
 
 def _play_markov(game: TabularMarkovGame, seat_cdfs,
                  rng: np.random.Generator) -> np.ndarray:
-    """Roll out one episode with fixed policies, given as the `cdf` of one
-    vector for every state or a {(state, player): cdf} table; returns
+    """Roll out one episode with fixed policies, given per seat as the `cdf`
+    of one vector for every state or a tuple of one cdf per state; returns
     accumulated discounted rewards."""
     totals = np.zeros(game.player_count)
     s = game.initial_state
@@ -134,7 +135,7 @@ def _play_markov(game: TabularMarkovGame, seat_cdfs,
         u = rng.random(game.player_count).tolist()
         joint = []
         for i, c in enumerate(seat_cdfs):
-            c = c[(s, i)] if isinstance(c, dict) else c
+            c = c[s] if isinstance(c, tuple) else c
             if len(c) != game.action_counts[s][i]:
                 raise ValueError("a and p must have same size")
             joint.append(draw(c, u[i]))
@@ -192,8 +193,9 @@ def run_population_eval(candidate: AgentSpec, baselines, game, n_games: int,
                          "resolve them to a fixed policy table first")
     resolved = [a.policies if is_markov else resolve_agent_policies(a, game)
                 for a in roster]
-    cdfs = [[{k: cdf(v) for k, v in p.items()} if isinstance(p, dict) else cdf(p)
-             for p in policies] for policies in resolved]
+    cdfs = [[cdf(p) if np.ndim(p) == 1 else
+             tuple(cdf(q[i, :n[i]]) for q, n in zip(p, game.action_counts))
+             for i, p in enumerate(policies)] for policies in resolved]
     cand = len(roster) - 1
     seats = np.empty((n_games, n_seats), dtype=int)
     rows = np.empty((n_games, n_seats))     # Markov outcomes, else the uniforms

@@ -17,7 +17,7 @@ import numpy as np
 from .games import TERMINAL, NormalFormGame, TabularMarkovGame, cdf, draw
 from .learners import (INF, Learners, TemperatureSchedule, TypeDistribution,
                        run_selfplay)
-from .oracle import _exploitabilities, _kl_rows, stage_game, stage_payoffs
+from .oracle import _exploitabilities, _kl_rows, _seat_rows, stage_game, stage_payoffs
 # Unused here; bench/tracing.py wraps them under these names.
 from .oracle import regularized_exploitability, stage_game_from_values  # noqa: F401
 
@@ -50,10 +50,10 @@ class TrainConfig:
             raise ValueError("checkpoint_every must be >= 1")
 
 
-def nashv_update(values: dict, s: int, sigma, payoffs,
+def nashv_update(values: np.ndarray, s: int, sigma, payoffs,
                  alpha: float) -> None:
-    """V(s) <- (1 - alpha) V(s) + alpha * E_sigma[u(a)] in the `{s: vector}`
-    dict `values`.  `payoffs` are the ``(P, *A_s)`` stage payoffs
+    """V(s) <- (1 - alpha) V(s) + alpha * E_sigma[u(a)] in row s of the
+    ``(S + 1, P)`` value array.  `payoffs` are the ``(P, *A_s)`` stage payoffs
     r + gamma * E[V(s')] at s (`stage_payoffs`), and the expectation is under
     the product of the per-player policies in sigma.
 
@@ -99,24 +99,23 @@ def _search(stage: NormalFormGame, anchors, types, top_k, iterations: int):
     return sigma
 
 
-def run_episode(game: TabularMarkovGame, values: dict, policy_table: dict,
-                anchors: dict, config: TrainConfig, rng: np.random.Generator,
-                visit_counts: dict, searches: dict) -> tuple[list, list]:
-    """Play one self-play episode from the initial state, updating the
-    `{s: vector}` values, `{(s, i): vector}` policy table and `{s: count}`
-    visit counts at every visited state.  A policy entry is replaced by
-    `(1 - policy_step) * old + policy_step * sigma`, never changed in place.
-    Player i searches with the types `config.types[i]`, over the `top_k`
-    actions its anchor ranks highest.  Returns the visited states and the
-    joint action played at each.
+def run_episode(game: TabularMarkovGame, values: np.ndarray, policy: np.ndarray,
+                anchors: np.ndarray, config: TrainConfig, rng: np.random.Generator,
+                visit_counts: np.ndarray, searches: dict) -> tuple[list, list]:
+    """Play one self-play episode from the initial state, updating at every
+    visited state s row s of the ``(S + 1, P)`` values, the players' rows at
+    s of the ``(S, P, W)`` policy array, each to `(1 - policy_step) * old +
+    policy_step * sigma`, and entry s of the ``(S,)`` visit counts.  Player i
+    searches from its row of the ``(S, P, W)`` anchors with the types
+    `config.types[i]`, over the `top_k` actions its anchor ranks highest.
+    Returns the visited states and the joint action played at each.
 
     `searches` maps each state to the stage payoff bytes and the read-only
     sigma of its last search, and is updated here.  The search is
-    deterministic, so a state whose stage payoffs are those of its last
-    search reuses that sigma, and the stage game is built only to search.
-    The caller keeps one dict per game, anchors and config, as `train` does.
-    A fresh `{}` searches at every visit: the state graph has no cycles, so
-    an episode visits a state at most once.
+    deterministic, so a visit whose stage payoffs are its state's last
+    search's reuses that sigma; the stage game is built only to search.
+    `train` keeps one dict per call.  A fresh `{}` searches at every visit:
+    an episode visits a state at most once, as the state graph is acyclic.
     """
     if len(config.types) != game.player_count:
         raise ValueError("need one type distribution per player")
@@ -130,19 +129,19 @@ def run_episode(game: TabularMarkovGame, values: dict, policy_table: dict,
             sigma = last[1]
         else:
             sigma = _search(stage_game(game, s, payoffs),
-                            [anchors[(s, i)] for i in range(game.player_count)],
+                            [a[:n] for a, n in zip(anchors[s], game.action_counts[s])],
                             config.types, config.top_k, config.search_iterations)
             if not all(np.isfinite(p).all() for p in sigma):
                 raise RuntimeError(f"non-finite search policy at state {s}")
             for p in sigma:
                 p.setflags(write=False)
             searches[s] = (key, sigma)
-        visit_counts[s] = visit_counts.get(s, 0) + 1
+        visit_counts[s] += 1
         alpha = 1.0 / visit_counts[s] if config.alpha_harmonic else config.alpha
         nashv_update(values, s, sigma, payoffs, alpha)
         step = config.policy_step
-        for i in range(game.player_count):
-            policy_table[(s, i)] = (1 - step) * policy_table[(s, i)] + step * sigma[i]
+        for row, p in zip(policy[s], sigma):
+            row[:len(p)] = (1 - step) * row[:len(p)] + step * p
         joint = []
         for i in range(game.player_count):
             if rng.random() < config.nash_explore:
@@ -158,48 +157,38 @@ def run_episode(game: TabularMarkovGame, values: dict, policy_table: dict,
     return states, actions
 
 
-def train(game: TabularMarkovGame, anchors: dict, config: TrainConfig,
+def train(game: TabularMarkovGame, anchors: np.ndarray, config: TrainConfig,
           oracle_values: dict | None = None,
           oracle_profiles: dict | None = None):
-    """Run the configured number of self-play episodes and return the trained
-    `{s: vector}` values, the `{(s, i): vector}` policy table (started at
-    `anchors`) and a per-checkpoint metrics series."""
+    """Run the configured self-play episodes from the ``(S, P, W)`` anchors and
+    return the ``(S + 1, P)`` values, the ``(S, P, W)`` policy array (a copy
+    of `anchors` at first) and per-checkpoint metrics.  The `oracle_values`
+    dict is read into an ``(S + 1, P)`` array once (ROADMAP item 11)."""
     rng = np.random.default_rng(config.seed)
-    values = {s: np.zeros(game.player_count) for s in range(game.state_count)}
-    policy_table = dict(anchors)
-    visit_counts: dict = {}
+    values = np.zeros((game.state_count + 1, game.player_count))
+    policy = np.array(anchors, dtype=float)
+    visit_counts = np.zeros(game.state_count, dtype=int)
     searches: dict = {}
     metrics: list[dict] = []
+    if oracle_values is not None:
+        oracle_values = np.array([oracle_values[s] for s in range(game.state_count)]
+                                 + [np.zeros(game.player_count)])
     for ep in range(1, config.episodes + 1):
-        run_episode(game, values, policy_table, anchors, config, rng,
-                    visit_counts, searches)
+        run_episode(game, values, policy, anchors, config, rng, visit_counts, searches)
         if ep % config.checkpoint_every == 0 or ep == config.episodes:
             row = {"episode": ep}
             if oracle_values is not None:
-                evals = evaluate_vs_oracle(game, values, policy_table, anchors,
-                                           oracle_values, oracle_profiles)
-                row.update(evals)
+                row.update(evaluate_vs_oracle(game, values, policy, anchors,
+                                              oracle_values, oracle_profiles))
             metrics.append(row)
-    return values, policy_table, metrics
+    return values, policy, metrics
 
 
-def oracle_stages(game: TabularMarkovGame, oracle_values: dict,
-                  states) -> list:
-    """The stage payoffs of `states` under the oracle's values, as
-    ``(states, (B, 2, *A) stack)`` pairs, one per action-count shape."""
-    shapes: dict = {}
-    for group in game.stage_groups(states):
-        shapes.setdefault(game.action_counts[group[0]], []).append(group)
-    return [(sum(groups, ()), np.concatenate(
-        [stage_payoffs(game, g, oracle_values) for g in groups]))
-        for groups in shapes.values()]
-
-
-def evaluate_vs_oracle(game: TabularMarkovGame, values: dict,
-                       policy_table: dict, anchors: dict,
-                       oracle_values: dict,
+def evaluate_vs_oracle(game: TabularMarkovGame, values: np.ndarray,
+                       policy: np.ndarray, anchors: np.ndarray,
+                       oracle_values: np.ndarray,
                        oracle_profiles: dict | None = None) -> dict:
-    """Error of the learned tables against exact backward induction: the
+    """Error of the learned arrays against exact backward induction's: the
     largest and mean value error over states, and, given the oracle's
     profiles, the mean KL(oracle type policy || learned policy) over
     (state, player, type) and the mean `regularized_exploitability` of the
@@ -208,12 +197,7 @@ def evaluate_vs_oracle(game: TabularMarkovGame, values: dict,
     Each metric is one stacked pass over states, one stack per action-count
     shape, with the bits of the per-state definition.  The profiles share
     their types, as `solve_markov_backward`'s do."""
-    missing = [s for s in range(game.state_count) if s not in oracle_values]
-    if missing:
-        raise ValueError(f"oracle has no value for state {missing[0]}")
-    states = range(game.state_count)
-    errs = np.abs(np.array([values[s] for s in states])
-                  - np.array([oracle_values[s] for s in states])).max(axis=1)
+    errs = np.abs(values[:-1] - oracle_values[:-1]).max(axis=1)
     out = {
         "max_value_error": float(errs.max()),
         "mean_value_error": float(np.mean(errs)),
@@ -225,14 +209,17 @@ def evaluate_vs_oracle(game: TabularMarkovGame, values: dict,
             raise ValueError("oracle profiles must share their types")
         gaps = np.empty(len(order))
         kls = np.empty((len(order), sum(len(td.lambdas) for td in types)))
-        for group, payoffs in oracle_stages(game, oracle_values, oracle_profiles):
+        shapes: dict = {}       # the stage groups of each action-count shape
+        for group in game.stage_groups(oracle_profiles):
+            shapes.setdefault(game.action_counts[group[0]], []).append(group)
+        for groups in shapes.values():
+            group = sum(groups, ())
+            payoffs = np.concatenate([stage_payoffs(game, g, oracle_values)
+                                      for g in groups])
             rows = [order[s] for s in group]
-            learned = [np.stack([policy_table[(s, i)] for s in group], dtype=float)
-                       for i in range(2)]
-            st_anchors = [np.stack([anchors[(s, i)] for s in group], dtype=float)
-                          for i in range(2)]
+            learned = _seat_rows(policy, game, group)
             gaps[rows] = _exploitabilities(
-                payoffs, st_anchors, types,
+                payoffs, _seat_rows(anchors, game, group), types,
                 [[p] * len(td.lambdas) for p, td in zip(learned, types)])
             kls[rows] = np.stack([
                 _kl_rows(np.stack([oracle_profiles[s].policies[i][lam]

@@ -40,6 +40,7 @@ from anchored.oracle import evaluate_markov_profile
 from anchored.rating import GameTable, RatingModel, fit_ratings, predict_shares
 from anchored.rl import evaluate_vs_oracle
 from anchored.oracle import uniform_anchors
+from helpers import value_array
 
 
 def _verdict(capsys, num, desc, ok):
@@ -312,10 +313,10 @@ def test_criterion_6_value_learning(capsys):
         alpha_harmonic=True,
         seed=7,
     )
-    values = {s: np.zeros(2) for s in range(game.state_count)}
-    table = dict(anchors)
+    values = np.zeros((game.state_count + 1, 2))
+    table = anchors.copy()
     rng = np.random.default_rng(cfg.seed)
-    visit_counts, searches = {}, {}
+    visit_counts, searches = np.zeros(game.state_count, dtype=int), {}
     worst_asym = 0.0
     for _ in range(cfg.episodes):
         run_episode(game, values, table, anchors, cfg, rng,
@@ -323,8 +324,8 @@ def test_criterion_6_value_learning(capsys):
         worst_asym = max(worst_asym, max(
             abs(float(values[s][0] + values[s][1]))
             for s in range(game.state_count)))
-    out = evaluate_vs_oracle(game, values, table, anchors, oracle_values,
-                             oracle_profiles)
+    out = evaluate_vs_oracle(game, values, table, anchors,
+                             value_array(game, oracle_values), oracle_profiles)
     ok = out["max_value_error"] <= 0.05 and worst_asym <= 1e-9
     _verdict(capsys, 6,
              f"value learning (max error {out['max_value_error']:.4f}, "
@@ -345,17 +346,15 @@ def test_criterion_7_best_response_mode(capsys):
         alpha_harmonic=True,
         seed=11,
     )
-    values = {s: np.zeros(2) for s in range(game.state_count)}
-    table = dict(anchors)
+    values = np.zeros((game.state_count + 1, 2))
+    table = anchors.copy()
     rng = np.random.default_rng(cfg.seed)
-    visit_counts, searches = {}, {}
+    visit_counts, searches = np.zeros(game.state_count, dtype=int), {}
     for _ in range(cfg.episodes):
         run_episode(game, values, table, anchors, cfg, rng,
                     visit_counts=visit_counts, searches=searches)
-    trained = {
-        (s, i): (table[(s, 0)] if i == 0 else anchors[(s, 1)])
-        for s in range(game.state_count) for i in range(2)
-    }
+    trained = table.copy()
+    trained[:, 1] = anchors[:, 1]
     v_trained = evaluate_markov_profile(game, trained)
     v_anchor = evaluate_markov_profile(game, anchors)
     score_trained = float(np.mean([v_trained[s][0]

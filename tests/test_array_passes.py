@@ -24,6 +24,7 @@ from anchored import (INF, NormalFormGame, RegularizedProfile, TabularMarkovGame
 from anchored import oracle
 from anchored.games import TERMINAL
 from anchored.oracle import stage_game_from_values, stage_payoffs
+from helpers import padded_table, value_array
 from test_oracle_kernel import reference_profile_value
 
 
@@ -99,7 +100,7 @@ def ref_backward(game, anchors, lambdas, tol=1e-10):
                 [np.stack([stages[s].payoffs[i] for s in group]) for i in range(2)],
                 [np.stack([anchors[(s, i)] for s in group], dtype=float)
                  for i in range(2)],
-                types, tol)))
+                types, tol)[0]))
         for s in layer:
             profile = solved[s]
             values[s] = reference_profile_value(stages[s], [profile.mixture(0),
@@ -195,7 +196,7 @@ def test_stage_payoffs_match_per_state_reference(case, players):
         groups = game.stage_groups(layer)
         assert sorted(s for g in groups for s in g) == list(layer)
         for group in groups:
-            stack = stage_payoffs(game, group, values)
+            stack = stage_payoffs(game, group, value_array(game, values))
             for s, payoffs in zip(group, stack):
                 ref = ref_stage(game, s, values)
                 assert np.array_equal(payoffs, ref)
@@ -212,7 +213,7 @@ def test_backward_matches_per_state_reference(case):
     anchors = {(s, i): rng.dirichlet(np.ones(game.action_counts[s][i]))
                for s in range(game.state_count) for i in range(2)}
     lambdas = (float(rng.choice([0.1, 0.5, 1.0])), float(rng.choice([0.2, 2.0])))
-    values, profiles = solve_markov_backward(game, anchors, lambdas)
+    values, profiles = solve_markov_backward(game, padded_table(game, anchors), lambdas)
     ref_values, ref_profiles = ref_backward(game, anchors, lambdas)
     assert list(values) == list(ref_values) == [s for l in game.layers for s in l]
     assert list(profiles) == list(ref_profiles)
@@ -236,15 +237,14 @@ def test_evaluate_markov_profile_matches_per_state_reference(case, players):
     policies = {(s, i): with_zeros(rng, rng.dirichlet(np.ones(n)))
                 for s, counts in enumerate(game.action_counts)
                 for i, n in enumerate(counts)}
-    values = evaluate_markov_profile(game, policies)
+    values = evaluate_markov_profile(game, padded_table(game, policies))
     ref: dict = {}
     for s in (s for layer in game.layers for s in layer):
         stage = NormalFormGame(game.action_counts[s], tuple(ref_stage(game, s, ref)),
                                payoff_bound=game.stage_bound)
         ref[s] = reference_profile_value(stage, [policies[(s, i)]
                                                  for i in range(players)])
-    assert list(values) == list(ref)
-    assert all(np.array_equal(values[s], ref[s]) for s in ref)
+    assert np.array_equal(values, value_array(game, ref))
 
 
 SUPPORTS = [(0.5,), (0.1, 1.0), (0.05, 0.3, 2.0)]
@@ -281,10 +281,12 @@ def test_evaluate_vs_oracle_matches_per_state_reference(case, lams0, lams1, drif
                          for lam in types[i].lambdas], axis=0)
         p[unused & (rng.random(len(p)) < 0.5)] = 0.0
         table[(s, i)] = p
-    got = evaluate_vs_oracle(game, values, table, anchors, oracle_values, profiles)
+    arrays = (value_array(game, values), padded_table(game, table),
+              padded_table(game, anchors), value_array(game, oracle_values))
+    got = evaluate_vs_oracle(game, *arrays, profiles)
     ref = ref_evaluate(game, values, table, anchors, oracle_values, profiles)
     assert got == ref
-    assert evaluate_vs_oracle(game, values, table, anchors, oracle_values) == {
+    assert evaluate_vs_oracle(game, *arrays) == {
         k: ref[k] for k in ("max_value_error", "mean_value_error")}
 
 

@@ -26,10 +26,10 @@ from anchored.cli import (
     load_types,
     main,
     parse_lambda,
-    read_trace_jsonl,
     run_experiment,
     validate_config,
 )
+from helpers import read_trace_jsonl
 
 
 # --------------------------------------------------------------- formats
@@ -937,13 +937,11 @@ def _scorable_popeval(tmp, games):
             "popeval": {**config["popeval"], "games": games}}
 
 
-#: Runs whose first large array is bigger than the address space, so that
-#: nothing is allocated: past 2**63 bytes numpy raises ValueError, below it
-#: (an exbibyte, 2**60 bytes) MemoryError.
+#: Runs whose first large array is bigger than the address space but within
+#: numpy's byte limit (an exbibyte, 2**60 bytes), so that nothing is
+#: allocated: the allocation raises MemoryError.
 UNALLOCATABLE_RUNS = {
-    "solve 2**62 steps": lambda tmp: _solve(iterations=2 ** 62),
     "solve 2**56 steps": lambda tmp: _solve(iterations=2 ** 56),
-    "popeval 2**62 games": lambda tmp: _scorable_popeval(tmp, 2 ** 62),
     "popeval 2**56 games": lambda tmp: _scorable_popeval(tmp, 2 ** 56),
 }
 
@@ -956,6 +954,36 @@ def test_unallocatable_run_exits_3(tmp_path, capsys, name):
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
     assert err.startswith("runtime failure: out of memory: ") and err.count("\n") == 1
+
+
+#: Runs whose largest array has more bytes than numpy can address
+#: (`np.iinfo(np.intp).max`, 2**63 - 1), by the key that sizes it.  A
+#: matching-pennies step records 2 policy rows of 2 actions, 32 bytes.
+UNADDRESSABLE_RUNS = {
+    "learner.iterations": lambda tmp: _solve(iterations=2 ** 62),
+    "popeval.games": lambda tmp: _scorable_popeval(tmp, 2 ** 62),
+}
+
+
+@pytest.mark.parametrize("key", sorted(UNADDRESSABLE_RUNS))
+def test_unaddressable_run_exits_2_naming_the_key(tmp_path, capsys, key):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(UNADDRESSABLE_RUNS[key](tmp_path)))
+    out = str(tmp_path / "out")
+    for argv in (["validate", str(path)], ["run", str(path), "--out", out]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"validation error: {key}: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_addressable_limit_is_numpys(tmp_path):
+    """2**58 - 1 matching-pennies steps need 2**63 - 32 trace bytes, within
+    numpy's limit; 2**58 steps need 2**63, past it."""
+    for iterations, code in ((2 ** 58 - 1, 0), (2 ** 58, 2)):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(_solve(iterations=iterations)))
+        assert main(["validate", str(path)]) == code
 
 
 def test_trace_round_trip_with_infinite_lambda(tmp_path):

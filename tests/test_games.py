@@ -300,7 +300,8 @@ def test_repeated_markov_uniform_value_zero():
 def test_repeated_markov_discount_weights():
     mp = make_builtin_game("matching_pennies")
     g = make_repeated_markov(mp, horizon=2, discount=0.5)
-    pols = {(s, i): np.array([1.0, 0.0]) for s in range(2) for i in range(2)}
+    pols = np.zeros((2, 2, 2))
+    pols[..., 0] = 1.0
     values = evaluate_markov_profile(g, pols)
     # (H, H) pays +1 each round; discounted sum is 1 + 0.5
     assert values[0][0] == pytest.approx(1.5, abs=1e-12)

@@ -14,8 +14,9 @@ from hypothesis import given, settings, strategies as st
 
 from anchored import (INF, Learners, NormalFormGame, TemperatureSchedule,
                       TypeDistribution, make_anchor, policy_for_type, run_selfplay)
-from anchored.cli import emit_trace, read_trace_jsonl
+from anchored.cli import emit_trace
 from anchored.learners import UtilityStats
+from helpers import read_trace_jsonl
 
 LAMBDAS = (0.0, 1e-3, 0.1, 0.5, 2.0, INF)
 SCHEDULES = (

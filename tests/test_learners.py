@@ -16,8 +16,9 @@ from anchored import (
     run_selfplay,
     uniform_policy,
 )
-from anchored.cli import emit_trace, read_trace_jsonl
+from anchored.cli import emit_trace
 from anchored.learners import UtilityStats
+from helpers import read_trace_jsonl
 
 
 # ---------------------------------------------------------------- types

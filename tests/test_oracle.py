@@ -429,10 +429,7 @@ def test_markov_backward_anchor_limit_matches_rollout_enumeration():
     game = make_random_markov(seed=31, state_count=4, player_count=2,
                               actions_per_player=2, horizon=3, gamma=0.9,
                               zero_sum=True)
-    anchors = {
-        (s, i): np.array([0.7, 0.3]) if i == 0 else np.array([0.4, 0.6])
-        for s in range(game.state_count) for i in range(2)
-    }
+    anchors = np.array([[[0.7, 0.3], [0.4, 0.6]]] * game.state_count)
     values, _ = solve_markov_backward(game, anchors, (1e9, 1e9))
 
     # independent oracle: exhaustive expectation over all depth-3 histories

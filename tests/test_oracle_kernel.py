@@ -26,6 +26,7 @@ from anchored.cli import main
 from anchored.games import TERMINAL
 from anchored.oracle import (regularized_exploitability, stage_game_from_values,
                              uniform_anchors)
+from helpers import padded_table
 
 
 def _player_utility_vectors(game: NormalFormGame, mixtures):
@@ -197,7 +198,7 @@ def test_solve_regularized_bne_matches_reference(case):
 def batched(games, types, tol=1e-10):
     return oracle._newton_equilibria(
         [np.stack([g.payoffs[i] for g, _ in games]) for i in range(2)],
-        [np.stack([a[i] for _, a in games]) for i in range(2)], types, tol)
+        [np.stack([a[i] for _, a in games]) for i in range(2)], types, tol)[0]
 
 
 @settings(max_examples=60, deadline=None)
@@ -327,7 +328,7 @@ def test_layer_batched_backward_matches_per_state_reference(seed):
     anchors = {(s, i): rng.dirichlet(np.ones(game.action_counts[s][i]))
                for s in range(game.state_count) for i in range(2)}
     lambdas = (float(rng.choice([0.1, 0.5, 1.0])), float(rng.choice([0.1, 0.5])))
-    values, profiles = solve_markov_backward(game, anchors, lambdas)
+    values, profiles = solve_markov_backward(game, padded_table(game, anchors), lambdas)
     ref_values, ref_profiles = reference_backward(game, anchors, lambdas,
                                                   tol=1e-12)
     assert list(values) == list(ref_values) == reference_order(game)
@@ -404,7 +405,7 @@ def test_nan_state_leaves_batch_alone():
     payoffs = [np.stack([g.payoffs[i] for g in games]) for i in range(2)]
     payoffs[0][1, 0, 0] = np.nan
     types = (TypeDistribution.singleton(0.5),) * 2
-    first, second = oracle._newton_equilibria(payoffs, anchors, types)
+    (first, second), _ = oracle._newton_equilibria(payoffs, anchors, types)
     assert first.converged
     assert_same_profile(first, solve_regularized_bne(
         games[0], [uniform_policy(3)] * 2, types))
@@ -424,7 +425,7 @@ def test_overflowing_game_leaves_batch_alone(scale):
     for u in payoffs:
         u[1] *= scale
     types = (TypeDistribution.singleton(0.1),) * 2
-    first, second = oracle._newton_equilibria(payoffs, anchors, types)
+    (first, second), _ = oracle._newton_equilibria(payoffs, anchors, types)
     assert_same_profile(first, solve_regularized_bne(
         games[0], [uniform_policy(3)] * 2, types))
     assert not second.converged

@@ -201,7 +201,7 @@ def reference_population_eval(candidate, baselines, game, n_games, rng):
             outcome, s, disc = np.zeros(game.player_count), game.initial_state, 1.0
             for _ in range(game.horizon):
                 joint = tuple(int(rng.choice(game.action_counts[s][i],
-                                             p=p[(s, i)] if isinstance(p, dict) else p))
+                                             p=p[s, i] if np.ndim(p) == 3 else p))
                               for i, p in enumerate(pols))
                 outcome += disc * game.reward(s, joint)
                 disc *= game.gamma
@@ -259,12 +259,13 @@ def test_population_eval_matches_choice_reference(markov):
                               search_iterations=16))
     elif markov:
         game = two_state_markov_game()
-        # a per-state table with a zero entry and one vector for every state
+        # (S, P, W) policy arrays, one with a zero entry, and one vector for
+        # every state
         cand = AgentSpec(agent_id="cand", policies=(
-            {(0, 0): np.array([0.0, 1.0]), (1, 0): np.array([0.3, 0.7])},
+            np.array([[[0.0, 1.0]] * 3, [[0.3, 0.7]] * 3]),
             np.array([0.6, 0.4]), [0.5, 0.5]))
         base = [AgentSpec(agent_id=f"b{k}", policies=(
-            np.array([0.2, 0.8]), {(0, 1): [1.0, 0.0], (1, 1): [0.5, 0.5]},
+            np.array([0.2, 0.8]), np.array([[[1.0, 0.0]] * 3, [[0.5, 0.5]] * 3]),
             np.array([0.9, 0.1]))) for k in range(2)]
     else:
         game = seven_seat_game()
@@ -386,11 +387,12 @@ def test_scorable_markov(r0, r1, gamma, ok):
 
 def test_markov_fixed_agents_play_per_state_tables():
     game = chain_game((0, 0), ((1, 2), (0, 1)))
-    # Seat 0 picks player 0's action at state 1; seat 1 has one action.
+    # Seat 0 picks player 0's action at state 1 from its rows of a
+    # zero-padded (S, P, W) array; seat 1 has one action.
     cand = AgentSpec(agent_id="cand", policies=(
-        {(0, 0): np.ones(1), (1, 0): np.array([0.0, 1.0])}, np.ones(1)))
+        np.array([[[1.0, 0.0], [1.0, 0.0]], [[0.0, 1.0], [1.0, 0.0]]]), np.ones(1)))
     base = AgentSpec(agent_id="base", policies=(
-        {(0, 0): np.ones(1), (1, 0): np.array([1.0, 0.0])}, np.ones(1)))
+        np.array([[[1.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [1.0, 0.0]]]), np.ones(1)))
     report = run_population_eval(cand, [base], game, 40, np.random.default_rng(6))
     for seating, scores in zip(report.seatings, report.scores):
         # outcome (2, 1) scores (4/5, 1/5); outcome (1, 0) scores (1, 0)

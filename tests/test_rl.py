@@ -28,6 +28,7 @@ from anchored import rl
 from anchored.cli import load_train_config
 from anchored.games import TERMINAL
 from anchored.oracle import stage_game_from_values, stage_payoffs, uniform_anchors
+from helpers import padded_table, value_array
 from test_kernel import ScalarLearner, reference_selfplay
 
 
@@ -39,6 +40,15 @@ def small_fixture():
 
 def zero_values(game):
     return {s: np.zeros(game.player_count) for s in range(game.state_count)}
+
+
+def zero_array(game):
+    """The ``(S + 1, P)`` value array at 0, TERMINAL's row last."""
+    return np.zeros((game.state_count + 1, game.player_count))
+
+
+def no_visits(game):
+    return np.zeros(game.state_count, dtype=int)
 
 
 #: Best response: player 0 at lambda = 0 against player 1 at lambda = inf.
@@ -101,7 +111,7 @@ def test_stage_game_rejects_terminal():
 
 def test_nashv_alpha_zero_noop():
     game = small_fixture()
-    values = zero_values(game)
+    values = zero_array(game)
     values[0] = np.array([0.3, -0.3])
     before = values[0].copy()
     nashv_update(values, 0, [uniform_policy(2)] * 2,
@@ -111,7 +121,7 @@ def test_nashv_alpha_zero_noop():
 
 def test_nashv_alpha_one_overwrites_with_target():
     game = small_fixture()
-    values = zero_values(game)
+    values = zero_array(game)
     sigma = [uniform_policy(2), uniform_policy(2)]
     nashv_update(values, 0, sigma, stage_payoffs(game, (0,), values)[0], alpha=1.0)
     # independent expectation over joint actions and transitions
@@ -129,7 +139,7 @@ def test_nashv_alpha_one_overwrites_with_target():
 def test_nashv_hand_convex_combination():
     mp = make_builtin_game("matching_pennies")
     game = make_repeated_markov(mp, horizon=1, discount=1.0)
-    values = zero_values(game)
+    values = zero_array(game)
     values[0] = np.array([0.2, 0.8])
     # force a deterministic joint action with expected reward (1, -1)
     sigma = [np.array([1.0, 0.0]), np.array([1.0, 0.0])]
@@ -141,11 +151,11 @@ def test_nashv_contraction_identity():
     game = small_fixture()
     rng = np.random.default_rng(5)
     for _ in range(10):
-        values = zero_values(game)
+        values = zero_array(game)
         values[0] = rng.normal(size=2)
         sigma = [rng.dirichlet(np.ones(2)) for _ in range(2)]
         alpha = float(rng.uniform(0.0, 1.0))
-        check = dict(values)
+        check = values.copy()
         stage = stage_payoffs(game, (0,), values)[0]
         nashv_update(check, 0, sigma, stage, alpha=1.0)
         target = check[0]
@@ -182,7 +192,7 @@ def test_stage_and_nashv_match_scalar_reference(seed, players, actions):
                 p *= sigma[i][ai]
             if p != 0.0:
                 target += p * total
-        check = dict(values)
+        check = value_array(game, values)
         nashv_update(check, s, sigma, np.array(stage.payoffs), alpha=1.0)
         np.testing.assert_array_equal(check[s], target)
 
@@ -294,12 +304,12 @@ def test_best_response_mode_type_assignment():
 
 def test_run_episode_visits_initial_state_and_updates():
     game = small_fixture()
-    values = zero_values(game)
+    values = zero_array(game)
     anchors = uniform_anchors(game)
-    table = dict(anchors)
+    table = anchors.copy()
     cfg = singleton_config()
     states, actions = run_episode(game, values, table, anchors, cfg,
-                                  np.random.default_rng(0), {}, {})
+                                  np.random.default_rng(0), no_visits(game), {})
     assert states[0] == game.initial_state
     assert len(states) <= game.horizon and len(actions) == len(states)
     assert np.any(values[0] != 0.0)
@@ -309,13 +319,14 @@ def test_full_exploration_uniform_frequencies():
     game = small_fixture()
     anchors = uniform_anchors(game)
     cfg = singleton_config(nash_explore=1.0, search_iterations=4)
-    values = zero_values(game)
-    table = dict(anchors)
+    values = zero_array(game)
+    table = anchors.copy()
     rng = np.random.default_rng(1)
     counts = np.zeros(2)
     n = 0
     for _ in range(1500):
-        _, actions = run_episode(game, values, table, anchors, cfg, rng, {}, {})
+        _, actions = run_episode(game, values, table, anchors, cfg, rng,
+                                 no_visits(game), {})
         for joint in actions:
             counts[joint[0]] += 1
             n += 1
@@ -326,19 +337,19 @@ def test_full_exploration_uniform_frequencies():
 
 def test_best_response_mode_opponents_play_anchor():
     game = small_fixture()
-    anchors = {
+    anchors = padded_table(game, {
         (s, i): np.array([0.8, 0.2]) if i == 1 else uniform_policy(2)
         for s in range(game.state_count) for i in range(2)
-    }
+    })
     cfg = singleton_config(types=BEST_RESPONSE)
-    values = zero_values(game)
-    table = dict(anchors)
+    values = zero_array(game)
+    table = anchors.copy()
     searches = {}
     states, _ = run_episode(game, values, table, anchors, cfg,
-                            np.random.default_rng(2), {}, searches)
+                            np.random.default_rng(2), no_visits(game), searches)
     assert searches.keys() == set(states)
     for s in states:
-        np.testing.assert_array_equal(searches[s][1][1], anchors[(s, 1)])
+        np.testing.assert_array_equal(searches[s][1][1], anchors[s, 1])
 
 
 def test_episode_determinism():
@@ -347,10 +358,10 @@ def test_episode_determinism():
 
     def run():
         cfg = singleton_config(search_iterations=32)
-        values = zero_values(game)
-        table = dict(anchors)
+        values = zero_array(game)
+        table = anchors.copy()
         rng = np.random.default_rng(7)
-        visits = {}
+        visits = no_visits(game)
         recs = [run_episode(game, values, table, anchors, cfg, rng, visits, {})
                 for _ in range(5)]
         return recs, values
@@ -358,8 +369,7 @@ def test_episode_determinism():
     a, va = run()
     b, vb = run()
     assert a == b
-    for s in range(game.state_count):
-        np.testing.assert_array_equal(va[s], vb[s])
+    np.testing.assert_array_equal(va, vb)
 
 
 @settings(max_examples=30, deadline=None)
@@ -373,11 +383,13 @@ def test_policy_table_top_k_is_the_anchors_top_k(seed, dirichlet, top_k, step):
                               actions_per_player=4, horizon=3, gamma=1.0,
                               zero_sum=True)
     rng = np.random.default_rng(seed)
-    anchors = {k: rng.dirichlet(np.ones(len(a))) if dirichlet else a
-               for k, a in uniform_anchors(game).items()}
+    anchors = uniform_anchors(game)
+    if dirichlet:
+        anchors = np.array([[rng.dirichlet(np.ones(4)) for _ in range(2)]
+                            for _ in range(game.state_count)])
     cfg = singleton_config(search_iterations=4, episodes=10, seed=seed,
                            top_k=top_k, policy_step=step)
-    values, table, visited = zero_values(game), dict(anchors), []
+    values, table, visited = zero_array(game), anchors.copy(), []
     search = rl._search
 
     def record_stage(game, states, values):
@@ -391,16 +403,16 @@ def test_policy_table_top_k_is_the_anchors_top_k(seed, dirichlet, top_k, step):
         assert k == top_k
         sigma = search(stage, st_anchors, types, k, iterations)
         for i, (anchor, p) in enumerate(zip(st_anchors, sigma)):
-            assert top(table[(visited[-1], i)]) == top(anchor)
+            assert top(table[visited[-1], i]) == top(anchor)
             assert set(np.flatnonzero(p).tolist()) <= top(anchor)
         return sigma
 
-    rng, visits = np.random.default_rng(seed), {}
+    rng, visits = np.random.default_rng(seed), no_visits(game)
     with mock.patch.object(rl, "_search", check_top_k), \
             mock.patch.object(rl, "stage_payoffs", record_stage):
         for _ in range(cfg.episodes):
             run_episode(game, values, table, anchors, cfg, rng, visits, {})
-    assert sum(visits.values()) == len(visited)
+    assert visits.sum() == len(visited)
 
 
 def test_run_episode_needs_types_per_player():
@@ -408,8 +420,8 @@ def test_run_episode_needs_types_per_player():
     anchors = uniform_anchors(game)
     cfg = singleton_config(types=(TypeDistribution.singleton(0.5),))
     with pytest.raises(ValueError, match="one type distribution per player"):
-        run_episode(game, zero_values(game), dict(anchors), anchors, cfg,
-                    np.random.default_rng(0), {}, {})
+        run_episode(game, zero_array(game), anchors.copy(), anchors, cfg,
+                    np.random.default_rng(0), no_visits(game), {})
 
 
 # ------------------------------------------------------------ search cache
@@ -420,7 +432,7 @@ def _episodes(game, anchors, cfg, searches):
     `searches` is None: the values, policy table and visit counts, each
     episode's `(states, actions)`, and the sigma of every visit, as
     `nashv_update` receives it."""
-    values, table, visits, sigmas = zero_values(game), dict(anchors), {}, []
+    values, table, visits, sigmas = zero_array(game), anchors.copy(), no_visits(game), []
     rng = np.random.default_rng(cfg.seed)
     update = rl.nashv_update
 
@@ -437,11 +449,8 @@ def _episodes(game, anchors, cfg, searches):
 
 def _assert_same_runs(a, b):
     (va, ta, ca, ra, sa), (vb, tb, cb, rb, sb) = a, b
-    assert va.keys() == vb.keys() and ta.keys() == tb.keys() and ca == cb
-    for s in va:
-        assert np.array_equal(va[s], vb[s])
-    for k in ta:
-        assert np.array_equal(ta[k], tb[k])
+    assert np.array_equal(va, vb) and np.array_equal(ta, tb)
+    assert np.array_equal(ca, cb)
     assert ra == rb
     assert len(sa) == len(sb) == sum(len(states) for states, _ in ra)
     for sx, sy in zip(sa, sb):
@@ -488,20 +497,18 @@ def test_train_with_cache_matches_uncached_loop():
     cfg = singleton_config(episodes=20, checkpoint_every=5, alpha_harmonic=True)
     values, table, metrics = train(game, anchors, cfg, oracle_values,
                                    oracle_profiles)
-    ref_values, ref_table = zero_values(game), dict(anchors)
-    rng, visits, ref_metrics = np.random.default_rng(cfg.seed), {}, []
+    ref_values, ref_table = zero_array(game), anchors.copy()
+    rng, visits, ref_metrics = np.random.default_rng(cfg.seed), no_visits(game), []
     for ep in range(1, cfg.episodes + 1):
         run_episode(game, ref_values, ref_table, anchors, cfg, rng,
                     visit_counts=visits, searches={})
         if ep % cfg.checkpoint_every == 0:
             ref_metrics.append({"episode": ep, **evaluate_vs_oracle(
-                game, ref_values, ref_table, anchors, oracle_values,
-                oracle_profiles)})
+                game, ref_values, ref_table, anchors,
+                value_array(game, oracle_values), oracle_profiles)})
     assert metrics == ref_metrics
-    for s in values:
-        assert np.array_equal(values[s], ref_values[s])
-    for k in table:
-        assert np.array_equal(table[k], ref_table[k])
+    assert np.array_equal(values, ref_values)
+    assert np.array_equal(table, ref_table)
 
 
 # The game of acceptance criterion 6, with a cheaper search.
@@ -628,12 +635,12 @@ def test_evaluate_vs_oracle_zero_errors_at_oracle():
     anchors = uniform_anchors(game)
     oracle_values, oracle_profiles = solve_markov_backward(
         game, anchors, (0.5, 0.5))
-    values = {s: v.copy() for s, v in oracle_values.items()}
-    table = dict(anchors)
+    values = value_array(game, oracle_values)
+    table = anchors.copy()
     for s, prof in oracle_profiles.items():
         for i in range(2):
-            table[(s, i)] = prof.policies[i][0.5].copy()
-    out = evaluate_vs_oracle(game, values, table, anchors, oracle_values,
+            table[s, i] = prof.policies[i][0.5]
+    out = evaluate_vs_oracle(game, values, table, anchors, values.copy(),
                              oracle_profiles)
     assert out["max_value_error"] == pytest.approx(0.0, abs=1e-12)
     assert out["mean_policy_kl"] == pytest.approx(0.0, abs=1e-10)
@@ -644,8 +651,8 @@ def test_evaluate_vs_oracle_zero_table_error_magnitude():
     game = small_fixture()
     anchors = uniform_anchors(game)
     oracle_values, _ = solve_markov_backward(game, anchors, (0.5, 0.5))
-    out = evaluate_vs_oracle(game, zero_values(game), dict(anchors), anchors,
-                             oracle_values)
+    out = evaluate_vs_oracle(game, zero_array(game), anchors.copy(), anchors,
+                             value_array(game, oracle_values))
     expect = max(float(np.max(np.abs(v))) for v in oracle_values.values())
     assert out["max_value_error"] == pytest.approx(expect, abs=1e-12)
 

@@ -193,8 +193,8 @@ def run_population_eval(candidate: AgentSpec, baselines, game, n_games: int,
                          "resolve them to a fixed policy table first")
     resolved = [a.policies if is_markov else resolve_agent_policies(a, game)
                 for a in roster]
-    cdfs = [[cdf(p) if np.ndim(p) == 1 else
-             tuple(cdf(q[i, :n[i]]) for q, n in zip(p, game.action_counts))
+    cdfs = [[tuple(cdf(q[i, :n[i]]) for q, n in zip(p, game.action_counts))
+             if np.ndim(p) == 3 else cdf(p)
              for i, p in enumerate(policies)] for policies in resolved]
     cand = len(roster) - 1
     seats = np.empty((n_games, n_seats), dtype=int)

@@ -27,7 +27,6 @@ POOL = [{"id": "uniform", "kind": "fixed"},
          "policies": [[0.6, 0.3, 0.1], [0.1, 0.3, 0.6], [0.2, 0.2, 0.6]]}]
 
 
-
 def _write_popeval_game(path) -> None:
     """Seeded 3-seat, 3-action game with payoffs in [0, 1]."""
     rng = np.random.default_rng(11)

@@ -79,6 +79,41 @@ def draw(c, u: float) -> int:
     return bisect_right(c, u)
 
 
+def contraction(payoffs, player: int) -> tuple:
+    """The plan of `player`'s expected utility of each action against the
+    others' policies in B games, from its ``(B, *A)`` payoff stack: the first
+    step's ``(B, rows, A_j)`` matrices and, per step, the opponent j, the
+    per-game shape before the step and the axis order moving j last.
+    Opponent axes go highest-first, each moved last as numpy's tensordot
+    moves it, so a game's steps as `np.dot` calls have the bits of a
+    tensordot loop; `contract`'s matmuls may flip the sign of a zero sum
+    over a one-action axis."""
+    shape = np.shape(payoffs)[1:]
+    if player not in range(len(shape)):
+        raise ValueError(f"player {player!r} is not in range({len(shape)})")
+    steps = []
+    for j in reversed(range(len(shape))):
+        if j != player:
+            keep = [k for k in range(len(shape)) if k != j]
+            steps.append((j, shape, (*keep, j)))
+            shape = tuple(shape[k] for k in keep)
+    j, shape, axes = steps[0]
+    first = np.transpose(payoffs, (0, *(a + 1 for a in axes)))
+    return first.reshape(len(first), -1, shape[j]), steps
+
+
+def contract(plan, policies) -> np.ndarray:
+    """Run a `contraction` plan against each player's ``(B, A_j)`` policies
+    (the planned player's own are not read), one stacked matmul per step:
+    the planned player's ``(B, A_i)`` expected utilities."""
+    first, steps = plan
+    u = first @ policies[steps[0][0]][:, :, None]
+    for j, shape, axes in steps[1:]:
+        u = u.reshape(len(first), *shape).transpose(0, *(a + 1 for a in axes))
+        u = u.reshape(len(first), -1, shape[j]) @ policies[j][:, :, None]
+    return u[:, :, 0]
+
+
 @dataclass(frozen=True)
 class NormalFormGame:
     """An n-player game given by one payoff tensor per player.
@@ -130,17 +165,17 @@ class NormalFormGame:
 
     def utility_vector(self, player: int, opponent_policies) -> np.ndarray:
         """Expected utility of each of `player`'s actions against the other
-        players' (independent) policies."""
-        u = self.payoffs[player]
-        # Contract opponent axes highest-first so lower axis indices stay valid.
-        for j in sorted(range(self.player_count), reverse=True):
-            if j == player:
-                continue
-            pol = np.asarray(opponent_policies[j], dtype=float)
-            if pol.shape != (self.action_counts[j],):
+        players' (independent) policies, one per player (`player`'s own is
+        not read): the B = 1 call of `contract`."""
+        if len(opponent_policies) != self.player_count:
+            raise ValueError(f"need one policy per player, got {len(opponent_policies)}")
+        policies = [np.asarray(p, dtype=float)[None] for p in opponent_policies]
+        for j, (pol, n) in enumerate(zip(policies, self.action_counts)):
+            if j != player and pol.shape != (1, n):
                 raise ValueError(f"policy for player {j} has wrong length")
-            u = np.tensordot(u, pol, axes=(j, 0))
-        return np.atleast_1d(u)
+        # An index outside range(P) still reaches `contraction`, which rejects it.
+        plan = contraction(self.payoffs[player % self.player_count][None], player)
+        return contract(plan, policies)[0]
 
     def to_dict(self) -> dict:
         return {

@@ -15,7 +15,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .games import NormalFormGame, cdf, draw, make_anchor
+from .games import NormalFormGame, cdf, contraction, draw, make_anchor
 
 INF = math.inf
 #: The adaptive_std schedule's least kappa.
@@ -238,32 +238,6 @@ class Trace:
         return np.ascontiguousarray(self.policies[:, row, :n])
 
 
-def _contractions(game: NormalFormGame):
-    """Per player, the `np.dot` calls of `game.utility_vector`.
-
-    `utility_vector` contracts the opponents' axes highest-first with
-    `np.tensordot`, which moves the contracted axis last, reshapes to a
-    matrix and calls `np.dot`.  The same calls on operands in the same memory
-    layout give the same bits.  Returns, per player, the first matrix (it
-    depends only on the payoffs), its opponent, and the later steps as
-    (opponent, shape before, axis order, matrix shape).
-    """
-    plans = []
-    for i, payoff in enumerate(game.payoffs):
-        shape = list(game.action_counts)
-        steps = []
-        for j in sorted(range(game.player_count), reverse=True):
-            if j == i:
-                continue
-            keep = [k for k in range(len(shape)) if k != j]
-            out = [shape[k] for k in keep]
-            steps.append((j, shape, keep + [j], (math.prod(out), shape[j])))
-            shape = out
-        j, _, axes, matrix = steps[0]
-        plans.append((payoff.transpose(axes).reshape(matrix), j, steps[1:]))
-    return plans
-
-
 def _index(rows: list[int]):
     """`rows` as a slice when they are evenly spaced, else as an index array."""
     step = rows[1] - rows[0] if len(rows) > 1 else 1
@@ -292,7 +266,8 @@ def _selfplay(game: NormalFormGame, learners: Learners, iterations: int,
 
     Each step forms every (player, type) iterate with one softmax per
     action-count group and reproduces `policy_for_type`, `utility_vector`
-    and `UtilityStats` bit for bit.  A step runs on buffers and views built
+    (its `contraction` plan's steps, as `np.dot` calls) and `UtilityStats`
+    bit for bit.  A step runs on buffers and views built
     once per call: the softmax runs in place in the policy rows (in a buffer
     when a group's rows are not evenly spaced), the belief mixture of a
     player with one type is its policy row (a product with weight 1.0 is
@@ -346,7 +321,10 @@ def _selfplay(game: NormalFormGame, learners: Learners, iterations: int,
         draws = n_players + sum(c is not None for c in type_cdfs)
         uniforms = rng.random((iterations, draws))
     else:
-        plans = _contractions(game)
+        plans = []
+        for i, payoff in enumerate(game.payoffs):
+            first, ((j, _, _), *later) = contraction(payoff[None], i)
+            plans.append((first[0], j, later))
         # The belief-weighted mixture of the players with several types, one
         # type slot at a time; a player with fewer types adds weight 0 in the
         # missing slots.
@@ -410,11 +388,11 @@ def _selfplay(game: NormalFormGame, learners: Learners, iterations: int,
                     for gather, w in rest:
                         np.multiply(w, gather(), out=product)
                         mix += product
-                for i, (matrix, j, steps) in enumerate(plans):
-                    x = np.dot(matrix, mix_rows[j], out=None if steps else u_rows[i])
-                    for k, (j, shape, axes, matrix) in enumerate(steps, 1):
-                        x = np.dot(x.reshape(shape).transpose(axes).reshape(matrix),
-                                   mix_rows[j], out=u_rows[i] if k == len(steps) else None)
+                for i, (matrix, j, later) in enumerate(plans):
+                    x = np.dot(matrix, mix_rows[j], out=None if later else u_rows[i])
+                    for k, (j, shape, axes) in enumerate(later, 1):
+                        x = np.dot(x.reshape(shape).transpose(axes).reshape(-1, shape[j]),
+                                   mix_rows[j], out=u_rows[i] if k == len(later) else None)
                     realized[i] = float(u_rows[i].dot(mix_rows[i]))
             avg += pol
             np.subtract(u, q, out=du)

@@ -13,7 +13,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .games import TERMINAL, NormalFormGame, TabularMarkovGame, uniform_policy
+from .games import (TERMINAL, NormalFormGame, TabularMarkovGame, contract, contraction,
+                    uniform_policy)
 from .learners import INF, Trace, TypeDistribution
 
 
@@ -173,7 +174,8 @@ def _newton_equilibria(payoffs, anchors, types, tol: float = 1e-10) -> tuple:
     lams = [np.array(td.lambdas)[:, None] for td in types]
     weights = [np.array(td.weights)[:, None] for td in types]
     log_anchors = [np.log(a)[:, None, :] for a in anchors]
-    to_u = (payoffs[0], payoffs[1].transpose(0, 2, 1))
+    # Each player's first plan matrices: its utilities' and a Jacobian block's.
+    mats = [contraction(u, i)[0] for i, u in enumerate(payoffs)]
     batch, n0 = anchors[0].shape
     eye = np.eye(n0 + anchors[1].shape[1])
 
@@ -191,7 +193,7 @@ def _newton_equilibria(payoffs, anchors, types, tol: float = 1e-10) -> tuple:
     def utilities(pols):
         """(u_0, u_1) against the belief mixtures of `pols`."""
         mix0, mix1 = ((w * p).sum(axis=1)[..., None] for w, p in zip(weights, pols))
-        return np.concatenate([to_u[0] @ mix1, to_u[1] @ mix0], axis=1)[..., 0]
+        return np.concatenate([mats[0] @ mix1, mats[1] @ mix0], axis=1)[..., 0]
 
     x = np.zeros((batch, len(eye)))
     steps = np.zeros(batch, dtype=int)
@@ -217,7 +219,7 @@ def _newton_equilibria(payoffs, anchors, types, tol: float = 1e-10) -> tuple:
                 wp = weights[i] / lams[i] * pols[i]
                 s_i = (np.eye(wp.shape[2]) * wp.sum(axis=1)[:, None]
                        - wp.transpose(0, 2, 1) @ pols[i])
-                jac[block] = to_u[1 - i] @ s_i
+                jac[block] = mats[1 - i] @ s_i
             f = u - x
             # A singular system (say, u / lambda overflows) stops its game, unconverged.
             try:
@@ -278,7 +280,7 @@ def _exploitabilities(payoffs, anchors, types, policies) -> np.ndarray:
     gain.  The result is clamped at 0: the gap is nonnegative by optimality
     of the smooth best response, so below 0 is rounding residue."""
     mixtures = [td.mixture(pols) for td, pols in zip(types, policies)]
-    u_vecs = _utilities(payoffs, mixtures)
+    u_vecs = [contract(contraction(payoffs[:, i], i), mixtures) for i in range(2)]
     gap = np.zeros(len(payoffs))
     for u, anchor, td, pols in zip(u_vecs, anchors, types, policies):
         for lam, w, pol in zip(td.lambdas, td.weights, pols):
@@ -446,32 +448,11 @@ def stage_game_from_values(game: TabularMarkovGame, s: int,
     return stage_game(game, s, stage_payoffs(game, (s,), table)[0])
 
 
-def _utilities(payoffs, policies) -> list:
-    """Each player's ``(B, A_i)`` expected utilities of its actions against
-    the others' ``(B, A_j)`` policies, in B stacked games ``(B, P, *A)``.
-
-    Opponent axes are contracted highest-first, each as one stacked matmul
-    over the layout `np.tensordot` gives that axis (moved last, the others
-    in order), so each game's utilities have the bits of
-    `NormalFormGame.utility_vector`."""
-    batch, players = len(payoffs), payoffs.shape[1]
-    out = []
-    for i in range(players):
-        u = payoffs[:, i]
-        for j in reversed(range(players)):
-            if j != i:
-                rest = u.shape[1:j + 1] + u.shape[j + 2:]
-                u = np.moveaxis(u, j + 1, -1).reshape(batch, -1, u.shape[j + 1])
-                u = (u @ policies[j][:, :, None]).reshape(batch, *rest)
-        out.append(u)
-    return out
-
-
 def _profile_values(payoffs, policies) -> np.ndarray:
     """``(B, P)``: each player's expected payoff in each of B stacked games
     ``(B, P, *A)`` when every player follows its ``(B, A_i)`` policy."""
-    return np.stack([_row_dots(u, p) for u, p in
-                     zip(_utilities(payoffs, policies), policies)], axis=1)
+    return np.stack([_row_dots(contract(contraction(payoffs[:, i], i), policies), p)
+                     for i, p in enumerate(policies)], axis=1)
 
 
 def _seat_rows(table, game: TabularMarkovGame, group) -> list:

@@ -1,5 +1,6 @@
-"""Helpers shared by the tests: reading an emitted trace back, and the
-Markov layer's arrays built from per-state dicts."""
+"""Helpers shared by the tests: reading an emitted trace back, the Markov
+layer's arrays built from per-state dicts, and the `np.tensordot` reference
+for expected utilities."""
 
 import json
 from pathlib import Path
@@ -49,3 +50,19 @@ def padded_table(game, table: dict) -> np.ndarray:
     for (s, i), v in table.items():
         out[s, i, :len(v)] = v
     return out
+
+
+def tensordot_utility_vector(game, player: int, opponent_policies) -> np.ndarray:
+    """`NormalFormGame.utility_vector` as it was before the contraction plan:
+    a loop over `np.tensordot`, the independent reference for `contract` and
+    the self-play kernel."""
+    u = game.payoffs[player]
+    # Contract opponent axes highest-first so lower axis indices stay valid.
+    for j in sorted(range(game.player_count), reverse=True):
+        if j == player:
+            continue
+        pol = np.asarray(opponent_policies[j], dtype=float)
+        if pol.shape != (game.action_counts[j],):
+            raise ValueError(f"policy for player {j} has wrong length")
+        u = np.tensordot(u, pol, axes=(j, 0))
+    return np.atleast_1d(u)

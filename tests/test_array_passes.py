@@ -24,7 +24,7 @@ from anchored import (INF, NormalFormGame, RegularizedProfile, TabularMarkovGame
 from anchored import oracle
 from anchored.games import TERMINAL
 from anchored.oracle import stage_game_from_values, stage_payoffs
-from helpers import padded_table, value_array
+from helpers import padded_table, tensordot_utility_vector, value_array
 from test_oracle_kernel import reference_profile_value
 
 
@@ -53,7 +53,7 @@ def ref_exploitability(game: NormalFormGame, anchors, types, profile) -> float:
     """Per-state exploitability, with lam = inf times a zero KL counting 0
     and the unregularized best-response gain at lam = 0."""
     mixtures = [profile.mixture(0), profile.mixture(1)]
-    u_vecs = [game.utility_vector(i, mixtures) for i in range(2)]
+    u_vecs = [tensordot_utility_vector(game, i, mixtures) for i in range(2)]
     gap = 0.0
     for i in range(2):
         for lam, w in zip(types[i].lambdas, types[i].weights):

@@ -9,6 +9,7 @@ from itertools import product
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from anchored import (
     NormalFormGame,
@@ -21,8 +22,9 @@ from anchored import (
     sos_score,
     uniform_policy,
 )
-from anchored.games import cdf, draw, markov_layers
+from anchored.games import cdf, contract, contraction, draw, markov_layers
 from anchored.oracle import evaluate_markov_profile, uniform_anchors
+from helpers import tensordot_utility_vector
 
 
 def test_make_anchor_clamps_and_renormalizes():
@@ -166,6 +168,56 @@ def test_utility_vector_matches_expected_utility():
         want = sum(g.payoffs[i][a] * np.prod([p[k] for p, k in zip(prof, a)])
                    for a in product(*map(range, g.action_counts)))
         assert expected_utility(g, prof, i) == pytest.approx(want, abs=1e-12)
+
+
+def test_utility_vector_rejects_a_bad_player_or_profile():
+    """A player index outside range(P) names the player, rather than reading
+    another player's payoffs (-1) or raising a bare IndexError (P); a profile
+    needs one policy per player."""
+    g = make_builtin_game("rock_paper_scissors")
+    prof = [np.array([0.5, 0.3, 0.2]), np.array([0.2, 0.2, 0.6])]
+    for player in (-1, 2):
+        with pytest.raises(ValueError, match=f"player {player} is not in range"):
+            g.utility_vector(player, prof)
+        with pytest.raises(ValueError, match=f"player {player} is not in range"):
+            contraction(np.array(g.payoffs[:1]), player)
+    with pytest.raises(ValueError, match="one policy per player"):
+        g.utility_vector(0, prof[:1])
+
+
+ZERO_OR_FLOAT = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1.0, 1.0))
+
+
+@st.composite
+def contraction_cases(draw):
+    counts = tuple(draw(st.lists(st.integers(1, 4), min_size=2, max_size=4)))
+    batch = draw(st.integers(1, 4))
+    payoffs = draw(arrays(float, (batch, *counts), elements=ZERO_OR_FLOAT))
+    policies = [draw(arrays(float, (batch, n), elements=ZERO_OR_FLOAT)) for n in counts]
+    return counts, payoffs, policies
+
+
+@settings(max_examples=200, deadline=None)
+@given(contraction_cases())
+def test_contract_matches_the_tensordot_loop(case):
+    """Each player's plan, run by `contract` over the stack and as the
+    kernel's B = 1 `np.dot` steps over each game, equals the `np.tensordot`
+    loop of each game exactly; the `np.dot` steps keep even the sign of a
+    zero, which a stacked matmul over a one-action axis may not."""
+    counts, payoffs, policies = case
+    for b in range(len(payoffs)):
+        game = NormalFormGame(counts, (payoffs[b],) * len(counts), payoff_bound=1.0)
+        profile = [p[b] for p in policies]
+        for i in range(len(counts)):
+            want = tensordot_utility_vector(game, i, profile)
+            assert np.array_equal(contract(contraction(payoffs, i), policies)[b], want)
+            first, ((j, _, _), *later) = contraction(payoffs[b:b + 1], i)
+            x = np.dot(first[0], profile[j])
+            for j, shape, axes in later:
+                x = np.dot(x.reshape(shape).transpose(axes).reshape(-1, shape[j]),
+                           profile[j])
+            assert x.tobytes() == want.tobytes()
+            assert np.array_equal(game.utility_vector(i, profile), want)
 
 
 def test_sos_score_equal_counts():

@@ -1,8 +1,8 @@
 """The array self-play kernel against the scalar reference, bit for bit.
 
 The reference is the per-player loop the kernel replaced, built from
-`policy_for_type`, `UtilityStats`, `TemperatureSchedule.kappas` and
-`NormalFormGame.utility_vector`, with its own per-player state.  Every
+`policy_for_type`, `UtilityStats`, `TemperatureSchedule.kappas` and the
+`np.tensordot` utility loop of `helpers`, with its own per-player state.  Every
 comparison is exact equality.
 """
 
@@ -16,7 +16,7 @@ from anchored import (INF, Learners, NormalFormGame, TemperatureSchedule,
                       TypeDistribution, make_anchor, policy_for_type, run_selfplay)
 from anchored.cli import emit_trace
 from anchored.learners import UtilityStats
-from helpers import read_trace_jsonl
+from helpers import read_trace_jsonl, tensordot_utility_vector
 
 LAMBDAS = (0.0, 1e-3, 0.1, 0.5, 2.0, INF)
 SCHEDULES = (
@@ -125,7 +125,7 @@ def reference_selfplay(game, learners, iterations, rng=None):
                 for lam, w in zip(ln.types.lambdas, ln.types.weights):
                     mix += w * pols[lam]
                 mixtures.append(mix)
-            u = [game.utility_vector(i, mixtures) for i in range(n)]
+            u = [tensordot_utility_vector(game, i, mixtures) for i in range(n)]
             realized = [float(u[i] @ mixtures[i]) for i in range(n)]
         for ln, pols, u_i, x in zip(learners, by_type, u, realized):
             ln.observe(pols, u_i, x)

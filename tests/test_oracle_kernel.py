@@ -26,12 +26,12 @@ from anchored.cli import main
 from anchored.games import TERMINAL
 from anchored.oracle import (regularized_exploitability, stage_game_from_values,
                              uniform_anchors)
-from helpers import padded_table
+from helpers import padded_table, tensordot_utility_vector
 
 
 def _player_utility_vectors(game: NormalFormGame, mixtures):
     """Utility vector of each player against the other players' mixtures."""
-    return [game.utility_vector(i, mixtures) for i in range(game.player_count)]
+    return [tensordot_utility_vector(game, i, mixtures) for i in range(game.player_count)]
 
 
 def reference_bne(game: NormalFormGame, anchors, types,
@@ -108,7 +108,7 @@ def reference_order(game: TabularMarkovGame) -> list[int]:
 
 def reference_profile_value(stage: NormalFormGame, profile) -> np.ndarray:
     """Each player's expected payoff when every player follows `profile`."""
-    return np.array([float(stage.utility_vector(i, profile) @ profile[i])
+    return np.array([float(tensordot_utility_vector(stage, i, profile) @ profile[i])
                      for i in range(stage.player_count)])
 
 

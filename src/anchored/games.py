@@ -88,7 +88,7 @@ def contraction(payoffs, player: int) -> tuple:
     moves it, so a game's steps as `np.dot` calls have the bits of a
     tensordot loop; `contract`'s matmuls may flip the sign of a zero sum
     over a one-action axis."""
-    shape = np.shape(payoffs)[1:]
+    shape = payoffs.shape[1:]
     if player not in range(len(shape)):
         raise ValueError(f"player {player!r} is not in range({len(shape)})")
     steps = []
@@ -98,7 +98,7 @@ def contraction(payoffs, player: int) -> tuple:
             steps.append((j, shape, (*keep, j)))
             shape = tuple(shape[k] for k in keep)
     j, shape, axes = steps[0]
-    first = np.transpose(payoffs, (0, *(a + 1 for a in axes)))
+    first = payoffs.transpose(0, *(a + 1 for a in axes))
     return first.reshape(len(first), -1, shape[j]), steps
 
 

@@ -265,14 +265,14 @@ def _selfplay(game: NormalFormGame, learners: Learners, iterations: int,
     otherwise.
 
     Each step forms every (player, type) iterate with one softmax per
-    action-count group and reproduces `policy_for_type`, `utility_vector`
-    (its `contraction` plan's steps, as `np.dot` calls) and `UtilityStats`
-    bit for bit.  A step runs on buffers and views built
-    once per call: the softmax runs in place in the policy rows (in a buffer
-    when a group's rows are not evenly spaced), the belief mixture of a
-    player with one type is its policy row (a product with weight 1.0 is
-    exact), and every other result goes into a buffer, except in the argmax
-    rule and the contractions of three or more players.
+    action-count group, takes each player's utilities from its B = 1
+    `contraction` plan (one `np.dot` per step) and reproduces
+    `policy_for_type` and `UtilityStats` bit for bit.  A step runs on
+    buffers and views built once per call: the softmax runs in place in the
+    policy rows (in a buffer when a group's rows are not evenly spaced), the
+    belief mixture of a player with one type is its policy row (a product
+    with weight 1.0 is exact), and every other result goes into a buffer,
+    except in the argmax rule and the contractions of three or more players.
     Sampled feedback draws each step's types and actions from one row of a block
     of uniforms, one double per draw: the doubles and indices of a
     per-player `Generator.choice` loop.  Updates the learners' arrays in

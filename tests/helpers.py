@@ -53,9 +53,9 @@ def padded_table(game, table: dict) -> np.ndarray:
 
 
 def tensordot_utility_vector(game, player: int, opponent_policies) -> np.ndarray:
-    """`NormalFormGame.utility_vector` as it was before the contraction plan:
-    a loop over `np.tensordot`, the independent reference for `contract` and
-    the self-play kernel."""
+    """Expected utility of each of `player`'s actions against the others'
+    policies as a loop over `np.tensordot`: the independent reference for
+    `contract` and the self-play kernel."""
     u = game.payoffs[player]
     # Contract opponent axes highest-first so lower axis indices stay valid.
     for j in sorted(range(game.player_count), reverse=True):

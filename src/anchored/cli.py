@@ -167,8 +167,7 @@ def load_types(spec) -> TypeDistribution:
 
 def _schedule(spec) -> TemperatureSchedule:
     given = _section(spec, "learner.schedule")
-    mode = given.setdefault("mode", "adaptive_std")
-    _require("eta" not in given or mode == "constant_eta",
+    _require("eta" not in given or given.get("mode") == "constant_eta",
              "learner.schedule.eta: only the constant_eta mode takes eta")
     return TemperatureSchedule(**given)
 
@@ -277,7 +276,7 @@ def load_solve(spec: dict, game):
     types = given.get("types", TypeDistribution.singleton(0.1))
     anchors = _seat_vectors(given.get("anchors"), "learner.anchors", game, policy=False)
     learners = Learners(anchors, [types] * game.player_count,
-                        given.get("schedule", TemperatureSchedule.adaptive()))
+                        given.get("schedule", TemperatureSchedule()))
     iterations = given.get("iterations", 1000)
     _addressable("learner.iterations", (iterations, *learners.avg.shape))  # Trace.policies
     return learners, given.get("mode", "sampled"), iterations
@@ -289,8 +288,7 @@ def run_solve(game, loaded, seed: int, out: Path) -> list[Path]:
                          rng=_sub_rng(seed, 0) if mode == "sampled" else None)
     trace_path = out / "trace.jsonl"
     emit_trace(trace, trace_path)
-    schedule = learners.schedule
-    eta = schedule.eta if schedule.mode == "constant_eta" else None
+    eta = learners.schedule.eta     # None outside the constant_eta mode
     reports = []
     for i, (anchor, types) in enumerate(zip(learners.anchors, learners.types)):
         for lam in types.lambdas:
@@ -306,24 +304,20 @@ def run_solve(game, loaded, seed: int, out: Path) -> list[Path]:
 def load_oracle(spec: dict, game):
     """The oracle section as (types, anchors, tol): one `TypeDistribution` and
     one anchor per player for a normal-form game, the anchors floored and
-    renormalized by `make_anchor` as the learners' are; one lambda per player
-    and `uniform_anchors` for a Markov game."""
+    renormalized by `make_anchor` as the learners' are; the one lambda of
+    `types` for both players and `uniform_anchors` for a Markov game."""
     _require(game.player_count == 2 and game.zero_sum,
              "oracle: needs a two-player zero-sum game")
     given = _section(spec, "oracle")
     tol = given.get("tol", 1e-10)
     markov = isinstance(game, G.TabularMarkovGame)
-    stray = given.keys() & ({"types", "anchors"} if markov else {"lambdas"})
-    _require(not stray, f"oracle: a {'Markov' if markov else 'normal-form'} game "
-             f"takes no {', '.join(sorted(stray))}")
-    if markov:
-        lambdas = given.get("lambdas", [0.1, 0.1])
-        _require(len(lambdas) == 2 and all(0 < l < INF for l in lambdas),
-                 "oracle.lambdas: need two finite lambdas > 0")
-        return lambdas, uniform_anchors(game), tol
+    _require(not (markov and "anchors" in given), "oracle: a Markov game takes no anchors")
     types = (given.get("types", TypeDistribution.singleton(0.1)),) * 2
     _require(all(0 < l < INF for l in types[0].lambdas),
              "oracle.types: lambdas must be finite and > 0")
+    if markov:
+        _require(len(types[0].lambdas) == 1, "oracle.types: a Markov game takes one lambda")
+        return list(types[0].lambdas) * 2, uniform_anchors(game), tol
     anchors = _seat_vectors(given.get("anchors"), "oracle.anchors", game, policy=False)
     return types, [G.make_anchor(a) for a in anchors], tol
 
@@ -491,8 +485,7 @@ SCHEMA = {
         "mode": _one_of(("constant_eta", "inverse_sqrt", "adaptive_std")),
         "eta": parse_lambda},
     "types": {"preset": _one_of([n for n, p in AGENT_PRESETS.items() if "lambdas" in p])},
-    "oracle": {"tol": _positive, "types": load_types, "anchors": _nested,
-               "lambdas": _list_of(parse_lambda)},
+    "oracle": {"tol": _positive, "types": load_types, "anchors": _nested},
     "rl": {"search_iterations": _integer(1), "types": load_types,
            "nash_explore": _number, "episodes": _integer(1), "alpha": _number,
            "alpha_harmonic": _flag, "top_k": _integer(1),

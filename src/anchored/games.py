@@ -116,16 +116,17 @@ def contract(plan, policies) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NormalFormGame:
-    """An n-player game given by one payoff tensor per player.
+    """An n-player game given by one ``(P, *action_counts)`` payoff array.
 
-    ``payoffs[i]`` has shape ``action_counts`` and holds player i's utility for
-    every joint action.  ``payoff_bound`` is the intended bound U on payoff
-    magnitudes; it is stored explicitly rather than inferred so that
-    regret-bound evaluation uses the constant the experimenter means.
+    ``payoffs[i]`` holds player i's utility for every joint action; the
+    constructor takes that array or any sequence of the P tensors, and stores
+    it read-only and C-contiguous.  ``payoff_bound`` is the intended bound U
+    on payoff magnitudes; it is stored explicitly rather than inferred so
+    that regret-bound evaluation uses the constant the experimenter means.
     """
 
     action_counts: tuple[int, ...]
-    payoffs: tuple[np.ndarray, ...]
+    payoffs: np.ndarray
     payoff_bound: float
     zero_sum: bool = False
 
@@ -134,30 +135,25 @@ class NormalFormGame:
             raise ValueError("need at least 2 players")
         if any(n < 1 for n in self.action_counts):
             raise ValueError("every player needs at least one action")
-        if len(self.payoffs) != len(self.action_counts):
-            raise ValueError("one payoff tensor per player required")
-        tensors = []
-        for u in self.payoffs:
-            u = np.asarray(u, dtype=float)
-            if u.shape != self.action_counts:
-                raise ValueError(
-                    f"payoff tensor shape {u.shape} != action counts {self.action_counts}"
-                )
-            u.setflags(write=False)
-            tensors.append(u)
-        object.__setattr__(self, "payoffs", tuple(tensors))
+        # C order whatever the input's strides: the learner kernel's `np.dot`
+        # calls round by the layout of the matrices planned from these rows.
+        u = np.ascontiguousarray(self.payoffs, dtype=float)
+        if u.shape != (len(self.action_counts), *self.action_counts):
+            raise ValueError(f"payoff array shape {u.shape} != one tensor of "
+                             f"shape {self.action_counts} per player")
         if not 0 <= self.payoff_bound < np.inf:
             raise ValueError("payoff_bound must be finite and >= 0")
-        for u in self.payoffs:
-            if not np.isfinite(u).all():
-                raise ValueError("payoffs must be finite")
-            if np.max(np.abs(u)) > self.payoff_bound + 1e-12:
-                raise ValueError("payoff magnitude exceeds payoff_bound")
+        if not np.isfinite(u).all():
+            raise ValueError("payoffs must be finite")
+        if np.max(np.abs(u)) > self.payoff_bound + 1e-12:
+            raise ValueError("payoff magnitude exceeds payoff_bound")
         if self.zero_sum:
             if self.player_count != 2:
                 raise ValueError("zero_sum flag requires 2 players")
-            if np.max(np.abs(self.payoffs[0] + self.payoffs[1])) > 1e-12:
+            if np.max(np.abs(u[0] + u[1])) > 1e-12:
                 raise ValueError("payoffs do not sum to zero")
+        u.setflags(write=False)
+        object.__setattr__(self, "payoffs", u)
 
     @property
     def player_count(self) -> int:
@@ -181,7 +177,7 @@ class NormalFormGame:
         return {
             "players": self.player_count,
             "action_counts": list(self.action_counts),
-            "payoffs": [u.tolist() for u in self.payoffs],
+            "payoffs": self.payoffs.tolist(),
             "payoff_bound": self.payoff_bound,
             "zero_sum": self.zero_sum,
         }
@@ -197,7 +193,7 @@ class NormalFormGame:
                              f"{len(counts)} action counts")
         return cls(
             action_counts=counts,
-            payoffs=tuple(np.array(u) for u in d["payoffs"]),
+            payoffs=d["payoffs"],
             payoff_bound=float(d["payoff_bound"]),
             zero_sum=_exact(bool, "zero_sum", d.get("zero_sum", False)),
         )
@@ -485,7 +481,7 @@ def make_repeated_markov(stage: NormalFormGame, horizon: int,
         player_count=stage.player_count,
         state_count=horizon,
         action_counts=tuple(stage.action_counts for _ in rounds),
-        R=tuple(np.array(stage.payoffs) for _ in rounds),
+        R=(stage.payoffs,) * horizon,
         next_states=tuple((s + 1 if s + 1 < horizon else TERMINAL,) for s in rounds),
         T=tuple(np.ones((*stage.action_counts, 1)) for _ in rounds),
         gamma=discount,

@@ -68,24 +68,22 @@ class TemperatureSchedule:
     """Temperature kappa_t for the hedge part of the update.
 
     Modes:
-      constant_eta : kappa_t = 1/(eta * t)
-      inverse_sqrt : kappa_t = 1/sqrt(t)
       adaptive_std : kappa_t = max(3 * S_t / (10 * sqrt(t)), KAPPA_FLOOR), where
-                     S_t is the sample std of realized utilities so far
+                     S_t is the sample std of realized utilities so far (default)
+      constant_eta : kappa_t = 1/(eta * t), the one mode that takes eta
+      inverse_sqrt : kappa_t = 1/sqrt(t)
     """
 
-    mode: str = "constant_eta"
+    mode: str = "adaptive_std"
     eta: float | None = None
 
     def __post_init__(self):
         if self.mode not in ("constant_eta", "inverse_sqrt", "adaptive_std"):
             raise ValueError(f"unknown schedule mode {self.mode!r}")
+        if self.mode != "constant_eta" and self.eta is not None:
+            raise ValueError(f"only the constant_eta mode takes eta, not {self.mode}")
         if self.mode == "constant_eta" and (self.eta is None or not self.eta > 0):
             raise ValueError("constant_eta requires eta > 0 (inf allowed for kappa == 0)")
-
-    @classmethod
-    def adaptive(cls) -> "TemperatureSchedule":
-        return cls(mode="adaptive_std")
 
     def kappas(self, t: int, stats) -> list[float]:
         """kappa_t for iteration index t >= 1, one per player's

@@ -148,15 +148,14 @@ def solve_regularized_bne(game: NormalFormGame, anchors, types,
     call of `_newton_equilibria`."""
     if game.player_count != 2 or not game.zero_sum:
         raise ValueError("requires a two-player zero-sum game")
-    payoffs = [u[None] for u in game.payoffs]
     anchors = [np.asarray(a, dtype=float)[None] for a in anchors]
-    return _newton_equilibria(payoffs, anchors, tuple(types), tol)[0][0]
+    return _newton_equilibria(game.payoffs[None], anchors, tuple(types), tol)[0][0]
 
 
 def _newton_equilibria(payoffs, anchors, types, tol: float = 1e-10) -> tuple:
-    """`solve_regularized_bne` for B games of one shape: `payoffs[i]` is
-    player i's ``(B, A_0, A_1)`` payoff stack, `anchors[i]` its ``(B, A_i)``
-    anchors and `types[i]` its types, shared by the batch.  Returns the B
+    """`solve_regularized_bne` for B games of one shape: `payoffs` is their
+    ``(B, 2, A_0, A_1)`` stack, `anchors[i]` player i's ``(B, A_i)`` anchors
+    and `types[i]` its types, shared by the batch.  Returns the B
     profiles and each player's ``(B, K_i, A_i)`` policies, which they view.
 
     Type k of player i plays ``softmax(log tau_i + u_i / lambda_k)``, so the
@@ -175,7 +174,7 @@ def _newton_equilibria(payoffs, anchors, types, tol: float = 1e-10) -> tuple:
     weights = [np.array(td.weights)[:, None] for td in types]
     log_anchors = [np.log(a)[:, None, :] for a in anchors]
     # Each player's first plan matrices: its utilities' and a Jacobian block's.
-    mats = [contraction(u, i)[0] for i, u in enumerate(payoffs)]
+    mats = [contraction(payoffs[:, i], i)[0] for i in range(2)]
     batch, n0 = anchors[0].shape
     eye = np.eye(n0 + anchors[1].shape[1])
 
@@ -263,7 +262,7 @@ def regularized_exploitability(game: NormalFormGame, anchors, types,
     policies = [[np.asarray(profile.policies[i][lam], dtype=float)[None]
                  for lam in td.lambdas]
                 for i, td in enumerate(types)]
-    return float(_exploitabilities(np.array(game.payoffs)[None],
+    return float(_exploitabilities(game.payoffs[None],
                                    [np.asarray(a, dtype=float)[None] for a in anchors],
                                    types, policies)[0])
 
@@ -430,10 +429,9 @@ def stage_payoffs(game: TabularMarkovGame, states, values) -> np.ndarray:
 
 
 def stage_game(game: TabularMarkovGame, s: int, payoffs) -> NormalFormGame:
-    """State s's stage game from its ``(P, *A_s)`` stage payoffs: player i's
-    payoff tensor is the slice ``payoffs[i]``."""
+    """State s's stage game from its ``(P, *A_s)`` stage payoffs."""
     zero_sum = game.zero_sum and game.player_count == 2
-    return NormalFormGame(game.action_counts[s], tuple(payoffs),
+    return NormalFormGame(game.action_counts[s], payoffs,
                           payoff_bound=game.stage_bound, zero_sum=zero_sum)
 
 
@@ -479,8 +477,8 @@ def solve_markov_backward(game: TabularMarkovGame, anchors, lambdas,
     for layer in game.layers:
         for group in game.stage_groups(layer):
             payoffs = stage_payoffs(game, group, values)
-            found, pols = _newton_equilibria([payoffs[:, 0], payoffs[:, 1]],
-                                             _seat_rows(anchors, game, group), types, tol)
+            found, pols = _newton_equilibria(payoffs, _seat_rows(anchors, game, group),
+                                             types, tol)
             # one type per player: its policy is the mixture, bit for bit
             values[list(group)] = _profile_values(payoffs, [p[:, 0] for p in pols])
             profiles.update(zip(group, found))

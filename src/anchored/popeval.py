@@ -59,7 +59,7 @@ def resolve_agent_policies(agent: AgentSpec, game: NormalFormGame) -> list:
     anchors = agent.anchor_policies
     if len(anchors) != n:
         raise ValueError(f"agent {agent.agent_id}: need one anchor per seat")
-    learners = Learners(anchors, [agent.types] * n, TemperatureSchedule.adaptive())
+    learners = Learners(anchors, [agent.types] * n, TemperatureSchedule())
     run_selfplay(game, learners, agent.search_iterations, record=False)
     return [learners.policy(i, agent.act_lambda) for i in range(n)]
 
@@ -126,8 +126,9 @@ def mean_and_se(scores) -> tuple[float, float]:
 def _play_markov(game: TabularMarkovGame, seat_cdfs,
                  rng: np.random.Generator) -> np.ndarray:
     """Roll out one episode with fixed policies, given per seat as the `cdf`
-    of one vector for every state or a tuple of one cdf per state; returns
-    accumulated discounted rewards."""
+    of one vector for every state (as long as the seat's action count in
+    each) or a tuple of one cdf per state; returns accumulated discounted
+    rewards."""
     totals = np.zeros(game.player_count)
     s = game.initial_state
     disc = 1.0
@@ -135,10 +136,7 @@ def _play_markov(game: TabularMarkovGame, seat_cdfs,
         u = rng.random(game.player_count).tolist()
         joint = []
         for i, c in enumerate(seat_cdfs):
-            c = c[s] if isinstance(c, tuple) else c
-            if len(c) != game.action_counts[s][i]:
-                raise ValueError("a and p must have same size")
-            joint.append(draw(c, u[i]))
+            joint.append(draw(c[s] if isinstance(c, tuple) else c, u[i]))
         totals += disc * game.reward(s, joint)
         disc *= game.gamma
         s = game.sample_successor(s, joint, rng)
@@ -151,8 +149,7 @@ def scorable(game) -> bool:
     """Whether sum-of-squares scoring can score every game played on `game`:
     its outcomes are nonnegative and never all zero."""
     if isinstance(game, NormalFormGame):
-        u = np.stack(game.payoffs)
-        return u.min() >= 0 and (u > 0).any(axis=0).all()
+        return game.payoffs.min() >= 0 and (game.payoffs > 0).any(axis=0).all()
     # zero[s]: an episode from s can end with every return zero; zero[TERMINAL]
     # is the last entry.  With gamma = 0 only the first reward counts.
     zero = np.ones(game.state_count + 1, dtype=bool)
@@ -196,6 +193,11 @@ def run_population_eval(candidate: AgentSpec, baselines, game, n_games: int,
     cdfs = [[tuple(cdf(q[i, :n[i]]) for q, n in zip(p, game.action_counts))
              if np.ndim(p) == 3 else cdf(p)
              for i, p in enumerate(policies)] for policies in resolved]
+    if is_markov:       # a one-vector seat plays in every state
+        for agent, policies in zip(roster, resolved):
+            for i, p in enumerate(policies):
+                if np.ndim(p) != 3 and any(len(p) != n[i] for n in game.action_counts):
+                    raise ValueError(f"agent {agent.agent_id}: bad policy at seat {i}")
     cand = len(roster) - 1
     seats = np.empty((n_games, n_seats), dtype=int)
     rows = np.empty((n_games, n_seats))     # Markov outcomes, else the uniforms
@@ -222,4 +224,4 @@ def _outcomes(game: NormalFormGame, cdfs, seats: np.ndarray, u: np.ndarray) -> n
         for i, c in enumerate(row):
             table[k, i, :len(c)] = c
     actions = (table[seats, np.arange(game.player_count)] <= u[..., None]).sum(-1)
-    return np.stack(game.payoffs, -1)[tuple(actions.T)]
+    return np.moveaxis(game.payoffs, 0, -1)[tuple(actions.T)]

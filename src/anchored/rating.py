@@ -223,8 +223,8 @@ def read_game_records(path) -> GameTable:
     kept: each field goes to its column, a list of ids (one string per
     distinct id) or an array of numbers; `GameTable.from_rows` orders and
     checks them.
-    A `ValueError` names the line of a short row or of a seat_index or
-    share that does not parse."""
+    A `ValueError` names a missing column, or the line of a short row or of
+    a seat_index or share that does not parse."""
     ids, players, distinct = [], [], {}
     seats, shares = array("q"), array("d")
     with open(path, newline="") as fh:
@@ -238,6 +238,8 @@ def read_game_records(path) -> GameTable:
                 seats.append(int(row[si]))
                 players.append(distinct.setdefault(row[pi], row[pi]))
                 shares.append(float(row[ci]))
+        except KeyError as exc:     # only the header lookup raises it
+            raise ValueError(f"header: no {exc.args[0]} column") from None
         except IndexError:
             raise ValueError(f"line {reader.line_num}: short row") from None
         except (csv.Error, ValueError, OverflowError) as exc:

@@ -74,7 +74,7 @@ def search_state(stage: NormalFormGame, anchors, types, iterations: int):
     anchored_only = [td.lambdas == (INF,) for td in types]
     if all(anchored_only):
         return [np.array(a, dtype=float) for a in anchors]
-    learners = Learners(anchors, types, TemperatureSchedule.adaptive())
+    learners = Learners(anchors, types, TemperatureSchedule())
     run_selfplay(stage, learners, iterations, record=False)
     return [np.array(a, dtype=float) if only else learners.average_mixture(i)
             for i, (a, only) in enumerate(zip(anchors, anchored_only))]
@@ -89,7 +89,7 @@ def _search(stage: NormalFormGame, anchors, types, top_k, iterations: int):
     keep = [np.sort(np.argsort(-np.asarray(a), kind="stable")[:top_k])
             for a in anchors]
     sub = NormalFormGame(tuple(map(len, keep)),
-                         tuple(u[np.ix_(*keep)] for u in stage.payoffs),
+                         stage.payoffs[(slice(None), *np.ix_(*keep))],
                          payoff_bound=stage.payoff_bound, zero_sum=stage.zero_sum)
     kept = [np.asarray(a, float)[k] for a, k in zip(anchors, keep)]
     sub_sigma = search_state(sub, [a / a.sum() for a in kept], types, iterations)

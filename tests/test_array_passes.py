@@ -97,7 +97,7 @@ def ref_backward(game, anchors, lambdas, tol=1e-10):
         solved = {}
         for group in groups.values():
             solved.update(zip(group, oracle._newton_equilibria(
-                [np.stack([stages[s].payoffs[i] for s in group]) for i in range(2)],
+                np.stack([stages[s].payoffs for s in group]),
                 [np.stack([anchors[(s, i)] for s in group], dtype=float)
                  for i in range(2)],
                 types, tol)[0]))

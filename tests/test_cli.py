@@ -194,7 +194,7 @@ def test_run_oracle_markov(tmp_path):
         "kind": "oracle",
         "game": {"random_markov": {"seed": 2, "states": 3, "actions": 2,
                                    "horizon": 2, "zero_sum": True}},
-        "oracle": {"lambdas": [0.5, 0.5]},
+        "oracle": {"types": [0.5]},
     }
     run_experiment(config, out=tmp_path)
     doc = json.loads((tmp_path / "oracle.json").read_text())
@@ -770,6 +770,9 @@ GAMES_CSV_FAULTS = {
                           "game 'g9': shares must be nonnegative and sum to 1"),
     "negative share": (GAMES_CSV_HEADER + "g0,0,a,1.5\ng0,1,b,-0.5\n",
                        "game 'g0': shares must be nonnegative and sum to 1"),
+    "no score_share column": ("game_id,seat_index,player_id\ng0,0,a\ng0,1,b\n",
+                              "ValueError('header: no score_share column')"),
+    "empty file": ("", "ValueError('header: no game_id column')"),
 }
 
 
@@ -1175,6 +1178,33 @@ def test_run_solve_with_infinite_lambda(tmp_path, capsys, builtin):
             assert rep["bound"] == pytest.approx(math.log(2) / 0.5)
 
 
+def test_run_solve_with_zero_lambda(tmp_path, capsys):
+    """A lambda = 0 type is plain hedge: its comparator is T * max Q-bar with
+    no KL, its min term (U^2/4) * T * eta, and it has no rho terms."""
+    iterations, eta = 50, 0.5
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "kind": "solve", "game": {"builtin": "rock_paper_scissors"},
+        "learner": {"types": [0.0], "iterations": iterations,
+                    "schedule": {"mode": "constant_eta", "eta": eta}}}))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    reports = json.loads((tmp_path / "out" / "regret_report.json").read_text())["reports"]
+    steps = [json.loads(line) for line in
+             (tmp_path / "out" / "trace.jsonl").read_text().splitlines()]
+    assert [rep["player"] for rep in reports] == [0, 1] and len(steps) == iterations
+    for rep in reports:
+        assert rep["lambda"] == 0 and rep["iterations"] == iterations
+        assert rep["min_term"] == pytest.approx(1.0 / 4 * iterations * eta)
+        assert rep["rho_kl"] == rep["rho_signed"] == 0
+        assert rep["bound"] == pytest.approx(rep["min_term"] + math.log(3) / eta)
+        rows = [step["per_player"][rep["player"]] for step in steps]
+        u = np.array([row["action_utilities"] for row in rows])
+        pols = np.array([row["policy_by_type"]["0.0"] for row in rows])
+        regret = iterations * u.mean(axis=0).max() - (u * pols).sum()
+        assert rep["regret"] == pytest.approx(regret, rel=1e-12, abs=1e-12)
+
+
 def _solve(**learner):
     return {**solve_config(), "learner": {**solve_config()["learner"], **learner}}
 
@@ -1215,7 +1245,13 @@ MISREAD_KEYS = {
                                      "search_iterations": 8}),
     "oracle": {"kind": "oracle", "game": {"random_markov": {
         "seed": 2, "states": 3, "horizon": 2, "zero_sum": True}},
-        "oracle": {"types": [0.1]}},
+        "oracle": {"anchors": [None, None]}},
+    "oracle.types": {"kind": "oracle", "game": {"random_markov": {
+        "seed": 2, "states": 3, "horizon": 2, "zero_sum": True}},
+        "oracle": {"types": [0.1, 0.5]}},
+    "oracle.lambdas": {"kind": "oracle", "game": {"random_markov": {
+        "seed": 2, "states": 3, "horizon": 2, "zero_sum": True}},
+        "oracle": {"lambdas": [0.1, 0.1]}},
     "rate": {**rl_config(), "rate": {"games_csv": "games.csv"}},
     "game": {"kind": "rate", "game": {"builtin": "matching_pennies"},
              "rate": {"games_csv": __file__}},
@@ -1307,7 +1343,7 @@ def _fuzz_bases(work):
         {"kind": "oracle", "seed": 1, "game": {"builtin": "rock_paper_scissors"},
          "oracle": {"types": [1.0], "anchors": [[0.5, 0.3, 0.2], None],
                     "tol": 1e-9}},
-        {"kind": "oracle", "game": markov, "oracle": {"lambdas": [0.5, 0.5]}},
+        {"kind": "oracle", "game": markov, "oracle": {"types": [0.5]}},
         {"kind": "rl", "seed": 3, "game": markov,
          "rl": {"types": [0.5], "episodes": 2, "search_iterations": 4,
                 "checkpoint_every": 1, "alpha_harmonic": True, "top_k": 1}},

@@ -25,7 +25,7 @@ SCHEDULES = (
     # eta * t overflows from t = 2 on: kappa = 1/eta, then 0 (the argmax rule)
     TemperatureSchedule(mode="constant_eta", eta=1e308),
     TemperatureSchedule(mode="inverse_sqrt"),
-    TemperatureSchedule.adaptive(),
+    TemperatureSchedule(),
 )
 
 

@@ -61,7 +61,7 @@ def test_kappa_inverse_sqrt():
 
 
 def test_kappa_adaptive_std():
-    sched = TemperatureSchedule.adaptive()
+    sched = TemperatureSchedule()
     stats = UtilityStats()
     for x in (0.0, 2.0):   # sample std = sqrt(2)
         stats.add(x)
@@ -70,7 +70,7 @@ def test_kappa_adaptive_std():
 
 
 def test_kappa_adaptive_examples():
-    sched = TemperatureSchedule.adaptive()
+    sched = TemperatureSchedule()
     stats = UtilityStats()
     # std exactly 1: samples (0, 2) have std sqrt(2); use (-1, 1) for std sqrt(2)
     for x in (0.5 - 0.5, 0.5 + 0.5, 0.5):   # (0, 1, 0.5): std 0.25? compute directly
@@ -80,7 +80,7 @@ def test_kappa_adaptive_examples():
 
 
 def test_kappa_adaptive_floor_on_degenerate_input():
-    sched = TemperatureSchedule.adaptive()
+    sched = TemperatureSchedule()
     stats = UtilityStats()
     stats.add(1.0)
     stats.add(1.0)   # zero variance
@@ -103,6 +103,13 @@ def test_schedule_rejects_nan_eta():
     with pytest.raises(ValueError):
         TemperatureSchedule(mode="constant_eta", eta=float("nan"))
     TemperatureSchedule(mode="constant_eta", eta=float("inf"))   # kappa == 0
+
+
+def test_default_schedule_is_adaptive_and_only_constant_eta_takes_eta():
+    assert TemperatureSchedule() == TemperatureSchedule(mode="adaptive_std")
+    for mode in ("inverse_sqrt", "adaptive_std"):
+        with pytest.raises(ValueError, match=f"takes eta, not {mode}$"):
+            TemperatureSchedule(mode=mode, eta=0.5)
 
 
 def test_type_mixture_sums_in_support_order():
@@ -194,7 +201,7 @@ def test_learners_initial_state():
 @pytest.mark.parametrize("schedule, kappa", [
     (TemperatureSchedule(mode="constant_eta", eta=0.5), 2.0),
     (TemperatureSchedule(mode="inverse_sqrt"), 1.0),
-    (TemperatureSchedule.adaptive(), 1e-6),
+    (TemperatureSchedule(), 1e-6),
 ])
 def test_first_kappa_is_the_schedules_kappa_1(schedule, kappa):
     ln = Learners([uniform_policy(2)], [TypeDistribution.singleton(0.1)], schedule)
@@ -203,7 +210,7 @@ def test_first_kappa_is_the_schedules_kappa_1(schedule, kappa):
 
 def test_learners_reject_mismatched_lengths():
     types = TypeDistribution.singleton(0.1)
-    sched = TemperatureSchedule.adaptive()
+    sched = TemperatureSchedule()
     with pytest.raises(ValueError, match="one type distribution per anchor"):
         Learners([uniform_policy(2)] * 2, [types], sched)
     with pytest.raises(ValueError, match="one type distribution per anchor"):
@@ -239,7 +246,7 @@ def test_observe_constant_utilities():
 def test_act_policy_matches_support_point():
     game = make_builtin_game("matching_pennies")
     types = TypeDistribution.uniform([1e-4, 1e-1])
-    sched = TemperatureSchedule.adaptive()
+    sched = TemperatureSchedule()
     learners = Learners([np.array([0.6, 0.4])] * 2, [types] * 2, sched)
     run_selfplay(game, learners, 50, record=False)
     np.testing.assert_allclose(learners.policy(0, 1e-1), policy_for_type(
@@ -336,7 +343,7 @@ def test_sampled_deterministic_in_seed():
     types = TypeDistribution.uniform([1e-2, 1e-1])
 
     def run(seed):
-        sched = TemperatureSchedule.adaptive()
+        sched = TemperatureSchedule()
         learners = Learners([uniform_policy(3)] * 2, [types] * 2, sched)
         rng = np.random.default_rng(seed)
         return run_selfplay(game, learners, 100, rng=rng)
@@ -375,7 +382,7 @@ def test_all_infinite_types_play_anchor_frequencies():
     game = make_builtin_game("matching_pennies")
     tau = np.array([0.7, 0.3])
     types = TypeDistribution.singleton(INF)
-    sched = TemperatureSchedule.adaptive()
+    sched = TemperatureSchedule()
     learners = Learners([tau] * 2, [types] * 2, sched)
     rng = np.random.default_rng(17)
     n = 10000
@@ -389,7 +396,7 @@ def test_all_infinite_types_play_anchor_frequencies():
 def test_emitted_policies_are_distributions():
     game = make_builtin_game("random_zero_sum", {"seed": 6, "actions": (3, 3)})
     types = TypeDistribution.uniform([1e-1, 1.0])
-    sched = TemperatureSchedule.adaptive()
+    sched = TemperatureSchedule()
     learners = Learners([np.array([0.6, 0.3, 0.1])] * 2, [types] * 2, sched)
     rng = np.random.default_rng(18)
     trace = run_selfplay(game, learners, 200, rng=rng)
@@ -406,7 +413,7 @@ def test_emitted_policies_are_distributions():
 def test_replay_q_oracle():
     game = make_builtin_game("random_zero_sum", {"seed": 7, "actions": (3, 3)})
     types = TypeDistribution.singleton(0.1)
-    sched = TemperatureSchedule.adaptive()
+    sched = TemperatureSchedule()
     learners = Learners([uniform_policy(3)] * 2, [types] * 2, sched)
     rng = np.random.default_rng(19)
     trace = run_selfplay(game, learners, 500, rng=rng)
@@ -418,7 +425,7 @@ def test_replay_q_oracle():
 def test_trace_records_round_trip(tmp_path):
     game = make_builtin_game("matching_pennies")
     types = TypeDistribution.uniform([1e-2, 1e-1])
-    sched = TemperatureSchedule.adaptive()
+    sched = TemperatureSchedule()
     learners = Learners([uniform_policy(2)] * 2, [types] * 2, sched)
     rng = np.random.default_rng(20)
     trace = run_selfplay(game, learners, 30, rng=rng)
@@ -436,7 +443,7 @@ def test_trace_records_round_trip(tmp_path):
 def test_mismatched_learners_rejected():
     game = make_builtin_game("matching_pennies")
     types = TypeDistribution.singleton(0.1)
-    sched = TemperatureSchedule.adaptive()
+    sched = TemperatureSchedule()
     one = Learners([uniform_policy(2)], [types], sched)
     with pytest.raises(ValueError, match="action counts do not match"):
         run_selfplay(game, one, 1, rng=np.random.default_rng(0))

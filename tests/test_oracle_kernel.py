@@ -197,7 +197,7 @@ def test_solve_regularized_bne_matches_reference(case):
 
 def batched(games, types, tol=1e-10):
     return oracle._newton_equilibria(
-        [np.stack([g.payoffs[i] for g, _ in games]) for i in range(2)],
+        np.stack([g.payoffs for g, _ in games]),
         [np.stack([a[i] for _, a in games]) for i in range(2)], types, tol)[0]
 
 
@@ -346,7 +346,7 @@ def test_backward_induction_calls_kernel_once_per_layer_and_shape(monkeypatch):
     kernel = oracle._newton_equilibria
 
     def counting(payoffs, *args, **kwargs):
-        calls.append(len(payoffs[0]))
+        calls.append(len(payoffs))
         return kernel(payoffs, *args, **kwargs)
 
     monkeypatch.setattr(oracle, "_newton_equilibria", counting)
@@ -363,7 +363,7 @@ def test_backward_induction_calls_kernel_once_per_shape_group(monkeypatch):
     kernel = oracle._newton_equilibria
 
     def counting(payoffs, *args, **kwargs):
-        calls.append(payoffs[0].shape)
+        calls.append(payoffs[:, 0].shape)
         return kernel(payoffs, *args, **kwargs)
 
     monkeypatch.setattr(oracle, "_newton_equilibria", counting)
@@ -402,8 +402,8 @@ def test_nan_state_leaves_batch_alone():
     """A NaN game in a batch stops unconverged; the others are unaffected."""
     games = [make_builtin_game("random_zero_sum", {"seed": s}) for s in (3, 4)]
     anchors = [np.stack([uniform_policy(3)] * 2) for _ in range(2)]
-    payoffs = [np.stack([g.payoffs[i] for g in games]) for i in range(2)]
-    payoffs[0][1, 0, 0] = np.nan
+    payoffs = np.stack([g.payoffs for g in games])
+    payoffs[1, 0, 0, 0] = np.nan
     types = (TypeDistribution.singleton(0.5),) * 2
     (first, second), _ = oracle._newton_equilibria(payoffs, anchors, types)
     assert first.converged
@@ -421,9 +421,8 @@ def test_overflowing_game_leaves_batch_alone(scale):
     unaffected."""
     games = [make_builtin_game("random_zero_sum", {"seed": s}) for s in (3, 4)]
     anchors = [np.stack([uniform_policy(3)] * 2) for _ in range(2)]
-    payoffs = [np.stack([g.payoffs[i] for g in games]) for i in range(2)]
-    for u in payoffs:
-        u[1] *= scale
+    payoffs = np.stack([g.payoffs for g in games])
+    payoffs[1] *= scale
     types = (TypeDistribution.singleton(0.1),) * 2
     (first, second), _ = oracle._newton_equilibria(payoffs, anchors, types)
     assert_same_profile(first, solve_regularized_bne(
@@ -463,7 +462,7 @@ ORACLE_GOLDEN = {
     "markov-40": (
         {"random_markov": {"seed": 11, "states": 40, "actions": 3,
                            "horizon": 4, "zero_sum": True}},
-        {"lambdas": [0.5, 0.5]},
+        {"types": [0.5]},
         "8b4ca974caa7a468685850f20e45b8f39fff3ca03571088980e202ba5af76ff5"),
     "random-zero-sum-3-types": (
         {"builtin": "random_zero_sum", "params": {"seed": 5, "actions": [3, 4]}},

@@ -306,12 +306,25 @@ def test_fixed_agent_bad_policy_raises_what_choice_raised(bad, markov):
         run_population_eval(cand, [base], game, 10, np.random.default_rng(1))
 
 
-def test_markov_policy_of_wrong_length_raises_what_choice_raised():
-    game = two_state_markov_game()
-    cand = AgentSpec(agent_id="cand", policies=([1 / 3] * 3, [0.5, 0.5], [0.5, 0.5]))
-    base = fixed_agent("base", [0.5, 0.5], 3)
-    with pytest.raises(ValueError, match="^a and p must have same size$"):
-        run_population_eval(cand, [base], game, 10, np.random.default_rng(1))
+def test_markov_vector_seat_of_wrong_length_raises_before_any_draw():
+    """A one-vector seat must fit the seat's action count in every state: a
+    3-vector where every state has two actions, and a 2-vector where state 1
+    gives seat 0 three."""
+    ragged = TabularMarkovGame(
+        player_count=2, state_count=2, action_counts=((2, 2), (3, 2)),
+        R=(np.ones((2, 2, 2)), np.ones((2, 3, 2))), next_states=((1,), (TERMINAL,)),
+        T=(np.ones((2, 2, 1)), np.ones((3, 2, 1))), gamma=1.0, horizon=2)
+    base_table = np.array([[[0.5, 0.5, 0.0]] * 2, [[1 / 3] * 3, [0.5, 0.5, 0.0]]])
+    cases = [(two_state_markov_game(), ([1 / 3] * 3, [0.5, 0.5], [0.5, 0.5]),
+              fixed_agent("base", [0.5, 0.5], 3)),
+             (ragged, ([0.5, 0.5], [0.5, 0.5]),
+              AgentSpec(agent_id="base", policies=(base_table, base_table)))]
+    for game, policies, base in cases:
+        rng = np.random.default_rng(1)
+        with pytest.raises(ValueError, match="^agent cand: bad policy at seat 0$"):
+            run_population_eval(AgentSpec(agent_id="cand", policies=policies), [base],
+                                game, 10, rng)
+        assert rng.random() == np.random.default_rng(1).random()
 
 
 # ----------------------------------------------------------- agent specs

@@ -229,6 +229,17 @@ def test_read_game_records_csv(tmp_path):
     assert games.obs.tolist() == [[0.5, 0.5], [0.75, 0.25]]
 
 
+@pytest.mark.parametrize("text, column", [
+    ("game_id,seat_index,player_id\ng0,0,a\n", "score_share"),
+    ("", "game_id"),
+])
+def test_read_game_records_names_a_missing_column(tmp_path, text, column):
+    path = tmp_path / "games.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"^header: no {column} column$"):
+        read_game_records(path)
+
+
 # ------------------------------------------------------- references
 
 def reference_pack(games, n_seats: int):

@@ -254,7 +254,7 @@ def reference_search(game, anchors, types, iterations):
     only = [td.lambdas == (INF,) for td in types]
     if all(only):
         return [np.array(a, dtype=float) for a in anchors]
-    learners = [ScalarLearner(n, a, td, TemperatureSchedule.adaptive())
+    learners = [ScalarLearner(n, a, td, TemperatureSchedule())
                 for n, a, td in zip(game.action_counts, anchors, types)]
     reference_selfplay(game, learners, iterations)
     sigma = []

@@ -335,8 +335,7 @@ def run_oracle(game, loaded, seed: int, out: Path) -> list[Path]:
         if not profile.converged:
             raise RuntimeError(f"solver did not converge; residual {profile.residual}")
         doc = profile.to_dict()
-        doc["exploitability"] = regularized_exploitability(game, anchors, types,
-                                                           profile)
+        doc["exploitability"] = regularized_exploitability(game, anchors, profile)
         doc["note"] = ("regularization penalty subtracted from expected reward "
                        "throughout")
     path = out / "oracle.json"

@@ -1,7 +1,8 @@
 """Normal-form and small tabular Markov game representations plus scoring utilities.
 
-Games are immutable after construction and all generators are deterministic in
-their seed, so serialized output is reproducible bit-for-bit.
+Games are immutable after construction and compare by identity, and all
+generators are deterministic in their seed, so serialized output is
+reproducible bit-for-bit.
 """
 
 from __future__ import annotations
@@ -114,13 +115,13 @@ def contract(plan, policies) -> np.ndarray:
     return u[:, :, 0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NormalFormGame:
     """An n-player game given by one ``(P, *action_counts)`` payoff array.
 
     ``payoffs[i]`` holds player i's utility for every joint action; the
     constructor takes that array or any sequence of the P tensors, and stores
-    it read-only and C-contiguous.  ``payoff_bound`` is the intended bound U
+    a read-only, C-contiguous copy.  ``payoff_bound`` is the intended bound U
     on payoff magnitudes; it is stored explicitly rather than inferred so
     that regret-bound evaluation uses the constant the experimenter means.
     """
@@ -135,9 +136,10 @@ class NormalFormGame:
             raise ValueError("need at least 2 players")
         if any(n < 1 for n in self.action_counts):
             raise ValueError("every player needs at least one action")
-        # C order whatever the input's strides: the learner kernel's `np.dot`
-        # calls round by the layout of the matrices planned from these rows.
-        u = np.ascontiguousarray(self.payoffs, dtype=float)
+        # A C-ordered copy whatever the input's strides: the learner kernel's
+        # `np.dot` calls round by the layout of the matrices planned from
+        # these rows, and the caller's array stays writable.
+        u = np.array(self.payoffs, dtype=float, order="C")
         if u.shape != (len(self.action_counts), *self.action_counts):
             raise ValueError(f"payoff array shape {u.shape} != one tensor of "
                              f"shape {self.action_counts} per player")
@@ -267,14 +269,15 @@ def make_builtin_game(name: str, params: dict | None = None) -> NormalFormGame:
     raise ValueError(f"unknown builtin game: {name!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TabularMarkovGame:
     """Finite simultaneous-move stochastic game over a layered state space.
 
     States are 0..state_count-1 plus the absorbing TERMINAL sentinel; the
     terminal state has zero reward.  Each state's game is stored as arrays
     fixed at construction: ``R[s]`` of shape ``(P, *A_s)`` holds every
-    player's reward for every joint action, ``next_states[s]`` lists the ids
+    player's reward for every joint action (`player_count`, `state_count`
+    and `action_counts` are read from it), ``next_states[s]`` lists the ids
     of the state's successors (TERMINAL included where reachable) and
     ``T[s]`` of shape ``(*A_s, len(next_states[s]))`` holds the successor
     probabilities, and ``C[s]`` their cdfs.  ``stage_bound``, payoff_bound +
@@ -285,9 +288,6 @@ class TabularMarkovGame:
     episode reaches TERMINAL within `horizon` steps.
     """
 
-    player_count: int
-    state_count: int
-    action_counts: tuple[tuple[int, ...], ...]  # [state][player]
     R: tuple                                    # [state] -> (P, *A_s)
     next_states: tuple[tuple[int, ...], ...]    # [state] -> successor ids
     T: tuple                                    # [state] -> (*A_s, K_s)
@@ -296,16 +296,27 @@ class TabularMarkovGame:
     initial_state: int = 0
     zero_sum: bool = False
     payoff_bound: float = 1.0
-    C: tuple = field(init=False, repr=False, compare=False)
-    stage_bound: float = field(init=False, repr=False, compare=False)
-    layers: tuple = field(init=False, repr=False, compare=False)
+    player_count: int = field(init=False)
+    state_count: int = field(init=False)
+    action_counts: tuple = field(init=False)    # [state][player]
+    C: tuple = field(init=False, repr=False)
+    stage_bound: float = field(init=False, repr=False)
+    layers: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.player_count < 2:
-            raise ValueError("need at least 2 players")
-        if self.initial_state not in range(self.state_count):
+        rewards = tuple(np.array(r, dtype=float) for r in self.R)
+        probs = tuple(np.array(t, dtype=float) for t in self.T)
+        n = len(rewards)
+        if not len(self.next_states) == len(probs) == n:
+            raise ValueError("need rewards and transitions per state")
+        if self.initial_state not in range(n):
             raise ValueError(f"initial_state {self.initial_state!r} is not a state "
-                             f"in [0, {self.state_count})")
+                             f"in [0, {n})")
+        players = len(rewards[0]) if rewards[0].ndim else 0
+        if players < 2:
+            raise ValueError("need at least 2 players")
+        if self.zero_sum and players != 2:
+            raise ValueError("zero_sum flag requires 2 players")
         if not (0.0 <= self.gamma <= 1.0):
             raise ValueError("gamma must be in [0, 1]")
         if self.horizon < 1:
@@ -315,16 +326,13 @@ class TabularMarkovGame:
         bound = self.payoff_bound + self.gamma * self.max_return()
         if not np.isfinite(bound):
             raise ValueError("payoff_bound too large: the stage bound overflows")
-        n, players = self.state_count, self.player_count
-        acts = tuple(tuple(int(k) for k in row) for row in self.action_counts)
-        rewards = tuple(np.array(r, dtype=float) for r in self.R)
-        probs = tuple(np.array(t, dtype=float) for t in self.T)
-        if not len(acts) == len(rewards) == len(self.next_states) == len(probs) == n:
-            raise ValueError("need action counts, rewards and transitions per state")
-        for s, (a, r, nxt, t) in enumerate(zip(acts, rewards, self.next_states, probs)):
-            if len(a) != players or r.shape != (players, *a) or t.shape != (*a, len(nxt)):
+        for s, (r, nxt, t) in enumerate(zip(rewards, self.next_states, probs)):
+            a = r.shape[1:]
+            if r.ndim != players + 1 or len(r) != players or t.shape != (*a, len(nxt)):
                 raise ValueError(f"state {s}: reward shape {r.shape} or transition "
-                                 f"shape {t.shape} does not fit action counts {a}")
+                                 f"shape {t.shape} does not fit {players} players")
+            if 0 in a:
+                raise ValueError(f"state {s}: every player needs at least one action")
             if not np.isfinite(r).all():
                 raise ValueError(f"state {s}: rewards must be finite")
             if np.max(np.abs(r)) > self.payoff_bound + 1e-12:
@@ -341,15 +349,16 @@ class TabularMarkovGame:
         # same bits; the checks above are stricter than cdf's.
         sums = ((t / t.sum(-1, keepdims=True)).cumsum(-1) for t in probs)
         cdfs = tuple(c / c[..., -1:] for c in sums)
-        for name, value in (("action_counts", acts), ("R", rewards), ("T", probs),
-                            ("C", cdfs), ("stage_bound", bound),
+        for name, value in (("player_count", players), ("state_count", n),
+                            ("action_counts", tuple(r.shape[1:] for r in rewards)),
+                            ("R", rewards), ("T", probs), ("C", cdfs), ("stage_bound", bound),
                             ("layers", self._backward_layers())):
             object.__setattr__(self, name, value)
 
     def _backward_layers(self) -> tuple:
         resolved = {TERMINAL}
         layers = []
-        remaining = set(range(self.state_count))
+        remaining = set(range(len(self.next_states)))
         while remaining:
             ready = tuple(sorted(s for s in remaining
                                  if resolved.issuperset(self.next_states[s])))
@@ -421,12 +430,19 @@ class TabularMarkovGame:
     @classmethod
     def from_dict(cls, d: dict) -> "TabularMarkovGame":
         """Inverse of `to_dict`.  A successor listed twice for one joint
-        action has its probabilities added."""
+        action has its probabilities added.  `players`, `states` and
+        `action_counts` must fit the rows."""
         players = _exact(int, "players", d["players"])
         counts = [tuple(_exact(int, f"action_counts[{s}]", k) for k in row)
                   for s, row in enumerate(d["action_counts"])]
+        for s, row in enumerate(counts):
+            if any(k < 1 for k in row):
+                raise ValueError(f"action_counts[{s}]: every player needs at least "
+                                 f"one action, got {list(row)}")
         if not len(counts) == len(d["transitions"]) == len(d["rewards"]):
             raise ValueError("need action counts, transitions and rewards per state")
+        if _exact(int, "states", d["states"]) != len(counts):
+            raise ValueError(f"states {d['states']} does not match the {len(counts)} rows")
         rewards, succs, probs = [], [], []
         for s, acts in enumerate(counts):
             # Joint actions in product order are the C order of (*A_s).
@@ -446,9 +462,6 @@ class TabularMarkovGame:
             succs.append(nxt)
             probs.append(t.reshape(*acts, len(nxt)))
         return cls(
-            player_count=players,
-            state_count=_exact(int, "states", d["states"]),
-            action_counts=tuple(counts),
             R=tuple(rewards),
             next_states=tuple(succs),
             T=tuple(probs),
@@ -478,9 +491,6 @@ def make_repeated_markov(stage: NormalFormGame, horizon: int,
         raise ValueError("horizon must be >= 1")
     rounds = range(horizon)
     return TabularMarkovGame(
-        player_count=stage.player_count,
-        state_count=horizon,
-        action_counts=tuple(stage.action_counts for _ in rounds),
         R=(stage.payoffs,) * horizon,
         next_states=tuple((s + 1 if s + 1 < horizon else TERMINAL,) for s in rounds),
         T=tuple(np.ones((*stage.action_counts, 1)) for _ in rounds),
@@ -540,9 +550,6 @@ def make_random_markov(seed: int, state_count: int, player_count: int,
             r = np.concatenate([x, -x], -1) if zero_sum else x
             rewards[s], succs[s], probs[s] = np.moveaxis(r, -1, 0), nxt, t
     return TabularMarkovGame(
-        player_count=player_count,
-        state_count=state_count,
-        action_counts=tuple(acts for _ in range(state_count)),
         R=tuple(rewards),
         next_states=tuple(succs),
         T=tuple(probs),

@@ -133,11 +133,14 @@ def policy_for_type(q: np.ndarray, anchor: np.ndarray, lam: float,
     if kappa + lam == 0.0:
         best = np.isclose(q, q.max(), rtol=0.0, atol=1e-12)
         return best / best.sum()
-    z = q if lam == 0.0 else q + lam * np.log(anchor)
-    z = z / (kappa + lam)
-    z = z - z.max()
-    p = np.exp(z)
-    return p / p.sum()
+    # As in the kernel, overflow leaves a non-finite iterate for the caller
+    # to report; numpy need not warn as well.
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = q if lam == 0.0 else q + lam * np.log(anchor)
+        z = z / (kappa + lam)
+        z = z - z.max()
+        p = np.exp(z)
+        return p / p.sum()
 
 
 def _row_starts(type_supports) -> list[int]:

@@ -252,19 +252,19 @@ def _newton_equilibria(payoffs, anchors, types, tol: float = 1e-10) -> tuple:
         for b in range(batch)], pols
 
 
-def regularized_exploitability(game: NormalFormGame, anchors, types,
+def regularized_exploitability(game: NormalFormGame, anchors,
                                profile: RegularizedProfile) -> float:
-    """Belief-weighted total gap between each type's policy and its smooth
-    best response to the opponent mixture.  Zero exactly at the regularized
-    equilibrium.  The B = 1 call of `_exploitabilities`."""
+    """Belief-weighted total gap between each profile type's policy and its
+    smooth best response to the opponent mixture.  Zero exactly at the
+    regularized equilibrium.  The B = 1 call of `_exploitabilities`."""
     if game.player_count != 2:
         raise ValueError("requires a two-player game")
     policies = [[np.asarray(profile.policies[i][lam], dtype=float)[None]
                  for lam in td.lambdas]
-                for i, td in enumerate(types)]
+                for i, td in enumerate(profile.types)]
     return float(_exploitabilities(game.payoffs[None],
                                    [np.asarray(a, dtype=float)[None] for a in anchors],
-                                   types, policies)[0])
+                                   profile.types, policies)[0])
 
 
 def _exploitabilities(payoffs, anchors, types, policies) -> np.ndarray:
@@ -302,17 +302,17 @@ def unregularized_exploitability(game: NormalFormGame, profile) -> float:
 
 
 def regret_bound(payoff_bound: float, iterations: int, eta: float, lam: float,
-                 n_actions: int, anchor) -> float:
+                 anchor) -> float:
     """Analytic upper bound on the cumulative regularized regret of an
-    anchored learner: (U^2/4) * min{2 log T / lam, T eta} + log n / eta + rho,
-    with rho = lam * KL(uniform || anchor) >= 0."""
-    if iterations < 1 or eta <= 0 or lam < 0 or n_actions < 1:
-        raise ValueError("invalid bound parameters")
+    anchored learner over n = len(anchor) actions: (U^2/4) * min{2 log T /
+    lam, T eta} + log n / eta + rho, with rho = lam * KL(uniform || anchor) >= 0."""
     anchor = np.asarray(anchor, dtype=float)
-    kl_u = kl_divergence(uniform_policy(n_actions), anchor)
+    if iterations < 1 or eta <= 0 or lam < 0 or anchor.size < 1:
+        raise ValueError("invalid bound parameters")
+    kl_u = kl_divergence(uniform_policy(anchor.size), anchor)
     rho = 0.0 if lam == 0 or kl_u == 0.0 else lam * kl_u
     return (_min_term(payoff_bound, iterations, eta, lam)
-            + math.log(n_actions) / eta + rho)
+            + math.log(anchor.size) / eta + rho)
 
 
 def _min_term(payoff_bound: float, iterations: int, eta: float,
@@ -376,20 +376,19 @@ def regularized_regret(trace: Trace, player: int, lam: float, anchor,
     report.rho_kl = 0.0 if no_rho else lam * kl_u
     report.rho_signed = 0.0 if no_rho else lam * (math.log(n) + log_tau_mean)
     if payoff_bound is not None and eta is not None:
-        report.bound = regret_bound(payoff_bound, T, eta, lam, n, anchor)
+        report.bound = regret_bound(payoff_bound, T, eta, lam, anchor)
         report.min_term = _min_term(payoff_bound, T, eta, lam)
         report.log_n_term = math.log(n) / eta
     return report
 
 
-def last_iterate_distance(current, profile: RegularizedProfile, types,
-                          kappa) -> float:
-    """Distance to the regularized equilibrium:
+def last_iterate_distance(current, profile: RegularizedProfile, kappa) -> float:
+    """Distance to the regularized equilibrium, over the profile's types:
     sum_i E_lambda [(lambda + kappa_i) * KL(x*_{i,lambda} || x^T_{i,lambda})]."""
     kappas = [float(kappa)] * len(current) if np.isscalar(kappa) else list(kappa)
     total = 0.0
     for i, by_type in enumerate(current):
-        td = types[i]
+        td = profile.types[i]
         for lam, w in zip(td.lambdas, td.weights):
             if lam not in by_type:
                 raise ValueError(f"player {i} missing iterate for lambda {lam}")
@@ -428,11 +427,10 @@ def stage_payoffs(game: TabularMarkovGame, states, values) -> np.ndarray:
     return total
 
 
-def stage_game(game: TabularMarkovGame, s: int, payoffs) -> NormalFormGame:
-    """State s's stage game from its ``(P, *A_s)`` stage payoffs."""
-    zero_sum = game.zero_sum and game.player_count == 2
-    return NormalFormGame(game.action_counts[s], payoffs,
-                          payoff_bound=game.stage_bound, zero_sum=zero_sum)
+def stage_game(game: TabularMarkovGame, payoffs) -> NormalFormGame:
+    """A state's stage game from its ``(P, *A_s)`` stage payoffs."""
+    return NormalFormGame(payoffs.shape[1:], payoffs, payoff_bound=game.stage_bound,
+                          zero_sum=game.zero_sum)
 
 
 def stage_game_from_values(game: TabularMarkovGame, s: int,
@@ -443,7 +441,7 @@ def stage_game_from_values(game: TabularMarkovGame, s: int,
     table = np.zeros((game.state_count + 1, game.player_count))
     for s2, v in values.items():
         table[s2] = v
-    return stage_game(game, s, stage_payoffs(game, (s,), table)[0])
+    return stage_game(game, stage_payoffs(game, (s,), table)[0])
 
 
 def _profile_values(payoffs, policies) -> np.ndarray:

@@ -128,7 +128,7 @@ def run_episode(game: TabularMarkovGame, values: np.ndarray, policy: np.ndarray,
         if last is not None and last[0] == key:
             sigma = last[1]
         else:
-            sigma = _search(stage_game(game, s, payoffs),
+            sigma = _search(stage_game(game, payoffs),
                             [a[:n] for a, n in zip(anchors[s], game.action_counts[s])],
                             config.types, config.top_k, config.search_iterations)
             if not all(np.isfinite(p).all() for p in sigma):

@@ -169,8 +169,7 @@ def test_criterion_3_last_iterate(capsys):
             done = t - 1
             kappas = learners.kappas()
             current = [{0.1: learners.policy(i, 0.1)} for i in range(2)]
-            distances[t].append(last_iterate_distance(
-                current, prof, types, kappas))
+            distances[t].append(last_iterate_distance(current, prof, kappas))
             if t == checkpoints[-1]:
                 final_kls.append(np.mean([
                     kl_divergence(prof.policies[i][0.1],
@@ -214,7 +213,7 @@ def test_criterion_4_oracle_correctness(capsys):
     anchors = list(MP_ANCHORS)
     types = (TypeDistribution.singleton(1.0),) * 2
     prof = solve_regularized_bne(game, anchors, types, tol=1e-10)
-    gap = regularized_exploitability(game, anchors, types, prof)
+    gap = regularized_exploitability(game, anchors, prof)
     gx, gy = _grid_search_2x2(game, anchors, 1.0)
     grid_dev = max(float(np.max(np.abs(prof.policies[0][1.0] - gx))),
                    float(np.max(np.abs(prof.policies[1][1.0] - gy))))

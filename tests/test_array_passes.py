@@ -156,7 +156,6 @@ def ragged_game(rng, layer_sizes, players=2) -> TabularMarkovGame:
                 rewards.append(rng.uniform(-1.0, 1.0, size=(players, *counts[s])))
             succs.append(tuple(nxt))
     return TabularMarkovGame(
-        player_count=players, state_count=n, action_counts=tuple(counts),
         R=tuple(rewards), next_states=tuple(succs), T=tuple(probs),
         gamma=float(rng.uniform(0.5, 1.0)), horizon=len(layer_sizes),
         zero_sum=players == 2)
@@ -321,7 +320,7 @@ def test_exploitability_stack_matches_per_state(seed, n0, n1, batch, lams0, lams
     ref = [ref_exploitability(g, a, types, p)
            for g, a, p in zip(stages, anchors, profiles)]
     assert got.tolist() == ref
-    assert [regularized_exploitability(g, a, types, p)
+    assert [regularized_exploitability(g, a, p)
             for g, a, p in zip(stages, anchors, profiles)] == ref
 
 

@@ -489,18 +489,32 @@ def _lead_state_1_to(target):
     return edit
 
 
+def _three_players_zero_sum(d):
+    """One state of three players with two actions each, where players 0 and
+    1 get 0.5 and -0.5 and player 2 gets 0, flagged zero-sum."""
+    joints = [str([a, b, c]) for a in range(2) for b in range(2) for c in range(2)]
+    d.update(players=3, states=1, horizon=1, action_counts=[[2, 2, 2]],
+             transitions=[{j: [[-1, 1.0]] for j in joints}],
+             rewards=[{j: [0.5, -0.5, 0.0] for j in joints}])
+
+
 #: Edits of the 3-state, horizon-2 game of `_markov_file` (state 0 leads to
 #: states 1 and 2, which end the episode) that `validate` passed: a cycle,
 #: after which `run` raised from backward induction, and game-file scalars
-#: read loosely: `bool("false")` is true and `int(1.5)` is 1.
+#: read loosely: `bool("false")` is true and `int(1.5)` is 1.  A zero-sum
+#: flag on three players passed too, and action counts of 0 and -1 exited 2
+#: with numpy's own text.
 MARKOV_MUTATIONS = {
     "cycle": _lead_state_1_to(0),
     "deeper than horizon": _lead_state_1_to(2),
     "zero_sum": lambda d: d.update(zero_sum="false"),
     "horizon": lambda d: d.update(horizon=1.5),
     "action_counts[1]": lambda d: d["action_counts"].__setitem__(1, [2, 1.5]),
+    "action_counts[0]": lambda d: d["action_counts"].__setitem__(0, [2, 0]),
+    "action_counts[2]": lambda d: d["action_counts"].__setitem__(2, [-1, 2]),
     "players": lambda d: d.update(players=2.0),
     "successor id": _lead_state_1_to(2.0),
+    "zero_sum flag requires 2 players": _three_players_zero_sum,
 }
 #: The same for a normal-form file, whose `players` was never read.
 NORMAL_FORM_MUTATIONS = {

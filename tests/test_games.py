@@ -549,6 +549,53 @@ def test_markov_from_dict_rejects_malformed():
     d["transitions"][0] = [[1, 1.0]]
     with pytest.raises(ValueError, match="row"):
         TabularMarkovGame.from_dict(d)
+    d = _markov_dict()
+    d["states"] = 4
+    with pytest.raises(ValueError, match="^states 4 does not match the 3 rows"):
+        TabularMarkovGame.from_dict(d)
+    for count in (0, -1):
+        d = _markov_dict()
+        d["action_counts"][1] = [2, count]
+        with pytest.raises(ValueError, match=r"^action_counts\[1\]: every player needs "
+                                             r"at least one action"):
+            TabularMarkovGame.from_dict(d)
+
+
+def test_markov_counts_are_read_from_R():
+    """The counts are fields derived from ``R``; an empty action axis and a
+    zero-sum flag on three players raise."""
+    rewards = (np.zeros((2, 3, 2)), np.zeros((2, 1, 2)))
+    probs = (np.ones((3, 2, 1)), np.ones((1, 2, 1)))
+    g = TabularMarkovGame(R=rewards, next_states=((1,), (TERMINAL,)), T=probs,
+                          gamma=1.0, horizon=2)
+    assert (g.player_count, g.state_count, g.action_counts) == (2, 2, ((3, 2), (1, 2)))
+    empty = (rewards[0], np.zeros((2, 0, 2)))
+    with pytest.raises(ValueError, match="^state 1: every player needs at least one"):
+        TabularMarkovGame(R=empty, next_states=((1,), (TERMINAL,)),
+                          T=(probs[0], np.ones((0, 2, 1))), gamma=1.0, horizon=2)
+    with pytest.raises(ValueError, match="^zero_sum flag requires 2 players$"):
+        TabularMarkovGame(R=(np.zeros((3, 2, 2, 2)),), next_states=((TERMINAL,),),
+                          T=(np.ones((2, 2, 2, 1)),), gamma=1.0, horizon=1,
+                          zero_sum=True)
+
+
+def test_games_compare_by_identity_and_hash():
+    """Equality raised numpy's ambiguous truth value and hashing raised
+    ``TypeError``."""
+    for build in (lambda: make_builtin_game("rock_paper_scissors"),
+                  lambda: TabularMarkovGame.from_dict(_markov_dict())):
+        g = build()
+        assert g == g and g != build()
+        assert hash(g) == hash(g) and len({g, build()}) == 2
+
+
+def test_normal_form_game_copies_the_callers_array():
+    """The game froze the caller's own array."""
+    u = np.zeros((2, 2, 2))
+    g = NormalFormGame((2, 2), u, payoff_bound=1.0)
+    u[0, 0, 0] = 1.0
+    assert g.payoffs[0, 0, 0] == 0.0 and not g.payoffs.flags.writeable
+    assert g.payoffs.flags.c_contiguous
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -50,10 +50,8 @@ def _write_ragged_game(path) -> None:
         rewards.append(np.stack([x, -x]))
         w = rng.uniform(0.05, 1.0, size=(*n, len(nxt)))
         probs.append(w / w.sum(axis=-1, keepdims=True))
-    game = TabularMarkovGame(player_count=2, state_count=len(counts),
-                             action_counts=tuple(counts), R=tuple(rewards),
-                             next_states=tuple(succs), T=tuple(probs), gamma=0.9,
-                             horizon=3, zero_sum=True)
+    game = TabularMarkovGame(R=tuple(rewards), next_states=tuple(succs), T=tuple(probs),
+                             gamma=0.9, horizon=3, zero_sum=True)
     path.write_text(json.dumps(game.to_dict()))
 
 

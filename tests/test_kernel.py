@@ -78,9 +78,7 @@ class ScalarLearner:
         return self.schedule.kappas(max(self.t, 1), [self.stats])[0]
 
     def policy(self, lam, kappa):
-        # As in the kernel, z - max(z) may overflow to -inf, whose exp is 0.
-        with np.errstate(over="ignore"):
-            return policy_for_type(self.q, self.anchor, lam, kappa)
+        return policy_for_type(self.q, self.anchor, lam, kappa)
 
     def observe(self, policies, utility_vector, realized):
         for lam, p in policies.items():

@@ -176,7 +176,7 @@ def test_bne_exploitability_postcondition():
     types = (TypeDistribution.singleton(1.0),) * 2
     prof = solve_regularized_bne(game, anchors, types, tol=1e-10)
     assert prof.converged
-    assert regularized_exploitability(game, anchors, types, prof) < 1e-8
+    assert regularized_exploitability(game, anchors, prof) < 1e-8
 
 
 def test_bne_anchor_limit():
@@ -271,7 +271,7 @@ def test_regularized_exploitability_zero_at_exact_equilibrium():
         policies=({1.0: uniform_policy(2)}, {1.0: uniform_policy(2)}),
         types=types,
     )
-    gap = regularized_exploitability(game, [uniform_policy(2)] * 2, types, prof)
+    gap = regularized_exploitability(game, [uniform_policy(2)] * 2, prof)
     assert gap == pytest.approx(0.0, abs=1e-12)
 
 
@@ -283,13 +283,13 @@ def test_regularized_exploitability_at_the_lambda_ends():
     anchors = [np.array([0.7, 0.3]), uniform_policy(2)]
     inf_types = (TypeDistribution.singleton(INF),) * 2
     at_anchor = RegularizedProfile(({INF: anchors[0]}, {INF: anchors[1]}), inf_types)
-    assert regularized_exploitability(game, anchors, inf_types, at_anchor) == 0.0
+    assert regularized_exploitability(game, anchors, at_anchor) == 0.0
     off = RegularizedProfile(({INF: uniform_policy(2)}, {INF: anchors[1]}), inf_types)
-    assert regularized_exploitability(game, anchors, inf_types, off) == INF
+    assert regularized_exploitability(game, anchors, off) == INF
     zero_types = (TypeDistribution.singleton(0.0),) * 2
     policies = [np.array([1.0, 0.0]), np.array([0.4, 0.6])]
     prof = RegularizedProfile(({0.0: policies[0]}, {0.0: policies[1]}), zero_types)
-    gap = regularized_exploitability(game, anchors, zero_types, prof)
+    gap = regularized_exploitability(game, anchors, prof)
     assert gap == unregularized_exploitability(game, policies) == pytest.approx(1.2)
 
 
@@ -306,32 +306,27 @@ def test_unregularized_exploitability_values():
 # ------------------------------------------------------------ regret bound
 
 def test_bound_hand_value():
-    b = regret_bound(2.0, 100, eta=0.5, lam=0.1, n_actions=2,
-                     anchor=uniform_policy(2))
+    b = regret_bound(2.0, 100, eta=0.5, lam=0.1, anchor=uniform_policy(2))
     assert b == pytest.approx(50 + math.log(2) / 0.5, abs=1e-9)
     assert b == pytest.approx(51.386294, abs=1e-6)
 
 
 def test_bound_uniform_anchor_rho_zero():
-    b = regret_bound(1.0, 10, eta=1.0, lam=0.5, n_actions=3,
-                     anchor=uniform_policy(3))
+    b = regret_bound(1.0, 10, eta=1.0, lam=0.5, anchor=uniform_policy(3))
     expect = 0.25 * min(2 * math.log(10) / 0.5, 10.0) + math.log(3)
     assert b == pytest.approx(expect, abs=1e-12)
 
 
 def test_bound_large_lambda_limit():
-    b = regret_bound(1.0, 100, eta=0.5, lam=1e9, n_actions=2,
-                     anchor=uniform_policy(2))
+    b = regret_bound(1.0, 100, eta=0.5, lam=1e9, anchor=uniform_policy(2))
     assert b == pytest.approx(math.log(2) / 0.5, abs=1e-6)
 
 
 def test_bound_invalid_parameters():
     with pytest.raises(ValueError):
-        regret_bound(1.0, 0, eta=0.5, lam=0.1, n_actions=2,
-                     anchor=uniform_policy(2))
+        regret_bound(1.0, 0, eta=0.5, lam=0.1, anchor=uniform_policy(2))
     with pytest.raises(ValueError):
-        regret_bound(1.0, 10, eta=0.0, lam=0.1, n_actions=2,
-                     anchor=uniform_policy(2))
+        regret_bound(1.0, 10, eta=0.0, lam=0.1, anchor=uniform_policy(2))
 
 
 # --------------------------------------------------------------- regret
@@ -388,7 +383,7 @@ def test_distance_zero_at_equilibrium():
     types = (TypeDistribution.singleton(0.1),) * 2
     prof = solve_regularized_bne(game, [uniform_policy(2)] * 2, types)
     current = [dict(prof.policies[0]), dict(prof.policies[1])]
-    assert last_iterate_distance(current, prof, types, 0.2) == pytest.approx(
+    assert last_iterate_distance(current, prof, 0.2) == pytest.approx(
         0.0, abs=1e-12)
 
 
@@ -402,7 +397,7 @@ def test_distance_reduces_to_scaled_kl():
         0.1 * kl_divergence(prof.policies[i][0.1], current[i][0.1])
         for i in range(2)
     )
-    assert last_iterate_distance(current, prof, types, 0.0) == pytest.approx(
+    assert last_iterate_distance(current, prof, 0.0) == pytest.approx(
         expect, abs=1e-12)
 
 
@@ -411,7 +406,7 @@ def test_distance_missing_type_rejected():
     types = (TypeDistribution.singleton(0.1),) * 2
     prof = solve_regularized_bne(game, [uniform_policy(2)] * 2, types)
     with pytest.raises(ValueError):
-        last_iterate_distance([{}, {}], prof, types, 0.0)
+        last_iterate_distance([{}, {}], prof, 0.0)
 
 
 # ----------------------------------------------------- Markov backward

@@ -188,7 +188,7 @@ def test_solve_regularized_bne_matches_reference(case):
     types = case["types"]
     got = solve_regularized_bne(game, anchors, types)
     assert got.converged
-    assert regularized_exploitability(game, anchors, types, got) <= 1e-12
+    assert regularized_exploitability(game, anchors, got) <= 1e-12
     ref = reference_bne(game, anchors, types, tol=1e-12,
                         max_iters=REFERENCE_SWEEPS)
     if ref.converged:
@@ -256,13 +256,12 @@ def test_backward_induction_small_lambda():
                               actions_per_player=3, horizon=4, gamma=1.0,
                               zero_sum=True)
     anchors = uniform_anchors(game)
-    types = (TypeDistribution.singleton(0.01),) * 2
     values, profiles = solve_markov_backward(game, anchors, (0.01, 0.01))
     assert len(values) == len(profiles) == 40
     for s, profile in profiles.items():
         stage = stage_game_from_values(game, s, values)
         assert regularized_exploitability(
-            stage, [anchors[(s, 0)], anchors[(s, 1)]], types, profile) <= 1e-12
+            stage, [anchors[(s, 0)], anchors[(s, 1)]], profile) <= 1e-12
 
 
 UNREACHABLE_TOL = {"kind": "oracle",

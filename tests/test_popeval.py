@@ -226,7 +226,6 @@ def two_state_markov_game():
     rng = np.random.default_rng(3)
     shape = (2, 2, 2)
     return TabularMarkovGame(
-        player_count=3, state_count=2, action_counts=(shape, shape),
         R=(rng.uniform(0.1, 1.0, size=(3, *shape)), rng.uniform(0.0, 1.0, size=(3, *shape))),
         next_states=((1, TERMINAL), (TERMINAL,)),
         T=(rng.dirichlet([1.0, 1.0], size=shape), np.ones((*shape, 1))),
@@ -311,7 +310,6 @@ def test_markov_vector_seat_of_wrong_length_raises_before_any_draw():
     3-vector where every state has two actions, and a 2-vector where state 1
     gives seat 0 three."""
     ragged = TabularMarkovGame(
-        player_count=2, state_count=2, action_counts=((2, 2), (3, 2)),
         R=(np.ones((2, 2, 2)), np.ones((2, 3, 2))), next_states=((1,), (TERMINAL,)),
         T=(np.ones((2, 2, 1)), np.ones((3, 2, 1))), gamma=1.0, horizon=2)
     base_table = np.array([[[0.5, 0.5, 0.0]] * 2, [[1 / 3] * 3, [0.5, 0.5, 0.0]]])
@@ -381,7 +379,6 @@ def chain_game(r0, r1, gamma=1.0):
     """State 0 (one action each) leads to state 1 (two actions for player 0),
     then to TERMINAL; r0 and r1 hold each player's rewards there."""
     return TabularMarkovGame(
-        player_count=2, state_count=2, action_counts=((1, 1), (2, 1)),
         R=(np.array(r0, float).reshape(2, 1, 1), np.array(r1, float).reshape(2, 2, 1)),
         next_states=((1,), (TERMINAL,)), T=(np.ones((1, 1, 1)), np.ones((2, 1, 1))),
         gamma=gamma, horizon=2, payoff_bound=2.0)

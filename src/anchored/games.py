@@ -103,6 +103,38 @@ def contraction(payoffs, player: int) -> tuple:
     return first.reshape(len(first), -1, shape[j]), steps
 
 
+def stacked_contraction(payoffs) -> tuple | None:
+    """Every player's plan at once from a ``(P, *A)`` payoff array whose P ≥ 3
+    players share one action count A ≥ 2, else None (those games keep the
+    per-player `contraction` plans).  The plan is the C-ordered
+    ``(P, A^(P-1), A)`` view of each player's tensor with its own axis first,
+    and the ``(P - 1, P)`` opponent each step contracts per player, highest
+    first as in `contraction`."""
+    n_players, *counts = payoffs.shape
+    if n_players < 3 or len(set(counts)) != 1 or counts[0] < 2:
+        return None
+    stack = np.stack([np.moveaxis(u, i, 0) for i, u in enumerate(payoffs)])
+    order = [[j for j in reversed(range(n_players)) if j != i] for i in range(n_players)]
+    return stack.reshape(n_players, -1, counts[0]), np.array(order).T
+
+
+def contract_stacked(plan, policies, out: np.ndarray) -> np.ndarray:
+    """Run a `stacked_contraction` plan against the ``(P - 1, P, A)``
+    opponent policies its order gathers, one batched matmul per step, into
+    the ``(P, A, 1)`` array `out`.  The last step keeps the layout of each
+    player's last `np.dot` step of `contraction`: a C-ordered matrix for
+    player 0 and a transposed one for the others, so the bits are those of
+    the per-player plans."""
+    x, _ = plan
+    for pol in policies[:-1]:
+        x = (x @ pol[:, :, None]).reshape(len(x), -1, x.shape[-1])
+    last = policies[-1][:, :, None]
+    np.matmul(x[0], last[0], out=out[0])
+    rest = np.ascontiguousarray(x[1:].transpose(0, 2, 1)).transpose(0, 2, 1)
+    np.matmul(rest, last[1:], out=out[1:])
+    return out
+
+
 def contract(plan, policies) -> np.ndarray:
     """Run a `contraction` plan against each player's ``(B, A_j)`` policies
     (the planned player's own are not read), one stacked matmul per step:

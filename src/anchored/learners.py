@@ -15,7 +15,8 @@ from itertools import accumulate
 
 import numpy as np
 
-from .games import NormalFormGame, cdf, contraction, draw, make_anchor
+from .games import (NormalFormGame, cdf, contract_stacked, contraction, draw,
+                    make_anchor, stacked_contraction)
 
 INF = math.inf
 #: The adaptive_std schedule's least kappa.
@@ -266,14 +267,18 @@ def _selfplay(game: NormalFormGame, learners: Learners, iterations: int,
     otherwise.
 
     Each step forms every (player, type) iterate with one softmax per
-    action-count group, takes each player's utilities from its B = 1
-    `contraction` plan (one `np.dot` per step) and reproduces
-    `policy_for_type` and `UtilityStats` bit for bit.  A step runs on
-    buffers and views built once per call: the softmax runs in place in the
-    policy rows (in a buffer when a group's rows are not evenly spaced), the
-    belief mixture of a player with one type is its policy row (a product
-    with weight 1.0 is exact), and every other result goes into a buffer,
-    except in the argmax rule and the contractions of three or more players.
+    action-count group, takes the players' utilities and reproduces
+    `policy_for_type` and `UtilityStats` bit for bit.  When P >= 3 players
+    share A >= 2 actions, one `stacked_contraction` plan gives every
+    player's utilities, one batched matmul per step, and one more batched
+    matmul the realized utilities; otherwise each player follows its B = 1
+    `contraction` plan, one `np.dot` per step.  Both have the bits of the
+    per-player `np.dot` steps.  A step runs on buffers and views built once
+    per call: the softmax runs in place in the policy rows (in a buffer when
+    a group's rows are not evenly spaced), the belief mixture of a player
+    with one type is its policy row (a product with weight 1.0 is exact), and
+    every other result goes into a buffer, except in the argmax rule and the
+    intermediate steps of a contraction of three or more players.
     Sampled feedback draws each step's types and actions from one row of a block
     of uniforms, one double per draw: the doubles and indices of a
     per-player `Generator.choice` loop.  Updates the learners' arrays in
@@ -288,7 +293,11 @@ def _selfplay(game: NormalFormGame, learners: Learners, iterations: int,
     q, avg, stats = learners.q, learners.avg, learners.utility_stats
     u = np.zeros((n_players, width))
     du = np.empty_like(u)
-    pol = np.zeros((len(rows), width))
+    # The policy rows, then one belief-weighted mixture row per player with
+    # several types, so that one `take` gathers any player's mixture.
+    multi = [i for i, s in enumerate(supports) if len(s) > 1]
+    pol_mix = np.zeros((len(rows) + len(multi), width))
+    pol, mix = pol_mix[:len(rows)], pol_mix[len(rows):]
     q_rows = [q[i, :n] for i, n in enumerate(counts)]
     u_rows = [u[i, :n] for i, n in enumerate(counts)]
     pol_rows = [pol[r, :counts[i]] for r, (i, _) in enumerate(rows)]
@@ -322,18 +331,9 @@ def _selfplay(game: NormalFormGame, learners: Learners, iterations: int,
         draws = n_players + sum(c is not None for c in type_cdfs)
         uniforms = rng.random((iterations, draws))
     else:
-        plans = []
-        for i, payoff in enumerate(game.payoffs):
-            first, ((j, _, _), *later) = contraction(payoff[None], i)
-            plans.append((first[0], j, later))
         # The belief-weighted mixture of the players with several types, one
         # type slot at a time; a player with fewer types adds weight 0 in the
         # missing slots.
-        multi = [i for i, s in enumerate(supports) if len(s) > 1]
-        mix = np.zeros((len(multi), width))
-        mix_rows = [pol_rows[s] for s in starts[:-1]]
-        for k, i in enumerate(multi):
-            mix_rows[i] = mix[k, :counts[i]]
         weights = [learners.types[i].weights for i in multi]
         slots = []
         for k in range(max(map(len, weights), default=0)):
@@ -341,6 +341,22 @@ def _selfplay(game: NormalFormGame, learners: Learners, iterations: int,
             w = np.array([[ws[k] if k < len(ws) else 0.0] * width for ws in weights])
             slots.append((_gather(pol, slot), w))
         product = np.empty_like(mix)
+        mix_at = list(starts[:-1])      # each player's mixture row in pol_mix
+        for k, i in enumerate(multi):
+            mix_at[i] = len(rows) + k
+        stacked = stacked_contraction(game.payoffs)
+        if stacked is None:
+            mix_rows = [pol_mix[r, :n] for r, n in zip(mix_at, counts)]
+            plans = []
+            for i, payoff in enumerate(game.payoffs):
+                first, ((j, _, _), *later) = contraction(payoff[None], i)
+                plans.append((first[0], j, later))
+        else:
+            # Each step's opponent mixtures, then each player's own, in one
+            # `take`; u is [P, A] here.
+            gather_at = np.array(mix_at)[np.vstack([stacked[1], range(n_players)])]
+            gathered = np.empty((n_players, n_players, width))
+            u_out, realized_out = u[:, :, None], np.empty((n_players, 1, 1))
     realized = [0.0] * n_players
     # Overflow leaves a non-finite iterate, which the sampled draw or the
     # caller reports as a numerical failure; numpy need not warn as well.
@@ -389,12 +405,18 @@ def _selfplay(game: NormalFormGame, learners: Learners, iterations: int,
                     for gather, w in rest:
                         np.multiply(w, gather(), out=product)
                         mix += product
-                for i, (matrix, j, later) in enumerate(plans):
-                    x = np.dot(matrix, mix_rows[j], out=None if later else u_rows[i])
-                    for k, (j, shape, axes) in enumerate(later, 1):
-                        x = np.dot(x.reshape(shape).transpose(axes).reshape(-1, shape[j]),
-                                   mix_rows[j], out=u_rows[i] if k == len(later) else None)
-                    realized[i] = float(u_rows[i].dot(mix_rows[i]))
+                if stacked is not None:
+                    pol_mix.take(gather_at, 0, out=gathered, mode="clip")
+                    contract_stacked(stacked, gathered[:-1], u_out)
+                    np.matmul(u[:, None], gathered[-1, :, :, None], out=realized_out)
+                    realized = realized_out.ravel().tolist()
+                else:
+                    for i, (matrix, j, later) in enumerate(plans):
+                        x = np.dot(matrix, mix_rows[j], out=None if later else u_rows[i])
+                        for k, (j, shape, axes) in enumerate(later, 1):
+                            x = np.dot(x.reshape(shape).transpose(axes).reshape(-1, shape[j]),
+                                       mix_rows[j], out=u_rows[i] if k == len(later) else None)
+                        realized[i] = float(u_rows[i].dot(mix_rows[i]))
             avg += pol
             np.subtract(u, q, out=du)
             du /= t + 1

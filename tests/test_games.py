@@ -22,7 +22,8 @@ from anchored import (
     sos_score,
     uniform_policy,
 )
-from anchored.games import cdf, contract, contraction, draw, markov_layers
+from anchored.games import (cdf, contract, contract_stacked, contraction, draw,
+                            markov_layers, stacked_contraction)
 from anchored.oracle import evaluate_markov_profile, uniform_anchors
 from helpers import tensordot_utility_vector
 
@@ -218,6 +219,40 @@ def test_contract_matches_the_tensordot_loop(case):
                            profile[j])
             assert x.tobytes() == want.tobytes()
             assert np.array_equal(game.utility_vector(i, profile), want)
+
+
+@st.composite
+def stacked_cases(draw):
+    n_players, n = draw(st.integers(3, 7)), draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    shape = (n_players,) + (n,) * n_players
+    payoffs = rng.uniform(-1.0, 1.0, size=shape)
+    payoffs[rng.random(shape) < 0.2] = 0.0
+    payoffs[rng.random(shape) < 0.2] = -0.0
+    policies = rng.dirichlet(np.ones(n), size=n_players)
+    policies[rng.random(policies.shape) < 0.25] = 0.0
+    return NormalFormGame((n,) * n_players, payoffs, payoff_bound=1.0), policies
+
+
+@settings(max_examples=100, deadline=None)
+@given(stacked_cases())
+def test_stacked_contraction_matches_the_tensordot_loop(case):
+    """The one plan of P >= 3 players who share A >= 2 actions gives every
+    player's utilities with the bits of the `np.tensordot` loop, and so of
+    the kernel's per-player `np.dot` steps, the sign of a zero included."""
+    game, policies = case
+    plan = stacked_contraction(game.payoffs)
+    out = contract_stacked(plan, policies[plan[1]], np.empty((*policies.shape, 1)))
+    for i in range(game.player_count):
+        want = tensordot_utility_vector(game, i, policies)
+        assert out[i, :, 0].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("counts", [(3, 3), (2, 2, 3), (1, 1, 1)])
+def test_stacked_contraction_leaves_other_games_to_the_per_player_plans(counts):
+    """Two players, unequal action counts and one action each get no
+    stacked plan: over a one-action axis a matmul may flip a zero's sign."""
+    assert stacked_contraction(np.zeros((len(counts), *counts))) is None
 
 
 def test_sos_score_equal_counts():

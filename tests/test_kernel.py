@@ -31,8 +31,13 @@ SCHEDULES = (
 
 @st.composite
 def selfplay_cases(draw):
-    n_players = draw(st.integers(2, 3))
-    counts = tuple(draw(st.integers(1, 4)) for _ in range(n_players))
+    n_players = draw(st.integers(2, 5))
+    # Half the games share one action count, which takes P >= 3 players
+    # with two or more actions to the kernel's stacked contraction.
+    if draw(st.booleans()):
+        counts = (draw(st.integers(1, 4)),) * n_players
+    else:
+        counts = tuple(draw(st.integers(1, 4)) for _ in range(n_players))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     game = NormalFormGame(counts, tuple(rng.uniform(-1.0, 1.0, size=counts)
                                         for _ in counts), payoff_bound=1.0)

@@ -167,10 +167,14 @@ def run_population_eval(candidate: AgentSpec, baselines, game, n_games: int,
     redrawn.  Outcomes are converted to score shares with sum-of-squares
     scoring, so the game must be `scorable`.
 
-    The generator calls are those of one game at a time: per seating attempt
-    `rng.integers(len(roster), size=seats)`, then `rng.random(seats)` for the
-    seats' actions, or the rollout's draws on a Markov game.  On a normal-form
-    game the actions and outcomes of all games are then one array pass."""
+    Every seating is drawn first, in blocks: `rng.integers(len(roster),
+    size=(need, seats))` for the `need` games still unseated, keeping the rows
+    that seat the candidate.  Each integer takes one 32-bit draw whatever the
+    call's shape, so these are the draws of one `rng.integers(len(roster),
+    size=seats)` per seating attempt.  A normal-form game then draws all the
+    seats' uniforms in one `rng.random((games, seats))` and finds every
+    game's actions and outcomes in one array pass; a Markov game rolls out
+    its episodes in order."""
     baselines = list(baselines)
     if not baselines:
         raise ValueError("empty baseline pool")
@@ -199,16 +203,17 @@ def run_population_eval(candidate: AgentSpec, baselines, game, n_games: int,
                 if np.ndim(p) != 3 and any(len(p) != n[i] for n in game.action_counts):
                     raise ValueError(f"agent {agent.agent_id}: bad policy at seat {i}")
     cand = len(roster) - 1
-    seats = np.empty((n_games, n_seats), dtype=int)
-    rows = np.empty((n_games, n_seats))     # Markov outcomes, else the uniforms
-    for g in range(n_games):
-        picks = ()
-        while cand not in picks:
-            picks = rng.integers(len(roster), size=n_seats).tolist()
-        seats[g] = picks
-        rows[g] = (_play_markov(game, [cdfs[k][i] for i, k in enumerate(picks)], rng)
-                   if is_markov else rng.random(n_seats))
-    outcomes = rows if is_markov else _outcomes(game, cdfs, seats, rows)
+    blocks, need = [], n_games
+    while need:
+        picks = rng.integers(len(roster), size=(need, n_seats))
+        blocks.append(picks[(picks == cand).any(axis=1)])
+        need -= len(blocks[-1])
+    seats = np.concatenate(blocks)
+    if is_markov:
+        outcomes = np.array([_play_markov(game, [cdfs[k][i] for i, k in enumerate(row)], rng)
+                             for row in seats.tolist()])
+    else:
+        outcomes = _outcomes(game, cdfs, seats, rng.random((n_games, n_seats)))
     scores = sos_score(outcomes)
     candidate_scores = scores[seats == cand]
     return PopEvalReport(candidate.agent_id, n_games, np.array(ids)[seats], scores,

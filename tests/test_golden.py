@@ -97,9 +97,9 @@ GOLDEN = {
          "popeval": {"candidate": SEARCH_AGENT, "baselines": POOL,
                      "games": 40}},
         {"popeval_report.json":
-             "ad58170e285bebb25266231a3ca8839276bf5684e992e1fa786b94ecca113528",
+             "9d09adb1230a2e52c8efcf68d485172efc2c2b5645b34db6d6aa4ff1f2ed7b96",
          "popeval_games.csv":
-             "2e5cfdad67f85b9a86405ddc644411e07bc733be2c1476e5eb02163dfae43749"}),
+             "599424612091616051fd6f7bf3c2e6fa63b5450a7f06ec8d5a7097b8a6abcd77"}),
     "solve-sampled-3-types": (
         {"kind": "solve", "seed": 8,
          "game": {"builtin": "random_zero_sum", "params": {"seed": 2}},

@@ -182,19 +182,21 @@ def test_duplicate_ids_and_empty_pool_rejected():
 
 
 def reference_population_eval(candidate, baselines, game, n_games, rng):
-    """The seating loop with one `Generator.choice` per action and one
-    `sos_score` per game that `run_population_eval` replaced; returns
+    """The loops `run_population_eval` replaced: one `rng.integers` per
+    seating attempt until every game is seated, then the games in order with
+    one `Generator.choice` per action and one `sos_score` per game; returns
     (seatings, scores, candidate scores, mean, standard error)."""
     roster = list(baselines) + [candidate]
     markov = isinstance(game, TabularMarkovGame)
     resolved = {a.agent_id: a.policies if markov else resolve_agent_policies(a, game)
                 for a in roster}
+    all_picks = []
+    while len(all_picks) < n_games:
+        picks = rng.integers(len(roster), size=game.player_count)
+        if np.any(picks == len(roster) - 1):
+            all_picks.append(picks)
     seatings, scores, cand = [], [], []
-    for _ in range(n_games):
-        while True:
-            picks = rng.integers(len(roster), size=game.player_count)
-            if np.any(picks == len(roster) - 1):
-                break
+    for picks in all_picks:
         seating = [roster[k].agent_id for k in picks]
         pols = [resolved[aid][i] for i, aid in enumerate(seating)]
         if markov:

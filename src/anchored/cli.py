@@ -438,7 +438,7 @@ def load_popeval(spec: dict, game):
     _require(PE.scorable(game), "popeval: sum-of-squares scoring needs outcomes "
              "that are nonnegative and never all zero")
     games = given.get("games", 1000)
-    _addressable("popeval.games", (games, game.player_count))  # seats, rows
+    _addressable("popeval.games", (games, game.player_count))  # seatings, uniforms
     return candidate, baselines, games
 
 
